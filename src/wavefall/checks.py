@@ -89,18 +89,18 @@ def run_all_checks(cfg: RunConfig, seed: int | None = None) -> list[CheckResult]
     def _spread_g_independence():
         psi = _initial(cfg.grid)
         free = replace(cfg.params, g=0.0)
+        times = (0.5, 1.0, 2.0)
+        numeric = evolve_split_step(
+            psi, [cfg.params] * 3 + [free] * 3, times * 2, SolverConfig(2048)
+        )
         worst_exact = 0.0
         worst_num = 0.0
-        for t in (0.5, 1.0, 2.0):
+        for t, num_g, num_0 in zip(times, numeric[:3], numeric[3:]):
             s_g = moments(evolve_exact(psi, cfg.params, t), cfg.params).sigma_x
             s_0 = moments(evolve_exact(psi, free, t), free).sigma_x
             worst_exact = max(worst_exact, abs(s_g - s_0) / s_0)
-            n_g = moments(
-                evolve_split_step(psi, cfg.params, t, SolverConfig(2048)), cfg.params
-            ).sigma_x
-            n_0 = moments(
-                evolve_split_step(psi, free, t, SolverConfig(2048)), free
-            ).sigma_x
+            n_g = moments(num_g, cfg.params).sigma_x
+            n_0 = moments(num_0, free).sigma_x
             worst_num = max(worst_num, abs(n_g - n_0) / n_0)
         return CheckResult(
             name="spread_g_independence",
@@ -187,19 +187,20 @@ def run_all_checks(cfg: RunConfig, seed: int | None = None) -> list[CheckResult]
 
     def _ehrenfest_means():
         psi = _initial(cfg.grid)
+        runs = [
+            (replace(cfg.params, g=g), t)
+            for g in (0.0, cfg.params.g, 2.0 * cfg.params.g)
+            for t in (0.5, 1.0, 2.0)
+        ]
+        numeric = evolve_split_step(
+            psi, [pars for pars, _ in runs], [t for _, t in runs], SolverConfig(512)
+        )
         worst = 0.0
-        for g in (0.0, cfg.params.g, 2.0 * cfg.params.g):
-            pars = replace(cfg.params, g=g)
-            for t in (0.5, 1.0, 2.0):
-                want_x, want_p = ehrenfest_mean(
-                    cfg.initial.x0, cfg.initial.p0, t, pars
-                )
-                for state in (
-                    evolve_exact(psi, pars, t),
-                    evolve_split_step(psi, pars, t, SolverConfig(512)),
-                ):
-                    got = moments(state, pars)
-                    worst = max(worst, abs(got.mean_x - want_x), abs(got.mean_p - want_p))
+        for (pars, t), num in zip(runs, numeric):
+            want_x, want_p = ehrenfest_mean(cfg.initial.x0, cfg.initial.p0, t, pars)
+            for state in (evolve_exact(psi, pars, t), num):
+                got = moments(state, pars)
+                worst = max(worst, abs(got.mean_x - want_x), abs(got.mean_p - want_p))
         return CheckResult(
             name="ehrenfest_means",
             passed=worst < 1e-6,

@@ -61,13 +61,16 @@ def _cmd_evolve(cfg: RunConfig, out_path: str) -> int:
         "sigma_x_numeric",
         "norm_error",
     ]
+    times = cfg.evolve.t_values
+    exact_moments = [
+        moments(evolve_exact(psi0, cfg.params, t), cfg.params) for t in times
+    ]
+    numeric_states = evolve_split_step(
+        psi0, cfg.params, times, SolverConfig(cfg.evolve.n_steps)
+    )
     rows = []
-    for t in cfg.evolve.t_values:
-        exact = moments(evolve_exact(psi0, cfg.params, t), cfg.params)
-        numeric = moments(
-            evolve_split_step(psi0, cfg.params, t, SolverConfig(cfg.evolve.n_steps)),
-            cfg.params,
-        )
+    for t, exact, numeric_state in zip(times, exact_moments, numeric_states):
+        numeric = moments(numeric_state, cfg.params)
         norm_error = max(abs(exact.norm - 1.0), abs(numeric.norm - 1.0))
         rows.append(
             [

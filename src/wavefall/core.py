@@ -240,16 +240,23 @@ def margin_nodes(n: int) -> int:
     return max(1, int(n * MARGIN_FRACTION))
 
 
-def boundary_amplitude(amp: np.ndarray, n: int) -> float:
-    """Largest |amp| over the guarded nodes at both ends."""
+def boundary_amplitude(amp: np.ndarray, n: int):
+    """Largest |amp| over the guarded nodes at both ends of the last axis.
+
+    A 1-D state gives a float; a (rows, n) stack gives one maximum per row.
+    A NaN on the guarded nodes propagates into the result.
+    """
     m = margin_nodes(n)
-    return float(max(np.abs(amp[:m]).max(), np.abs(amp[-m:]).max()))
+    worst = np.maximum(
+        np.abs(amp[..., :m]).max(axis=-1), np.abs(amp[..., -m:]).max(axis=-1)
+    )
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def check_margin(psi: WavePacket, context: str) -> None:
     """Raise GridOverflow if the packet touches the guarded boundary region."""
     worst = boundary_amplitude(psi.amp, psi.grid.n)
-    if worst >= MARGIN_AMPLITUDE:
+    if not worst < MARGIN_AMPLITUDE:
         m = margin_nodes(psi.grid.n)
         raise GridOverflow(
             f"{context}: boundary amplitude {worst:.3e} on the outer {m} nodes "

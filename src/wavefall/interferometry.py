@@ -123,10 +123,50 @@ def gaussian_visibility(sigma_t: float, t: float, params: PhysicalParams) -> flo
     return math.exp(-0.5 * kick * kick)
 
 
-def _evolve(psi, params, t, backend, n_steps):
+def _colocated(psi0, params, times, backend, n_steps):
+    """(accelerated, reference) colocated states at each readout time.
+
+    The split-step backend evolves every branch of every time as one batch.
+    """
+    free_params = replace(params, g=0.0)
     if backend == "analytic":
-        return evolve_exact(psi, params, t)
-    return evolve_split_step(psi, params, t, SolverConfig(n_steps))
+        runs = [
+            (evolve_exact(psi0, params, t), evolve_exact(psi0, free_params, t))
+            for t in times
+        ]
+    else:
+        n = len(times)
+        out = evolve_split_step(
+            psi0, [params] * n + [free_params] * n, times * 2,
+            SolverConfig(n_steps),
+        )
+        runs = zip(out[:n], out[n:])
+    # Translate the free branch onto the fallen one: amp(x + g t^2/2)
+    # recenters the peak at center_free - g t^2/2.
+    return [
+        (accelerated, shift_packet(drifted, 0.5 * params.g * t * t))
+        for (accelerated, drifted), t in zip(runs, times)
+    ]
+
+
+def _split_step_schedules(psi0, params, schedules, n_steps):
+    """Final state of each schedule, segment by segment on the split-step solver.
+
+    Segment i of every schedule that has one runs in the same batched call.
+    """
+    states = [psi0] * len(schedules)
+    for i in range(max(len(s.segments) for s in schedules)):
+        live = [b for b, s in enumerate(schedules) if i < len(s.segments)]
+        segments = [schedules[b].segments[i] for b in live]
+        out = evolve_split_step(
+            [states[b] for b in live],
+            [replace(params, g=g_i) for g_i, _ in segments],
+            [dt_i for _, dt_i in segments],
+            SolverConfig(n_steps),
+        )
+        for b, state in zip(live, out):
+            states[b] = state
+    return states
 
 
 def branch_states(
@@ -142,14 +182,8 @@ def branch_states(
         raise NegativeTime(f"branch_states: t must be >= 0, got {t}")
     if backend not in _BACKENDS:
         raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-    free_params = replace(params, g=0.0)
     if isinstance(scheme, Colocated):
-        accelerated = _evolve(psi0, params, t, backend, n_steps)
-        drifted = _evolve(psi0, free_params, t, backend, n_steps)
-        # Translate the free branch onto the fallen one: amp(x + g t^2/2)
-        # recenters the peak at center_free - g t^2/2.
-        reference = shift_packet(drifted, 0.5 * params.g * t * t)
-        return accelerated, reference
+        return _colocated(psi0, params, [t], backend, n_steps)[0]
 
     total_a = scheme.accelerated.total_duration
     total_b = scheme.reference.total_duration
@@ -166,16 +200,9 @@ def branch_states(
         accelerated = evolve_piecewise(psi0, params, scheme.accelerated)
         reference = evolve_piecewise(psi0, params, scheme.reference)
     else:
-        accelerated = psi0
-        for g_i, dt_i in scheme.accelerated:
-            accelerated = evolve_split_step(
-                accelerated, replace(params, g=g_i), dt_i, SolverConfig(n_steps)
-            )
-        reference = psi0
-        for g_i, dt_i in scheme.reference:
-            reference = evolve_split_step(
-                reference, replace(params, g=g_i), dt_i, SolverConfig(n_steps)
-            )
+        accelerated, reference = _split_step_schedules(
+            psi0, params, (scheme.accelerated, scheme.reference), n_steps
+        )
     return accelerated, reference
 
 
@@ -187,6 +214,35 @@ def _looks_gaussian(psi0: WavePacket, params: PhysicalParams) -> bool:
     except WavefallError:
         return False
     return abs(abs(overlap(fit, psi0)) - 1.0) < 1e-9
+
+
+def _readout(
+    accelerated: WavePacket,
+    reference: WavePacket,
+    t: float,
+    params: PhysicalParams,
+    gaussian: bool,
+) -> InterferenceRecord:
+    """The fringe record of one pair of branch states read out at time t."""
+    z = overlap(reference, accelerated)
+    visibility = abs(z)
+    phase = math.atan2(z.imag, z.real)
+    ref_moments = moments(reference, params)
+    pred_phase = predicted_phase(ref_moments.mean_x, t, params)
+    pred_vis = (
+        gaussian_visibility(ref_moments.sigma_x, t, params) if gaussian else None
+    )
+    return InterferenceRecord(
+        t=t,
+        overlap=z,
+        visibility=visibility,
+        phase=phase,
+        phase_unwrapped=phase,
+        fringe_x=z.real,
+        fringe_y=z.imag,
+        predicted_phase=pred_phase,
+        predicted_visibility=pred_vis,
+    )
 
 
 def run_protocol(
@@ -205,27 +261,7 @@ def run_protocol(
     by refitting a Gaussian to the input's moments).
     """
     accelerated, reference = branch_states(psi0, params, t, scheme, backend, n_steps)
-    z = overlap(reference, accelerated)
-    visibility = abs(z)
-    phase = math.atan2(z.imag, z.real)
-    ref_moments = moments(reference, params)
-    pred_phase = predicted_phase(ref_moments.mean_x, t, params)
-    pred_vis = (
-        gaussian_visibility(ref_moments.sigma_x, t, params)
-        if _looks_gaussian(psi0, params)
-        else None
-    )
-    return InterferenceRecord(
-        t=t,
-        overlap=z,
-        visibility=visibility,
-        phase=phase,
-        phase_unwrapped=phase,
-        fringe_x=z.real,
-        fringe_y=z.imag,
-        predicted_phase=pred_phase,
-        predicted_visibility=pred_vis,
-    )
+    return _readout(accelerated, reference, t, params, _looks_gaussian(psi0, params))
 
 
 def unwrap_phases(phases, t_values=None) -> np.ndarray:
@@ -269,18 +305,32 @@ def fringe_scan(
     """run_protocol over strictly increasing times, with unwrapped phases.
 
     scheme may also be a callable t -> scheme for scans where the branch
-    schedules depend on the readout time.  Raises PhaseAliasing when
-    consecutive phase samples are too far apart to continue unambiguously.
+    schedules depend on the readout time.  With the split-step backend and a
+    Colocated scheme, both branches of every time evolve in one batched
+    solver call; otherwise each time runs branch_states on its own.  Raises
+    PhaseAliasing when consecutive phase samples are too far apart to
+    continue unambiguously.
     """
     times = [float(t) for t in t_values]
     if len(times) == 0:
         return []
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"t_values must be strictly increasing, got {times}")
-    records = []
-    for t in times:
-        sch = scheme(t) if callable(scheme) else scheme
-        records.append(run_protocol(psi0, params, t, sch, backend, n_steps))
+    if backend == "split-step" and isinstance(scheme, Colocated):
+        states = _colocated(psi0, params, times, backend, n_steps)
+    else:
+        states = (
+            branch_states(
+                psi0, params, t, scheme(t) if callable(scheme) else scheme,
+                backend, n_steps,
+            )
+            for t in times
+        )
+    gaussian = _looks_gaussian(psi0, params)
+    records = [
+        _readout(accelerated, reference, t, params, gaussian)
+        for (accelerated, reference), t in zip(states, times)
+    ]
     unwrapped = unwrap_phases([r.phase for r in records], times)
     return [
         replace(r, phase_unwrapped=float(u)) for r, u in zip(records, unwrapped)

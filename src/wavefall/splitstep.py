@@ -8,14 +8,23 @@ splitting defect is a pure global phase, so observables from this route match
 the closed form to rounding even at coarse dt; the L2 error against the exact
 state still scales as dt^2 and is what convergence_report measures.
 
+Independent runs are evolved as one (rows, n) stack: each step is one
+in-place FFT pair along the last axis, with per-row potential and kinetic
+phase arrays built in the single-run operation order, so every row is
+bit-identical to the same run made alone.  Rows share the grid, hbar and m
+and may differ in g, duration and start state.
+
 The boundary margin is checked after every step, not only at snapshots, so a
 packet that would wrap around the periodic grid mid-run raises GridOverflow
-even when the final state would look clean.
+even when the final state would look clean.  The check covers every row at
+once, fails closed on NaN, and names the first offending row (for a batch),
+its step and its time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +50,9 @@ __all__ = [
 # L2 errors below this sit at the rounding floor; observed orders computed
 # from them would be noise, so rows are marked not applicable instead.
 ORDER_NOISE_FLOOR = 1e-12
+
+# Argument types read as one value per row; anything else broadcasts.
+_SEQUENCES = (list, tuple, np.ndarray)
 
 
 @dataclass(frozen=True)
@@ -70,46 +82,92 @@ class ConvergenceRow:
     observed_order: float | None
 
 
+def _as_rows(psi, params, t) -> tuple[list, list, list]:
+    """Broadcast single values against equal-length sequences, one entry per row."""
+    columns = [
+        list(v) if isinstance(v, _SEQUENCES) else None for v in (psi, params, t)
+    ]
+    lengths = sorted({len(c) for c in columns if c is not None})
+    if len(lengths) > 1:
+        raise ValueError(
+            f"evolve_split_step: psi, params and t lengths differ: {lengths}"
+        )
+    rows = lengths[0] if lengths else 1
+    return tuple(
+        c if c is not None else [v] * rows for c, v in zip(columns, (psi, params, t))
+    )
+
+
 def evolve_split_step(
-    psi: WavePacket, params: PhysicalParams, t: float, config: SolverConfig
+    psi: WavePacket | Sequence[WavePacket],
+    params: PhysicalParams | Sequence[PhysicalParams],
+    t: float | Sequence[float],
+    config: SolverConfig,
 ):
     """Propagate for duration t in config.n_steps Strang steps.
 
-    Returns the final WavePacket, or (final, snapshots) when
-    config.record_every > 0 with snapshots a list of (time, WavePacket).
-    Raises GridOverflow the moment any step's state touches the guarded
-    boundary nodes.
+    psi, params and t may each be a single value or an equal-length sequence
+    (list, tuple or ndarray of times); single values broadcast against the
+    sequences, and every row is stepped in one (rows, n) stack.  Rows must
+    share the grid, hbar and m (ValueError otherwise); g, t and the start
+    state may differ per row, and each row's result is bit-identical to a
+    single-row call.
+
+    Returns the final WavePacket, or a list of them when any argument is a
+    sequence.  With config.record_every > 0 (single values only) it returns
+    (final, snapshots), snapshots a list of (time, WavePacket).  Raises
+    GridOverflow the moment any row's state touches the guarded boundary
+    nodes, naming that row, its step and its time.
     """
-    if t < 0:
-        raise NegativeTime(f"evolve_split_step: t must be >= 0, got {t}")
-    grid = psi.grid
-    dt = t / config.n_steps
-    half_v = np.exp(
-        -0.5j * params.m * params.g * grid.x * dt / params.hbar
-    )
-    kinetic = np.exp(-0.5j * params.hbar * grid.k**2 * dt / params.m)
+    batched = any(isinstance(v, _SEQUENCES) for v in (psi, params, t))
+    if batched and config.record_every:
+        raise ValueError("evolve_split_step: record_every > 0 needs single values")
+    psis, pars, times = _as_rows(psi, params, t)
+    if not psis:
+        return []
+    for ti in times:
+        if ti < 0:
+            raise NegativeTime(f"evolve_split_step: t must be >= 0, got {ti}")
+    grid, hbar, m = psis[0].grid, pars[0].hbar, pars[0].m
+    if any(p.grid != grid for p in psis) or any(
+        (p.hbar, p.m) != (hbar, m) for p in pars
+    ):
+        raise ValueError("evolve_split_step: rows must share the grid, hbar and m")
+
+    # Per-row (rows, 1) columns, combined in the single-row operation order so
+    # that every row's phases, and hence its bits, match a single-row call.
+    dts = [ti / config.n_steps for ti in times]
+    dt = np.array(dts)[:, None]
+    kick = np.array([-0.5j * p.m * p.g for p in pars])[:, None]
+    half_v = np.exp(kick * grid.x * dt / hbar)
+    kinetic = np.exp(-0.5j * hbar * grid.k**2 * dt / m)
     guard = margin_nodes(grid.n)
 
-    amp = np.array(psi.amp, copy=True)
+    amp = np.stack([p.amp for p in psis])
     snapshots: list[tuple[float, WavePacket]] = []
     for step in range(1, config.n_steps + 1):
         amp *= half_v
-        amp = np.fft.ifft(np.fft.fft(amp) * kinetic)
+        np.fft.fft(amp, out=amp)
+        amp *= kinetic
+        np.fft.ifft(amp, out=amp)
         amp *= half_v
         worst = boundary_amplitude(amp, grid.n)
-        if worst >= MARGIN_AMPLITUDE:
+        # Fail closed: a NaN maximum is not below the margin either.
+        if not worst.max() < MARGIN_AMPLITUDE:
+            row = int(np.flatnonzero(~(worst < MARGIN_AMPLITUDE))[0])
+            where = f" in row {row}" if batched else ""
             raise GridOverflow(
-                f"evolve_split_step: boundary amplitude {worst:.3e} on the outer "
-                f"{guard} nodes at step {step}/{config.n_steps} "
-                f"(t={step * dt:.6g}); enlarge the grid or shorten the run"
+                f"evolve_split_step: boundary amplitude {worst[row]:.3e} on the outer "
+                f"{guard} nodes{where} at step {step}/{config.n_steps} "
+                f"(t={step * dts[row]:.6g}); enlarge the grid or shorten the run"
             )
         if config.record_every and step % config.record_every == 0:
-            snapshots.append((step * dt, WavePacket(grid, amp)))
+            snapshots.append((step * dts[0], WavePacket(grid, amp[0])))
 
-    final = WavePacket(grid, amp)
+    finals = [WavePacket(grid, a) for a in amp]
     if config.record_every:
-        return final, snapshots
-    return final
+        return finals[0], snapshots
+    return finals if batched else finals[0]
 
 
 def convergence_report(

@@ -136,6 +136,25 @@ def test_margin_helpers():
     assert boundary_amplitude(amp, 64) == pytest.approx(1e-9)
 
 
+def test_boundary_amplitude_reduces_the_last_axis():
+    stack = np.zeros((3, 64), dtype=complex)
+    stack[0, 1] = 1e-9
+    stack[1, 3] = 1.0  # inside, not on the guard band
+    stack[2, -1] = 2e-3
+    worst = boundary_amplitude(stack, 64)
+    assert worst.shape == (3,)
+    np.testing.assert_array_equal(worst, [1e-9, 0.0, 2e-3])
+    assert type(boundary_amplitude(stack[2], 64)) is float
+
+
+def test_nan_on_the_margin_fails_closed(grid):
+    amp = np.zeros(grid.n, dtype=complex)
+    amp[-1] = np.nan
+    assert np.isnan(boundary_amplitude(amp, grid.n))
+    with pytest.raises(GridOverflow, match="nan-test"):
+        check_margin(WavePacket(grid, amp), "nan-test")
+
+
 def test_check_margin_raises_with_context(grid):
     amp = np.zeros(grid.n, dtype=complex)
     amp[0] = 1.0

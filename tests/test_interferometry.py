@@ -1,6 +1,7 @@
 """Two-branch protocol: fringe phase, visibility, unwrapping, schedules."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,6 +142,28 @@ def test_split_step_backend_on_schedules(psi0, params):
     )
     assert num.phase == pytest.approx(fwd.phase, abs=1e-5)
     assert num.visibility == pytest.approx(fwd.visibility, abs=1e-6)
+
+
+def test_split_step_backend_on_unequal_length_schedules(psi0, params):
+    a = AccelSchedule(((1.0, 0.6), (0.0, 0.4)))
+    b = AccelSchedule(((0.0, 0.25), (1.0, 0.5), (0.0, 0.25)))
+    c = AccelSchedule(((0.0, 1.0),))
+    for ref in (b, c):
+        exact = run_protocol(psi0, params, 1.0, scheme=BranchSchedules(a, ref))
+        num = run_protocol(
+            psi0, params, 1.0, scheme=BranchSchedules(a, ref),
+            backend="split-step", n_steps=1024,
+        )
+        assert num.phase == pytest.approx(exact.phase, abs=1e-5)
+        assert num.visibility == pytest.approx(exact.visibility, abs=1e-6)
+
+
+def test_split_step_scan_equals_per_time_protocol(psi0, params):
+    times = [0.2, 0.5, 0.9]
+    scan = fringe_scan(psi0, params, times, backend="split-step", n_steps=128)
+    for rec in scan:
+        one = run_protocol(psi0, params, rec.t, backend="split-step", n_steps=128)
+        assert replace(rec, phase_unwrapped=one.phase) == one
 
 
 def test_unwrap_accumulates_a_growing_phase():

@@ -1,11 +1,17 @@
-"""Split-step solver: accuracy, convergence order, boundary guard."""
+"""Split-step solver: accuracy, convergence order, boundary guard, batches."""
+
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wavefall import (
+    Grid,
     GridOverflow,
     NegativeTime,
+    PhysicalParams,
+    WavePacket,
     SolverConfig,
     convergence_report,
     evolve_exact,
@@ -77,10 +83,71 @@ def test_guard_fires_mid_run_not_at_the_end(grid, params):
     psi = make_gaussian(grid, 0.0, 8.0, 1.0, params)
     with pytest.raises(GridOverflow) as info:
         evolve_split_step(psi, params, 4.0, SolverConfig(64))
-    import re
-
     step = int(re.search(r"step (\d+)/64", str(info.value)).group(1))
     assert step < 48
+
+
+def test_nan_amplitude_trips_the_guard(psi0, params):
+    # NaN compares False against the margin, so the guard must fail closed
+    amp = np.array(psi0.amp)
+    amp[psi0.grid.n // 2] = np.nan
+    bad = WavePacket(psi0.grid, amp)
+    with pytest.raises(GridOverflow, match=r"step 1/8"):
+        evolve_split_step(bad, params, 1.0, SolverConfig(8))
+    with pytest.raises(GridOverflow, match=r"row 1 at step 1/8"):
+        evolve_split_step([psi0, bad], params, 1.0, SolverConfig(8))
+
+
+def test_batched_rows_match_single_calls_bit_for_bit(grid, psi0, params):
+    starts = [psi0, make_gaussian(grid, -1.0, 0.5, 1.3, params)] * 2
+    pars = [replace(params, g=g) for g in (1.0, 0.0, -0.7, 2.5)]
+    times = np.array([1.0, 0.3, 1.7, 0.0])
+    batch = evolve_split_step(starts, pars, times, SolverConfig(200))
+    assert len(batch) == 4
+    for psi, p, t, row in zip(starts, pars, times, batch):
+        single = evolve_split_step(psi, p, t, SolverConfig(200))
+        assert np.array_equal(row.amp, single.amp)
+    # single values broadcast against the sequences; a list of one is a batch
+    shared = evolve_split_step(psi0, params, [0.5, 1.0], SolverConfig(64))
+    for t, row in zip([0.5, 1.0], shared):
+        single = evolve_split_step(psi0, params, t, SolverConfig(64))
+        assert np.array_equal(row.amp, single.amp)
+    assert isinstance(evolve_split_step([psi0], params, 1.0, SolverConfig(4)), list)
+
+
+def test_batch_overflow_names_the_offending_row(grid, psi0, params):
+    runaway = make_gaussian(grid, 0.0, 8.0, 1.0, params)
+    with pytest.raises(GridOverflow) as single:
+        evolve_split_step(runaway, params, 4.0, SolverConfig(64))
+    with pytest.raises(GridOverflow) as batch:
+        evolve_split_step(
+            [psi0, runaway, psi0], params, [1.0, 4.0, 2.0], SolverConfig(64)
+        )
+    where = r"step (\d+/64) \(t=([^)]*)\)"
+    assert "in row 1 at step" in str(batch.value)
+    assert re.search(where, str(batch.value)).groups() == re.search(
+        where, str(single.value)
+    ).groups()
+
+
+def test_batch_rows_must_share_grid_hbar_and_m(grid, psi0, params):
+    other_grid = make_gaussian(Grid(-20.0, 20.0, 512), 0.0, 0.0, 1.0, params)
+    cfg = SolverConfig(4)
+    with pytest.raises(ValueError, match="share"):
+        evolve_split_step([psi0, other_grid], params, 1.0, cfg)
+    for field, value in (("hbar", 2.0), ("m", 3.0)):
+        other = replace(params, **{field: value})
+        with pytest.raises(ValueError, match="share"):
+            evolve_split_step(psi0, [params, other], 1.0, cfg)
+    with pytest.raises(ValueError, match="length"):
+        evolve_split_step([psi0, psi0], params, [1.0, 2.0, 3.0], cfg)
+    with pytest.raises(ValueError, match="record_every"):
+        evolve_split_step(psi0, params, [1.0], SolverConfig(4, record_every=2))
+    with pytest.raises(NegativeTime):
+        evolve_split_step(psi0, params, [1.0, -1.0], cfg)
+    assert evolve_split_step([], params, 1.0, cfg) == []
+    # c plays no part in the solver, so rows may differ in it
+    evolve_split_step(psi0, [params, PhysicalParams(c=3.0)], 1.0, cfg)
 
 
 def test_convergence_report_orders_near_two(psi0, params):

@@ -4,8 +4,10 @@ Each check exercises two independent routes to the same number (closed form
 vs dense oracle, closed form vs quadrature, analytic vs split-step) and
 passes only when they agree at the stated tolerance.  Checks never raise:
 any domain error is converted into a structured failure so a misconfigured
-run (tiny grid, wide packet) reports FAIL rather than a traceback.  The whole
-suite is deterministic for a fixed config and seed.
+run (tiny grid, wide packet) reports FAIL rather than a traceback.  Worst-case
+reductions go through `_worst`, which propagates NaN, so a NaN deviation fails
+its check instead of being dropped.  The whole suite is deterministic for a
+fixed config and seed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ from .config import RunConfig
 from .core import Grid, Trajectory, l2_distance, make_gaussian, moments, overlap
 from .errors import WavefallError
 from .interferometry import branch_states, run_protocol
-from .oracle import commutator_element, dense_hamiltonian, dense_propagator
+from .oracle import (
+    commutator_element,
+    dense_hamiltonian,
+    dense_propagator,
+    heisenberg_position,
+)
 from .relativistic import free_fall_trajectory, nr_limit_check, proper_time
 from .splitstep import SolverConfig, convergence_report, evolve_split_step
 
@@ -47,6 +54,11 @@ CHECK_NAMES = (
     "relativistic_limit_scaling",
     "protocol_symmetries",
 )
+
+
+def _worst(*values: float) -> float:
+    """The largest value, or NaN if any is NaN; builtin max() would drop it."""
+    return float(np.max(values))
 
 
 def _guarded(fn):
@@ -98,10 +110,10 @@ def run_all_checks(cfg: RunConfig, seed: int | None = None) -> list[CheckResult]
         for t, num_g, num_0 in zip(times, numeric[:3], numeric[3:]):
             s_g = moments(evolve_exact(psi, cfg.params, t), cfg.params).sigma_x
             s_0 = moments(evolve_exact(psi, free, t), free).sigma_x
-            worst_exact = max(worst_exact, abs(s_g - s_0) / s_0)
+            worst_exact = _worst(worst_exact, abs(s_g - s_0) / s_0)
             n_g = moments(num_g, cfg.params).sigma_x
             n_0 = moments(num_0, free).sigma_x
-            worst_num = max(worst_num, abs(n_g - n_0) / n_0)
+            worst_num = _worst(worst_num, abs(n_g - n_0) / n_0)
         return CheckResult(
             name="spread_g_independence",
             passed=worst_exact < 1e-10 and worst_num < 1e-6,
@@ -120,13 +132,15 @@ def run_all_checks(cfg: RunConfig, seed: int | None = None) -> list[CheckResult]
         worst = 0.0
         for g in (0.0, cfg.params.g):
             pars = replace(cfg.params, g=g)
+            h = dense_hamiltonian(grid, pars)
             for t in (0.5, 1.0):
+                x_t = heisenberg_position(dense_propagator(h, t, pars), grid)
                 for bra, ket in ((psi, psi), (phi, psi)):
-                    elem = commutator_element(bra, ket, t, grid, pars)
+                    elem = commutator_element(bra, ket, x_t)
                     ov = overlap(bra, ket)
                     expect = -1j * pars.hbar * t / pars.m * ov
                     tol = 1e-6 * (pars.hbar * t / pars.m) * abs(ov) + 1e-8
-                    worst = max(worst, abs(elem - expect) / tol)
+                    worst = _worst(worst, abs(elem - expect) / tol)
         return CheckResult(
             name="commutator_identity",
             passed=worst < 1.0,
@@ -150,12 +164,12 @@ def run_all_checks(cfg: RunConfig, seed: int | None = None) -> list[CheckResult]
                 classical_action(x0, xt, 0.0, t, pars).value
                 - shifted_free_action(x0, xt, t, pars).value
             )
-            worst_identity = max(worst_identity, abs(diff - expected))
+            worst_identity = _worst(worst_identity, abs(diff - expected))
             other = (
                 classical_action(-x0, xt, 0.0, t, pars).value
                 - shifted_free_action(-x0, xt, t, pars).value
             )
-            worst_x0 = max(worst_x0, abs(diff - other))
+            worst_x0 = _worst(worst_x0, abs(diff - other))
         return CheckResult(
             name="delta_action_identity",
             passed=worst_identity < 1e-12 and worst_x0 < 1e-12,
@@ -171,7 +185,7 @@ def run_all_checks(cfg: RunConfig, seed: int | None = None) -> list[CheckResult]
         d_phase = abs(rec_a.phase - rec_a.predicted_phase)
         pred_vis = rec_a.predicted_visibility
         d_vis = abs(rec_a.visibility - pred_vis) if pred_vis is not None else float("inf")
-        d_backend = max(
+        d_backend = _worst(
             abs(rec_a.phase - rec_s.phase), abs(rec_a.visibility - rec_s.visibility)
         )
         return CheckResult(
@@ -200,7 +214,9 @@ def run_all_checks(cfg: RunConfig, seed: int | None = None) -> list[CheckResult]
             want_x, want_p = ehrenfest_mean(cfg.initial.x0, cfg.initial.p0, t, pars)
             for state in (evolve_exact(psi, pars, t), num):
                 got = moments(state, pars)
-                worst = max(worst, abs(got.mean_x - want_x), abs(got.mean_p - want_p))
+                worst = _worst(
+                    worst, abs(got.mean_x - want_x), abs(got.mean_p - want_p)
+                )
         return CheckResult(
             name="ehrenfest_means",
             passed=worst < 1e-6,
@@ -257,7 +273,7 @@ def run_all_checks(cfg: RunConfig, seed: int | None = None) -> list[CheckResult]
         t = 1.0
         rec = run_protocol(psi, cfg.params, t)
         rec_gauge = run_protocol(apply_global_phase(psi, 0.7), cfg.params, t)
-        gauge_gap = max(
+        gauge_gap = _worst(
             abs(rec.overlap - rec_gauge.overlap),
             abs(rec.visibility - rec_gauge.visibility),
             abs(rec.phase - rec_gauge.phase),

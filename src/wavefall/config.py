@@ -2,13 +2,15 @@
 
 The schema is flat and explicit: params/grid/initial are required, the
 evolve/interfere/verify blocks are optional until their command runs, and any
-unknown key anywhere is an error naming its dotted path.  Identical configs
+unknown key anywhere is an error naming its dotted path, as is a non-finite
+number (Python's json accepts NaN and Infinity).  Identical configs
 produce identical runs; the seed drives every randomized sweep.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .analytic import AccelSchedule
@@ -92,7 +94,13 @@ def _get(obj: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _integer(value, path: str) -> int:
@@ -282,7 +290,7 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(raw)
 

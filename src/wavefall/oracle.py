@@ -6,11 +6,20 @@ the split-step solver: the Hamiltonian is assembled as an explicit matrix
 the propagator comes from a Hermitian eigendecomposition, and Heisenberg-
 picture operators from explicit conjugation.  Sizes are guarded because the
 cost is O(n^3); this module is a cross-check, not a production solver.
+
+Each DenseOperator computes its eigendecomposition at most once, on first
+use, so propagators at several times share one `eigh` when they are built
+from the same Hamiltonian object.  The matrix is read-only, so the cached
+eigenpairs cannot go stale; nothing is cached across objects.  Likewise
+`commutator_element(phi, psi, x_t)` takes a ready Heisenberg-picture
+operator, so one x(t) serves every (bra, ket) pair at that time.  Every
+guard compares as `not defect <= tol`, so a NaN defect fails closed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +64,14 @@ class DenseOperator:
         eye = np.eye(self.grid.n)
         return float(np.abs(self.matrix.conj().T @ self.matrix - eye).max())
 
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs (w, v) of the matrix, taken as Hermitian; read-only."""
+        w, v = np.linalg.eigh(self.matrix)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
+
     def apply(self, psi: WavePacket) -> WavePacket:
         if psi.grid != self.grid:
             raise GridMismatch("operator and state grids differ")
@@ -98,14 +115,18 @@ def dense_hamiltonian(grid: Grid, params: PhysicalParams) -> DenseOperator:
 def dense_propagator(
     hamiltonian: DenseOperator, t: float, params: PhysicalParams
 ) -> DenseOperator:
-    """U = exp(-i H t / hbar) through the eigendecomposition of Hermitian H."""
+    """U = exp(-i H t / hbar) through the eigendecomposition of Hermitian H.
+
+    The Hermiticity check runs on every call; the eigendecomposition is
+    computed once per `hamiltonian` object and reused for later times.
+    """
     defect = hamiltonian.hermiticity_defect()
     scale = max(1.0, float(np.abs(hamiltonian.matrix).max()))
-    if defect > 1e-12 * scale:
+    if not defect <= 1e-12 * scale:
         raise NotHermitian(
             f"dense_propagator: Hermiticity defect {defect:.3e} exceeds tolerance"
         )
-    w, v = np.linalg.eigh(hamiltonian.matrix)
+    w, v = hamiltonian._eigh
     u = (v * np.exp(-1j * w * t / params.hbar)) @ v.conj().T
     return DenseOperator(hamiltonian.grid, u)
 
@@ -115,7 +136,7 @@ def heisenberg_position(propagator: DenseOperator, grid: Grid) -> DenseOperator:
     if propagator.grid != grid:
         raise GridMismatch("propagator grid differs from requested grid")
     defect = propagator.unitarity_defect()
-    if defect > 1e-9:
+    if not defect <= 1e-9:
         raise NotUnitary(
             f"heisenberg_position: unitarity defect {defect:.3e} exceeds tolerance"
         )
@@ -131,33 +152,27 @@ def matrix_element(phi: WavePacket, op: DenseOperator, psi: WavePacket) -> compl
     return complex(np.conj(phi.amp) @ (op.matrix @ psi.amp) * op.grid.dx)
 
 
-def commutator_element(
-    phi: WavePacket,
-    psi: WavePacket,
-    t: float,
-    grid: Grid,
-    params: PhysicalParams,
-) -> complex:
+def commutator_element(phi: WavePacket, psi: WavePacket, x_t: DenseOperator) -> complex:
     """<phi| [x(t), x(0)] |psi> by explicit dense algebra.
 
-    For margin-localized states the value is -i hbar t / m * <phi|psi>,
-    independent of g, to within 1e-6 * (hbar t / m) * |<phi|psi>| + 1e-8.
-    The identity holds because x(t) = x + p t/m - g t^2/2 in the Heisenberg
-    picture, so only the p term survives the commutator.  Guarded at n <= 512;
-    poorly localized inputs raise GridOverflow.
+    `x_t` is the Heisenberg-picture position from `heisenberg_position`, on
+    the grid of both states.  For margin-localized states the value is
+    -i hbar t / m * <phi|psi>, independent of g, to within
+    1e-6 * (hbar t / m) * |<phi|psi>| + 1e-8.  The identity holds because
+    x(t) = x + p t/m - g t^2/2 in the Heisenberg picture, so only the p term
+    survives the commutator.  Guarded at n <= 512; poorly localized inputs
+    raise GridOverflow.
     """
+    grid = x_t.grid
     if grid.n > MAX_COMMUTATOR_N:
         raise TooLarge(
             f"commutator_element: n={grid.n} exceeds the {MAX_COMMUTATOR_N} guard"
         )
     if phi.grid != grid or psi.grid != grid:
-        raise GridMismatch("commutator_element: state grids differ from grid")
+        raise GridMismatch("commutator_element: state grids differ from operator grid")
     check_margin(phi, "commutator_element (phi)")
     check_margin(psi, "commutator_element (psi)")
-    h = dense_hamiltonian(grid, params)
-    u = dense_propagator(h, t, params)
-    xt = heisenberg_position(u, grid).matrix
     x = grid.x
     # [x(t), X] with diagonal X: right multiplication scales columns, left rows.
-    comm = xt * x[None, :] - x[:, None] * xt
+    comm = x_t.matrix * x[None, :] - x[:, None] * x_t.matrix
     return complex(np.conj(phi.amp) @ (comm @ psi.amp) * grid.dx)

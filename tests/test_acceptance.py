@@ -31,6 +31,7 @@ from wavefall import (
     evolve_exact,
     evolve_piecewise,
     evolve_split_step,
+    heisenberg_position,
     l2_distance,
     make_gaussian,
     moments,
@@ -100,8 +101,10 @@ def test_position_commutator_identity():
     for g in (0.0, 1.0):
         pr = PhysicalParams(hbar=1.0, m=1.0, g=g, c=10.0)
         for t in (0.5, 1.0):
+            u = dense_propagator(dense_hamiltonian(GRID, pr), t, pr)
+            x_t = heisenberg_position(u, GRID)
             for bra, ket in ((psi, psi), (phi, psi)):
-                val = commutator_element(bra, ket, t, GRID, pr)
+                val = commutator_element(bra, ket, x_t)
                 ov = overlap(bra, ket)
                 expected = -1j * pr.hbar * t / pr.m * ov
                 tol = 1e-6 * (pr.hbar * t / pr.m) * abs(ov) + 1e-8

@@ -1,6 +1,11 @@
 """The verification suite as a library call."""
 
-from wavefall import CHECK_NAMES, default_config, run_all_checks
+import math
+from dataclasses import replace
+
+import pytest
+
+from wavefall import CHECK_NAMES, checks, default_config, moments, run_all_checks
 
 
 def test_all_checks_pass_on_defaults():
@@ -15,3 +20,43 @@ def test_results_carry_measured_and_target_text():
     for r in results:
         assert r.measured
         assert r.target
+
+
+def test_one_eigendecomposition_per_hamiltonian_and_none_across_runs(
+    eigh_calls, monkeypatch
+):
+    heisenberg = []
+    real = checks.heisenberg_position
+
+    def counting(*args):
+        heisenberg.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(checks, "heisenberg_position", counting)
+    run_all_checks(default_config())
+    # one Hamiltonian for factorization_vs_dense_oracle, one per g for
+    # commutator_identity; one x(t) per (g, t)
+    assert len(eigh_calls) == 3
+    assert len(heisenberg) == 4
+    run_all_checks(default_config())
+    assert len(eigh_calls) == 6  # a second run reuses nothing from the first
+
+
+def _nan_moments(state, params):
+    return replace(moments(state, params), sigma_x=math.nan)
+
+
+@pytest.mark.parametrize(
+    "attr, fake, name",
+    [
+        ("commutator_element", lambda *args: complex(math.nan), "commutator_identity"),
+        ("moments", _nan_moments, "spread_g_independence"),
+        ("delta_action", lambda *args: math.nan, "delta_action_identity"),
+        ("ehrenfest_mean", lambda *args: (math.nan, math.nan), "ehrenfest_means"),
+    ],
+)
+def test_nan_deviation_fails_its_check(monkeypatch, attr, fake, name):
+    monkeypatch.setattr(checks, attr, fake)
+    result = next(r for r in run_all_checks(default_config()) if r.name == name)
+    assert not result.passed
+    assert "nan" in result.measured

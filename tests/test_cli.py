@@ -147,6 +147,23 @@ def test_unknown_key_rejected(tmp_path):
     assert "grid.spacing" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("interfere", "c", math.inf), ("evolve", "g", math.nan)],
+)
+def test_non_finite_param_exits_2_naming_its_path(tmp_path, command, key, value):
+    cfg = dict(BASE)
+    cfg["params"] = {**BASE["params"], key: value}
+    cfg["interfere"] = {"t_values": [0.5, 1.0]}
+    cfg["evolve"] = {"t_values": [0.5, 1.0], "n_steps": 64}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))  # json writes NaN / Infinity
+    res = run_cli(command, "--config", str(p), "--out", str(tmp_path / "o.csv"))
+    assert res.returncode == 2
+    assert f"params.{key}" in res.stderr
+    assert "finite" in res.stderr
+
+
 def test_invalid_json_exits_2(tmp_path):
     p = tmp_path / "c.json"
     p.write_text("{not json")

@@ -7,6 +7,7 @@ from wavefall import (
     Colocated,
     ConfigError,
     default_config,
+    load_config,
     parse_config,
 )
 
@@ -56,6 +57,28 @@ def test_booleans_are_not_numbers():
     bad["params"]["g"] = True
     with pytest.raises(ConfigError, match="params.g"):
         parse_config(bad)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), float("-inf"), 10**400],
+    ids=["nan", "inf", "-inf", "huge-int"],
+)
+def test_non_finite_numbers_are_rejected_with_their_path(value):
+    bad = with_extra()
+    bad["params"]["g"] = value
+    with pytest.raises(ConfigError, match=r"params\.g: expected a finite number"):
+        parse_config(bad)
+    listed = with_extra(interfere={"t_values": [0.5, value]})
+    with pytest.raises(ConfigError, match=r"interfere\.t_values\[1\]"):
+        parse_config(listed)
+
+
+def test_integer_literal_too_long_to_parse_is_a_config_error(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"seed": ' + "1" * 5000 + "}")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(str(path))
 
 
 def test_grid_validation():

@@ -6,6 +6,9 @@ the `checks` array is compared.  The CLI is byte-deterministic, so a change
 that moves any byte here must say why, and regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
+
+The script takes no arguments; given any (`--help` included) it prints its
+usage, writes nothing and exits 2.
 """
 
 import json
@@ -58,10 +61,26 @@ def test_default_config_output_is_byte_identical(name, tmp_path):
     assert compared_bytes(got) == compared_bytes(GOLDEN / name)
 
 
-if __name__ == "__main__":
+def regenerate(argv: list[str]) -> int:
+    """Rewrite every golden file; any argument is refused, nothing is written."""
+    if argv:
+        print("usage: PYTHONPATH=src python tests/test_golden.py", file=sys.stderr)
+        return 2
     GOLDEN.mkdir(exist_ok=True)
     for name in RUNS:
         out = run_default(name, GOLDEN)
         print(f"wrote {out}", file=sys.stderr)
     for stale in GOLDEN.glob("*.config.json"):
         stale.unlink()
+    return 0
+
+
+def test_regenerate_refuses_arguments(monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path / "golden")
+    assert regenerate(["--help"]) == 2
+    assert "usage" in capsys.readouterr().err
+    assert not (tmp_path / "golden").exists()
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate(sys.argv[1:]))

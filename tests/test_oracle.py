@@ -11,6 +11,7 @@ from wavefall import (
     NotUnitary,
     PhysicalParams,
     TooLarge,
+    WavePacket,
     commutator_element,
     dense_hamiltonian,
     dense_propagator,
@@ -36,6 +37,12 @@ def small_grid():
 @pytest.fixture
 def small_psi(small_grid, params):
     return make_gaussian(small_grid, 0.0, 0.0, 1.5, params)
+
+
+def x_of_t(grid, params, t):
+    """Heisenberg-picture position x(t) from a fresh Hamiltonian."""
+    u = dense_propagator(dense_hamiltonian(grid, params), t, params)
+    return heisenberg_position(u, grid)
 
 
 def test_fourier_matrix_is_unitary(small_grid):
@@ -114,7 +121,7 @@ def test_commutator_is_minus_i_hbar_t_over_m(small_grid, params):
     psi = make_gaussian(small_grid, 0.0, 0.0, 1.5, params)
     phi = make_gaussian(small_grid, 1.5, 0.0, 1.5, params)
     t = 0.7
-    val = commutator_element(phi, psi, t, small_grid, params)
+    val = commutator_element(phi, psi, x_of_t(small_grid, params, t))
     expected = -1j * params.hbar * t / params.m * overlap(phi, psi)
     assert abs(val - expected) < 1e-6 * abs(expected) + 1e-8
 
@@ -122,8 +129,8 @@ def test_commutator_is_minus_i_hbar_t_over_m(small_grid, params):
 def test_commutator_independent_of_g(small_grid, params):
     psi = make_gaussian(small_grid, 0.0, 0.0, 1.5, params)
     free = PhysicalParams(hbar=1.0, m=1.0, g=0.0, c=10.0)
-    v_g = commutator_element(psi, psi, 0.5, small_grid, params)
-    v_0 = commutator_element(psi, psi, 0.5, small_grid, free)
+    v_g = commutator_element(psi, psi, x_of_t(small_grid, params, 0.5))
+    v_0 = commutator_element(psi, psi, x_of_t(small_grid, free, 0.5))
     assert abs(v_g - v_0) < 1e-8
 
 
@@ -131,14 +138,61 @@ def test_commutator_guards(small_grid, params, psi0):
     big = Grid(-20.0, 20.0, 1024)
     amp = np.zeros(big.n, dtype=complex)
     amp[big.n // 2] = 1.0
-    from wavefall import WavePacket
-
     spike = WavePacket(big, amp)
     with pytest.raises(TooLarge):
-        commutator_element(spike, spike, 1.0, big, params)
+        commutator_element(spike, spike, position_operator(big))
     chi = make_gaussian(small_grid, 0.0, 0.0, 1.5, params)
     with pytest.raises(GridMismatch):
-        commutator_element(chi, psi0, 1.0, small_grid, params)
+        commutator_element(chi, psi0, position_operator(small_grid))
+
+
+def test_propagators_share_one_eigendecomposition_per_hamiltonian(
+    small_grid, params, eigh_calls
+):
+    h = dense_hamiltonian(small_grid, params)
+    dense_propagator(h, 0.5, params)
+    dense_propagator(h, 1.0, params)
+    assert len(eigh_calls) == 1
+    dense_propagator(dense_hamiltonian(small_grid, params), 1.0, params)
+    assert len(eigh_calls) == 2  # a new Hamiltonian object decomposes afresh
+
+
+def test_propagators_from_one_hamiltonian_equal_fresh_ones(small_grid, params):
+    h = dense_hamiltonian(small_grid, params)
+    for t in (0.5, 1.0):
+        shared = dense_propagator(h, t, params)
+        fresh = dense_propagator(dense_hamiltonian(small_grid, params), t, params)
+        assert np.array_equal(shared.matrix, fresh.matrix)
+
+
+def test_commutator_size_guard_runs_before_any_eigh(params, eigh_calls):
+    big = Grid(-20.0, 20.0, 1024)
+    amp = np.zeros(big.n, dtype=complex)
+    amp[big.n // 2] = 1.0
+    spike = WavePacket(big, amp)
+    with pytest.raises(TooLarge):
+        commutator_element(spike, spike, position_operator(big))
+    assert eigh_calls == []
+
+
+def test_nan_entry_fails_the_hermiticity_check(small_grid, params):
+    m = np.eye(small_grid.n, dtype=complex)
+    m[3, 3] = np.nan
+    with pytest.raises(NotHermitian):
+        dense_propagator(DenseOperator(small_grid, m), 1.0, params)
+
+
+def test_nan_gravity_hamiltonian_fails_the_hermiticity_check(small_grid):
+    pars = PhysicalParams(hbar=1.0, m=1.0, g=float("nan"), c=10.0)
+    with pytest.raises(NotHermitian):
+        dense_propagator(dense_hamiltonian(small_grid, pars), 1.0, pars)
+
+
+def test_nan_entry_fails_the_unitarity_check(small_grid):
+    m = np.eye(small_grid.n, dtype=complex)
+    m[3, 3] = np.nan
+    with pytest.raises(NotUnitary):
+        heisenberg_position(DenseOperator(small_grid, m), small_grid)
 
 
 def test_matrix_element_grid_mismatch(small_grid, small_psi, psi0):

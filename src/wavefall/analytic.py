@@ -20,6 +20,7 @@ checks) or cross-check with the split-step solver, which guards every step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,8 +72,8 @@ def _apply_k_phase(psi: WavePacket, phase: np.ndarray) -> WavePacket:
 
 def free_evolve(psi: WavePacket, params: PhysicalParams, t: float) -> WavePacket:
     """Evolve under the kinetic term alone: e^{-i hbar t k^2/(2 m)} in k-space."""
-    if t < 0:
-        raise NegativeTime(f"free_evolve: t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise NegativeTime(f"free_evolve: t must be finite and >= 0, got {t}")
     k = psi.grid.k
     out = _apply_k_phase(psi, np.exp(-0.5j * params.hbar * t * k * k / params.m))
     check_margin(out, "free_evolve")
@@ -113,8 +114,8 @@ def evolve_exact(psi: WavePacket, params: PhysicalParams, t: float) -> WavePacke
     drift, mean_p picks up -m g t; the spread is identical to the free
     packet's at every t.
     """
-    if t < 0:
-        raise NegativeTime(f"evolve_exact: t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise NegativeTime(f"evolve_exact: t must be finite and >= 0, got {t}")
     m, g, hbar = params.m, params.g, params.hbar
     out = shift_packet(psi, 0.5 * g * t * t)
     out = free_evolve(out, params, t)

@@ -139,6 +139,8 @@ def _suggest_denser(t_values) -> list[float]:
 
 
 def _cmd_verify(cfg: RunConfig, out_path: str | None, seed: int | None) -> int:
+    if seed is not None and not 0 <= seed < 2**64:
+        raise ConfigError("--seed must fit an unsigned 64-bit range")
     results = run_all_checks(cfg, seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -182,12 +184,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_evolve = sub.add_parser("evolve", help="moments vs time for both backends (CSV)")
     p_evolve.add_argument("--config", required=True, help="JSON config path")
     p_evolve.add_argument("--out", required=True, help="output CSV path")
-    p_evolve.add_argument("--seed", type=int, default=None, help="override config seed")
 
     p_inter = sub.add_parser("interfere", help="fringe scan records (CSV)")
     p_inter.add_argument("--config", required=True, help="JSON config path")
     p_inter.add_argument("--out", required=True, help="output CSV path")
-    p_inter.add_argument("--seed", type=int, default=None, help="override config seed")
 
     p_verify = sub.add_parser("verify", help="run the cross-validation suite")
     p_verify.add_argument(
@@ -201,9 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.seed is not None and not 0 <= args.seed < 2**64:
-        print("config error: --seed must fit an unsigned 64-bit range", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         cfg = load_config(args.config) if args.config else default_config()
         if args.command == "evolve":

@@ -127,9 +127,10 @@ def _parse_params(obj, path="params.") -> PhysicalParams:
     m = _number(_get(obj, "m", path), path + "m")
     g = _number(_get(obj, "g", path), path + "g")
     c = _number(obj.get("c", 10.0), path + "c")
-    if hbar <= 0 or m <= 0 or c <= 0:
-        raise ConfigError(f"{path[:-1]}: hbar, m, c must all be positive")
-    return PhysicalParams(hbar=hbar, m=m, g=g, c=c)
+    try:
+        return PhysicalParams(hbar=hbar, m=m, g=g, c=c)
+    except ValueError as exc:
+        raise ConfigError(f"{path[:-1]}: {exc}") from exc
 
 
 def _parse_grid(obj, path="grid.") -> Grid:
@@ -138,11 +139,10 @@ def _parse_grid(obj, path="grid.") -> Grid:
     x_min = _number(_get(obj, "x_min", path), path + "x_min")
     x_max = _number(_get(obj, "x_max", path), path + "x_max")
     n = _integer(_get(obj, "n", path), path + "n")
-    if x_max <= x_min:
-        raise ConfigError(f"grid: need x_max > x_min, got [{x_min}, {x_max}]")
-    if n < 8 or (n & (n - 1)) != 0:
-        raise ConfigError(f"grid.n: must be a power of two >= 8, got {n}")
-    return Grid(x_min=x_min, x_max=x_max, n=n)
+    try:
+        return Grid(x_min=x_min, x_max=x_max, n=n)
+    except ValueError as exc:
+        raise ConfigError(f"{path[:-1]}: {exc}") from exc
 
 
 def _parse_initial(obj, path="initial.") -> InitialState:

@@ -59,7 +59,7 @@ class PhysicalParams:
     hbar and m are the quantum scale and mass, g is the uniform acceleration
     entering the potential V = +m*g*x (so packets accelerate toward -x for
     g > 0), and c is the signal speed used only by the proper-time module.
-    g may be any real number, sign included.
+    Every field must be finite; g may carry either sign or be zero.
     """
 
     hbar: float = 1.0
@@ -68,6 +68,10 @@ class PhysicalParams:
     c: float = 10.0
 
     def __post_init__(self) -> None:
+        for name in ("hbar", "m", "g", "c"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
         if not self.m > 0:
@@ -80,7 +84,8 @@ class PhysicalParams:
 class Grid:
     """Uniform periodic position lattice with its spectral companion.
 
-    n must be a power of two, at least 8.  Position nodes are
+    The bounds and their span must be finite, and n must be a power of two,
+    at least 8.  Position nodes are
     x_i = x_min + i*dx with dx = (x_max - x_min)/n; x_max itself is the wrap
     point and carries no node.  The wavenumber array k is stored in FFT layout
     (non-negative frequencies first), matching numpy.fft conventions.
@@ -91,6 +96,11 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.length))):
+            raise ValueError(
+                f"need finite x_min, x_max and x_max - x_min, "
+                f"got [{self.x_min}, {self.x_max}]"
+            )
         if not self.x_max > self.x_min:
             raise ValueError(f"need x_max > x_min, got [{self.x_min}, {self.x_max}]")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:

@@ -178,8 +178,8 @@ def branch_states(
     n_steps: int = 2048,
 ) -> tuple[WavePacket, WavePacket]:
     """The (accelerated, reference) external states at readout time t."""
-    if t < 0:
-        raise NegativeTime(f"branch_states: t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise NegativeTime(f"branch_states: t must be finite and >= 0, got {t}")
     if backend not in _BACKENDS:
         raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
     if isinstance(scheme, Colocated):

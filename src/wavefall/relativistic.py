@@ -18,6 +18,10 @@ two conventions cannot be mixed up silently.  Whether S should carry an
 overall minus sign relative to the proper-time integral is a bookkeeping
 choice; this module reports both S and nr_action and leaves the comparison to
 the caller.
+
+This is the package's only use of scipy (simpson), and it is imported inside
+proper_time and rel_action, so importing wavefall, or running evolve and
+interfere, never loads scipy; verify loads it on its first proper-time call.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .core import PhysicalParams, Trajectory
 from .errors import BadQuadrature, SuperluminalPath
@@ -118,6 +121,10 @@ def proper_time(
     minimum 16).  Raises SuperluminalPath if the clock-rate radicand is
     non-positive at any sample.
     """
+    # Imported here: scipy.integrate costs ~0.6 s and ~45 MB, and only this
+    # quadrature needs it, so evolve and interfere never load scipy.
+    from scipy.integrate import simpson
+
     times, _, _, radicand = _samples(traj, t, params, n_quad)
     if t == 0.0:
         return 0.0
@@ -133,6 +140,8 @@ def rel_action(
     samples; for parabolic paths the integrand is quadratic, which Simpson
     handles exactly, so abs_error isolates the genuine c^-2 gap.
     """
+    from scipy.integrate import simpson  # local for the reason in proper_time
+
     times, x, v, radicand = _samples(traj, t, params, n_quad)
     if t == 0.0:
         return RelActionResult(0.0, 0.0, 0.0, 0.0)

@@ -126,8 +126,10 @@ def evolve_split_step(
     if not psis:
         return []
     for ti in times:
-        if ti < 0:
-            raise NegativeTime(f"evolve_split_step: t must be >= 0, got {ti}")
+        if not 0 <= ti < math.inf:
+            raise NegativeTime(
+                f"evolve_split_step: t must be finite and >= 0, got {ti}"
+            )
     grid, hbar, m = psis[0].grid, pars[0].hbar, pars[0].m
     if any(p.grid != grid for p in psis) or any(
         (p.hbar, p.m) != (hbar, m) for p in pars

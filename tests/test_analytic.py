@@ -10,10 +10,13 @@ from wavefall import (
     GridOverflow,
     NegativeTime,
     PhysicalParams,
+    SolverConfig,
     apply_global_phase,
     apply_linear_phase,
+    branch_states,
     evolve_exact,
     evolve_piecewise,
+    evolve_split_step,
     free_evolve,
     l2_distance,
     make_gaussian,
@@ -34,6 +37,22 @@ def test_free_evolve_preserves_norm_and_momentum(psi0, params):
 def test_free_evolve_rejects_negative_time(psi0, params):
     with pytest.raises(NegativeTime):
         free_evolve(psi0, params, -0.1)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "evolve",
+    [
+        free_evolve,
+        evolve_exact,
+        lambda psi, params, t: evolve_split_step(psi, params, t, SolverConfig(8)),
+        branch_states,
+    ],
+    ids=["free_evolve", "evolve_exact", "evolve_split_step", "branch_states"],
+)
+def test_non_finite_time_is_rejected(psi0, params, evolve, t):
+    with pytest.raises(NegativeTime, match="finite"):
+        evolve(psi0, params, t)
 
 
 def test_shift_packet_moves_the_center(grid, params):

@@ -164,6 +164,42 @@ def test_non_finite_param_exits_2_naming_its_path(tmp_path, command, key, value)
     assert "finite" in res.stderr
 
 
+def test_grid_whose_span_overflows_exits_2_naming_the_block(tmp_path):
+    cfg = write_cfg(
+        tmp_path / "c.json",
+        {
+            "grid": {"x_min": -1e308, "x_max": 1e308, "n": 256},
+            "evolve": {"t_values": [0.5], "n_steps": 8},
+        },
+    )
+    res = run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "o.csv"))
+    assert res.returncode == 2
+    assert "config error: grid:" in res.stderr
+    assert "finite" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["evolve", "interfere"])
+def test_seed_is_a_verify_only_option(tmp_path, command):
+    cfg = write_cfg(
+        tmp_path / "c.json",
+        {
+            "evolve": {"t_values": [0.5], "n_steps": 8},
+            "interfere": {"t_values": [0.5]},
+        },
+    )
+    out = tmp_path / "o.csv"
+    res = run_cli(command, "--config", cfg, "--out", str(out), "--seed", "7")
+    assert res.returncode == 2
+    assert "--seed" in res.stderr
+    assert not out.exists()
+
+
+def test_verify_seed_out_of_range_exits_2():
+    res = run_cli("verify", "--seed", str(2**64))
+    assert res.returncode == 2
+    assert "--seed must fit" in res.stderr
+
+
 def test_invalid_json_exits_2(tmp_path):
     p = tmp_path / "c.json"
     p.write_text("{not json")

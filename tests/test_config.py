@@ -89,6 +89,16 @@ def test_grid_validation():
     bad["grid"] = {"x_min": 5.0, "x_max": -5.0, "n": 64}
     with pytest.raises(ConfigError, match="x_max > x_min"):
         parse_config(bad)
+    bad["grid"] = {"x_min": -1e308, "x_max": 1e308, "n": 64}
+    with pytest.raises(ConfigError, match="grid: need finite"):
+        parse_config(bad)
+
+
+def test_params_domain_errors_name_the_block():
+    bad = with_extra()
+    bad["params"]["hbar"] = 0.0
+    with pytest.raises(ConfigError, match="params: hbar must be positive"):
+        parse_config(bad)
 
 
 def test_evolve_times_must_increase():

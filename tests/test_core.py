@@ -42,6 +42,16 @@ def test_grid_rejects_bad_shapes():
         Grid(-1.0, 1.0, 4)  # below the minimum
 
 
+@pytest.mark.parametrize(
+    "x_min, x_max",
+    [(-math.inf, 20.0), (-20.0, math.inf), (math.nan, 20.0), (-1e308, 1e308)],
+    ids=["-inf", "inf", "nan", "span-overflows"],
+)
+def test_grid_rejects_non_finite_bounds_and_span(x_min, x_max):
+    with pytest.raises(ValueError, match="finite"):
+        Grid(x_min, x_max, 256)
+
+
 def test_grid_arrays_are_readonly():
     g = Grid(-10.0, 10.0, 64)
     with pytest.raises(ValueError):
@@ -60,6 +70,13 @@ def test_params_positivity():
     # g may carry any sign
     PhysicalParams(g=-3.0)
     PhysicalParams(g=0.0)
+
+
+@pytest.mark.parametrize("field", ["hbar", "m", "g", "c"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        PhysicalParams(**{field: value})
 
 
 def test_wavepacket_amp_is_copied_and_readonly(grid):

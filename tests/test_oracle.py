@@ -183,7 +183,10 @@ def test_nan_entry_fails_the_hermiticity_check(small_grid, params):
 
 
 def test_nan_gravity_hamiltonian_fails_the_hermiticity_check(small_grid):
-    pars = PhysicalParams(hbar=1.0, m=1.0, g=float("nan"), c=10.0)
+    # PhysicalParams rejects a NaN g; force one past it, so that the oracle's
+    # own guard is shown to fail closed on what reaches it.
+    pars = PhysicalParams(hbar=1.0, m=1.0, g=1.0, c=10.0)
+    object.__setattr__(pars, "g", float("nan"))
     with pytest.raises(NotHermitian):
         dense_propagator(dense_hamiltonian(small_grid, pars), 1.0, pars)
 

@@ -43,16 +43,21 @@ __all__ = [
 class AccelSchedule:
     """Ordered piecewise-constant acceleration profile: ((g, duration), ...).
 
-    Durations must be positive; the empty schedule is the identity.
+    Every g must be finite and every duration positive and finite; the
+    empty schedule is the identity.
     """
 
     segments: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
         segs = tuple((float(g), float(dt)) for g, dt in self.segments)
-        for i, (_, dt) in enumerate(segs):
-            if not dt > 0:
-                raise ValueError(f"segment {i}: duration must be positive, got {dt}")
+        for i, (g, dt) in enumerate(segs):
+            if not math.isfinite(g):
+                raise ValueError(f"segment {i}: g must be finite, got {g}")
+            if not 0 < dt < math.inf:
+                raise ValueError(
+                    f"segment {i}: duration must be positive and finite, got {dt}"
+                )
         object.__setattr__(self, "segments", segs)
 
     @property

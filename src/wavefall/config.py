@@ -176,12 +176,13 @@ def _parse_schedule(value, path: str) -> AccelSchedule:
     for i, pair in enumerate(value):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"{path}[{i}]: expected a [g, duration] pair")
-        g = _number(pair[0], f"{path}[{i}][0]")
-        dt = _number(pair[1], f"{path}[{i}][1]")
-        if dt <= 0:
-            raise ConfigError(f"{path}[{i}]: duration must be positive, got {dt}")
-        segments.append((g, dt))
-    return AccelSchedule(tuple(segments))
+        segments.append(
+            (_number(pair[0], f"{path}[{i}][0]"), _number(pair[1], f"{path}[{i}][1]"))
+        )
+    try:
+        return AccelSchedule(tuple(segments))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_scheme(value, path: str):

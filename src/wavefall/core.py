@@ -289,8 +289,8 @@ def make_gaussian(
         both grid edges; |p0| must stay below half the largest lattice
         momentum hbar*pi/dx.
     sigma0 : float
-        Position spread; must be positive and at least 2*dx so the packet is
-        resolved.
+        Position spread; must be positive, finite and at least 2*dx so the
+        packet is resolved.
 
     Returns
     -------
@@ -298,21 +298,23 @@ def make_gaussian(
         Lattice-normalized state with sigma_x = sigma0 and
         sigma_p = hbar/(2*sigma0) up to grid truncation.
     """
-    if sigma0 <= 0:
-        raise BadSigma(f"sigma0 must be positive, got {sigma0}")
-    if x0 - 6.0 * sigma0 < grid.x_min or x0 + 6.0 * sigma0 > grid.x_max:
+    # Every check is written to fail closed: a NaN input is refused here.
+    if not 0 < sigma0 < math.inf:
+        raise BadSigma(f"sigma0 must be positive and finite, got {sigma0}")
+    if not (grid.x_min <= x0 - 6.0 * sigma0 and x0 + 6.0 * sigma0 <= grid.x_max):
         raise GridOverflow(
             f"make_gaussian: 6-sigma support [{x0 - 6 * sigma0:.4g}, "
-            f"{x0 + 6 * sigma0:.4g}] leaves the grid [{grid.x_min}, {grid.x_max}]"
+            f"{x0 + 6 * sigma0:.4g}] of x0={x0} leaves the grid "
+            f"[{grid.x_min}, {grid.x_max}]"
         )
     if sigma0 < 2.0 * grid.dx:
         raise BadSigma(
             f"sigma0={sigma0} narrower than 2*dx={2 * grid.dx:.4g}; refine the grid"
         )
     p_nyquist = params.hbar * math.pi / grid.dx
-    if abs(p0) >= 0.5 * p_nyquist:
+    if not abs(p0) < 0.5 * p_nyquist:
         raise GridOverflow(
-            f"make_gaussian: |p0|={abs(p0):.4g} at or above half the lattice "
+            f"make_gaussian: |p0|={abs(p0):.4g} is not below half the lattice "
             f"momentum limit {p_nyquist:.4g}"
         )
     x = grid.x

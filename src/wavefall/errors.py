@@ -40,7 +40,7 @@ class GridMismatch(WavefallError):
 
 
 class NegativeTime(WavefallError):
-    """Evolution duration must be finite and non-negative."""
+    """An evolution or proper-time duration must be finite and non-negative."""
 
 
 class DegenerateInterval(WavefallError):

@@ -21,6 +21,11 @@ per-branch schedules : each branch evolves under its own piecewise-constant
     acceleration schedule (equal totals, no recentering); the caller controls
     recombination.
 
+Both backends, the factored exact propagator ("analytic") and the split-step
+solver, take the same path: every branch is a row of (g, duration) segments,
+and one call propagates all the rows of a scan.  On split-step that call
+batches every branch of every readout time into one solver stack per segment.
+
 For a Gaussian input the visibility obeys gaussian_visibility, a Gaussian in
 (m g t sigma_t / hbar); the packet spread is what erases the fringe contrast.
 """
@@ -32,12 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import (
-    AccelSchedule,
-    evolve_exact,
-    evolve_piecewise,
-    shift_packet,
-)
+from .analytic import AccelSchedule, evolve_piecewise, shift_packet
 from .core import (
     PhysicalParams,
     WavePacket,
@@ -123,50 +123,68 @@ def gaussian_visibility(sigma_t: float, t: float, params: PhysicalParams) -> flo
     return math.exp(-0.5 * kick * kick)
 
 
-def _colocated(psi0, params, times, backend, n_steps):
-    """(accelerated, reference) colocated states at each readout time.
+def _propagate(psi0, params, rows, backend, n_steps):
+    """Final state of each row of (g, duration) segments, in row order.
 
-    The split-step backend evolves every branch of every time as one batch.
+    The one place that picks a backend.  analytic chains evolve_piecewise
+    over each row, lazily, so a scan holds one pair of states at a time;
+    split-step runs segment i of every row that has one in the same batched
+    solver call.
     """
-    free_params = replace(params, g=0.0)
+    if backend not in _BACKENDS:
+        raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
     if backend == "analytic":
-        runs = [
-            (evolve_exact(psi0, params, t), evolve_exact(psi0, free_params, t))
-            for t in times
-        ]
-    else:
-        n = len(times)
+        return (evolve_piecewise(psi0, params, row) for row in rows)
+    states = [psi0] * len(rows)
+    for i in range(max(map(len, rows), default=0)):
+        live = [r for r, row in enumerate(rows) if i < len(row)]
         out = evolve_split_step(
-            psi0, [params] * n + [free_params] * n, times * 2,
+            [states[r] for r in live],
+            [replace(params, g=rows[r][i][0]) for r in live],
+            [rows[r][i][1] for r in live],
             SolverConfig(n_steps),
         )
-        runs = zip(out[:n], out[n:])
-    # Translate the free branch onto the fallen one: amp(x + g t^2/2)
-    # recenters the peak at center_free - g t^2/2.
-    return [
-        (accelerated, shift_packet(drifted, 0.5 * params.g * t * t))
-        for (accelerated, drifted), t in zip(runs, times)
-    ]
-
-
-def _split_step_schedules(psi0, params, schedules, n_steps):
-    """Final state of each schedule, segment by segment on the split-step solver.
-
-    Segment i of every schedule that has one runs in the same batched call.
-    """
-    states = [psi0] * len(schedules)
-    for i in range(max(len(s.segments) for s in schedules)):
-        live = [b for b, s in enumerate(schedules) if i < len(s.segments)]
-        segments = [schedules[b].segments[i] for b in live]
-        out = evolve_split_step(
-            [states[b] for b in live],
-            [replace(params, g=g_i) for g_i, _ in segments],
-            [dt_i for _, dt_i in segments],
-            SolverConfig(n_steps),
-        )
-        for b, state in zip(live, out):
-            states[b] = state
+        for r, state in zip(live, out):
+            states[r] = state
     return states
+
+
+def _branch_pairs(psi0, params, times, schemes, backend, n_steps):
+    """Lazy (accelerated, reference) states for each (time, scheme) pair.
+
+    Each branch becomes a row of (g, duration) segments: a colocated readout
+    at t gives ((g, t),) and ((0.0, t),), a BranchSchedules its two schedules.
+    Plain tuples, because AccelSchedule refuses the zero duration of t = 0.
+    """
+    rows = []
+    for t, scheme in zip(times, schemes):
+        if not 0 <= t < math.inf:
+            raise NegativeTime(f"readout time t must be finite and >= 0, got {t}")
+        if isinstance(scheme, Colocated):
+            rows += [((params.g, t),), ((0.0, t),)]
+            continue
+        total_a = scheme.accelerated.total_duration
+        total_b = scheme.reference.total_duration
+        if not math.isclose(total_a, total_b, rel_tol=1e-12, abs_tol=1e-12):
+            raise SchemeMismatch(
+                f"branch schedules disagree: accelerated total {total_a} vs "
+                f"reference total {total_b}"
+            )
+        if abs(total_a - t) > 1e-9:
+            raise SchemeMismatch(
+                f"schedule total {total_a} does not match requested t={t}"
+            )
+        rows += [scheme.accelerated.segments, scheme.reference.segments]
+    # zip draws the accelerated, then the reference state from one iterator.
+    # The colocated free branch is translated onto the fallen one:
+    # amp(x + g t^2/2) recenters the peak at center_free - g t^2/2.
+    states = iter(_propagate(psi0, params, rows, backend, n_steps))
+    return (
+        (accelerated, shift_packet(reference, 0.5 * params.g * t * t))
+        if isinstance(scheme, Colocated)
+        else (accelerated, reference)
+        for accelerated, reference, t, scheme in zip(states, states, times, schemes)
+    )
 
 
 def branch_states(
@@ -178,32 +196,7 @@ def branch_states(
     n_steps: int = 2048,
 ) -> tuple[WavePacket, WavePacket]:
     """The (accelerated, reference) external states at readout time t."""
-    if not 0 <= t < math.inf:
-        raise NegativeTime(f"branch_states: t must be finite and >= 0, got {t}")
-    if backend not in _BACKENDS:
-        raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-    if isinstance(scheme, Colocated):
-        return _colocated(psi0, params, [t], backend, n_steps)[0]
-
-    total_a = scheme.accelerated.total_duration
-    total_b = scheme.reference.total_duration
-    if abs(total_a - total_b) > 1e-12:
-        raise SchemeMismatch(
-            f"branch schedules disagree: accelerated total {total_a} vs "
-            f"reference total {total_b}"
-        )
-    if abs(total_a - t) > 1e-9:
-        raise SchemeMismatch(
-            f"schedule total {total_a} does not match requested t={t}"
-        )
-    if backend == "analytic":
-        accelerated = evolve_piecewise(psi0, params, scheme.accelerated)
-        reference = evolve_piecewise(psi0, params, scheme.reference)
-    else:
-        accelerated, reference = _split_step_schedules(
-            psi0, params, (scheme.accelerated, scheme.reference), n_steps
-        )
-    return accelerated, reference
+    return next(_branch_pairs(psi0, params, [t], [scheme], backend, n_steps))
 
 
 def _looks_gaussian(psi0: WavePacket, params: PhysicalParams) -> bool:
@@ -260,8 +253,7 @@ def run_protocol(
     its measured spread and is populated only for Gaussian inputs (detected
     by refitting a Gaussian to the input's moments).
     """
-    accelerated, reference = branch_states(psi0, params, t, scheme, backend, n_steps)
-    return _readout(accelerated, reference, t, params, _looks_gaussian(psi0, params))
+    return fringe_scan(psi0, params, [t], scheme, backend, n_steps)[0]
 
 
 def unwrap_phases(phases, t_values=None) -> np.ndarray:
@@ -302,12 +294,12 @@ def fringe_scan(
     backend: str = "analytic",
     n_steps: int = 2048,
 ) -> list[InterferenceRecord]:
-    """run_protocol over strictly increasing times, with unwrapped phases.
+    """The protocol read out at strictly increasing times, with unwrapped phases.
 
     scheme may also be a callable t -> scheme for scans where the branch
-    schedules depend on the readout time.  With the split-step backend and a
-    Colocated scheme, both branches of every time evolve in one batched
-    solver call; otherwise each time runs branch_states on its own.  Raises
+    schedules depend on the readout time.  On the split-step backend every
+    branch of every time evolves in one batched solver call per schedule
+    segment; the analytic backend computes one time at a time.  Raises
     PhaseAliasing when consecutive phase samples are too far apart to
     continue unambiguously.
     """
@@ -316,16 +308,8 @@ def fringe_scan(
         return []
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"t_values must be strictly increasing, got {times}")
-    if backend == "split-step" and isinstance(scheme, Colocated):
-        states = _colocated(psi0, params, times, backend, n_steps)
-    else:
-        states = (
-            branch_states(
-                psi0, params, t, scheme(t) if callable(scheme) else scheme,
-                backend, n_steps,
-            )
-            for t in times
-        )
+    schemes = [scheme(t) if callable(scheme) else scheme for t in times]
+    states = _branch_pairs(psi0, params, times, schemes, backend, n_steps)
     gaussian = _looks_gaussian(psi0, params)
     records = [
         _readout(accelerated, reference, t, params, gaussian)

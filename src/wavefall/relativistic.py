@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import PhysicalParams, Trajectory
-from .errors import BadQuadrature, SuperluminalPath
+from .errors import BadQuadrature, NegativeTime, SuperluminalPath
 
 __all__ = [
     "RelActionResult",
@@ -92,6 +92,10 @@ def free_fall_trajectory(
 
 
 def _samples(traj: Trajectory, t: float, params: PhysicalParams, n_quad: int):
+    if not 0 <= t < math.inf:
+        raise NegativeTime(
+            f"proper-time quadrature: t must be finite and >= 0, got {t}"
+        )
     if n_quad < MIN_QUAD_INTERVALS:
         raise BadQuadrature(
             f"n_quad={n_quad} below the minimum of {MIN_QUAD_INTERVALS} intervals"
@@ -191,6 +195,8 @@ def nr_limit_check(
 
 def static_proper_time(x0: float, t: float, params: PhysicalParams) -> float:
     """Closed form for a clock held at x0: t sqrt(1 - 2 g x0 / c^2)."""
+    if not 0 <= t < math.inf:
+        raise NegativeTime(f"static_proper_time: t must be finite and >= 0, got {t}")
     c2 = params.c**2
     radicand = 1.0 - 2.0 * params.g * x0 / c2
     if radicand <= 0.0:

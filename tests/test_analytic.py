@@ -140,6 +140,14 @@ def test_schedule_duration_validation():
         AccelSchedule(((1.0, 0.0),))
     with pytest.raises(ValueError):
         AccelSchedule(((1.0, -0.5),))
+    for segment, match in [
+        ((math.nan, 0.5), "segment 0: g must be finite, got nan"),
+        ((math.inf, 0.5), "segment 0: g must be finite, got inf"),
+        ((1.0, math.inf), "segment 0: duration must be positive and finite, got inf"),
+        ((1.0, math.nan), "segment 0: duration must be positive and finite, got nan"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            AccelSchedule((segment,))
     sched = AccelSchedule(((1.0, 0.5), (-2.0, 0.25)))
     assert sched.total_duration == pytest.approx(0.75)
     assert len(sched) == 2

@@ -133,6 +133,15 @@ def test_schedule_pairs_validated():
     )
     with pytest.raises(ConfigError, match="duration must be positive"):
         parse_config(cfg)
+    # the error names the branch and the segment
+    cfg["interfere"]["scheme"] = {
+        "branch_a": [[0.0, 1.0]],
+        "branch_b": [[1.0, 0.5], [0.0, 0.0]],
+    }
+    with pytest.raises(
+        ConfigError, match=r"interfere\.scheme\.branch_b: segment 1: duration"
+    ):
+        parse_config(cfg)
 
 
 def test_backend_restricted():

@@ -108,6 +108,18 @@ def test_gaussian_rejects_bad_inputs(grid, params):
         make_gaussian(grid, 19.0, 0.0, 1.0, params)  # 6 sigma leaves the grid
     with pytest.raises(GridOverflow):
         make_gaussian(grid, 0.0, 10.5, 1.0, params)  # above half the momentum limit
+    # non-finite inputs fail closed, each naming the value
+    for sigma0 in (math.nan, math.inf):
+        with pytest.raises(BadSigma, match=f"got {sigma0}"):
+            make_gaussian(grid, 0.0, 0.0, sigma0, params)
+    for x0, p0, match in [
+        (math.nan, 0.0, "x0=nan"),
+        (math.inf, 0.0, "x0=inf"),
+        (0.0, math.nan, r"\|p0\|=nan"),
+        (0.0, -math.inf, r"\|p0\|=inf"),
+    ]:
+        with pytest.raises(GridOverflow, match=match):
+            make_gaussian(grid, x0, p0, 1.0, params)
 
 
 def test_momentum_roundtrip_is_identity(psi0, params):

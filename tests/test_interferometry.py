@@ -159,11 +159,44 @@ def test_split_step_backend_on_unequal_length_schedules(psi0, params):
 
 
 def test_split_step_scan_equals_per_time_protocol(psi0, params):
+    # schedules of unequal lengths, so later segments run on fewer rows
+    def schedules(t):
+        return BranchSchedules(
+            accelerated=AccelSchedule(((1.0, 0.6 * t), (0.0, 0.4 * t))),
+            reference=AccelSchedule(((0.0, 0.25 * t), (1.0, 0.5 * t), (0.0, 0.25 * t))),
+        )
+
     times = [0.2, 0.5, 0.9]
-    scan = fringe_scan(psi0, params, times, backend="split-step", n_steps=128)
-    for rec in scan:
-        one = run_protocol(psi0, params, rec.t, backend="split-step", n_steps=128)
-        assert replace(rec, phase_unwrapped=one.phase) == one
+    for scheme in (Colocated(), schedules):
+        scan = fringe_scan(
+            psi0, params, times, scheme, backend="split-step", n_steps=128
+        )
+        for rec in scan:
+            one = run_protocol(
+                psi0, params, rec.t, scheme(rec.t) if callable(scheme) else scheme,
+                backend="split-step", n_steps=128,
+            )
+            assert replace(rec, phase_unwrapped=one.phase) == one
+
+
+@pytest.mark.parametrize("backend", ["analytic", "split-step"])
+def test_colocated_readout_at_time_zero(psi0, params, backend):
+    rec = run_protocol(psi0, params, 0.0, backend=backend, n_steps=64)
+    assert rec.visibility == pytest.approx(1.0, abs=1e-12)
+    assert rec.phase == pytest.approx(0.0, abs=1e-12)
+    assert rec.predicted_visibility == 1.0
+
+
+def test_schedule_totals_compare_relative_to_their_size(psi0, params):
+    # 1000 x 0.1 sums to 99.9999999999986: equal to 100 to rounding, but
+    # 1.4e-12 apart, which an absolute 1e-12 tolerance refuses
+    heavy = replace(params, m=1e4)  # the packet barely spreads over t = 100
+    many = AccelSchedule(((0.0, 0.1),) * 1000)
+    one = AccelSchedule(((0.0, 100.0),))
+    accelerated, reference = branch_states(
+        psi0, heavy, 100.0, scheme=BranchSchedules(accelerated=many, reference=one)
+    )
+    assert abs(overlap(reference, accelerated)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_unwrap_accumulates_a_growing_phase():

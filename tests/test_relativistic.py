@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from wavefall import (
     BadQuadrature,
+    NegativeTime,
     PhysicalParams,
     SuperluminalPath,
     Trajectory,
@@ -122,3 +123,18 @@ def test_leading_error_coefficient(params):
     report = nr_limit_check(tr, 1.0, params, [20.0, 40.0, 80.0])
     est = 1.0 / (10.0 * 80.0**2)
     assert report.rows[-1].abs_error == pytest.approx(est, rel=0.05)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -0.5], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize(
+    "clock",
+    [
+        lambda t, p: proper_time(free_fall_trajectory(0.0, 0.0, 0.0, p), t, p, 64),
+        lambda t, p: rel_action(free_fall_trajectory(0.0, 0.0, 0.0, p), t, p, 64),
+        lambda t, p: static_proper_time(0.0, t, p),
+    ],
+    ids=["proper_time", "rel_action", "static_proper_time"],
+)
+def test_proper_time_rejects_bad_durations(params, clock, t):
+    with pytest.raises(NegativeTime, match="t must be finite and >= 0"):
+        clock(t, params)

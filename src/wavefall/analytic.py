@@ -10,22 +10,38 @@ left, the evolution is exactly:
     3. momentum kick, position-space phase e^{-i m g t x / hbar},
     4. global cubic phase e^{-i m g^2 t^3/(6 hbar)}.
 
-Each factor is its own public operation, so evolve_exact literally composes
-them.  The same primitives drive the interference protocol.  All producing
-steps re-check the boundary margin; note that a single long step whose packet
-wraps around the periodic grid and re-enters with a clean final margin cannot
-be detected here, so bound long falls with evolve_piecewise (per-segment
-checks) or cross-check with the split-step solver, which guards every step.
+Each factor is one kernel acting in place on a C-contiguous (rows, n) stack
+of amplitudes.  free_evolve, shift_packet, apply_linear_phase and
+apply_global_phase run their kernel on a one-row stack; evolve_exact composes
+all four on a stack of any number of rows, with its own (g, t) per row, and
+the interference protocol propagates its branches that way, a chunk of rows
+at a time.  Two rules keep every row bit-identical to a single-row call:
+
+- each row's phase is built from that row's scalar with the single-row
+  expression; rows whose scalars have equal bits share one evaluation;
+- every complex multiply is written ``amp *= phase``, the state on the left.
+  ``amp = amp * np.exp(...)`` is not safe: once the stack reaches 256 KiB
+  numpy reuses the temporary on the right as the output, which swaps the
+  operands, and its fused complex multiply then rounds the imaginary part
+  differently.
+
+The boundary margin is re-checked over every row after the shift and after
+free flight; it fails closed on NaN and names the first offending row of a
+stack.  Note that a single long step whose packet wraps around the periodic
+grid and re-enters with a clean final margin cannot be detected here, so
+bound long falls with evolve_piecewise (per-segment checks) or cross-check
+with the split-step solver, which guards every step.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PhysicalParams, WavePacket, check_margin
+from .core import Grid, PhysicalParams, WavePacket, _as_rows, _stack, check_margin
 from .errors import GridOverflow, NegativeTime
 
 __all__ = [
@@ -71,62 +87,146 @@ class AccelSchedule:
         return len(self.segments)
 
 
-def _apply_k_phase(psi: WavePacket, phase: np.ndarray) -> WavePacket:
-    return WavePacket(psi.grid, np.fft.ifft(np.fft.fft(psi.amp) * phase))
+def _apply_phases(amp: np.ndarray, values, phase) -> None:
+    """Multiply each row of amp in place by phase(v), one scalar v per row.
+
+    phase is the single-row expression, evaluated on the row's own scalar,
+    so each row gets the phase a single-row call builds.  Rows whose
+    scalars have equal bits, such as the two branches of one readout time
+    or the rows with g = 0, share one evaluation.
+    """
+    built: dict[bytes, np.ndarray] = {}
+    for row, v in zip(amp, values):
+        key = np.asarray(v).tobytes()
+        if key not in built:
+            built[key] = phase(v)
+        row *= built[key]
+
+
+def _shift(amp: np.ndarray, grid: Grid, shifts: list[float]) -> None:
+    """amp(x) -> amp(x + a) per row: the k-space phase e^{+i k a}, one FFT pair."""
+    np.fft.fft(amp, out=amp)
+    _apply_phases(amp, shifts, lambda a: np.exp(1j * grid.k * a))
+    np.fft.ifft(amp, out=amp)
+    check_margin(amp, "shift_packet")
+
+
+def _free(
+    amp: np.ndarray, grid: Grid, hbar: float, m: float, times: list[float]
+) -> None:
+    """Free flight per row: the k-space phase e^{-i hbar t k^2/(2 m)}."""
+    np.fft.fft(amp, out=amp)
+    _apply_phases(
+        amp,
+        [-0.5j * hbar * t for t in times],
+        lambda c: np.exp(c * grid.k * grid.k / m),
+    )
+    np.fft.ifft(amp, out=amp)
+    check_margin(amp, "free_evolve")
+
+
+def _kick(amp: np.ndarray, grid: Grid, hbar: float, slopes: list[float]) -> None:
+    """Momentum kick per row: the position-space phase e^{-i slope x / hbar}."""
+    _apply_phases(
+        amp, [-1j * slope for slope in slopes], lambda c: np.exp(c * grid.x / hbar)
+    )
+
+
+def _rotate(amp: np.ndarray, thetas: list[float]) -> None:
+    """Global phase e^{i theta} per row."""
+    _apply_phases(amp, thetas, lambda theta: np.exp(1j * theta))
+
+
+def _packets(grid: Grid, amp: np.ndarray, batched: bool):
+    """One WavePacket per row of a stack; the bare packet for a single call."""
+    out = [WavePacket(grid, a) for a in amp]
+    return out if batched else out[0]
 
 
 def free_evolve(psi: WavePacket, params: PhysicalParams, t: float) -> WavePacket:
     """Evolve under the kinetic term alone: e^{-i hbar t k^2/(2 m)} in k-space."""
     if not 0 <= t < math.inf:
         raise NegativeTime(f"free_evolve: t must be finite and >= 0, got {t}")
-    k = psi.grid.k
-    out = _apply_k_phase(psi, np.exp(-0.5j * params.hbar * t * k * k / params.m))
-    check_margin(out, "free_evolve")
-    return out
+    amp = _stack([psi])
+    _free(amp, psi.grid, params.hbar, params.m, [t])
+    return WavePacket(psi.grid, amp[0])
 
 
-def shift_packet(psi: WavePacket, a: float) -> WavePacket:
+def shift_packet(
+    psi: WavePacket | Sequence[WavePacket], a: float | Sequence[float]
+):
     """Translate the argument: amp(x) -> amp(x + a), exact on the lattice.
 
     A packet peaked at x0 ends up peaked at x0 - a.  Implemented as the
     spectral phase e^{+i k a}, which is exact for band-limited lattice states
-    at any real a, not only multiples of dx.
+    at any real a, not only multiples of dx.  psi and a may each be a single
+    value or an equal-length sequence, as in evolve_exact.
     """
-    out = _apply_k_phase(psi, np.exp(1j * psi.grid.k * a))
-    check_margin(out, "shift_packet")
-    return out
+    batched, (psis, shifts) = _as_rows("shift_packet", psi, a)
+    if not psis:
+        return []
+    amp = _stack(psis)
+    _shift(amp, psis[0].grid, shifts)
+    return _packets(psis[0].grid, amp, batched)
 
 
 def apply_linear_phase(
     psi: WavePacket, slope: float, params: PhysicalParams
 ) -> WavePacket:
     """Multiply by e^{-i slope x / hbar}; shifts the mean momentum by -slope."""
-    return WavePacket(
-        psi.grid, psi.amp * np.exp(-1j * slope * psi.grid.x / params.hbar)
-    )
+    amp = _stack([psi])
+    _kick(amp, psi.grid, params.hbar, [slope])
+    return WavePacket(psi.grid, amp[0])
 
 
 def apply_global_phase(psi: WavePacket, theta: float) -> WavePacket:
     """Multiply by the overall phase e^{i theta}; no observable changes."""
-    return WavePacket(psi.grid, psi.amp * np.exp(1j * theta))
+    amp = _stack([psi])
+    _rotate(amp, [theta])
+    return WavePacket(psi.grid, amp[0])
 
 
-def evolve_exact(psi: WavePacket, params: PhysicalParams, t: float) -> WavePacket:
+def evolve_exact(
+    psi: WavePacket | Sequence[WavePacket],
+    params: PhysicalParams | Sequence[PhysicalParams],
+    t: float | Sequence[float],
+):
     """Exact evolution for duration t under V = +m*g*x.
 
     Composes the four factors listed in the module docstring.  Ehrenfest
     means follow the classical fall: mean_x picks up -g t^2/2 plus the free
     drift, mean_p picks up -m g t; the spread is identical to the free
     packet's at every t.
+
+    psi, params and t may each be a single value or an equal-length sequence
+    (list, tuple or ndarray of times); single values broadcast against the
+    sequences, and every row is evolved in one (rows, n) stack.  Rows must
+    share the grid (GridMismatch otherwise), hbar and m (ValueError); g, t
+    and the start state may differ per row, and each row's result is
+    bit-identical to a single-row call.  Returns the final WavePacket, or a
+    list of them when any argument is a sequence.  Raises GridOverflow when
+    any row touches the guarded boundary nodes after the shift or after free
+    flight, naming the first such row of a stack and carrying its index as
+    .row.
     """
-    if not 0 <= t < math.inf:
-        raise NegativeTime(f"evolve_exact: t must be finite and >= 0, got {t}")
-    m, g, hbar = params.m, params.g, params.hbar
-    out = shift_packet(psi, 0.5 * g * t * t)
-    out = free_evolve(out, params, t)
-    out = apply_linear_phase(out, m * g * t, params)
-    out = apply_global_phase(out, -m * g * g * t**3 / (6.0 * hbar))
-    return out
+    batched, (psis, pars, times) = _as_rows("evolve_exact", psi, params, t)
+    if not psis:
+        return []
+    for ti in times:
+        if not 0 <= ti < math.inf:
+            raise NegativeTime(f"evolve_exact: t must be finite and >= 0, got {ti}")
+    grid, hbar, m = psis[0].grid, pars[0].hbar, pars[0].m
+    if any((p.hbar, p.m) != (hbar, m) for p in pars):
+        raise ValueError("evolve_exact: rows must share hbar and m")
+    amp = _stack(psis)
+    _shift(amp, grid, [0.5 * p.g * ti * ti for p, ti in zip(pars, times)])
+    _free(amp, grid, hbar, m, times)
+    _kick(amp, grid, hbar, [p.m * p.g * ti for p, ti in zip(pars, times)])
+    _rotate(
+        amp,
+        [-p.m * p.g * p.g * ti**3 / (6.0 * p.hbar) for p, ti in zip(pars, times)],
+    )
+    return _packets(grid, amp, batched)
 
 
 def evolve_piecewise(

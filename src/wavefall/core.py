@@ -12,6 +12,7 @@ holds on the lattice exactly).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,6 +51,9 @@ __all__ = [
 MARGIN_AMPLITUDE = 1.0e-10
 # Fraction of nodes guarded at each end of the grid.
 MARGIN_FRACTION = 0.05
+
+# Argument types read as one value per row; anything else broadcasts.
+_SEQUENCES = (list, tuple, np.ndarray)
 
 
 @dataclass(frozen=True)
@@ -263,16 +267,50 @@ def boundary_amplitude(amp: np.ndarray, n: int):
     return float(worst) if worst.ndim == 0 else worst
 
 
-def check_margin(psi: WavePacket, context: str) -> None:
-    """Raise GridOverflow if the packet touches the guarded boundary region."""
-    worst = boundary_amplitude(psi.amp, psi.grid.n)
-    if not worst < MARGIN_AMPLITUDE:
-        m = margin_nodes(psi.grid.n)
+def check_margin(psi, context: str) -> None:
+    """Raise GridOverflow if a packet touches the guarded boundary region.
+
+    psi is a WavePacket or a (rows, n) amplitude stack.  The check covers
+    every row, fails closed on NaN and, for a stack of several rows, names
+    the first offending row, which the exception also carries as .row.
+    """
+    stack = psi.amp[None] if isinstance(psi, WavePacket) else psi
+    worst = boundary_amplitude(stack, stack.shape[-1])
+    # Fail closed: a NaN maximum is not below the margin either.
+    if not worst.max() < MARGIN_AMPLITUDE:
+        row = int(np.flatnonzero(~(worst < MARGIN_AMPLITUDE))[0])
+        where = f" in row {row}" if len(stack) > 1 else ""
         raise GridOverflow(
-            f"{context}: boundary amplitude {worst:.3e} on the outer {m} nodes "
-            f"exceeds the {MARGIN_AMPLITUDE:.0e} margin; enlarge the grid or "
-            f"shorten the evolution"
+            f"{context}: boundary amplitude {worst[row]:.3e} on the outer "
+            f"{margin_nodes(stack.shape[-1])} nodes{where} exceeds the "
+            f"{MARGIN_AMPLITUDE:.0e} margin; enlarge the grid or shorten the "
+            f"evolution",
+            row=row,
         )
+
+
+def _as_rows(context: str, *values) -> tuple[bool, list[list]]:
+    """Broadcast single values against equal-length sequences, one entry per row.
+
+    Returns (batched, columns): batched is True when any value is a sequence
+    (list, tuple or ndarray), and each column holds its argument's value for
+    every row.
+    """
+    columns = [list(v) if isinstance(v, _SEQUENCES) else None for v in values]
+    lengths = sorted({len(c) for c in columns if c is not None})
+    if len(lengths) > 1:
+        raise ValueError(f"{context}: sequence arguments differ in length: {lengths}")
+    rows = lengths[0] if lengths else 1
+    return bool(lengths), [
+        c if c is not None else [v] * rows for c, v in zip(columns, values)
+    ]
+
+
+def _stack(psis: list[WavePacket]) -> np.ndarray:
+    """The amplitudes of packets on one grid as a fresh C-contiguous (rows, n) stack."""
+    for psi in psis[1:]:
+        _require_same_grid(psis[0], psi)
+    return np.stack([psi.amp for psi in psis])
 
 
 def make_gaussian(
@@ -327,16 +365,21 @@ def make_gaussian(
     return psi
 
 
+def _momentum_amp(amp: np.ndarray, g: Grid) -> np.ndarray:
+    """Momentum amplitudes of a position stack, transformed in place."""
+    np.fft.fft(amp, out=amp)
+    amp *= np.exp(-1j * g.k * g.x_min)
+    amp *= g.dx / math.sqrt(2.0 * math.pi)
+    return amp
+
+
 def to_momentum(psi: WavePacket) -> MomentumPacket:
     """Unitary map to the momentum representation (FFT layout).
 
     Convention: amp_k(k_j) = dx/sqrt(2 pi) * sum_i amp(x_i) e^{-i k_j x_i},
     which preserves the lattice norm (sum |amp_k|^2 dk = sum |amp|^2 dx).
     """
-    g = psi.grid
-    spec = np.fft.fft(psi.amp) * np.exp(-1j * g.k * g.x_min)
-    spec *= g.dx / math.sqrt(2.0 * math.pi)
-    return MomentumPacket(g, spec)
+    return MomentumPacket(psi.grid, _momentum_amp(np.array(psi.amp), psi.grid))
 
 
 def to_position(phi: MomentumPacket) -> WavePacket:
@@ -347,36 +390,61 @@ def to_position(phi: MomentumPacket) -> WavePacket:
     return WavePacket(g, amp)
 
 
-def moments(psi: WavePacket, params: PhysicalParams) -> Moments:
+def moments(
+    psi: WavePacket | Sequence[WavePacket],
+    params: PhysicalParams | Sequence[PhysicalParams],
+):
     """Norm, position and momentum means, and spreads of a state.
 
     Position moments come from the lattice quadrature of |amp|^2; momentum
     moments from the momentum representation with p = hbar*k.  Both are
     normalized by the measured norm so slightly unnormalized inputs still
     give meaningful means.
+
+    psi and params may each be a single value or an equal-length sequence;
+    the rows, which must share the grid and hbar, are reduced as one
+    (rows, n) stack, each bit-identical to a single call, and a list is
+    returned when either argument is a sequence.  Raises ValueError unless
+    every row's norm is positive and finite, naming the first that is not.
     """
-    g = psi.grid
-    prob = np.abs(psi.amp) ** 2
-    norm = float(np.sum(prob) * g.dx)
-    if norm <= 0:
-        raise ValueError("cannot take moments of a zero state")
-    mean_x = float(np.sum(g.x * prob) * g.dx / norm)
-    var_x = float(np.sum((g.x - mean_x) ** 2 * prob) * g.dx / norm)
+    batched, (psis, pars) = _as_rows("moments", psi, params)
+    if not psis:
+        return []
+    g, hbar = psis[0].grid, pars[0].hbar
+    if any(p.hbar != hbar for p in pars):
+        raise ValueError("moments: rows must share hbar")
+    amp = _stack(psis)
+    prob = np.abs(amp) ** 2
+    norm = np.sum(prob, axis=-1) * g.dx
+    # Fail closed: a NaN norm is not inside the interval either.
+    bad = np.flatnonzero(~((0 < norm) & (norm < math.inf)))
+    if bad.size:
+        row = int(bad[0])
+        where = f" in row {row}" if batched else ""
+        raise ValueError(
+            f"moments: norm {norm[row]}{where} is not positive and finite; "
+            f"cannot take moments"
+        )
+    mean_x = np.sum(g.x * prob, axis=-1) * g.dx / norm
+    var_x = np.sum((g.x - mean_x[:, None]) ** 2 * prob, axis=-1) * g.dx / norm
 
-    phi = to_momentum(psi)
-    prob_k = np.abs(phi.amp) ** 2
-    norm_k = float(np.sum(prob_k) * g.dk)
-    p = params.hbar * g.k
-    mean_p = float(np.sum(p * prob_k) * g.dk / norm_k)
-    var_p = float(np.sum((p - mean_p) ** 2 * prob_k) * g.dk / norm_k)
+    prob_k = np.abs(_momentum_amp(amp, g)) ** 2
+    norm_k = np.sum(prob_k, axis=-1) * g.dk
+    p = hbar * g.k
+    mean_p = np.sum(p * prob_k, axis=-1) * g.dk / norm_k
+    var_p = np.sum((p - mean_p[:, None]) ** 2 * prob_k, axis=-1) * g.dk / norm_k
 
-    return Moments(
-        norm=norm,
-        mean_x=mean_x,
-        mean_p=mean_p,
-        sigma_x=math.sqrt(max(var_x, 0.0)),
-        sigma_p=math.sqrt(max(var_p, 0.0)),
-    )
+    out = [
+        Moments(
+            norm=float(n),
+            mean_x=float(mx),
+            mean_p=float(mp),
+            sigma_x=math.sqrt(max(float(vx), 0.0)),
+            sigma_p=math.sqrt(max(float(vp), 0.0)),
+        )
+        for n, mx, mp, vx, vp in zip(norm, mean_x, mean_p, var_x, var_p)
+    ]
+    return out if batched else out[0]
 
 
 def _require_same_grid(a, b) -> None:
@@ -387,10 +455,25 @@ def _require_same_grid(a, b) -> None:
         )
 
 
-def overlap(a: WavePacket, b: WavePacket) -> complex:
-    """Inner product <a|b> = sum conj(a) b dx on a shared grid."""
-    _require_same_grid(a, b)
-    return complex(np.sum(np.conj(a.amp) * b.amp) * a.grid.dx)
+def overlap(
+    a: WavePacket | Sequence[WavePacket], b: WavePacket | Sequence[WavePacket]
+):
+    """Inner product <a|b> = sum conj(a) b dx on a shared grid.
+
+    a and b may each be a single packet or an equal-length sequence; all
+    rows share one grid and are reduced as one (rows, n) stack, each
+    bit-identical to a single call, and a list is returned when either
+    argument is a sequence.
+    """
+    batched, (bras, kets) = _as_rows("overlap", a, b)
+    if not bras:
+        return []
+    _require_same_grid(bras[0], kets[0])
+    prod = np.conj(_stack(bras))
+    prod *= _stack(kets)
+    dx = bras[0].grid.dx
+    out = [complex(s * dx) for s in np.sum(prod, axis=-1)]
+    return out if batched else out[0]
 
 
 def l2_distance(a: WavePacket, b: WavePacket) -> float:

@@ -28,7 +28,15 @@ class WavefallError(Exception):
 
 
 class GridOverflow(WavefallError):
-    """Wave-packet amplitude reached the guarded boundary region of the grid."""
+    """Wave-packet amplitude reached the guarded boundary region of the grid.
+
+    row is the index of the offending row in the producer's (rows, n) stack,
+    or None when the raiser has no stack.
+    """
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class BadSigma(WavefallError):

@@ -23,8 +23,10 @@ per-branch schedules : each branch evolves under its own piecewise-constant
 
 Both backends, the factored exact propagator ("analytic") and the split-step
 solver, take the same path: every branch is a row of (g, duration) segments,
-and one call propagates all the rows of a scan.  On split-step that call
-batches every branch of every readout time into one solver stack per segment.
+and the rows of a scan run in chunks of whole branch pairs whose (rows, n)
+stack stays within 256 KiB.  Segment i of every row of a chunk is one batched
+call of the backend's propagator, and each chunk is read out with one batched
+overlap and moments call; every row is bit-identical to a single-row run.
 
 For a Gaussian input the visibility obeys gaussian_visibility, a Gaussian in
 (m g t sigma_t / hbar); the packet spread is what erases the fringe contrast.
@@ -37,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import AccelSchedule, evolve_piecewise, shift_packet
+from .analytic import AccelSchedule, evolve_exact, shift_packet
 from .core import (
     PhysicalParams,
     WavePacket,
@@ -45,7 +47,13 @@ from .core import (
     moments,
     overlap,
 )
-from .errors import NegativeTime, PhaseAliasing, SchemeMismatch, WavefallError
+from .errors import (
+    GridOverflow,
+    NegativeTime,
+    PhaseAliasing,
+    SchemeMismatch,
+    WavefallError,
+)
 from .splitstep import SolverConfig, evolve_split_step
 
 __all__ = [
@@ -65,6 +73,11 @@ __all__ = [
 ALIASING_GUARD = 1e-3
 
 _BACKENDS = ("analytic", "split-step")
+
+# Cap on the amplitudes of one propagation chunk: 16 rows at n = 1024, 64 at
+# n = 256.  It bounds peak memory: chunks of 50 pairs ran a 400-readout scan
+# at n = 1024 at most about 10% faster, for about 9 MB more peak RSS.
+_CHUNK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -123,43 +136,58 @@ def gaussian_visibility(sigma_t: float, t: float, params: PhysicalParams) -> flo
     return math.exp(-0.5 * kick * kick)
 
 
-def _propagate(psi0, params, rows, backend, n_steps):
-    """Final state of each row of (g, duration) segments, in row order.
+def _propagate(psi0, params, rows, labels, backend, n_steps):
+    """Final states of rows of (g, duration) segments, lazily, one list per chunk.
 
-    The one place that picks a backend.  analytic chains evolve_piecewise
-    over each row, lazily, so a scan holds one pair of states at a time;
-    split-step runs segment i of every row that has one in the same batched
-    solver call.
+    The one place that picks a backend.  Rows run in chunks of whole
+    (accelerated, reference) pairs whose stack stays within _CHUNK_BYTES;
+    segment i of every row of a chunk that has one runs in one batched
+    evolve_exact or evolve_split_step call.  A GridOverflow is re-raised
+    naming the row's label and the segment.
     """
     if backend not in _BACKENDS:
         raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-    if backend == "analytic":
-        return (evolve_piecewise(psi0, params, row) for row in rows)
-    states = [psi0] * len(rows)
-    for i in range(max(map(len, rows), default=0)):
-        live = [r for r, row in enumerate(rows) if i < len(row)]
-        out = evolve_split_step(
-            [states[r] for r in live],
-            [replace(params, g=rows[r][i][0]) for r in live],
-            [rows[r][i][1] for r in live],
-            SolverConfig(n_steps),
-        )
-        for r, state in zip(live, out):
-            states[r] = state
-    return states
+    size = 2 * max(1, _CHUNK_BYTES // (2 * psi0.amp.nbytes))
+    for start in range(0, len(rows), size):
+        chunk = rows[start : start + size]
+        states = [psi0] * len(chunk)
+        for i in range(max(map(len, chunk))):
+            live = [r for r, row in enumerate(chunk) if i < len(row)]
+            args = (
+                [states[r] for r in live],
+                [replace(params, g=chunk[r][i][0]) for r in live],
+                [chunk[r][i][1] for r in live],
+            )
+            try:
+                if backend == "analytic":
+                    out = evolve_exact(*args)
+                else:
+                    out = evolve_split_step(*args, SolverConfig(n_steps))
+            except GridOverflow as exc:
+                r = live[exc.row]
+                g_i, dt_i = chunk[r][i]
+                raise GridOverflow(
+                    f"{labels[start + r]}, segment {i} (g={g_i}, duration={dt_i}): "
+                    f"{exc}"
+                ) from exc
+            for r, state in zip(live, out):
+                states[r] = state
+        yield states
 
 
 def _branch_pairs(psi0, params, times, schemes, backend, n_steps):
-    """Lazy (accelerated, reference) states for each (time, scheme) pair.
+    """Lazy (times, accelerated states, reference states) lists, chunk by chunk.
 
     Each branch becomes a row of (g, duration) segments: a colocated readout
     at t gives ((g, t),) and ((0.0, t),), a BranchSchedules its two schedules.
     Plain tuples, because AccelSchedule refuses the zero duration of t = 0.
+    Every (time, scheme) pair is validated before any row is propagated.
     """
-    rows = []
+    rows, labels = [], []
     for t, scheme in zip(times, schemes):
         if not 0 <= t < math.inf:
             raise NegativeTime(f"readout time t must be finite and >= 0, got {t}")
+        labels += [f"readout t={t}, {b} branch" for b in ("accelerated", "reference")]
         if isinstance(scheme, Colocated):
             rows += [((params.g, t),), ((0.0, t),)]
             continue
@@ -170,21 +198,26 @@ def _branch_pairs(psi0, params, times, schemes, backend, n_steps):
                 f"branch schedules disagree: accelerated total {total_a} vs "
                 f"reference total {total_b}"
             )
-        if abs(total_a - t) > 1e-9:
+        if not math.isclose(total_a, t, rel_tol=1e-12, abs_tol=1e-12):
             raise SchemeMismatch(
                 f"schedule total {total_a} does not match requested t={t}"
             )
         rows += [scheme.accelerated.segments, scheme.reference.segments]
-    # zip draws the accelerated, then the reference state from one iterator.
-    # The colocated free branch is translated onto the fallen one:
-    # amp(x + g t^2/2) recenters the peak at center_free - g t^2/2.
-    states = iter(_propagate(psi0, params, rows, backend, n_steps))
-    return (
-        (accelerated, shift_packet(reference, 0.5 * params.g * t * t))
-        if isinstance(scheme, Colocated)
-        else (accelerated, reference)
-        for accelerated, reference, t, scheme in zip(states, states, times, schemes)
-    )
+    pairs = range(0)
+    for states in _propagate(psi0, params, rows, labels, backend, n_steps):
+        pairs = range(pairs.stop, pairs.stop + len(states) // 2)
+        accelerated, reference = states[0::2], states[1::2]
+        # The colocated free branch is translated onto the fallen one:
+        # amp(x + g t^2/2) recenters the peak at center_free - g t^2/2.
+        coloc = [j for j, k in enumerate(pairs) if isinstance(schemes[k], Colocated)]
+        if coloc:
+            ts = [times[pairs[j]] for j in coloc]
+            shifted = shift_packet(
+                [reference[j] for j in coloc], [0.5 * params.g * t * t for t in ts]
+            )
+            for j, state in zip(coloc, shifted):
+                reference[j] = state
+        yield [times[k] for k in pairs], accelerated, reference
 
 
 def branch_states(
@@ -196,7 +229,10 @@ def branch_states(
     n_steps: int = 2048,
 ) -> tuple[WavePacket, WavePacket]:
     """The (accelerated, reference) external states at readout time t."""
-    return next(_branch_pairs(psi0, params, [t], [scheme], backend, n_steps))
+    _, (accelerated,), (reference,) = next(
+        _branch_pairs(psi0, params, [t], [scheme], backend, n_steps)
+    )
+    return accelerated, reference
 
 
 def _looks_gaussian(psi0: WavePacket, params: PhysicalParams) -> bool:
@@ -210,32 +246,35 @@ def _looks_gaussian(psi0: WavePacket, params: PhysicalParams) -> bool:
 
 
 def _readout(
-    accelerated: WavePacket,
-    reference: WavePacket,
-    t: float,
+    times: list[float],
+    accelerated: list[WavePacket],
+    reference: list[WavePacket],
     params: PhysicalParams,
     gaussian: bool,
-) -> InterferenceRecord:
-    """The fringe record of one pair of branch states read out at time t."""
-    z = overlap(reference, accelerated)
-    visibility = abs(z)
-    phase = math.atan2(z.imag, z.real)
-    ref_moments = moments(reference, params)
-    pred_phase = predicted_phase(ref_moments.mean_x, t, params)
-    pred_vis = (
-        gaussian_visibility(ref_moments.sigma_x, t, params) if gaussian else None
-    )
-    return InterferenceRecord(
-        t=t,
-        overlap=z,
-        visibility=visibility,
-        phase=phase,
-        phase_unwrapped=phase,
-        fringe_x=z.real,
-        fringe_y=z.imag,
-        predicted_phase=pred_phase,
-        predicted_visibility=pred_vis,
-    )
+) -> list[InterferenceRecord]:
+    """The fringe records of a chunk of branch-state pairs read out at times."""
+    records = []
+    for t, z, ref_moments in zip(
+        times, overlap(reference, accelerated), moments(reference, params)
+    ):
+        phase = math.atan2(z.imag, z.real)
+        pred_vis = (
+            gaussian_visibility(ref_moments.sigma_x, t, params) if gaussian else None
+        )
+        records.append(
+            InterferenceRecord(
+                t=t,
+                overlap=z,
+                visibility=abs(z),
+                phase=phase,
+                phase_unwrapped=phase,
+                fringe_x=z.real,
+                fringe_y=z.imag,
+                predicted_phase=predicted_phase(ref_moments.mean_x, t, params),
+                predicted_visibility=pred_vis,
+            )
+        )
+    return records
 
 
 def run_protocol(
@@ -297,11 +336,13 @@ def fringe_scan(
     """The protocol read out at strictly increasing times, with unwrapped phases.
 
     scheme may also be a callable t -> scheme for scans where the branch
-    schedules depend on the readout time.  On the split-step backend every
-    branch of every time evolves in one batched solver call per schedule
-    segment; the analytic backend computes one time at a time.  Raises
-    PhaseAliasing when consecutive phase samples are too far apart to
-    continue unambiguously.
+    schedules depend on the readout time.  On either backend the branches
+    of all times evolve a chunk of rows at a time, in one batched call per
+    schedule segment, and each chunk is read out in one batched call; a scan
+    holds one chunk of states at a time.  Raises GridOverflow naming the
+    readout time, branch and segment that left the grid, and PhaseAliasing
+    when consecutive phase samples are too far apart to continue
+    unambiguously.
     """
     times = [float(t) for t in t_values]
     if len(times) == 0:
@@ -309,11 +350,11 @@ def fringe_scan(
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"t_values must be strictly increasing, got {times}")
     schemes = [scheme(t) if callable(scheme) else scheme for t in times]
-    states = _branch_pairs(psi0, params, times, schemes, backend, n_steps)
     gaussian = _looks_gaussian(psi0, params)
     records = [
-        _readout(accelerated, reference, t, params, gaussian)
-        for (accelerated, reference), t in zip(states, times)
+        record
+        for chunk in _branch_pairs(psi0, params, times, schemes, backend, n_steps)
+        for record in _readout(*chunk, params, gaussian)
     ]
     unwrapped = unwrap_phases([r.phase for r in records], times)
     return [

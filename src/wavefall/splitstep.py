@@ -34,6 +34,7 @@ from .core import (
     MARGIN_AMPLITUDE,
     PhysicalParams,
     WavePacket,
+    _as_rows,
     boundary_amplitude,
     l2_distance,
     margin_nodes,
@@ -50,10 +51,6 @@ __all__ = [
 # L2 errors below this sit at the rounding floor; observed orders computed
 # from them would be noise, so rows are marked not applicable instead.
 ORDER_NOISE_FLOOR = 1e-12
-
-# Argument types read as one value per row; anything else broadcasts.
-_SEQUENCES = (list, tuple, np.ndarray)
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -82,22 +79,6 @@ class ConvergenceRow:
     observed_order: float | None
 
 
-def _as_rows(psi, params, t) -> tuple[list, list, list]:
-    """Broadcast single values against equal-length sequences, one entry per row."""
-    columns = [
-        list(v) if isinstance(v, _SEQUENCES) else None for v in (psi, params, t)
-    ]
-    lengths = sorted({len(c) for c in columns if c is not None})
-    if len(lengths) > 1:
-        raise ValueError(
-            f"evolve_split_step: psi, params and t lengths differ: {lengths}"
-        )
-    rows = lengths[0] if lengths else 1
-    return tuple(
-        c if c is not None else [v] * rows for c, v in zip(columns, (psi, params, t))
-    )
-
-
 def evolve_split_step(
     psi: WavePacket | Sequence[WavePacket],
     params: PhysicalParams | Sequence[PhysicalParams],
@@ -117,12 +98,12 @@ def evolve_split_step(
     sequence.  With config.record_every > 0 (single values only) it returns
     (final, snapshots), snapshots a list of (time, WavePacket).  Raises
     GridOverflow the moment any row's state touches the guarded boundary
-    nodes, naming that row, its step and its time.
+    nodes, naming that row, its step and its time; the exception carries
+    the row's index as .row.
     """
-    batched = any(isinstance(v, _SEQUENCES) for v in (psi, params, t))
+    batched, (psis, pars, times) = _as_rows("evolve_split_step", psi, params, t)
     if batched and config.record_every:
         raise ValueError("evolve_split_step: record_every > 0 needs single values")
-    psis, pars, times = _as_rows(psi, params, t)
     if not psis:
         return []
     for ti in times:
@@ -161,7 +142,8 @@ def evolve_split_step(
             raise GridOverflow(
                 f"evolve_split_step: boundary amplitude {worst[row]:.3e} on the outer "
                 f"{guard} nodes{where} at step {step}/{config.n_steps} "
-                f"(t={step * dts[row]:.6g}); enlarge the grid or shorten the run"
+                f"(t={step * dts[row]:.6g}); enlarge the grid or shorten the run",
+                row=row,
             )
         if config.record_every and step % config.record_every == 0:
             snapshots.append((step * dts[0], WavePacket(grid, amp[0])))

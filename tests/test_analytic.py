@@ -1,12 +1,16 @@
 """Factored exact propagator: moments, composition, piecewise schedules."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wavefall import (
     AccelSchedule,
+    Grid,
     GridOverflow,
     NegativeTime,
     PhysicalParams,
@@ -169,3 +173,64 @@ def test_factorization_order_matters(psi0, params):
     z = overlap(partial, full)
     assert abs(z) == pytest.approx(1.0, abs=1e-12)
     assert math.atan2(z.imag, z.real) == pytest.approx(-1.0 / 6.0, abs=1e-12)
+
+
+CANONICAL = PhysicalParams()
+STARTS = [
+    make_gaussian(Grid(-20.0, 20.0, 256), x0, p0, sigma0, CANONICAL)
+    for x0, p0, sigma0 in ((0.0, 0.0, 1.0), (-1.0, 0.5, 1.3), (0.7, -0.3, 0.9))
+]
+# g = 0 and t = 0 are drawn on their own: both make factors of unit phase.
+G_VALUES = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+T_VALUES = st.one_of(st.just(0.0), st.floats(0.0, 1.5))
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(STARTS), G_VALUES, T_VALUES), min_size=1, max_size=12
+    )
+)
+def test_batched_exact_rows_equal_single_calls(rows):
+    starts = [psi for psi, _, _ in rows]
+    pars = [replace(CANONICAL, g=g) for _, g, _ in rows]
+    times = [t for _, _, t in rows]
+    batch = evolve_exact(starts, pars, times)
+    assert len(batch) == len(rows)
+    for psi, p, t, row in zip(starts, pars, times, batch):
+        assert np.array_equal(row.amp, evolve_exact(psi, p, t).amp)
+
+
+def test_rows_of_a_stack_above_256_kib_equal_single_calls():
+    # 40 rows at n = 1024 make a 640 KiB stack, past the size at which numpy
+    # reuses a temporary operand; a multiply written with the phase on the
+    # left would then round some rows differently
+    grid = Grid(-20.0, 20.0, 1024)
+    psi = make_gaussian(grid, 0.3, 0.2, 1.0, CANONICAL)
+    gs = [0.0] + list(np.linspace(-1.5, 1.5, 39))
+    ts = [0.0] + list(np.linspace(0.05, 1.2, 39))
+    pars = [replace(CANONICAL, g=float(g)) for g in gs]
+    batch = evolve_exact(psi, pars, ts)
+    shifted = shift_packet(batch, gs)
+    for p, t, g, row, moved in zip(pars, ts, gs, batch, shifted):
+        single = evolve_exact(psi, p, t)
+        assert np.array_equal(row.amp, single.amp)
+        assert np.array_equal(moved.amp, shift_packet(single, g).amp)
+
+
+def test_batch_broadcasts_single_values_and_returns_a_list(psi0, params):
+    assert isinstance(evolve_exact([psi0], params, 1.0), list)
+    assert evolve_exact(psi0, params, []) == []
+    with pytest.raises(ValueError, match="differ in length"):
+        evolve_exact([psi0, psi0], params, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="share hbar and m"):
+        evolve_exact(psi0, [params, replace(params, m=2.0)], 1.0)
+
+
+def test_batched_overflow_names_the_offending_row(psi0, params):
+    # t = 8 carries the middle row's packet 32 units down a 40-unit grid
+    with pytest.raises(GridOverflow, match="in row 1 exceeds") as info:
+        evolve_exact(psi0, params, [1.0, 8.0, 1.0])
+    assert info.value.row == 1
+    with pytest.raises(GridOverflow) as single:
+        evolve_exact(psi0, params, 8.0)
+    assert "in row" not in str(single.value)

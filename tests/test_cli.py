@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from wavefall.interferometry import _CHUNK_BYTES
+
 BASE = {
     "params": {"hbar": 1.0, "m": 1.0, "g": 1.0, "c": 10.0},
     "grid": {"x_min": -20.0, "x_max": 20.0, "n": 256},
@@ -238,6 +240,22 @@ def test_grid_overflow_exits_3(tmp_path):
     res = run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "o.csv"))
     assert res.returncode == 3
     assert "grid overflow" in res.stderr
+
+
+def test_overflow_in_a_later_chunk_writes_no_partial_csv(tmp_path):
+    # readouts per propagation chunk at n = 256; the last readout, t = 8,
+    # overflows in the chunk after the first
+    per_chunk = _CHUNK_BYTES // (2 * 16 * BASE["grid"]["n"])
+    times = [0.02 * (i + 1) for i in range(per_chunk + 3)] + [8.0]
+    cfg = write_cfg(
+        tmp_path / "c.json",
+        {"interfere": {"t_values": times, "scheme": "colocated", "backend": "analytic"}},
+    )
+    out = tmp_path / "o.csv"
+    res = run_cli("interfere", "--config", cfg, "--out", str(out))
+    assert res.returncode == 3
+    assert "readout t=8.0, accelerated branch" in res.stderr
+    assert not out.exists()
 
 
 def test_phase_aliasing_exits_4_with_denser_suggestion(tmp_path):

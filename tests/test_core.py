@@ -1,9 +1,12 @@
 """Grid, packet construction, transforms, moments, trajectories."""
 
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wavefall import (
     BadSigma,
@@ -13,6 +16,7 @@ from wavefall import (
     PhysicalParams,
     Trajectory,
     WavePacket,
+    evolve_exact,
     l2_distance,
     make_gaussian,
     moments,
@@ -224,3 +228,52 @@ def test_moments_variance_never_negative(grid, params):
     m = moments(WavePacket(grid, amp), params)
     assert m.sigma_x == 0.0
     assert np.isfinite(m.sigma_p)
+
+
+CANONICAL = PhysicalParams()
+START = make_gaussian(Grid(-20.0, 20.0, 256), 0.0, 0.0, 1.0, CANONICAL)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+            st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_batched_moments_and_overlaps_equal_single_calls(rows):
+    states = [evolve_exact(START, replace(CANONICAL, g=g), t) for g, t in rows]
+    batch_moments = moments(states, CANONICAL)
+    batch_overlaps = overlap(START, states)
+    for state, m, z in zip(states, batch_moments, batch_overlaps):
+        assert astuple(m) == astuple(moments(state, CANONICAL))
+        assert z == overlap(START, state)
+
+
+def test_readouts_of_a_stack_above_256_kib_equal_single_calls():
+    # 40 rows at n = 1024: a 640 KiB stack, where numpy reuses temporaries
+    grid = Grid(-20.0, 20.0, 1024)
+    states = [
+        make_gaussian(grid, x0, p0, 1.0, CANONICAL)
+        for x0, p0 in zip(np.linspace(-2.0, 2.0, 40), np.linspace(1.0, -1.0, 40))
+    ]
+    kets = states[1:] + states[:1]
+    for state, ket, m, z in zip(
+        states, kets, moments(states, CANONICAL), overlap(states, kets)
+    ):
+        assert astuple(m) == astuple(moments(state, CANONICAL))
+        assert z == overlap(state, ket)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_moments_fail_closed_on_a_non_finite_state(psi0, params, bad):
+    amp = np.array(psi0.amp)
+    amp[psi0.grid.n // 2] = bad
+    broken = WavePacket(psi0.grid, amp)
+    with pytest.raises(ValueError, match="is not positive and finite"):
+        moments(broken, params)
+    with pytest.raises(ValueError, match="in row 1 is not positive"):
+        moments([psi0, broken, psi0], params)

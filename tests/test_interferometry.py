@@ -10,8 +10,10 @@ from wavefall import (
     AccelSchedule,
     BranchSchedules,
     Colocated,
+    GridOverflow,
     NegativeTime,
     PhaseAliasing,
+    PhysicalParams,
     SchemeMismatch,
     WavePacket,
     branch_states,
@@ -158,7 +160,8 @@ def test_split_step_backend_on_unequal_length_schedules(psi0, params):
         assert num.visibility == pytest.approx(exact.visibility, abs=1e-6)
 
 
-def test_split_step_scan_equals_per_time_protocol(psi0, params):
+@pytest.mark.parametrize("backend", ["analytic", "split-step"])
+def test_scan_equals_per_time_protocol(psi0, params, backend):
     # schedules of unequal lengths, so later segments run on fewer rows
     def schedules(t):
         return BranchSchedules(
@@ -166,15 +169,16 @@ def test_split_step_scan_equals_per_time_protocol(psi0, params):
             reference=AccelSchedule(((0.0, 0.25 * t), (1.0, 0.5 * t), (0.0, 0.25 * t))),
         )
 
-    times = [0.2, 0.5, 0.9]
+    # 37 readouts: more than one chunk of rows at n = 256, and not a multiple
+    # of the chunk size
+    times = list(np.linspace(0.05, 0.95, 37))
     for scheme in (Colocated(), schedules):
-        scan = fringe_scan(
-            psi0, params, times, scheme, backend="split-step", n_steps=128
-        )
+        scan = fringe_scan(psi0, params, times, scheme, backend=backend, n_steps=128)
+        assert len(scan) == len(times)
         for rec in scan:
             one = run_protocol(
                 psi0, params, rec.t, scheme(rec.t) if callable(scheme) else scheme,
-                backend="split-step", n_steps=128,
+                backend=backend, n_steps=128,
             )
             assert replace(rec, phase_unwrapped=one.phase) == one
 
@@ -253,3 +257,24 @@ def test_fringe_scan_accepts_time_dependent_schemes(psi0, params):
     for rec in records:
         direct = run_protocol(psi0, params, rec.t, scheme=scheme(rec.t))
         assert rec.overlap == pytest.approx(direct.overlap, abs=1e-12)
+
+
+def test_schedule_total_matches_the_readout_time_relative_to_its_size(psi0):
+    # 54 x 18181.8 plus the remainder sums to 1000000.000000001: equal to
+    # t = 1e6 to rounding, but 1e-9 apart, which an absolute 1e-9 refuses
+    heavy = PhysicalParams(m=1e8, g=0.0)  # the packet barely spreads
+    sched = AccelSchedule(((0.0, 18181.8),) * 54 + ((0.0, 1e6 - 18181.8 * 54),))
+    accelerated, reference = branch_states(
+        psi0, heavy, 1e6, scheme=BranchSchedules(accelerated=sched, reference=sched)
+    )
+    assert abs(overlap(reference, accelerated)) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("backend", ["analytic", "split-step"])
+def test_scan_overflow_names_the_readout_time_and_branch(psi0, params, backend):
+    # the packet falls 12.5 by t = 5 and reaches the margin band; t = 1 is fine
+    with pytest.raises(GridOverflow) as info:
+        fringe_scan(psi0, params, [1.0, 5.0], backend=backend, n_steps=64)
+    assert str(info.value).startswith(
+        "readout t=5.0, accelerated branch, segment 0 (g=1.0, duration=5.0): "
+    )

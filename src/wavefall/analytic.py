@@ -15,7 +15,9 @@ of amplitudes.  free_evolve, shift_packet, apply_linear_phase and
 apply_global_phase run their kernel on a one-row stack; evolve_exact composes
 all four on a stack of any number of rows, with its own (g, t) per row, and
 the interference protocol propagates its branches that way, a chunk of rows
-at a time.  Two rules keep every row bit-identical to a single-row call:
+at a time.  evolve_piecewise and the protocol share one segment loop,
+_segment_chain, which takes the propagator of a segment as a callable.  Two
+rules keep every row bit-identical to a single-row call:
 
 - each row's phase is built from that row's scalar with the single-row
   expression; rows whose scalars have equal bits share one evaluation;
@@ -229,20 +231,43 @@ def evolve_exact(
     return _packets(grid, amp, batched)
 
 
+def _segment_chain(psi, params, rows, labels, step):
+    """Final states of rows of (g, duration) segments, all started from psi.
+
+    Segment i of every row that has one runs in one batched call
+    step(states, params, durations), each row's params taking its g.  A
+    GridOverflow is re-raised naming the row's label and the segment, with
+    the row of step's stack, which means nothing to the caller, dropped.
+    """
+    states = [psi] * len(rows)
+    for i in range(max(map(len, rows), default=0)):
+        live = [r for r, row in enumerate(rows) if i < len(row)]
+        try:
+            out = step(
+                [states[r] for r in live],
+                [replace(params, g=rows[r][i][0]) for r in live],
+                [rows[r][i][1] for r in live],
+            )
+        except GridOverflow as exc:
+            r = live[exc.row]
+            g_i, dt_i = rows[r][i]
+            cause = str(exc).replace(f" in row {exc.row}", "", 1)
+            raise GridOverflow(
+                f"{labels[r]}, segment {i} (g={g_i}, duration={dt_i}): {cause}"
+            ) from exc
+        for r, state in zip(live, out):
+            states[r] = state
+    return states
+
+
 def evolve_piecewise(
     psi: WavePacket, params: PhysicalParams, schedule: AccelSchedule
 ) -> WavePacket:
     """Chain evolve_exact over a piecewise-constant acceleration schedule.
 
     hbar and m come from params; each segment overrides g.  A margin failure
-    is re-raised with the offending segment index attached.
+    is re-raised as "schedule, segment i (g=..., duration=...): ...".
     """
-    out = psi
-    for i, (g_i, dt_i) in enumerate(schedule):
-        try:
-            out = evolve_exact(out, replace(params, g=g_i), dt_i)
-        except GridOverflow as exc:
-            raise GridOverflow(
-                f"schedule segment {i} (g={g_i}, duration={dt_i}): {exc}"
-            ) from exc
+    rows, labels = [schedule.segments], ["schedule"]
+    (out,) = _segment_chain(psi, params, rows, labels, evolve_exact)
     return out

@@ -100,20 +100,17 @@ def run_all_checks(cfg: RunConfig, seed: int | None = None) -> list[CheckResult]
 
     def _spread_g_independence():
         psi = _initial(cfg.grid)
-        free = replace(cfg.params, g=0.0)
-        times = (0.5, 1.0, 2.0)
-        numeric = evolve_split_step(
-            psi, [cfg.params] * 3 + [free] * 3, times * 2, SolverConfig(2048)
+        pars = [cfg.params] * 3 + [replace(cfg.params, g=0.0)] * 3
+        times = (0.5, 1.0, 2.0) * 2
+
+        def worst_spread_gap(states):
+            s = [m.sigma_x for m in moments(states, pars)]
+            return _worst(*(abs(s_g - s_0) / s_0 for s_g, s_0 in zip(s[:3], s[3:])))
+
+        worst_exact = worst_spread_gap(evolve_exact(psi, pars, times))
+        worst_num = worst_spread_gap(
+            evolve_split_step(psi, pars, times, SolverConfig(2048))
         )
-        worst_exact = 0.0
-        worst_num = 0.0
-        for t, num_g, num_0 in zip(times, numeric[:3], numeric[3:]):
-            s_g = moments(evolve_exact(psi, cfg.params, t), cfg.params).sigma_x
-            s_0 = moments(evolve_exact(psi, free, t), free).sigma_x
-            worst_exact = _worst(worst_exact, abs(s_g - s_0) / s_0)
-            n_g = moments(num_g, cfg.params).sigma_x
-            n_0 = moments(num_0, free).sigma_x
-            worst_num = _worst(worst_num, abs(n_g - n_0) / n_0)
         return CheckResult(
             name="spread_g_independence",
             passed=worst_exact < 1e-10 and worst_num < 1e-6,
@@ -201,19 +198,17 @@ def run_all_checks(cfg: RunConfig, seed: int | None = None) -> list[CheckResult]
 
     def _ehrenfest_means():
         psi = _initial(cfg.grid)
-        runs = [
-            (replace(cfg.params, g=g), t)
-            for g in (0.0, cfg.params.g, 2.0 * cfg.params.g)
-            for t in (0.5, 1.0, 2.0)
-        ]
-        numeric = evolve_split_step(
-            psi, [pars for pars, _ in runs], [t for _, t in runs], SolverConfig(512)
-        )
+        gs = (0.0, cfg.params.g, 2.0 * cfg.params.g)
+        pars = [replace(cfg.params, g=g) for g in gs for _ in range(3)]
+        times = [0.5, 1.0, 2.0] * 3
+        x0, p0 = cfg.initial.x0, cfg.initial.p0
+        wants = [ehrenfest_mean(x0, p0, t, p) for p, t in zip(pars, times)]
         worst = 0.0
-        for (pars, t), num in zip(runs, numeric):
-            want_x, want_p = ehrenfest_mean(cfg.initial.x0, cfg.initial.p0, t, pars)
-            for state in (evolve_exact(psi, pars, t), num):
-                got = moments(state, pars)
+        for states in (
+            evolve_exact(psi, pars, times),
+            evolve_split_step(psi, pars, times, SolverConfig(512)),
+        ):
+            for got, (want_x, want_p) in zip(moments(states, pars), wants):
                 worst = _worst(
                     worst, abs(got.mean_x - want_x), abs(got.mean_p - want_p)
                 )

@@ -62,15 +62,13 @@ def _cmd_evolve(cfg: RunConfig, out_path: str) -> int:
         "norm_error",
     ]
     times = cfg.evolve.t_values
-    exact_moments = [
-        moments(evolve_exact(psi0, cfg.params, t), cfg.params) for t in times
-    ]
+    exact_moments = moments(evolve_exact(psi0, cfg.params, times), cfg.params)
     numeric_states = evolve_split_step(
         psi0, cfg.params, times, SolverConfig(cfg.evolve.n_steps)
     )
+    numeric_moments = moments(numeric_states, cfg.params)
     rows = []
-    for t, exact, numeric_state in zip(times, exact_moments, numeric_states):
-        numeric = moments(numeric_state, cfg.params)
+    for t, exact, numeric in zip(times, exact_moments, numeric_moments):
         norm_error = max(abs(exact.norm - 1.0), abs(numeric.norm - 1.0))
         rows.append(
             [

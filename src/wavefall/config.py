@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .analytic import AccelSchedule
 from .core import Grid, PhysicalParams
 from .errors import ConfigError
-from .interferometry import BranchSchedules, Colocated
+from .interferometry import _BACKENDS, BranchSchedules, Colocated
 
 __all__ = [
     "DEFAULT_SEED",
@@ -207,9 +207,9 @@ def _parse_interfere(obj, path="interfere.") -> InterfereSettings:
         raise ConfigError(f"{path}t_values: times must be non-negative")
     scheme = _parse_scheme(obj.get("scheme", "colocated"), path + "scheme")
     backend = obj.get("backend", "analytic")
-    if backend not in ("analytic", "split-step"):
+    if backend not in _BACKENDS:
         raise ConfigError(
-            f"{path}backend: expected \"analytic\" or \"split-step\", got {backend!r}"
+            f"{path}backend: expected one of {_BACKENDS}, got {backend!r}"
         )
     n_steps = _integer(obj.get("n_steps", 2048), path + "n_steps")
     if n_steps < 1:

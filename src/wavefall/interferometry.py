@@ -24,9 +24,11 @@ per-branch schedules : each branch evolves under its own piecewise-constant
 Both backends, the factored exact propagator ("analytic") and the split-step
 solver, take the same path: every branch is a row of (g, duration) segments,
 and the rows of a scan run in chunks of whole branch pairs whose (rows, n)
-stack stays within 256 KiB.  Segment i of every row of a chunk is one batched
-call of the backend's propagator, and each chunk is read out with one batched
-overlap and moments call; every row is bit-identical to a single-row run.
+stack stays within 256 KiB.  Each chunk runs through analytic._segment_chain,
+the segment loop evolve_piecewise uses too: segment i of every row of a chunk
+is one batched call of the backend's propagator, passed in as the step.  Each
+chunk is read out with one batched overlap and moments call; every row is
+bit-identical to a single-row run.
 
 For a Gaussian input the visibility obeys gaussian_visibility, a Gaussian in
 (m g t sigma_t / hbar); the packet spread is what erases the fringe contrast.
@@ -36,10 +38,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .analytic import AccelSchedule, evolve_exact, shift_packet
+from .analytic import AccelSchedule, _segment_chain, evolve_exact, shift_packet
 from .core import (
     PhysicalParams,
     WavePacket,
@@ -48,7 +51,6 @@ from .core import (
     overlap,
 )
 from .errors import (
-    GridOverflow,
     NegativeTime,
     PhaseAliasing,
     SchemeMismatch,
@@ -136,53 +138,21 @@ def gaussian_visibility(sigma_t: float, t: float, params: PhysicalParams) -> flo
     return math.exp(-0.5 * kick * kick)
 
 
-def _propagate(psi0, params, rows, labels, backend, n_steps):
-    """Final states of rows of (g, duration) segments, lazily, one list per chunk.
-
-    The one place that picks a backend.  Rows run in chunks of whole
-    (accelerated, reference) pairs whose stack stays within _CHUNK_BYTES;
-    segment i of every row of a chunk that has one runs in one batched
-    evolve_exact or evolve_split_step call.  A GridOverflow is re-raised
-    naming the row's label and the segment.
-    """
-    if backend not in _BACKENDS:
-        raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-    size = 2 * max(1, _CHUNK_BYTES // (2 * psi0.amp.nbytes))
-    for start in range(0, len(rows), size):
-        chunk = rows[start : start + size]
-        states = [psi0] * len(chunk)
-        for i in range(max(map(len, chunk))):
-            live = [r for r, row in enumerate(chunk) if i < len(row)]
-            args = (
-                [states[r] for r in live],
-                [replace(params, g=chunk[r][i][0]) for r in live],
-                [chunk[r][i][1] for r in live],
-            )
-            try:
-                if backend == "analytic":
-                    out = evolve_exact(*args)
-                else:
-                    out = evolve_split_step(*args, SolverConfig(n_steps))
-            except GridOverflow as exc:
-                r = live[exc.row]
-                g_i, dt_i = chunk[r][i]
-                raise GridOverflow(
-                    f"{labels[start + r]}, segment {i} (g={g_i}, duration={dt_i}): "
-                    f"{exc}"
-                ) from exc
-            for r, state in zip(live, out):
-                states[r] = state
-        yield states
-
-
 def _branch_pairs(psi0, params, times, schemes, backend, n_steps):
     """Lazy (times, accelerated states, reference states) lists, chunk by chunk.
 
-    Each branch becomes a row of (g, duration) segments: a colocated readout
-    at t gives ((g, t),) and ((0.0, t),), a BranchSchedules its two schedules.
-    Plain tuples, because AccelSchedule refuses the zero duration of t = 0.
-    Every (time, scheme) pair is validated before any row is propagated.
+    The one place that picks a backend.  Each branch becomes a row of
+    (g, duration) segments: a colocated readout at t gives ((g, t),) and
+    ((0.0, t),), a BranchSchedules its two schedules.  Plain tuples, because
+    AccelSchedule refuses the zero duration of t = 0.  The start state, the
+    backend and every (time, scheme) pair are validated on the call, before
+    any moments or propagation; the chunks run as they are iterated.
     """
+    if not np.isfinite(psi0.amp).all():
+        node = int(np.argmin(np.isfinite(psi0.amp)))
+        raise WavefallError(f"start state psi0: non-finite amplitude at node {node}")
+    if backend not in _BACKENDS:
+        raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
     rows, labels = [], []
     for t, scheme in zip(times, schemes):
         if not 0 <= t < math.inf:
@@ -203,12 +173,28 @@ def _branch_pairs(psi0, params, times, schemes, backend, n_steps):
                 f"schedule total {total_a} does not match requested t={t}"
             )
         rows += [scheme.accelerated.segments, scheme.reference.segments]
-    pairs = range(0)
-    for states in _propagate(psi0, params, rows, labels, backend, n_steps):
-        pairs = range(pairs.stop, pairs.stop + len(states) // 2)
+    if backend == "analytic":
+        step = evolve_exact
+    else:
+        step = partial(evolve_split_step, config=SolverConfig(n_steps))
+    return _propagate(psi0, params, times, schemes, rows, labels, step)
+
+
+def _propagate(psi0, params, times, schemes, rows, labels, step):
+    """The (times, accelerated, reference) lists of each chunk of branch rows.
+
+    Rows run in chunks of whole (accelerated, reference) pairs whose stack
+    stays within _CHUNK_BYTES, each through analytic._segment_chain with
+    step, the backend's batched propagator.  The colocated free branch is
+    then translated onto the fallen one: amp(x + g t^2/2) recenters the
+    peak at center_free - g t^2/2.
+    """
+    per_chunk = max(1, _CHUNK_BYTES // (2 * psi0.amp.nbytes))
+    for first in range(0, len(times), per_chunk):
+        pairs = range(first, min(first + per_chunk, len(times)))
+        chunk = slice(2 * pairs.start, 2 * pairs.stop)
+        states = _segment_chain(psi0, params, rows[chunk], labels[chunk], step)
         accelerated, reference = states[0::2], states[1::2]
-        # The colocated free branch is translated onto the fallen one:
-        # amp(x + g t^2/2) recenters the peak at center_free - g t^2/2.
         coloc = [j for j, k in enumerate(pairs) if isinstance(schemes[k], Colocated)]
         if coloc:
             ts = [times[pairs[j]] for j in coloc]
@@ -339,10 +325,10 @@ def fringe_scan(
     schedules depend on the readout time.  On either backend the branches
     of all times evolve a chunk of rows at a time, in one batched call per
     schedule segment, and each chunk is read out in one batched call; a scan
-    holds one chunk of states at a time.  Raises GridOverflow naming the
-    readout time, branch and segment that left the grid, and PhaseAliasing
-    when consecutive phase samples are too far apart to continue
-    unambiguously.
+    holds one chunk of states at a time.  Raises WavefallError when psi0
+    holds a non-finite amplitude, GridOverflow naming the readout time,
+    branch and segment that left the grid, and PhaseAliasing when
+    consecutive phase samples are too far apart to continue unambiguously.
     """
     times = [float(t) for t in t_values]
     if len(times) == 0:
@@ -350,11 +336,10 @@ def fringe_scan(
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"t_values must be strictly increasing, got {times}")
     schemes = [scheme(t) if callable(scheme) else scheme for t in times]
+    chunks = _branch_pairs(psi0, params, times, schemes, backend, n_steps)
     gaussian = _looks_gaussian(psi0, params)
     records = [
-        record
-        for chunk in _branch_pairs(psi0, params, times, schemes, backend, n_steps)
-        for record in _readout(*chunk, params, gaussian)
+        record for chunk in chunks for record in _readout(*chunk, params, gaussian)
     ]
     unwrapped = unwrap_phases([r.phase for r in records], times)
     return [

@@ -14,7 +14,7 @@ phase arrays built in the single-run operation order, so every row is
 bit-identical to the same run made alone.  Rows share the grid, hbar and m
 and may differ in g, duration and start state.
 
-The boundary margin is checked after every step, not only at snapshots, so a
+The boundary margin is checked after every step, not only at the end, so a
 packet that would wrap around the periodic grid mid-run raises GridOverflow
 even when the final state would look clean.  The check covers every row at
 once, fails closed on NaN, and names the first offending row (for a batch),
@@ -54,20 +54,13 @@ ORDER_NOISE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step count and snapshot cadence for one split-step run.
-
-    record_every = 0 keeps only the final state; a positive value records a
-    (time, WavePacket) snapshot every record_every steps.
-    """
+    """Number of Strang steps for one split-step run, at least 1."""
 
     n_steps: int
-    record_every: int = 0
 
     def __post_init__(self) -> None:
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.record_every < 0:
-            raise ValueError(f"record_every must be >= 0, got {self.record_every}")
 
 
 @dataclass(frozen=True)
@@ -95,15 +88,11 @@ def evolve_split_step(
     single-row call.
 
     Returns the final WavePacket, or a list of them when any argument is a
-    sequence.  With config.record_every > 0 (single values only) it returns
-    (final, snapshots), snapshots a list of (time, WavePacket).  Raises
-    GridOverflow the moment any row's state touches the guarded boundary
-    nodes, naming that row, its step and its time; the exception carries
-    the row's index as .row.
+    sequence.  Raises GridOverflow the moment any row's state touches the
+    guarded boundary nodes, naming that row (for a sequence call), its step
+    and its time; the exception carries the row's index as .row.
     """
     batched, (psis, pars, times) = _as_rows("evolve_split_step", psi, params, t)
-    if batched and config.record_every:
-        raise ValueError("evolve_split_step: record_every > 0 needs single values")
     if not psis:
         return []
     for ti in times:
@@ -127,7 +116,6 @@ def evolve_split_step(
     guard = margin_nodes(grid.n)
 
     amp = np.stack([p.amp for p in psis])
-    snapshots: list[tuple[float, WavePacket]] = []
     for step in range(1, config.n_steps + 1):
         amp *= half_v
         np.fft.fft(amp, out=amp)
@@ -145,12 +133,8 @@ def evolve_split_step(
                 f"(t={step * dts[row]:.6g}); enlarge the grid or shorten the run",
                 row=row,
             )
-        if config.record_every and step % config.record_every == 0:
-            snapshots.append((step * dts[0], WavePacket(grid, amp[0])))
 
     finals = [WavePacket(grid, a) for a in amp]
-    if config.record_every:
-        return finals[0], snapshots
     return finals if batched else finals[0]
 
 

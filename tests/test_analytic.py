@@ -139,6 +139,16 @@ def test_evolve_piecewise_reports_failing_segment(psi0, params):
         evolve_piecewise(psi0, params, sched)
 
 
+def test_piecewise_overflow_is_labelled_like_a_scan_overflow(psi0, params):
+    # one relabel site: "<label>, segment i (g=..., duration=...): <cause>"
+    sched = AccelSchedule(((1.0, 0.5), (1.0, 8.0)))
+    with pytest.raises(GridOverflow) as info:
+        evolve_piecewise(psi0, params, sched)
+    assert str(info.value).startswith(
+        "schedule, segment 1 (g=1.0, duration=8.0): free_evolve: "
+    )
+
+
 def test_schedule_duration_validation():
     with pytest.raises(ValueError):
         AccelSchedule(((1.0, 0.0),))

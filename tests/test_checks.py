@@ -42,8 +42,18 @@ def test_one_eigendecomposition_per_hamiltonian_and_none_across_runs(
     assert len(eigh_calls) == 6  # a second run reuses nothing from the first
 
 
-def _nan_moments(state, params):
-    return replace(moments(state, params), sigma_x=math.nan)
+def test_sweeps_make_one_batched_call_per_route(count_calls):
+    names = ("evolve_exact", "evolve_split_step", "moments")
+    calls = {name: count_calls(checks, name) for name in names}
+    run_all_checks(default_config())
+    # evolve_exact: the oracle check, the two sweeps and protocol_symmetries;
+    # evolve_split_step and a pair of moments calls: the two sweeps
+    counts = {name: len(c) for name, c in calls.items()}
+    assert counts == {"evolve_exact": 4, "evolve_split_step": 2, "moments": 4}
+
+
+def _nan_moments(states, params):
+    return [replace(m, sigma_x=math.nan) for m in moments(states, params)]
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,14 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from wavefall import cli
 from wavefall.interferometry import _CHUNK_BYTES
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
 BASE = {
     "params": {"hbar": 1.0, "m": 1.0, "g": 1.0, "c": 10.0},
@@ -54,6 +58,16 @@ def test_evolve_writes_expected_columns_and_values(tmp_path):
     assert float(row[3]) == pytest.approx(math.sqrt(5.0) / 2.0, abs=1e-9)
     assert float(row[4]) == pytest.approx(-0.5, abs=1e-8)
     assert float(row[6]) < 1e-10  # both backends stay normalized
+
+
+def test_evolve_makes_one_batched_call_per_route(tmp_path, count_calls):
+    names = ("evolve_exact", "evolve_split_step", "moments")
+    calls = {name: count_calls(cli, name) for name in names}
+    argv = ["evolve", "--config", str(DEFAULT_CONFIG), "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 0
+    # eight readout times, one stack per route and one moments call per stack
+    counts = {name: len(c) for name, c in calls.items()}
+    assert counts == {"evolve_exact": 1, "evolve_split_step": 1, "moments": 2}
 
 
 def test_evolve_is_byte_identical_between_runs(tmp_path):

@@ -15,6 +15,7 @@ from wavefall import (
     PhaseAliasing,
     PhysicalParams,
     SchemeMismatch,
+    WavefallError,
     WavePacket,
     branch_states,
     fringe_scan,
@@ -278,3 +279,24 @@ def test_scan_overflow_names_the_readout_time_and_branch(psi0, params, backend):
     assert str(info.value).startswith(
         "readout t=5.0, accelerated branch, segment 0 (g=1.0, duration=5.0): "
     )
+    # the row of the solver's chunk stack means nothing to the caller
+    assert "in row" not in str(info.value)
+    assert info.value.row is None
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda psi, params: fringe_scan(psi, params, [0.5, 1.0]),
+        lambda psi, params: run_protocol(psi, params, 1.0, backend="split-step"),
+        lambda psi, params: branch_states(psi, params, 1.0),
+    ],
+    ids=["fringe_scan", "run_protocol", "branch_states"],
+)
+def test_non_finite_start_state_is_refused_by_name(psi0, params, run, value):
+    amp = np.array(psi0.amp)
+    amp[17] = value
+    with pytest.raises(WavefallError, match="start state psi0") as info:
+        run(WavePacket(psi0.grid, amp), params)
+    assert not isinstance(info.value, GridOverflow)

@@ -60,6 +60,7 @@ from .errors import (
     GridMismatch,
     GridOverflow,
     NegativeTime,
+    NonFiniteState,
     NotHermitian,
     NotUnitary,
     PhaseAliasing,
@@ -186,6 +187,7 @@ __all__ = [
     # errors
     "WavefallError",
     "GridOverflow",
+    "NonFiniteState",
     "BadSigma",
     "GridMismatch",
     "NegativeTime",

@@ -43,7 +43,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Grid, PhysicalParams, WavePacket, _as_rows, _stack, check_margin
+from .core import (
+    Grid,
+    PhysicalParams,
+    WavePacket,
+    _as_rows,
+    _require_finite,
+    _stack,
+    check_margin,
+)
 from .errors import GridOverflow, NegativeTime
 
 __all__ = [
@@ -150,6 +158,7 @@ def free_evolve(psi: WavePacket, params: PhysicalParams, t: float) -> WavePacket
     if not 0 <= t < math.inf:
         raise NegativeTime(f"free_evolve: t must be finite and >= 0, got {t}")
     amp = _stack([psi])
+    _require_finite(amp, "free_evolve start state", batched=False)
     _free(amp, psi.grid, params.hbar, params.m, [t])
     return WavePacket(psi.grid, amp[0])
 
@@ -162,12 +171,14 @@ def shift_packet(
     A packet peaked at x0 ends up peaked at x0 - a.  Implemented as the
     spectral phase e^{+i k a}, which is exact for band-limited lattice states
     at any real a, not only multiples of dx.  psi and a may each be a single
-    value or an equal-length sequence, as in evolve_exact.
+    value or an equal-length sequence, as in evolve_exact, which also
+    describes the errors.
     """
     batched, (psis, shifts) = _as_rows("shift_packet", psi, a)
     if not psis:
         return []
     amp = _stack(psis)
+    _require_finite(amp, "shift_packet start state", batched)
     _shift(amp, psis[0].grid, shifts)
     return _packets(psis[0].grid, amp, batched)
 
@@ -209,7 +220,8 @@ def evolve_exact(
     list of them when any argument is a sequence.  Raises GridOverflow when
     any row touches the guarded boundary nodes after the shift or after free
     flight, naming the first such row of a stack and carrying its index as
-    .row.
+    .row, and NonFiniteState, naming the row and node, when a start state
+    holds NaN or inf.
     """
     batched, (psis, pars, times) = _as_rows("evolve_exact", psi, params, t)
     if not psis:
@@ -221,6 +233,7 @@ def evolve_exact(
     if any((p.hbar, p.m) != (hbar, m) for p in pars):
         raise ValueError("evolve_exact: rows must share hbar and m")
     amp = _stack(psis)
+    _require_finite(amp, "evolve_exact start state", batched)
     _shift(amp, grid, [0.5 * p.g * ti * ti for p, ti in zip(pars, times)])
     _free(amp, grid, hbar, m, times)
     _kick(amp, grid, hbar, [p.m * p.g * ti for p, ti in zip(pars, times)])
@@ -242,10 +255,14 @@ def _segment_chain(psi, params, rows, labels, step):
     states = [psi] * len(rows)
     for i in range(max(map(len, rows), default=0)):
         live = [r for r, row in enumerate(rows) if i < len(row)]
+        gs = [rows[r][i][0] for r in live]
+        # One params per distinct g, keyed by repr so 0.0 and -0.0 stay apart.
+        distinct = {repr(g): g for g in gs}
+        pars = {key: replace(params, g=g) for key, g in distinct.items()}
         try:
             out = step(
                 [states[r] for r in live],
-                [replace(params, g=rows[r][i][0]) for r in live],
+                [pars[repr(g)] for g in gs],
                 [rows[r][i][1] for r in live],
             )
         except GridOverflow as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .errors import (
     DegenerateInterval,
     GridMismatch,
     GridOverflow,
+    NonFiniteState,
 )
 
 __all__ = [
@@ -267,6 +268,31 @@ def boundary_amplitude(amp: np.ndarray, n: int):
     return float(worst) if worst.ndim == 0 else worst
 
 
+@cache
+def _guard_index(n: int) -> np.ndarray:
+    """Indices of the guarded nodes at both ends of an n-node grid."""
+    m = margin_nodes(n)
+    index = np.r_[0:m, n - m : n]
+    index.setflags(write=False)
+    return index
+
+
+def _first_over_margin(stack: np.ndarray) -> tuple[int, float] | None:
+    """(row, amplitude) of the first row of a (rows, n) stack over the margin.
+
+    None when every row is clean.  The common clean case costs one gather of
+    the guarded nodes, one abs and one global max; only a max that is not
+    below MARGIN_AMPLITUDE (a NaN max included, so the check fails closed)
+    pays for the per-row maxima of boundary_amplitude to name the row.
+    """
+    n = stack.shape[-1]
+    if np.abs(stack.take(_guard_index(n), axis=-1)).max() < MARGIN_AMPLITUDE:
+        return None
+    worst = boundary_amplitude(stack, n)
+    row = int(np.flatnonzero(~(worst < MARGIN_AMPLITUDE))[0])
+    return row, float(worst[row])
+
+
 def check_margin(psi, context: str) -> None:
     """Raise GridOverflow if a packet touches the guarded boundary region.
 
@@ -275,18 +301,30 @@ def check_margin(psi, context: str) -> None:
     the first offending row, which the exception also carries as .row.
     """
     stack = psi.amp[None] if isinstance(psi, WavePacket) else psi
-    worst = boundary_amplitude(stack, stack.shape[-1])
-    # Fail closed: a NaN maximum is not below the margin either.
-    if not worst.max() < MARGIN_AMPLITUDE:
-        row = int(np.flatnonzero(~(worst < MARGIN_AMPLITUDE))[0])
+    hit = _first_over_margin(stack)
+    if hit is not None:
+        row, worst = hit
         where = f" in row {row}" if len(stack) > 1 else ""
         raise GridOverflow(
-            f"{context}: boundary amplitude {worst[row]:.3e} on the outer "
+            f"{context}: boundary amplitude {worst:.3e} on the outer "
             f"{margin_nodes(stack.shape[-1])} nodes{where} exceeds the "
             f"{MARGIN_AMPLITUDE:.0e} margin; enlarge the grid or shorten the "
             f"evolution",
             row=row,
         )
+
+
+def _require_finite(stack: np.ndarray, context: str, batched: bool) -> None:
+    """Raise NonFiniteState naming the first NaN or inf node of a (rows, n) stack.
+
+    The message reads "<context>: non-finite amplitude[ in row R] at node N",
+    the row named only for a batched call.
+    """
+    finite = np.isfinite(stack)
+    if not finite.all():
+        row, node = divmod(int(np.argmin(finite)), stack.shape[-1])
+        where = f" in row {row}" if batched else ""
+        raise NonFiniteState(f"{context}: non-finite amplitude{where} at node {node}")
 
 
 def _as_rows(context: str, *values) -> tuple[bool, list[list]]:
@@ -404,8 +442,9 @@ def moments(
     psi and params may each be a single value or an equal-length sequence;
     the rows, which must share the grid and hbar, are reduced as one
     (rows, n) stack, each bit-identical to a single call, and a list is
-    returned when either argument is a sequence.  Raises ValueError unless
-    every row's norm is positive and finite, naming the first that is not.
+    returned when either argument is a sequence.  Raises NonFiniteState,
+    itself a ValueError, when a row's norm is NaN or infinite, and ValueError
+    when it is zero, naming the first such row.
     """
     batched, (psis, pars) = _as_rows("moments", psi, params)
     if not psis:
@@ -421,7 +460,8 @@ def moments(
     if bad.size:
         row = int(bad[0])
         where = f" in row {row}" if batched else ""
-        raise ValueError(
+        error = ValueError if norm[row] == 0 else NonFiniteState
+        raise error(
             f"moments: norm {norm[row]}{where} is not positive and finite; "
             f"cannot take moments"
         )

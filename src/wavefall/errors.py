@@ -8,6 +8,7 @@ offending quantity and its limit.
 __all__ = [
     "WavefallError",
     "GridOverflow",
+    "NonFiniteState",
     "BadSigma",
     "GridMismatch",
     "NegativeTime",
@@ -37,6 +38,10 @@ class GridOverflow(WavefallError):
     def __init__(self, message: str, row: int | None = None) -> None:
         super().__init__(message)
         self.row = row
+
+
+class NonFiniteState(WavefallError, ValueError):
+    """A state, or a quantity reduced from it, holds NaN or inf."""
 
 
 class BadSigma(WavefallError):

@@ -46,6 +46,7 @@ from .analytic import AccelSchedule, _segment_chain, evolve_exact, shift_packet
 from .core import (
     PhysicalParams,
     WavePacket,
+    _require_finite,
     make_gaussian,
     moments,
     overlap,
@@ -148,9 +149,7 @@ def _branch_pairs(psi0, params, times, schemes, backend, n_steps):
     backend and every (time, scheme) pair are validated on the call, before
     any moments or propagation; the chunks run as they are iterated.
     """
-    if not np.isfinite(psi0.amp).all():
-        node = int(np.argmin(np.isfinite(psi0.amp)))
-        raise WavefallError(f"start state psi0: non-finite amplitude at node {node}")
+    _require_finite(psi0.amp[None], "start state psi0", batched=False)
     if backend not in _BACKENDS:
         raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
     rows, labels = [], []
@@ -325,7 +324,7 @@ def fringe_scan(
     schedules depend on the readout time.  On either backend the branches
     of all times evolve a chunk of rows at a time, in one batched call per
     schedule segment, and each chunk is read out in one batched call; a scan
-    holds one chunk of states at a time.  Raises WavefallError when psi0
+    holds one chunk of states at a time.  Raises NonFiniteState when psi0
     holds a non-finite amplitude, GridOverflow naming the readout time,
     branch and segment that left the grid, and PhaseAliasing when
     consecutive phase samples are too far apart to continue unambiguously.

@@ -16,9 +16,12 @@ and may differ in g, duration and start state.
 
 The boundary margin is checked after every step, not only at the end, so a
 packet that would wrap around the periodic grid mid-run raises GridOverflow
-even when the final state would look clean.  The check covers every row at
-once, fails closed on NaN, and names the first offending row (for a batch),
-its step and its time.
+even when the final state would look clean.  The check is one gather of the
+guarded nodes of every row at once, then one abs and one max
+(core._first_over_margin); it fails closed on NaN and inf, and only when it
+fails does it reduce row by row to name the first offending row (for a
+batch), its step and its time.  A start state holding NaN or inf is refused
+with NonFiniteState before the first step.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ import numpy as np
 
 from .analytic import evolve_exact
 from .core import (
-    MARGIN_AMPLITUDE,
     PhysicalParams,
     WavePacket,
     _as_rows,
-    boundary_amplitude,
+    _first_over_margin,
+    _require_finite,
     l2_distance,
     margin_nodes,
 )
@@ -90,7 +93,9 @@ def evolve_split_step(
     Returns the final WavePacket, or a list of them when any argument is a
     sequence.  Raises GridOverflow the moment any row's state touches the
     guarded boundary nodes, naming that row (for a sequence call), its step
-    and its time; the exception carries the row's index as .row.
+    and its time; the exception carries the row's index as .row.  Raises
+    NonFiniteState, naming the row and node, when a start state holds NaN
+    or inf.
     """
     batched, (psis, pars, times) = _as_rows("evolve_split_step", psi, params, t)
     if not psis:
@@ -113,23 +118,22 @@ def evolve_split_step(
     kick = np.array([-0.5j * p.m * p.g for p in pars])[:, None]
     half_v = np.exp(kick * grid.x * dt / hbar)
     kinetic = np.exp(-0.5j * hbar * grid.k**2 * dt / m)
-    guard = margin_nodes(grid.n)
 
     amp = np.stack([p.amp for p in psis])
+    _require_finite(amp, "evolve_split_step start state", batched)
     for step in range(1, config.n_steps + 1):
         amp *= half_v
         np.fft.fft(amp, out=amp)
         amp *= kinetic
         np.fft.ifft(amp, out=amp)
         amp *= half_v
-        worst = boundary_amplitude(amp, grid.n)
-        # Fail closed: a NaN maximum is not below the margin either.
-        if not worst.max() < MARGIN_AMPLITUDE:
-            row = int(np.flatnonzero(~(worst < MARGIN_AMPLITUDE))[0])
+        hit = _first_over_margin(amp)
+        if hit is not None:
+            row, worst = hit
             where = f" in row {row}" if batched else ""
             raise GridOverflow(
-                f"evolve_split_step: boundary amplitude {worst[row]:.3e} on the outer "
-                f"{guard} nodes{where} at step {step}/{config.n_steps} "
+                f"evolve_split_step: boundary amplitude {worst:.3e} on the outer "
+                f"{margin_nodes(grid.n)} nodes{where} at step {step}/{config.n_steps} "
                 f"(t={step * dts[row]:.6g}); enlarge the grid or shorten the run",
                 row=row,
             )

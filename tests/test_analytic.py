@@ -13,8 +13,10 @@ from wavefall import (
     Grid,
     GridOverflow,
     NegativeTime,
+    NonFiniteState,
     PhysicalParams,
     SolverConfig,
+    WavePacket,
     apply_global_phase,
     apply_linear_phase,
     branch_states,
@@ -57,6 +59,36 @@ def test_free_evolve_rejects_negative_time(psi0, params):
 def test_non_finite_time_is_rejected(psi0, params, evolve, t):
     with pytest.raises(NegativeTime, match="finite"):
         evolve(psi0, params, t)
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+)
+@pytest.mark.parametrize(
+    "name, evolve",
+    [
+        ("free_evolve", free_evolve),
+        ("evolve_exact", evolve_exact),
+        ("shift_packet", lambda psi, params, t: shift_packet(psi, t)),
+        (
+            "evolve_split_step",
+            lambda psi, params, t: evolve_split_step(psi, params, t, SolverConfig(8)),
+        ),
+    ],
+    ids=["free_evolve", "evolve_exact", "shift_packet", "evolve_split_step"],
+)
+def test_non_finite_start_state_is_refused_by_row_and_node(
+    psi0, params, name, evolve, value
+):
+    amp = np.array(psi0.amp)
+    amp[100] = value
+    bad = WavePacket(psi0.grid, amp)
+    with pytest.raises(NonFiniteState) as info:
+        evolve(bad, params, 1.0)
+    assert str(info.value) == f"{name} start state: non-finite amplitude at node 100"
+    if name != "free_evolve":
+        with pytest.raises(NonFiniteState, match="in row 1 at node 100$"):
+            evolve([psi0, bad], params, 1.0)
 
 
 def test_shift_packet_moves_the_center(grid, params):

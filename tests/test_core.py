@@ -13,6 +13,7 @@ from wavefall import (
     Grid,
     GridMismatch,
     GridOverflow,
+    NonFiniteState,
     PhysicalParams,
     Trajectory,
     WavePacket,
@@ -24,7 +25,13 @@ from wavefall import (
     to_momentum,
     to_position,
 )
-from wavefall.core import boundary_amplitude, check_margin, margin_nodes
+from wavefall.core import (
+    MARGIN_AMPLITUDE,
+    _first_over_margin,
+    boundary_amplitude,
+    check_margin,
+    margin_nodes,
+)
 
 
 def test_grid_nodes_and_spacing():
@@ -188,6 +195,56 @@ def test_nan_on_the_margin_fails_closed(grid):
         check_margin(WavePacket(grid, amp), "nan-test")
 
 
+# Values that must trip the guard on a guarded node, or sit just below it.
+_EDGE_VALUES = [
+    complex(math.nan, 0.0),
+    complex(0.0, math.nan),
+    complex(math.inf, 0.0),
+    complex(0.0, -math.inf),
+    complex(MARGIN_AMPLITUDE, 0.0),
+    complex(0.0, -MARGIN_AMPLITUDE),
+    complex(np.nextafter(MARGIN_AMPLITUDE, 0.0), 0.0),
+]
+
+
+@given(
+    rows=st.integers(1, 24),
+    n=st.sampled_from([8, 64, 256, 4096]),
+    seed=st.integers(0, 2**32 - 1),
+    injections=st.lists(
+        st.tuples(
+            st.integers(0, 23),
+            st.booleans(),
+            st.integers(0, 2**16),
+            st.sampled_from(_EDGE_VALUES),
+        ),
+        max_size=4,
+    ),
+)
+def test_first_over_margin_matches_the_per_row_reference(rows, n, seed, injections):
+    rng = np.random.default_rng(seed)
+    m = margin_nodes(n)
+    # order-one interior amplitudes, guarded nodes below the margin
+    stack = np.exp(2j * math.pi * rng.random((rows, n))) * rng.random((rows, n))
+    stack[:, :m] *= 0.9 * MARGIN_AMPLITUDE
+    stack[:, n - m :] *= 0.9 * MARGIN_AMPLITUDE
+    for row, guarded, pick, value in injections:
+        if guarded:
+            node = [*range(m), *range(n - m, n)][pick % (2 * m)]
+        else:
+            node = m + pick % (n - 2 * m)
+        stack[row % rows, node] = value
+    worst = boundary_amplitude(stack, n)
+    over = np.flatnonzero(~(worst < MARGIN_AMPLITUDE))
+    hit = _first_over_margin(stack)
+    if over.size == 0:
+        assert hit is None
+    else:
+        row, amplitude = hit
+        assert row == over[0]
+        np.testing.assert_array_equal(amplitude, worst[row])
+
+
 def test_check_margin_raises_with_context(grid):
     amp = np.zeros(grid.n, dtype=complex)
     amp[0] = 1.0
@@ -277,3 +334,14 @@ def test_moments_fail_closed_on_a_non_finite_state(psi0, params, bad):
         moments(broken, params)
     with pytest.raises(ValueError, match="in row 1 is not positive"):
         moments([psi0, broken, psi0], params)
+
+
+def test_moments_of_a_non_finite_state_raise_a_wavefall_error(psi0, params):
+    amp = np.array(psi0.amp)
+    amp[100] = math.nan
+    with pytest.raises(NonFiniteState, match="norm nan"):
+        moments(WavePacket(psi0.grid, amp), params)
+    # a zero state is finite; its norm is refused as a plain ValueError
+    with pytest.raises(ValueError, match="norm 0.0") as info:
+        moments(WavePacket(psi0.grid, np.zeros(psi0.grid.n)), params)
+    assert not isinstance(info.value, NonFiniteState)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wavefall import splitstep
 from wavefall import (
     Grid,
     GridOverflow,
@@ -72,14 +73,32 @@ def test_guard_fires_mid_run_not_at_the_end(grid, params):
 
 
 def test_nan_amplitude_trips_the_guard(psi0, params):
-    # NaN compares False against the margin, so the guard must fail closed
+    # NaN compares False against the margin, so the guard must fail closed.
+    # A non-finite start state is refused before the first step, so the NaN
+    # is made mid-run: a finite 1e308 spike overflows the first inverse FFT
+    # and leaves every node NaN.
     amp = np.array(psi0.amp)
-    amp[psi0.grid.n // 2] = np.nan
+    amp[psi0.grid.n // 2] = 1e308
     bad = WavePacket(psi0.grid, amp)
-    with pytest.raises(GridOverflow, match=r"step 1/8"):
-        evolve_split_step(bad, params, 1.0, SolverConfig(8))
-    with pytest.raises(GridOverflow, match=r"row 1 at step 1/8"):
-        evolve_split_step([psi0, bad], params, 1.0, SolverConfig(8))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(GridOverflow, match=r"amplitude nan .* step 1/8"):
+            evolve_split_step(bad, params, 1.0, SolverConfig(8))
+        with pytest.raises(GridOverflow, match=r"row 1 at step 1/8"):
+            evolve_split_step([psi0, bad], params, 1.0, SolverConfig(8))
+
+
+def test_guard_runs_at_every_step(grid, psi0, params, count_calls):
+    guard = count_calls(splitstep, "_first_over_margin")
+    evolve_split_step([psi0, psi0], params, [1.0, 0.5], SolverConfig(64))
+    assert len(guard) == 64
+    evolve_split_step(psi0, params, 1.0, SolverConfig(7))
+    assert len(guard) == 64 + 7
+    # a run that leaves the grid stops at the step whose check fired
+    runaway = make_gaussian(grid, 0.0, 8.0, 1.0, params)
+    with pytest.raises(GridOverflow) as info:
+        evolve_split_step(runaway, params, 4.0, SolverConfig(64))
+    step = int(re.search(r"step (\d+)/64", str(info.value)).group(1))
+    assert len(guard) == 64 + 7 + step
 
 
 def test_batched_rows_match_single_calls_bit_for_bit(grid, psi0, params):

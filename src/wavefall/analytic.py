@@ -11,34 +11,41 @@ left, the evolution is exactly:
     4. global cubic phase e^{-i m g^2 t^3/(6 hbar)}.
 
 Each factor is one kernel acting in place on a C-contiguous (rows, n) stack
-of amplitudes.  free_evolve, shift_packet, apply_linear_phase and
-apply_global_phase run their kernel on a one-row stack; evolve_exact composes
-all four on a stack of any number of rows, with its own (g, t) per row, and
-the interference protocol propagates its branches that way, a chunk of rows
-at a time.  evolve_piecewise and the protocol share one segment loop,
-_segment_chain, which takes the propagator of a segment as a callable.  Two
-rules keep every row bit-identical to a single-row call:
+of amplitudes.  free_evolve, apply_linear_phase and apply_global_phase run
+their kernel on a one-row stack, shift_packet on a stack of any number of
+rows; evolve_exact composes all four on such a stack, with its own (g, t)
+per row, and the interference protocol propagates its branches that way, a
+chunk of rows at a time.  evolve_piecewise and the protocol share one
+segment loop, _segment_chain, which takes the propagator of a segment as a
+callable.  Three rules keep every row bit-identical to a single-row call:
 
 - each row's phase is built from that row's scalar with the single-row
   expression; rows whose scalars have equal bits share one evaluation;
+- rows that share a start state (the same object) and the bits of their
+  shift g t^2/2 share the shift stage: the start state is checked finite
+  and transformed once, and each distinct (start state, shift) pair is
+  phased, transformed back, margin-checked and transformed forward once.
+  The stack is expanded to one row per input only for free flight, and
+  every error names the caller's row;
 - every complex multiply is written ``amp *= phase``, the state on the left.
   ``amp = amp * np.exp(...)`` is not safe: once the stack reaches 256 KiB
   numpy reuses the temporary on the right as the output, which swaps the
   operands, and its fused complex multiply then rounds the imaginary part
   differently.
 
-The boundary margin is re-checked over every row after the shift and after
-free flight; it fails closed on NaN and names the first offending row of a
-stack.  Note that a single long step whose packet wraps around the periodic
-grid and re-enters with a clean final margin cannot be detected here, so
-bound long falls with evolve_piecewise (per-segment checks) or cross-check
-with the split-step solver, which guards every step.
+The boundary margin is re-checked over every distinct shift-stage row and
+over every row after free flight; it fails closed on NaN and names the first
+offending row of a stack.  Note that a single long step whose packet wraps
+around the periodic grid and re-enters with a clean final margin cannot be
+detected here, so bound long falls with evolve_piecewise (per-segment
+checks) or cross-check with the split-step solver, which guards every step.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +55,7 @@ from .core import (
     PhysicalParams,
     WavePacket,
     _as_rows,
+    _check_margin_rows,
     _require_finite,
     _stack,
     check_margin,
@@ -97,35 +105,98 @@ class AccelSchedule:
         return len(self.segments)
 
 
-def _apply_phases(amp: np.ndarray, values, phase) -> None:
+def _bits(v) -> bytes:
+    """The bytes of a phase scalar: rows whose scalars have equal bits share."""
+    return np.asarray(v).tobytes()
+
+
+def _apply_phases(amp: np.ndarray, values, phase, built=None) -> None:
     """Multiply each row of amp in place by phase(v), one scalar v per row.
 
     phase is the single-row expression, evaluated on the row's own scalar,
     so each row gets the phase a single-row call builds.  Rows whose
     scalars have equal bits, such as the two branches of one readout time
-    or the rows with g = 0, share one evaluation.
+    or the rows with g = 0, share one evaluation; built, when given, holds
+    the evaluations by scalar bits across calls.
     """
-    built: dict[bytes, np.ndarray] = {}
+    if built is None:
+        built = {}
     for row, v in zip(amp, values):
-        key = np.asarray(v).tobytes()
+        key = _bits(v)
         if key not in built:
             built[key] = phase(v)
         row *= built[key]
 
 
-def _shift(amp: np.ndarray, grid: Grid, shifts: list[float]) -> None:
-    """amp(x) -> amp(x + a) per row: the k-space phase e^{+i k a}, one FFT pair."""
+# Fall-shift phases e^{+i k a} by grid and bits of a, shared by every shift
+# inside a `with _SharedFallPhases():` block; None outside one.
+_FALL_PHASES: ContextVar[dict | None] = ContextVar("_FALL_PHASES", default=None)
+
+
+class _SharedFallPhases:
+    """Reuse each fall-shift phase built inside the block; drop them all on exit.
+
+    The interferometer runs one chunk in a block, so the colocated
+    recentering by g t^2/2 reuses the phase its accelerated branch built.
+    """
+
+    def __enter__(self) -> None:
+        self._token = _FALL_PHASES.set({})
+
+    def __exit__(self, *exc) -> None:
+        _FALL_PHASES.reset(self._token)
+
+
+def _distinct(keys) -> tuple[list[int], list[int]]:
+    """Each row's entry among the distinct keys, and each entry's first row.
+
+    Entries are numbered in order of first appearance, so the first
+    offending entry of a check stands for the first offending row.
+    """
+    entry: dict = {}
+    of, first = [], []
+    for row, key in enumerate(keys):
+        if key not in entry:
+            entry[key] = len(first)
+            first.append(row)
+        of.append(entry[key])
+    return of, first
+
+
+def _shift(
+    psis: list[WavePacket], shifts: list[float], context: str, batched: bool
+) -> tuple[np.ndarray, list[int]]:
+    """amp(x + a) per row, run once per distinct (start state, bits of a) pair.
+
+    Each distinct start state (by identity) is checked finite and
+    transformed once; each distinct pair then takes the k-space phase
+    e^{+i k a}, one inverse FFT and the margin check.  Returns the position
+    stack of the pairs and each row's pair.  Both checks name the caller's
+    first offending row.
+    """
+    grid = psis[0].grid
+    start, start_rows = _distinct(map(id, psis))
+    amp = _stack([psis[r] for r in start_rows])
+    _require_finite(amp, f"{context} start state", batched, start_rows)
     np.fft.fft(amp, out=amp)
-    _apply_phases(amp, shifts, lambda a: np.exp(1j * grid.k * a))
+    pair, pair_rows = _distinct(zip(start, map(_bits, shifts)))
+    amp = amp[[start[r] for r in pair_rows]]
+    shared = _FALL_PHASES.get()
+    _apply_phases(
+        amp,
+        [shifts[r] for r in pair_rows],
+        lambda a: np.exp(1j * grid.k * a),
+        None if shared is None else shared.setdefault(grid, {}),
+    )
     np.fft.ifft(amp, out=amp)
-    check_margin(amp, "shift_packet")
+    _check_margin_rows(amp, "shift_packet", pair_rows, len(psis))
+    return amp, pair
 
 
 def _free(
     amp: np.ndarray, grid: Grid, hbar: float, m: float, times: list[float]
 ) -> None:
-    """Free flight per row: the k-space phase e^{-i hbar t k^2/(2 m)}."""
-    np.fft.fft(amp, out=amp)
+    """Free flight per row of a k-space stack: e^{-i hbar t k^2/(2 m)}, then to x."""
     _apply_phases(
         amp,
         [-0.5j * hbar * t for t in times],
@@ -159,6 +230,7 @@ def free_evolve(psi: WavePacket, params: PhysicalParams, t: float) -> WavePacket
         raise NegativeTime(f"free_evolve: t must be finite and >= 0, got {t}")
     amp = _stack([psi])
     _require_finite(amp, "free_evolve start state", batched=False)
+    np.fft.fft(amp, out=amp)
     _free(amp, psi.grid, params.hbar, params.m, [t])
     return WavePacket(psi.grid, amp[0])
 
@@ -177,10 +249,8 @@ def shift_packet(
     batched, (psis, shifts) = _as_rows("shift_packet", psi, a)
     if not psis:
         return []
-    amp = _stack(psis)
-    _require_finite(amp, "shift_packet start state", batched)
-    _shift(amp, psis[0].grid, shifts)
-    return _packets(psis[0].grid, amp, batched)
+    amp, pair = _shift(psis, shifts, "shift_packet", batched)
+    return _packets(psis[0].grid, amp[pair], batched)
 
 
 def apply_linear_phase(
@@ -216,8 +286,10 @@ def evolve_exact(
     sequences, and every row is evolved in one (rows, n) stack.  Rows must
     share the grid (GridMismatch otherwise), hbar and m (ValueError); g, t
     and the start state may differ per row, and each row's result is
-    bit-identical to a single-row call.  Returns the final WavePacket, or a
-    list of them when any argument is a sequence.  Raises GridOverflow when
+    bit-identical to a single-row call.  Rows given the same start-state
+    object with equal shift bits share one shift stage (see the module
+    docstring).  Returns the final WavePacket, or a list of them when any
+    argument is a sequence.  Raises GridOverflow when
     any row touches the guarded boundary nodes after the shift or after free
     flight, naming the first such row of a stack and carrying its index as
     .row, and NonFiniteState, naming the row and node, when a start state
@@ -232,9 +304,10 @@ def evolve_exact(
     grid, hbar, m = psis[0].grid, pars[0].hbar, pars[0].m
     if any((p.hbar, p.m) != (hbar, m) for p in pars):
         raise ValueError("evolve_exact: rows must share hbar and m")
-    amp = _stack(psis)
-    _require_finite(amp, "evolve_exact start state", batched)
-    _shift(amp, grid, [0.5 * p.g * ti * ti for p, ti in zip(pars, times)])
+    shifts = [0.5 * p.g * ti * ti for p, ti in zip(pars, times)]
+    amp, pair = _shift(psis, shifts, "evolve_exact", batched)
+    np.fft.fft(amp, out=amp)
+    amp = amp[pair]
     _free(amp, grid, hbar, m, times)
     _kick(amp, grid, hbar, [p.m * p.g * ti for p, ti in zip(pars, times)])
     _rotate(

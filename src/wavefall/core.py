@@ -11,6 +11,7 @@ holds on the lattice exactly).
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -301,10 +302,21 @@ def check_margin(psi, context: str) -> None:
     the first offending row, which the exception also carries as .row.
     """
     stack = psi.amp[None] if isinstance(psi, WavePacket) else psi
+    _check_margin_rows(stack, context, range(len(stack)), len(stack))
+
+
+def _check_margin_rows(stack: np.ndarray, context: str, rows, total: int) -> None:
+    """check_margin for a stack whose row i stands for row rows[i] of a caller.
+
+    total is the number of rows of the caller's stack.  The error names, and
+    carries as .row, the caller's row of the first offending stack row, and
+    names a row only when total > 1, as check_margin on the caller's stack.
+    """
     hit = _first_over_margin(stack)
     if hit is not None:
         row, worst = hit
-        where = f" in row {row}" if len(stack) > 1 else ""
+        row = rows[row]
+        where = f" in row {row}" if total > 1 else ""
         raise GridOverflow(
             f"{context}: boundary amplitude {worst:.3e} on the outer "
             f"{margin_nodes(stack.shape[-1])} nodes{where} exceeds the "
@@ -314,15 +326,26 @@ def check_margin(psi, context: str) -> None:
         )
 
 
-def _require_finite(stack: np.ndarray, context: str, batched: bool) -> None:
+def _require_finite(
+    stack: np.ndarray, context: str, batched: bool, rows=None
+) -> None:
     """Raise NonFiniteState naming the first NaN or inf node of a (rows, n) stack.
 
     The message reads "<context>: non-finite amplitude[ in row R] at node N",
-    the row named only for a batched call.
+    the row named only for a batched call.  When stack row i stands for row
+    rows[i] of the caller's stack, R is the caller's row.  A finite sum
+    proves every node finite, since a NaN or inf never sums to a finite
+    value; only a sum that is not finite, which finite nodes near the
+    float limit can also give, pays for the node-by-node search.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cmath.isfinite(stack.sum()):
+            return
     finite = np.isfinite(stack)
     if not finite.all():
         row, node = divmod(int(np.argmin(finite)), stack.shape[-1])
+        if rows is not None:
+            row = rows[row]
         where = f" in row {row}" if batched else ""
         raise NonFiniteState(f"{context}: non-finite amplitude{where} at node {node}")
 
@@ -453,6 +476,35 @@ def moments(
     if any(p.hbar != hbar for p in pars):
         raise ValueError("moments: rows must share hbar")
     amp = _stack(psis)
+    norm, mean_x, sigma_x = _position_moments(amp, g, batched)
+
+    prob_k = np.abs(_momentum_amp(amp, g)) ** 2
+    norm_k = np.sum(prob_k, axis=-1) * g.dk
+    p = hbar * g.k
+    mean_p = np.sum(p * prob_k, axis=-1) * g.dk / norm_k
+    var_p = np.sum((p - mean_p[:, None]) ** 2 * prob_k, axis=-1) * g.dk / norm_k
+
+    out = [
+        Moments(
+            norm=n,
+            mean_x=mx,
+            mean_p=float(mp),
+            sigma_x=sx,
+            sigma_p=math.sqrt(max(float(vp), 0.0)),
+        )
+        for n, mx, sx, mp, vp in zip(norm, mean_x, sigma_x, mean_p, var_p)
+    ]
+    return out if batched else out[0]
+
+
+def _position_moments(amp: np.ndarray, g: Grid, batched: bool):
+    """The position half of moments: norm, mean_x and sigma_x lists of a stack.
+
+    One float per row of the (rows, n) stack, from the lattice quadrature of
+    |amp|^2; amp is not modified.  Raises like moments: NonFiniteState when a
+    row's norm is NaN or infinite, ValueError when it is zero, naming the
+    first such row for a batched call.
+    """
     prob = np.abs(amp) ** 2
     norm = np.sum(prob, axis=-1) * g.dx
     # Fail closed: a NaN norm is not inside the interval either.
@@ -467,24 +519,8 @@ def moments(
         )
     mean_x = np.sum(g.x * prob, axis=-1) * g.dx / norm
     var_x = np.sum((g.x - mean_x[:, None]) ** 2 * prob, axis=-1) * g.dx / norm
-
-    prob_k = np.abs(_momentum_amp(amp, g)) ** 2
-    norm_k = np.sum(prob_k, axis=-1) * g.dk
-    p = hbar * g.k
-    mean_p = np.sum(p * prob_k, axis=-1) * g.dk / norm_k
-    var_p = np.sum((p - mean_p[:, None]) ** 2 * prob_k, axis=-1) * g.dk / norm_k
-
-    out = [
-        Moments(
-            norm=float(n),
-            mean_x=float(mx),
-            mean_p=float(mp),
-            sigma_x=math.sqrt(max(float(vx), 0.0)),
-            sigma_p=math.sqrt(max(float(vp), 0.0)),
-        )
-        for n, mx, mp, vx, vp in zip(norm, mean_x, mean_p, var_x, var_p)
-    ]
-    return out if batched else out[0]
+    sigma_x = [math.sqrt(max(v, 0.0)) for v in var_x.tolist()]
+    return norm.tolist(), mean_x.tolist(), sigma_x
 
 
 def _require_same_grid(a, b) -> None:

@@ -26,8 +26,12 @@ solver, take the same path: every branch is a row of (g, duration) segments,
 and the rows of a scan run in chunks of whole branch pairs whose (rows, n)
 stack stays within 256 KiB.  Each chunk runs through analytic._segment_chain,
 the segment loop evolve_piecewise uses too: segment i of every row of a chunk
-is one batched call of the backend's propagator, passed in as the step.  Each
-chunk is read out with one batched overlap and moments call; every row is
+is one batched call of the backend's propagator, passed in as the step.  On
+the analytic backend the rows of a chunk share what they can: one transform
+of psi0, one shift stage for all the reference rows (they shift by 0), and
+the colocated recentering reuses the fall-shift phase of its accelerated
+row.  Each chunk is read out with one batched overlap and one batched
+position-moment reduction, with no momentum transform; every row is
 bit-identical to a single-row run.
 
 For a Gaussian input the visibility obeys gaussian_visibility, a Gaussian in
@@ -42,11 +46,19 @@ from functools import partial
 
 import numpy as np
 
-from .analytic import AccelSchedule, _segment_chain, evolve_exact, shift_packet
+from .analytic import (
+    AccelSchedule,
+    _SharedFallPhases,
+    _segment_chain,
+    evolve_exact,
+    shift_packet,
+)
 from .core import (
     PhysicalParams,
     WavePacket,
+    _position_moments,
     _require_finite,
+    _stack,
     make_gaussian,
     moments,
     overlap,
@@ -186,22 +198,28 @@ def _propagate(psi0, params, times, schemes, rows, labels, step):
     stays within _CHUNK_BYTES, each through analytic._segment_chain with
     step, the backend's batched propagator.  The colocated free branch is
     then translated onto the fallen one: amp(x + g t^2/2) recenters the
-    peak at center_free - g t^2/2.
+    peak at center_free - g t^2/2.  A chunk runs inside
+    analytic._SharedFallPhases, so on the analytic backend that
+    recentering reuses the e^{+i k g t^2/2} phase its accelerated branch
+    built; the shared phases are dropped before the chunk is yielded.
     """
     per_chunk = max(1, _CHUNK_BYTES // (2 * psi0.amp.nbytes))
     for first in range(0, len(times), per_chunk):
         pairs = range(first, min(first + per_chunk, len(times)))
         chunk = slice(2 * pairs.start, 2 * pairs.stop)
-        states = _segment_chain(psi0, params, rows[chunk], labels[chunk], step)
-        accelerated, reference = states[0::2], states[1::2]
-        coloc = [j for j, k in enumerate(pairs) if isinstance(schemes[k], Colocated)]
-        if coloc:
-            ts = [times[pairs[j]] for j in coloc]
-            shifted = shift_packet(
-                [reference[j] for j in coloc], [0.5 * params.g * t * t for t in ts]
-            )
-            for j, state in zip(coloc, shifted):
-                reference[j] = state
+        with _SharedFallPhases():
+            states = _segment_chain(psi0, params, rows[chunk], labels[chunk], step)
+            accelerated, reference = states[0::2], states[1::2]
+            coloc = [
+                j for j, k in enumerate(pairs) if isinstance(schemes[k], Colocated)
+            ]
+            if coloc:
+                ts = [times[pairs[j]] for j in coloc]
+                shifted = shift_packet(
+                    [reference[j] for j in coloc], [0.5 * params.g * t * t for t in ts]
+                )
+                for j, state in zip(coloc, shifted):
+                    reference[j] = state
         yield [times[k] for k in pairs], accelerated, reference
 
 
@@ -237,15 +255,22 @@ def _readout(
     params: PhysicalParams,
     gaussian: bool,
 ) -> list[InterferenceRecord]:
-    """The fringe records of a chunk of branch-state pairs read out at times."""
+    """The fringe records of a chunk of branch-state pairs read out at times.
+
+    One batched overlap gives the fringes.  predicted_phase and
+    predicted_visibility need only the reference branch's mean_x and
+    sigma_x, which core._position_moments, the position half of moments,
+    gives without a momentum transform.
+    """
+    _, mean_x, sigma_x = _position_moments(
+        _stack(reference), reference[0].grid, batched=True
+    )
     records = []
-    for t, z, ref_moments in zip(
-        times, overlap(reference, accelerated), moments(reference, params)
+    for t, z, xbar, sigma in zip(
+        times, overlap(reference, accelerated), mean_x, sigma_x
     ):
         phase = math.atan2(z.imag, z.real)
-        pred_vis = (
-            gaussian_visibility(ref_moments.sigma_x, t, params) if gaussian else None
-        )
+        pred_vis = gaussian_visibility(sigma, t, params) if gaussian else None
         records.append(
             InterferenceRecord(
                 t=t,
@@ -255,7 +280,7 @@ def _readout(
                 phase_unwrapped=phase,
                 fringe_x=z.real,
                 fringe_y=z.imag,
-                predicted_phase=predicted_phase(ref_moments.mean_x, t, params),
+                predicted_phase=predicted_phase(xbar, t, params),
                 predicted_visibility=pred_vis,
             )
         )

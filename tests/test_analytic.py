@@ -222,24 +222,26 @@ STARTS = [
     make_gaussian(Grid(-20.0, 20.0, 256), x0, p0, sigma0, CANONICAL)
     for x0, p0, sigma0 in ((0.0, 0.0, 1.0), (-1.0, 0.5, 1.3), (0.7, -0.3, 0.9))
 ]
-# g = 0 and t = 0 are drawn on their own: both make factors of unit phase.
-G_VALUES = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+# g = 0, g = -0.0 and t = 0 are drawn on their own: they make factors of
+# unit phase, and 0.0 and -0.0 have different bits, so must not share.
+G_VALUES = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-2.0, 2.0))
 T_VALUES = st.one_of(st.just(0.0), st.floats(0.0, 1.5))
+# Rows are drawn from a small pool, so (start, g, t) rows repeat.
+ROWS = st.lists(
+    st.tuples(st.sampled_from(STARTS), G_VALUES, T_VALUES), min_size=1, max_size=6
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12))
 
 
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(STARTS), G_VALUES, T_VALUES), min_size=1, max_size=12
-    )
-)
+@given(ROWS)
 def test_batched_exact_rows_equal_single_calls(rows):
+    # bytes, not np.array_equal, which takes -0.0 for 0.0
     starts = [psi for psi, _, _ in rows]
     pars = [replace(CANONICAL, g=g) for _, g, _ in rows]
     times = [t for _, _, t in rows]
     batch = evolve_exact(starts, pars, times)
     assert len(batch) == len(rows)
     for psi, p, t, row in zip(starts, pars, times, batch):
-        assert np.array_equal(row.amp, evolve_exact(psi, p, t).amp)
+        assert row.amp.tobytes() == evolve_exact(psi, p, t).amp.tobytes()
 
 
 def test_rows_of_a_stack_above_256_kib_equal_single_calls():
@@ -255,8 +257,8 @@ def test_rows_of_a_stack_above_256_kib_equal_single_calls():
     shifted = shift_packet(batch, gs)
     for p, t, g, row, moved in zip(pars, ts, gs, batch, shifted):
         single = evolve_exact(psi, p, t)
-        assert np.array_equal(row.amp, single.amp)
-        assert np.array_equal(moved.amp, shift_packet(single, g).amp)
+        assert row.amp.tobytes() == single.amp.tobytes()
+        assert moved.amp.tobytes() == shift_packet(single, g).amp.tobytes()
 
 
 def test_batch_broadcasts_single_values_and_returns_a_list(psi0, params):
@@ -276,3 +278,41 @@ def test_batched_overflow_names_the_offending_row(psi0, params):
     with pytest.raises(GridOverflow) as single:
         evolve_exact(psi0, params, 8.0)
     assert "in row" not in str(single.value)
+
+
+def test_shift_overflow_names_the_callers_row_after_sharing(psi0, params):
+    # t = 6 shifts the packet 18 units down, onto the guard band, in the shift
+    # stage.  Rows 0 and 1 share one shift-stage row, so the shared stack's
+    # offending row is 1, while the caller's first offending row is 2.
+    with pytest.raises(GridOverflow) as info:
+        evolve_exact(psi0, params, [1.0, 1.0, 6.0, 6.0])
+    assert str(info.value).startswith("shift_packet: ")
+    assert " in row 2 exceeds" in str(info.value)
+    assert info.value.row == 2
+    # two rows share one shift-stage row: the caller's row 0 is still named
+    with pytest.raises(GridOverflow, match="in row 0 exceeds") as info:
+        evolve_exact(psi0, params, [6.0, 6.0])
+    assert info.value.row == 0
+    with pytest.raises(GridOverflow) as info:
+        shift_packet([psi0, psi0, psi0], [1.0, 1.0, 18.0])
+    assert " in row 2 exceeds" in str(info.value)
+    assert info.value.row == 2
+
+
+def test_non_finite_start_state_names_the_callers_row_after_sharing(psi0, params):
+    other = make_gaussian(psi0.grid, 0.5, 0.0, 1.0, params)
+    amp = np.array(psi0.amp)
+    amp[100] = math.nan
+    bad = WavePacket(psi0.grid, amp)
+    # distinct start states are [psi0, other, bad]: bad is shared row 2, but
+    # the caller's first row holding it is 4
+    stack = [psi0, other, psi0, other, bad, bad]
+    for call, name in [
+        (lambda: evolve_exact(stack, params, 1.0), "evolve_exact"),
+        (lambda: shift_packet(stack, 1.0), "shift_packet"),
+    ]:
+        with pytest.raises(NonFiniteState) as info:
+            call()
+        assert str(info.value) == (
+            f"{name} start state: non-finite amplitude in row 4 at node 100"
+        )

@@ -28,6 +28,7 @@ from wavefall import (
 from wavefall.core import (
     MARGIN_AMPLITUDE,
     _first_over_margin,
+    _require_finite,
     boundary_amplitude,
     check_margin,
     margin_nodes,
@@ -243,6 +244,43 @@ def test_first_over_margin_matches_the_per_row_reference(rows, n, seed, injectio
         row, amplitude = hit
         assert row == over[0]
         np.testing.assert_array_equal(amplitude, worst[row])
+
+
+@given(
+    rows=st.integers(1, 12),
+    n=st.sampled_from([8, 64, 256]),
+    seed=st.integers(0, 2**32 - 1),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    imaginary=st.booleans(),
+    hits=st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 255)), min_size=1, max_size=3
+    ),
+)
+def test_require_finite_names_the_first_non_finite_node(
+    rows, n, seed, value, imaginary, hits
+):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    for row, node in hits:
+        stack[row % rows, node % n] += complex(0.0, value) if imaginary else value
+    row, node = divmod(int(np.argmin(np.isfinite(stack))), n)
+    with pytest.raises(NonFiniteState) as info:
+        _require_finite(stack, "ctx", batched=True)
+    assert str(info.value) == f"ctx: non-finite amplitude in row {row} at node {node}"
+    with pytest.raises(NonFiniteState) as info:
+        _require_finite(stack[row : row + 1], "ctx", batched=False)
+    assert str(info.value) == f"ctx: non-finite amplitude at node {node}"
+
+
+def test_require_finite_accepts_a_finite_stack_whose_sum_overflows():
+    # every node is finite, but the sum of the stack overflows to inf (and
+    # inf - inf in the imaginary part gives NaN); the stack is still finite
+    stack = np.full((3, 8), complex(1e308, 1e308))
+    stack[2] = complex(1e308, -1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(stack.sum())
+    _require_finite(stack, "ctx", batched=True)
+    _require_finite(stack[:1], "ctx", batched=False)
 
 
 def test_check_margin_raises_with_context(grid):

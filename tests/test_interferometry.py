@@ -27,6 +27,7 @@ from wavefall import (
     run_protocol,
     unwrap_phases,
 )
+from wavefall import analytic, core
 
 # phase(t2) - phase(1) is exactly pi for the canonical fall, the one step
 # size the unwrapper must refuse
@@ -182,6 +183,38 @@ def test_scan_equals_per_time_protocol(psi0, params, backend):
                 backend=backend, n_steps=128,
             )
             assert replace(rec, phase_unwrapped=one.phase) == one
+
+
+def test_one_chunk_analytic_scan_shares_its_transforms(
+    psi0, params, monkeypatch, count_calls
+):
+    # N colocated readouts fit one chunk at n = 256.  Forward rows: psi0 once,
+    # N + 1 shift-stage rows (N fall shifts and one shared zero shift), N for
+    # the recentering and one for psi0's moments (the Gaussian test).  Inverse
+    # rows: N + 1 shift-stage rows, 2N after free flight, N for the recentering.
+    rows = {"fft": 0, "ifft": 0}
+    for name in rows:
+        real = getattr(np.fft, name)
+
+        def counting(a, *args, _real=real, _name=name, **kwargs):
+            rows[_name] += len(a) if np.ndim(a) == 2 else 1
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    momentum = count_calls(core, "_momentum_amp")
+    exps = count_calls(np, "exp")
+    n = 8
+    scan = fringe_scan(psi0, params, [0.1 * (i + 1) for i in range(n)])
+    assert len(scan) == n
+    assert rows == {"fft": 2 * n + 3, "ifft": 4 * n + 1}
+    # the one momentum transform is psi0's, for the Gaussian test; the
+    # readout takes position moments only
+    assert len(momentum) == 1
+    # N + 1 shift, N free-flight, N + 1 kick and N + 1 global phases, and two
+    # for the Gaussian test; the recentering builds none of its own
+    assert len(exps) == 4 * n + 5
+    # the shared fall-shift phases went with the chunk
+    assert analytic._FALL_PHASES.get() is None
 
 
 @pytest.mark.parametrize("backend", ["analytic", "split-step"])

@@ -22,12 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import PhysicalParams, Trajectory
+from .core import PhysicalParams
 from .errors import DegenerateInterval
 
 __all__ = [
     "ActionValue",
-    "bvp_trajectory",
     "classical_action",
     "shifted_free_action",
     "delta_action",
@@ -43,15 +42,6 @@ class ActionValue:
     value: float
     kinetic: float
     potential: float
-
-
-def bvp_trajectory(x0: float, t0: float, x1: float, t1: float, g: float) -> Trajectory:
-    """The unique xddot = -g path through (t0, x0) and (t1, x1).
-
-    Endpoint evaluation reproduces x0 and x1 exactly.  Raises
-    DegenerateInterval unless t1 > t0.
-    """
-    return Trajectory.through_points(x0, t0, x1, t1, g)
 
 
 def classical_action(

@@ -44,6 +44,7 @@ checks) or cross-check with the split-step solver, which guards every step.
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Sequence
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -56,11 +57,13 @@ from .core import (
     WavePacket,
     _as_rows,
     _check_margin_rows,
+    _packets,
     _require_finite,
+    _require_times,
     _stack,
     check_margin,
 )
-from .errors import GridOverflow, NegativeTime
+from .errors import GridOverflow
 
 __all__ = [
     "AccelSchedule",
@@ -105,9 +108,9 @@ class AccelSchedule:
         return len(self.segments)
 
 
-def _bits(v) -> bytes:
-    """The bytes of a phase scalar: rows whose scalars have equal bits share."""
-    return np.asarray(v).tobytes()
+def _bits(v: float) -> bytes:
+    """The bits of a real scalar, the key of every shared evaluation; -0.0 != 0.0."""
+    return struct.pack("<d", v)
 
 
 def _apply_phases(amp: np.ndarray, values, phase, built=None) -> None:
@@ -197,20 +200,14 @@ def _free(
     amp: np.ndarray, grid: Grid, hbar: float, m: float, times: list[float]
 ) -> None:
     """Free flight per row of a k-space stack: e^{-i hbar t k^2/(2 m)}, then to x."""
-    _apply_phases(
-        amp,
-        [-0.5j * hbar * t for t in times],
-        lambda c: np.exp(c * grid.k * grid.k / m),
-    )
+    _apply_phases(amp, times, lambda t: np.exp(-0.5j * hbar * t * grid.k * grid.k / m))
     np.fft.ifft(amp, out=amp)
     check_margin(amp, "free_evolve")
 
 
 def _kick(amp: np.ndarray, grid: Grid, hbar: float, slopes: list[float]) -> None:
     """Momentum kick per row: the position-space phase e^{-i slope x / hbar}."""
-    _apply_phases(
-        amp, [-1j * slope for slope in slopes], lambda c: np.exp(c * grid.x / hbar)
-    )
+    _apply_phases(amp, slopes, lambda slope: np.exp(-1j * slope * grid.x / hbar))
 
 
 def _rotate(amp: np.ndarray, thetas: list[float]) -> None:
@@ -218,16 +215,9 @@ def _rotate(amp: np.ndarray, thetas: list[float]) -> None:
     _apply_phases(amp, thetas, lambda theta: np.exp(1j * theta))
 
 
-def _packets(grid: Grid, amp: np.ndarray, batched: bool):
-    """One WavePacket per row of a stack; the bare packet for a single call."""
-    out = [WavePacket(grid, a) for a in amp]
-    return out if batched else out[0]
-
-
 def free_evolve(psi: WavePacket, params: PhysicalParams, t: float) -> WavePacket:
     """Evolve under the kinetic term alone: e^{-i hbar t k^2/(2 m)} in k-space."""
-    if not 0 <= t < math.inf:
-        raise NegativeTime(f"free_evolve: t must be finite and >= 0, got {t}")
+    _require_times("free_evolve", [t])
     amp = _stack([psi])
     _require_finite(amp, "free_evolve start state", batched=False)
     np.fft.fft(amp, out=amp)
@@ -298,9 +288,7 @@ def evolve_exact(
     batched, (psis, pars, times) = _as_rows("evolve_exact", psi, params, t)
     if not psis:
         return []
-    for ti in times:
-        if not 0 <= ti < math.inf:
-            raise NegativeTime(f"evolve_exact: t must be finite and >= 0, got {ti}")
+    _require_times("evolve_exact", times)
     grid, hbar, m = psis[0].grid, pars[0].hbar, pars[0].m
     if any((p.hbar, p.m) != (hbar, m) for p in pars):
         raise ValueError("evolve_exact: rows must share hbar and m")
@@ -329,13 +317,13 @@ def _segment_chain(psi, params, rows, labels, step):
     for i in range(max(map(len, rows), default=0)):
         live = [r for r, row in enumerate(rows) if i < len(row)]
         gs = [rows[r][i][0] for r in live]
-        # One params per distinct g, keyed by repr so 0.0 and -0.0 stay apart.
-        distinct = {repr(g): g for g in gs}
+        # One params per distinct g, keyed by bits so 0.0 and -0.0 stay apart.
+        distinct = {_bits(g): g for g in gs}
         pars = {key: replace(params, g=g) for key, g in distinct.items()}
         try:
             out = step(
                 [states[r] for r in live],
-                [pars[repr(g)] for g in gs],
+                [pars[_bits(g)] for g in gs],
                 [rows[r][i][1] for r in live],
             )
         except GridOverflow as exc:

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .checks import run_all_checks
-from .config import RunConfig, default_config, load_config
+from .config import RunConfig, _seed, default_config, load_config
 from .core import make_gaussian, moments
 from .analytic import evolve_exact
 from .errors import ConfigError, GridOverflow, PhaseAliasing, WavefallError
@@ -40,6 +40,7 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+    print(f"wrote {len(rows)} rows to {path}")
 
 
 def _initial_state(cfg: RunConfig):
@@ -82,7 +83,6 @@ def _cmd_evolve(cfg: RunConfig, out_path: str) -> int:
             ]
         )
     _write_csv(out_path, header, rows)
-    print(f"wrote {len(rows)} rows to {out_path}")
     return EXIT_OK
 
 
@@ -123,7 +123,6 @@ def _cmd_interfere(cfg: RunConfig, out_path: str) -> int:
         for r in records
     ]
     _write_csv(out_path, header, rows)
-    print(f"wrote {len(rows)} rows to {out_path}")
     return EXIT_OK
 
 
@@ -137,8 +136,8 @@ def _suggest_denser(t_values) -> list[float]:
 
 
 def _cmd_verify(cfg: RunConfig, out_path: str | None, seed: int | None) -> int:
-    if seed is not None and not 0 <= seed < 2**64:
-        raise ConfigError("--seed must fit an unsigned 64-bit range")
+    if seed is not None:
+        _seed(seed, "--seed")
     results = run_all_checks(cfg, seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

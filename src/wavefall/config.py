@@ -17,6 +17,8 @@ from .analytic import AccelSchedule
 from .core import Grid, PhysicalParams
 from .errors import ConfigError
 from .interferometry import _BACKENDS, BranchSchedules, Colocated
+from .oracle import MAX_COMMUTATOR_N
+from .splitstep import SolverConfig
 
 __all__ = [
     "DEFAULT_SEED",
@@ -120,6 +122,33 @@ def _strictly_increasing(values: tuple[float, ...], path: str) -> None:
         raise ConfigError(f"{path}: values must be strictly increasing")
 
 
+def _build(path: str, make, *args):
+    """make(*args), the domain constructor's ValueError re-raised naming path."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _seed(value, path: str) -> int:
+    """The seed rule, shared with the CLI's --seed: an unsigned 64-bit integer."""
+    seed = _integer(value, path)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{path} must fit an unsigned 64-bit range, got {seed}")
+    return seed
+
+
+def _times_and_steps(obj: dict, path: str, steps=None) -> tuple[tuple[float, ...], int]:
+    """t_values and n_steps of a block; n_steps is required unless steps is given."""
+    t_values = _number_list(_get(obj, "t_values", path), path + "t_values")
+    _strictly_increasing(t_values, path + "t_values")
+    if t_values[0] < 0:
+        raise ConfigError(f"{path}t_values: times must be non-negative")
+    if steps is None or "n_steps" in obj:
+        steps = _integer(_get(obj, "n_steps", path), path + "n_steps")
+    return t_values, _build(path + "n_steps", SolverConfig, steps).n_steps
+
+
 def _parse_params(obj, path="params.") -> PhysicalParams:
     obj = _require_mapping(obj, "params")
     _reject_unknown(obj, {"hbar", "m", "g", "c"}, path)
@@ -127,10 +156,7 @@ def _parse_params(obj, path="params.") -> PhysicalParams:
     m = _number(_get(obj, "m", path), path + "m")
     g = _number(_get(obj, "g", path), path + "g")
     c = _number(obj.get("c", 10.0), path + "c")
-    try:
-        return PhysicalParams(hbar=hbar, m=m, g=g, c=c)
-    except ValueError as exc:
-        raise ConfigError(f"{path[:-1]}: {exc}") from exc
+    return _build(path[:-1], PhysicalParams, hbar, m, g, c)
 
 
 def _parse_grid(obj, path="grid.") -> Grid:
@@ -139,10 +165,7 @@ def _parse_grid(obj, path="grid.") -> Grid:
     x_min = _number(_get(obj, "x_min", path), path + "x_min")
     x_max = _number(_get(obj, "x_max", path), path + "x_max")
     n = _integer(_get(obj, "n", path), path + "n")
-    try:
-        return Grid(x_min=x_min, x_max=x_max, n=n)
-    except ValueError as exc:
-        raise ConfigError(f"{path[:-1]}: {exc}") from exc
+    return _build(path[:-1], Grid, x_min, x_max, n)
 
 
 def _parse_initial(obj, path="initial.") -> InitialState:
@@ -159,14 +182,7 @@ def _parse_initial(obj, path="initial.") -> InitialState:
 def _parse_evolve(obj, path="evolve.") -> EvolveSettings:
     obj = _require_mapping(obj, "evolve")
     _reject_unknown(obj, {"t_values", "n_steps"}, path)
-    t_values = _number_list(_get(obj, "t_values", path), path + "t_values")
-    _strictly_increasing(t_values, path + "t_values")
-    if t_values[0] < 0:
-        raise ConfigError(f"{path}t_values: times must be non-negative")
-    n_steps = _integer(_get(obj, "n_steps", path), path + "n_steps")
-    if n_steps < 1:
-        raise ConfigError(f"{path}n_steps: must be >= 1, got {n_steps}")
-    return EvolveSettings(t_values=t_values, n_steps=n_steps)
+    return EvolveSettings(*_times_and_steps(obj, path))
 
 
 def _parse_schedule(value, path: str) -> AccelSchedule:
@@ -179,10 +195,7 @@ def _parse_schedule(value, path: str) -> AccelSchedule:
         segments.append(
             (_number(pair[0], f"{path}[{i}][0]"), _number(pair[1], f"{path}[{i}][1]"))
         )
-    try:
-        return AccelSchedule(tuple(segments))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _build(path, AccelSchedule, tuple(segments))
 
 
 def _parse_scheme(value, path: str):
@@ -201,32 +214,28 @@ def _parse_scheme(value, path: str):
 def _parse_interfere(obj, path="interfere.") -> InterfereSettings:
     obj = _require_mapping(obj, "interfere")
     _reject_unknown(obj, {"t_values", "scheme", "backend", "n_steps"}, path)
-    t_values = _number_list(_get(obj, "t_values", path), path + "t_values")
-    _strictly_increasing(t_values, path + "t_values")
-    if t_values[0] < 0:
-        raise ConfigError(f"{path}t_values: times must be non-negative")
+    t_values, n_steps = _times_and_steps(obj, path, InterfereSettings.n_steps)
     scheme = _parse_scheme(obj.get("scheme", "colocated"), path + "scheme")
     backend = obj.get("backend", "analytic")
     if backend not in _BACKENDS:
         raise ConfigError(
             f"{path}backend: expected one of {_BACKENDS}, got {backend!r}"
         )
-    n_steps = _integer(obj.get("n_steps", 2048), path + "n_steps")
-    if n_steps < 1:
-        raise ConfigError(f"{path}n_steps: must be >= 1, got {n_steps}")
     return InterfereSettings(
         t_values=t_values, scheme=scheme, backend=backend, n_steps=n_steps
     )
 
 
-def _parse_verify(obj, path="verify.") -> VerifySettings:
+def _parse_verify(obj, grid: Grid, path="verify.") -> VerifySettings:
     obj = _require_mapping(obj, "verify")
     _reject_unknown(obj, {"n_oracle", "n_random", "step_counts", "c_values"}, path)
     defaults = VerifySettings()
     n_oracle = _integer(obj.get("n_oracle", defaults.n_oracle), path + "n_oracle")
-    if n_oracle < 8 or (n_oracle & (n_oracle - 1)) != 0 or n_oracle > 512:
+    # The checks run the oracle on this grid; the commutator guard is the tighter.
+    _build(path + "n_oracle", Grid, grid.x_min, grid.x_max, n_oracle)
+    if n_oracle > MAX_COMMUTATOR_N:
         raise ConfigError(
-            f"{path}n_oracle: must be a power of two in [8, 512], got {n_oracle}"
+            f"{path}n_oracle: must be at most {MAX_COMMUTATOR_N}, got {n_oracle}"
         )
     n_random = _integer(obj.get("n_random", defaults.n_random), path + "n_random")
     if n_random < 1:
@@ -267,12 +276,8 @@ def parse_config(raw: dict) -> RunConfig:
     initial = _parse_initial(_get(raw, "initial", ""))
     evolve = _parse_evolve(raw["evolve"]) if "evolve" in raw else None
     interfere = _parse_interfere(raw["interfere"]) if "interfere" in raw else None
-    verify = _parse_verify(raw["verify"]) if "verify" in raw else VerifySettings()
-    seed = DEFAULT_SEED
-    if "seed" in raw:
-        seed = _integer(raw["seed"], "seed")
-        if seed < 0 or seed >= 2**64:
-            raise ConfigError(f"seed: must fit an unsigned 64-bit range, got {seed}")
+    verify = _parse_verify(raw["verify"], grid) if "verify" in raw else VerifySettings()
+    seed = _seed(raw["seed"], "seed") if "seed" in raw else DEFAULT_SEED
     return RunConfig(
         params=params,
         grid=grid,

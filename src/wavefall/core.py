@@ -24,6 +24,7 @@ from .errors import (
     DegenerateInterval,
     GridMismatch,
     GridOverflow,
+    NegativeTime,
     NonFiniteState,
 )
 
@@ -41,7 +42,6 @@ __all__ = [
     "overlap",
     "l2_distance",
     "to_momentum",
-    "to_position",
     "margin_nodes",
     "boundary_amplitude",
     "check_margin",
@@ -137,6 +137,15 @@ class Grid:
         return wav
 
 
+def _frozen(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A read-only complex copy of value; ValueError unless it has this shape."""
+    a = np.array(value, dtype=np.complex128, copy=True)
+    if a.shape != shape:
+        raise ValueError(f"{name} shape {a.shape} does not match grid n={shape[0]}")
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class WavePacket:
     """Position-space state: complex amplitudes on a Grid.
@@ -150,11 +159,7 @@ class WavePacket:
     amp: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.amp, dtype=np.complex128, copy=True)
-        if a.shape != (self.grid.n,):
-            raise ValueError(f"amp shape {a.shape} does not match grid n={self.grid.n}")
-        a.setflags(write=False)
-        object.__setattr__(self, "amp", a)
+        object.__setattr__(self, "amp", _frozen(self.amp, (self.grid.n,), "amp"))
 
     @property
     def norm(self) -> float:
@@ -173,11 +178,7 @@ class MomentumPacket:
     amp: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.amp, dtype=np.complex128, copy=True)
-        if a.shape != (self.grid.n,):
-            raise ValueError(f"amp shape {a.shape} does not match grid n={self.grid.n}")
-        a.setflags(write=False)
-        object.__setattr__(self, "amp", a)
+        object.__setattr__(self, "amp", _frozen(self.amp, (self.grid.n,), "amp"))
 
     @property
     def norm(self) -> float:
@@ -350,6 +351,13 @@ def _require_finite(
         raise NonFiniteState(f"{context}: non-finite amplitude{where} at node {node}")
 
 
+def _require_times(context: str, times) -> None:
+    """Raise NegativeTime naming the first time that is negative, NaN or infinite."""
+    for t in times:
+        if not 0 <= t < math.inf:
+            raise NegativeTime(f"{context}: t must be finite and >= 0, got {t}")
+
+
 def _as_rows(context: str, *values) -> tuple[bool, list[list]]:
     """Broadcast single values against equal-length sequences, one entry per row.
 
@@ -372,6 +380,12 @@ def _stack(psis: list[WavePacket]) -> np.ndarray:
     for psi in psis[1:]:
         _require_same_grid(psis[0], psi)
     return np.stack([psi.amp for psi in psis])
+
+
+def _packets(grid: Grid, amp: np.ndarray, batched: bool):
+    """One WavePacket per row of a stack; the bare packet for a single call."""
+    out = [WavePacket(grid, a) for a in amp]
+    return out if batched else out[0]
 
 
 def make_gaussian(
@@ -441,14 +455,6 @@ def to_momentum(psi: WavePacket) -> MomentumPacket:
     which preserves the lattice norm (sum |amp_k|^2 dk = sum |amp|^2 dx).
     """
     return MomentumPacket(psi.grid, _momentum_amp(np.array(psi.amp), psi.grid))
-
-
-def to_position(phi: MomentumPacket) -> WavePacket:
-    """Inverse of to_momentum; the round trip is the identity to fp accuracy."""
-    g = phi.grid
-    amp = np.fft.ifft(phi.amp * np.exp(1j * g.k * g.x_min))
-    amp *= g.n * g.dk / math.sqrt(2.0 * math.pi)
-    return WavePacket(g, amp)
 
 
 def moments(

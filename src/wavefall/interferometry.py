@@ -41,7 +41,7 @@ For a Gaussian input the visibility obeys gaussian_visibility, a Gaussian in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -58,17 +58,13 @@ from .core import (
     WavePacket,
     _position_moments,
     _require_finite,
+    _require_times,
     _stack,
     make_gaussian,
     moments,
     overlap,
 )
-from .errors import (
-    NegativeTime,
-    PhaseAliasing,
-    SchemeMismatch,
-    WavefallError,
-)
+from .errors import PhaseAliasing, SchemeMismatch, WavefallError
 from .splitstep import SolverConfig, evolve_split_step
 
 __all__ = [
@@ -164,10 +160,9 @@ def _branch_pairs(psi0, params, times, schemes, backend, n_steps):
     _require_finite(psi0.amp[None], "start state psi0", batched=False)
     if backend not in _BACKENDS:
         raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
+    _require_times("readout time", times)
     rows, labels = [], []
     for t, scheme in zip(times, schemes):
-        if not 0 <= t < math.inf:
-            raise NegativeTime(f"readout time t must be finite and >= 0, got {t}")
         labels += [f"readout t={t}, {b} branch" for b in ("accelerated", "reference")]
         if isinstance(scheme, Colocated):
             rows += [((params.g, t),), ((0.0, t),)]
@@ -254,10 +249,11 @@ def _readout(
     reference: list[WavePacket],
     params: PhysicalParams,
     gaussian: bool,
-) -> list[InterferenceRecord]:
-    """The fringe records of a chunk of branch-state pairs read out at times.
+) -> list[dict]:
+    """The fringe record fields of a chunk of branch-state pairs read out at times.
 
-    One batched overlap gives the fringes.  predicted_phase and
+    Every field but phase_unwrapped, which needs the whole scan.  One
+    batched overlap gives the fringes.  predicted_phase and
     predicted_visibility need only the reference branch's mean_x and
     sigma_x, which core._position_moments, the position half of moments,
     gives without a momentum transform.
@@ -265,26 +261,23 @@ def _readout(
     _, mean_x, sigma_x = _position_moments(
         _stack(reference), reference[0].grid, batched=True
     )
-    records = []
-    for t, z, xbar, sigma in zip(
-        times, overlap(reference, accelerated), mean_x, sigma_x
-    ):
-        phase = math.atan2(z.imag, z.real)
-        pred_vis = gaussian_visibility(sigma, t, params) if gaussian else None
-        records.append(
-            InterferenceRecord(
-                t=t,
-                overlap=z,
-                visibility=abs(z),
-                phase=phase,
-                phase_unwrapped=phase,
-                fringe_x=z.real,
-                fringe_y=z.imag,
-                predicted_phase=predicted_phase(xbar, t, params),
-                predicted_visibility=pred_vis,
-            )
+    return [
+        dict(
+            t=t,
+            overlap=z,
+            visibility=abs(z),
+            phase=math.atan2(z.imag, z.real),
+            fringe_x=z.real,
+            fringe_y=z.imag,
+            predicted_phase=predicted_phase(xbar, t, params),
+            predicted_visibility=(
+                gaussian_visibility(sigma, t, params) if gaussian else None
+            ),
         )
-    return records
+        for t, z, xbar, sigma in zip(
+            times, overlap(reference, accelerated), mean_x, sigma_x
+        )
+    ]
 
 
 def run_protocol(
@@ -362,10 +355,9 @@ def fringe_scan(
     schemes = [scheme(t) if callable(scheme) else scheme for t in times]
     chunks = _branch_pairs(psi0, params, times, schemes, backend, n_steps)
     gaussian = _looks_gaussian(psi0, params)
-    records = [
-        record for chunk in chunks for record in _readout(*chunk, params, gaussian)
-    ]
-    unwrapped = unwrap_phases([r.phase for r in records], times)
+    fields = [f for chunk in chunks for f in _readout(*chunk, params, gaussian)]
+    unwrapped = unwrap_phases([f["phase"] for f in fields], times)
     return [
-        replace(r, phase_unwrapped=float(u)) for r, u in zip(records, unwrapped)
+        InterferenceRecord(**f, phase_unwrapped=float(u))
+        for f, u in zip(fields, unwrapped)
     ]

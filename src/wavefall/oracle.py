@@ -23,18 +23,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Grid, PhysicalParams, WavePacket, check_margin
+from .core import Grid, PhysicalParams, WavePacket, _frozen, check_margin
 from .errors import GridMismatch, NotHermitian, NotUnitary, TooLarge
 
 __all__ = [
     "DenseOperator",
     "fourier_matrix",
-    "position_operator",
-    "momentum_operator",
     "dense_hamiltonian",
     "dense_propagator",
     "heisenberg_position",
-    "matrix_element",
     "commutator_element",
 ]
 
@@ -50,12 +47,8 @@ class DenseOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.complex128, copy=True)
         n = self.grid.n
-        if m.shape != (n, n):
-            raise ValueError(f"matrix shape {m.shape} does not match grid n={n}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(self.matrix, (n, n), "matrix"))
 
     def hermiticity_defect(self) -> float:
         return float(np.abs(self.matrix - self.matrix.conj().T).max())
@@ -81,18 +74,6 @@ class DenseOperator:
 def fourier_matrix(grid: Grid) -> np.ndarray:
     """Unitary DFT matrix F[j, i] = e^{-i k_j x_i} / sqrt(n)."""
     return np.exp(-1j * np.outer(grid.k, grid.x)) / np.sqrt(grid.n)
-
-
-def position_operator(grid: Grid) -> DenseOperator:
-    """Diagonal position operator X = diag(x_i)."""
-    return DenseOperator(grid, np.diag(grid.x.astype(np.complex128)))
-
-
-def momentum_operator(grid: Grid, params: PhysicalParams) -> DenseOperator:
-    """Spectral momentum P = F^dagger diag(hbar k) F; Hermitian by symmetrization."""
-    f = fourier_matrix(grid)
-    raw = (f.conj().T * (params.hbar * grid.k)) @ f
-    return DenseOperator(grid, 0.5 * (raw + raw.conj().T))
 
 
 def dense_hamiltonian(grid: Grid, params: PhysicalParams) -> DenseOperator:
@@ -143,13 +124,6 @@ def heisenberg_position(propagator: DenseOperator, grid: Grid) -> DenseOperator:
     u = propagator.matrix
     x = grid.x.astype(np.complex128)
     return DenseOperator(grid, u.conj().T @ (x[:, None] * u))
-
-
-def matrix_element(phi: WavePacket, op: DenseOperator, psi: WavePacket) -> complex:
-    """<phi| op |psi> with the lattice measure dx."""
-    if phi.grid != op.grid or psi.grid != op.grid:
-        raise GridMismatch("matrix_element: grids differ")
-    return complex(np.conj(phi.amp) @ (op.matrix @ psi.amp) * op.grid.dx)
 
 
 def commutator_element(phi: WavePacket, psi: WavePacket, x_t: DenseOperator) -> complex:

@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PhysicalParams, Trajectory
-from .errors import BadQuadrature, NegativeTime, SuperluminalPath
+from .core import PhysicalParams, Trajectory, _require_times
+from .errors import BadQuadrature, SuperluminalPath
 
 __all__ = [
     "RelActionResult",
@@ -92,10 +92,7 @@ def free_fall_trajectory(
 
 
 def _samples(traj: Trajectory, t: float, params: PhysicalParams, n_quad: int):
-    if not 0 <= t < math.inf:
-        raise NegativeTime(
-            f"proper-time quadrature: t must be finite and >= 0, got {t}"
-        )
+    _require_times("proper-time quadrature", [t])
     if n_quad < MIN_QUAD_INTERVALS:
         raise BadQuadrature(
             f"n_quad={n_quad} below the minimum of {MIN_QUAD_INTERVALS} intervals"
@@ -184,10 +181,9 @@ def nr_limit_check(
         for c in cs
     )
     errors = np.array([r.abs_error for r in rows])
-    if np.all(errors <= LIMIT_NOISE_FLOOR):
-        return LimitReport(rows=rows, fitted_order=None)
-    if np.any(errors <= 0.0):
-        # Mixed zero/nonzero errors cannot be fitted on a log scale.
+    # No fit at the noise floor, nor for mixed zero/nonzero errors, which
+    # cannot be fitted on a log scale.
+    if np.all(errors <= LIMIT_NOISE_FLOOR) or np.any(errors <= 0.0):
         return LimitReport(rows=rows, fitted_order=None)
     slope = float(np.polyfit(np.log(cs), np.log(errors), 1)[0])
     return LimitReport(rows=rows, fitted_order=slope)
@@ -195,8 +191,7 @@ def nr_limit_check(
 
 def static_proper_time(x0: float, t: float, params: PhysicalParams) -> float:
     """Closed form for a clock held at x0: t sqrt(1 - 2 g x0 / c^2)."""
-    if not 0 <= t < math.inf:
-        raise NegativeTime(f"static_proper_time: t must be finite and >= 0, got {t}")
+    _require_times("static_proper_time", [t])
     c2 = params.c**2
     radicand = 1.0 - 2.0 * params.g * x0 / c2
     if radicand <= 0.0:

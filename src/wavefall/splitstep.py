@@ -38,11 +38,14 @@ from .core import (
     WavePacket,
     _as_rows,
     _first_over_margin,
+    _packets,
     _require_finite,
+    _require_times,
+    _stack,
     l2_distance,
     margin_nodes,
 )
-from .errors import GridOverflow, NegativeTime
+from .errors import GridOverflow
 
 __all__ = [
     "SolverConfig",
@@ -86,9 +89,9 @@ def evolve_split_step(
     psi, params and t may each be a single value or an equal-length sequence
     (list, tuple or ndarray of times); single values broadcast against the
     sequences, and every row is stepped in one (rows, n) stack.  Rows must
-    share the grid, hbar and m (ValueError otherwise); g, t and the start
-    state may differ per row, and each row's result is bit-identical to a
-    single-row call.
+    share the grid (GridMismatch otherwise), hbar and m (ValueError); g, t
+    and the start state may differ per row, and each row's result is
+    bit-identical to a single-row call.
 
     Returns the final WavePacket, or a list of them when any argument is a
     sequence.  Raises GridOverflow the moment any row's state touches the
@@ -100,16 +103,11 @@ def evolve_split_step(
     batched, (psis, pars, times) = _as_rows("evolve_split_step", psi, params, t)
     if not psis:
         return []
-    for ti in times:
-        if not 0 <= ti < math.inf:
-            raise NegativeTime(
-                f"evolve_split_step: t must be finite and >= 0, got {ti}"
-            )
+    _require_times("evolve_split_step", times)
     grid, hbar, m = psis[0].grid, pars[0].hbar, pars[0].m
-    if any(p.grid != grid for p in psis) or any(
-        (p.hbar, p.m) != (hbar, m) for p in pars
-    ):
-        raise ValueError("evolve_split_step: rows must share the grid, hbar and m")
+    if any((p.hbar, p.m) != (hbar, m) for p in pars):
+        raise ValueError("evolve_split_step: rows must share hbar and m")
+    amp = _stack(psis)
 
     # Per-row (rows, 1) columns, combined in the single-row operation order so
     # that every row's phases, and hence its bits, match a single-row call.
@@ -119,7 +117,6 @@ def evolve_split_step(
     half_v = np.exp(kick * grid.x * dt / hbar)
     kinetic = np.exp(-0.5j * hbar * grid.k**2 * dt / m)
 
-    amp = np.stack([p.amp for p in psis])
     _require_finite(amp, "evolve_split_step start state", batched)
     for step in range(1, config.n_steps + 1):
         amp *= half_v
@@ -138,8 +135,7 @@ def evolve_split_step(
                 row=row,
             )
 
-    finals = [WavePacket(grid, a) for a in amp]
-    return finals if batched else finals[0]
+    return _packets(grid, amp, batched)
 
 
 def convergence_report(

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from wavefall import (
     DegenerateInterval,
     PhysicalParams,
-    bvp_trajectory,
+    Trajectory,
     classical_action,
     delta_action,
     ehrenfest_mean,
@@ -46,7 +46,7 @@ def test_classical_action_matches_quadrature(params, rng):
         m = rng.uniform(0.5, 3.0)
         g = rng.uniform(-2.0, 2.0)
         pr = PhysicalParams(hbar=1.0, m=m, g=g, c=10.0)
-        traj = bvp_trajectory(x0, t0, x1, t1, g)
+        traj = Trajectory.through_points(x0, t0, x1, t1, g)
         k_ref, p_ref = lagrangian_integral(traj, t0, t1, pr)
         val = classical_action(x0, x1, t0, t1, pr)
         assert val.kinetic == pytest.approx(k_ref, abs=1e-9)

@@ -153,6 +153,8 @@ def test_backend_restricted():
 def test_verify_bounds():
     with pytest.raises(ConfigError, match="n_oracle"):
         parse_config(with_extra(verify={"n_oracle": 1024}))
+    with pytest.raises(ConfigError, match=r"n_oracle: n must be a power of two"):
+        parse_config(with_extra(verify={"n_oracle": 12}))
     with pytest.raises(ConfigError, match="c_values"):
         parse_config(with_extra(verify={"c_values": [10.0, 20.0]}))
     with pytest.raises(ConfigError, match="step_counts"):

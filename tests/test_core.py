@@ -23,7 +23,6 @@ from wavefall import (
     moments,
     overlap,
     to_momentum,
-    to_position,
 )
 from wavefall.core import (
     MARGIN_AMPLITUDE,
@@ -132,11 +131,6 @@ def test_gaussian_rejects_bad_inputs(grid, params):
     ]:
         with pytest.raises(GridOverflow, match=match):
             make_gaussian(grid, x0, p0, 1.0, params)
-
-
-def test_momentum_roundtrip_is_identity(psi0, params):
-    back = to_position(to_momentum(psi0))
-    assert l2_distance(back, psi0) < 1e-13
 
 
 def test_momentum_norm_matches_position_norm(psi0):

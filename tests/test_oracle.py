@@ -20,10 +20,7 @@ from wavefall import (
     heisenberg_position,
     l2_distance,
     make_gaussian,
-    matrix_element,
-    momentum_operator,
     overlap,
-    position_operator,
     to_momentum,
 )
 
@@ -62,22 +59,6 @@ def test_fourier_matrix_matches_momentum_transform(small_psi):
     assert np.abs(phi.amp - spec * ratio).max() < 1e-12
 
 
-def test_position_operator_is_diagonal_multiplication(small_grid, small_psi):
-    xop = position_operator(small_grid)
-    assert xop.hermiticity_defect() == 0.0
-    out = xop.apply(small_psi)
-    assert np.abs(out.amp - small_grid.x * small_psi.amp).max() < 1e-12
-
-
-def test_momentum_operator_expectation(small_grid, params):
-    psi = make_gaussian(small_grid, 0.0, 1.25, 1.5, params)
-    pop = momentum_operator(small_grid, params)
-    assert pop.hermiticity_defect() < 1e-12
-    val = matrix_element(psi, pop, psi)
-    assert val.real == pytest.approx(1.25, abs=1e-9)
-    assert abs(val.imag) < 1e-12
-
-
 def test_hamiltonian_is_exactly_hermitian(small_grid, params):
     h = dense_hamiltonian(small_grid, params)
     # symmetrized construction: the defect is identically zero
@@ -113,7 +94,7 @@ def test_heisenberg_position_rejects_non_unitary(small_grid):
 def test_heisenberg_position_mean_follows_the_fall(small_grid, small_psi, params):
     u = dense_propagator(dense_hamiltonian(small_grid, params), 1.0, params)
     xt = heisenberg_position(u, small_grid)
-    val = matrix_element(small_psi, xt, small_psi)
+    val = overlap(small_psi, xt.apply(small_psi))
     assert val.real == pytest.approx(-0.5, abs=1e-9)  # -g t^2 / 2 from rest
 
 
@@ -140,10 +121,11 @@ def test_commutator_guards(small_grid, params, psi0):
     amp[big.n // 2] = 1.0
     spike = WavePacket(big, amp)
     with pytest.raises(TooLarge):
-        commutator_element(spike, spike, position_operator(big))
+        commutator_element(spike, spike, DenseOperator(big, np.diag(big.x)))
     chi = make_gaussian(small_grid, 0.0, 0.0, 1.5, params)
     with pytest.raises(GridMismatch):
-        commutator_element(chi, psi0, position_operator(small_grid))
+        x_op = DenseOperator(small_grid, np.diag(small_grid.x))
+        commutator_element(chi, psi0, x_op)
 
 
 def test_propagators_share_one_eigendecomposition_per_hamiltonian(
@@ -171,7 +153,7 @@ def test_commutator_size_guard_runs_before_any_eigh(params, eigh_calls):
     amp[big.n // 2] = 1.0
     spike = WavePacket(big, amp)
     with pytest.raises(TooLarge):
-        commutator_element(spike, spike, position_operator(big))
+        commutator_element(spike, spike, DenseOperator(big, np.diag(big.x)))
     assert eigh_calls == []
 
 
@@ -199,9 +181,9 @@ def test_nan_entry_fails_the_unitarity_check(small_grid):
 
 
 def test_matrix_element_grid_mismatch(small_grid, small_psi, psi0):
-    xop = position_operator(small_grid)
+    xop = DenseOperator(small_grid, np.diag(small_grid.x))
     with pytest.raises(GridMismatch):
-        matrix_element(psi0, xop, small_psi)
+        overlap(psi0, xop.apply(small_psi))
 
 
 def test_ground_state_localizes_at_the_potential_floor(params):

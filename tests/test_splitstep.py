@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from wavefall import splitstep
 from wavefall import (
     Grid,
+    GridMismatch,
     GridOverflow,
     NegativeTime,
     PhysicalParams,
@@ -133,11 +135,20 @@ def test_batch_overflow_names_the_offending_row(grid, psi0, params):
     ).groups()
 
 
-def test_batch_rows_must_share_grid_hbar_and_m(grid, psi0, params):
+@pytest.mark.parametrize(
+    "propagate",
+    [evolve_exact, partial(evolve_split_step, config=SolverConfig(4))],
+    ids=["exact", "split-step"],
+)
+def test_rows_on_different_grids_raise_grid_mismatch(psi0, params, propagate):
     other_grid = make_gaussian(Grid(-20.0, 20.0, 512), 0.0, 0.0, 1.0, params)
+    with pytest.raises(GridMismatch, match="grids differ"):
+        propagate([psi0, other_grid], params, 1.0)
+
+
+def test_batch_rows_must_share_grid_hbar_and_m(grid, psi0, params):
+    # The grid case is test_rows_on_different_grids_raise_grid_mismatch.
     cfg = SolverConfig(4)
-    with pytest.raises(ValueError, match="share"):
-        evolve_split_step([psi0, other_grid], params, 1.0, cfg)
     for field, value in (("hbar", 2.0), ("m", 3.0)):
         other = replace(params, **{field: value})
         with pytest.raises(ValueError, match="share"):

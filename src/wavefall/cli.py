@@ -9,12 +9,13 @@ line endings.  Exit codes: 0 success, 1 verify found a failing check,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .checks import run_all_checks
-from .config import RunConfig, _seed, default_config, load_config
-from .core import make_gaussian, moments
+from .config import RunConfig, _seed, _start_packet, default_config, load_config
+from .core import moments
 from .analytic import evolve_exact
 from .errors import ConfigError, GridOverflow, PhaseAliasing, WavefallError
 from .interferometry import fringe_scan
@@ -43,16 +44,10 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     print(f"wrote {len(rows)} rows to {path}")
 
 
-def _initial_state(cfg: RunConfig):
-    return make_gaussian(
-        cfg.grid, cfg.initial.x0, cfg.initial.p0, cfg.initial.sigma0, cfg.params
-    )
-
-
 def _cmd_evolve(cfg: RunConfig, out_path: str) -> int:
     if cfg.evolve is None:
         raise ConfigError("evolve command needs an \"evolve\" block in the config")
-    psi0 = _initial_state(cfg)
+    psi0 = _start_packet(cfg)
     header = [
         "t",
         "mean_x_exact",
@@ -89,7 +84,7 @@ def _cmd_evolve(cfg: RunConfig, out_path: str) -> int:
 def _cmd_interfere(cfg: RunConfig, out_path: str) -> int:
     if cfg.interfere is None:
         raise ConfigError("interfere command needs an \"interfere\" block in the config")
-    psi0 = _initial_state(cfg)
+    psi0 = _start_packet(cfg)
     settings = cfg.interfere
     records = fringe_scan(
         psi0,
@@ -152,16 +147,7 @@ def _cmd_verify(cfg: RunConfig, out_path: str | None, seed: int | None) -> int:
         summary = {
             "all_pass": all_pass,
             "seed": cfg.seed if seed is None else seed,
-            "checks": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "measured": r.measured,
-                    "target": r.target,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
+            "checks": [dataclasses.asdict(r) for r in results],
         }
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")

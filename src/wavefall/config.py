@@ -5,16 +5,22 @@ evolve/interfere/verify blocks are optional until their command runs, and any
 unknown key anywhere is an error naming its dotted path, as is a non-finite
 number (Python's json accepts NaN and Infinity).  Identical configs
 produce identical runs; the seed drives every randomized sweep.
+
+Each block is one dict from key to parser, read by _block; omitted keys take
+the settings dataclasses' defaults.  No domain rule is copied: blocks go to
+their constructors, and verify.step_counts and verify.c_values to the rules
+of convergence_report and nr_limit_check, each failure naming its path.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 
+from . import relativistic, splitstep
 from .analytic import AccelSchedule
-from .core import Grid, PhysicalParams
+from .core import Grid, PhysicalParams, WavePacket, make_gaussian
 from .errors import ConfigError
 from .interferometry import _BACKENDS, BranchSchedules, Colocated
 from .oracle import MAX_COMMUTATOR_N
@@ -71,26 +77,37 @@ class RunConfig:
     initial: InitialState
     evolve: EvolveSettings | None = None
     interfere: InterfereSettings | None = None
-    verify: VerifySettings = field(default_factory=VerifySettings)
+    verify: VerifySettings = VerifySettings()
     seed: int = DEFAULT_SEED
 
 
-def _require_mapping(obj, path: str) -> dict:
+def _block(obj, path: str, kinds: dict, defaults=None) -> dict:
+    """Read one config object: kinds maps each allowed key to its parser.
+
+    path is the block's dotted prefix ("" for the root).  An unknown key is
+    rejected and a missing key without an entry in defaults is named, each by
+    its dotted path; an omitted key in defaults takes that default.
+    """
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(obj).__name__}")
-    return obj
-
-
-def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
+        name = path[:-1] or "config root"
+        raise ConfigError(f"{name}: expected an object, got {type(obj).__name__}")
     for key in obj:
-        if key not in allowed:
+        if key not in kinds:
             raise ConfigError(f"unknown key {path}{key}")
+    values = {}
+    for key, parse in kinds.items():
+        if key in obj:
+            values[key] = parse(obj[key], path + key)
+        elif key in (defaults or {}):
+            values[key] = defaults[key]
+        else:
+            raise ConfigError(f"missing required key {path}{key}")
+    return values
 
 
-def _get(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ConfigError(f"missing required key {path}{key}")
-    return obj[key]
+def _field_defaults(cls) -> dict:
+    """The defaults of a settings dataclass, so that config restates none."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
 
 def _number(value, path: str) -> float:
@@ -111,21 +128,16 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _number_list(value, path: str) -> tuple[float, ...]:
+def _list(value, path: str, item=_number) -> tuple:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a non-empty list of numbers")
-    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def _strictly_increasing(values: tuple[float, ...], path: str) -> None:
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError(f"{path}: values must be strictly increasing")
-
-
-def _build(path: str, make, *args):
-    """make(*args), the domain constructor's ValueError re-raised naming path."""
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), the domain rule's ValueError re-raised naming path."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -138,54 +150,48 @@ def _seed(value, path: str) -> int:
     return seed
 
 
-def _times_and_steps(obj: dict, path: str, steps=None) -> tuple[tuple[float, ...], int]:
-    """t_values and n_steps of a block; n_steps is required unless steps is given."""
-    t_values = _number_list(_get(obj, "t_values", path), path + "t_values")
-    _strictly_increasing(t_values, path + "t_values")
-    if t_values[0] < 0:
-        raise ConfigError(f"{path}t_values: times must be non-negative")
-    if steps is None or "n_steps" in obj:
-        steps = _integer(_get(obj, "n_steps", path), path + "n_steps")
-    return t_values, _build(path + "n_steps", SolverConfig, steps).n_steps
+def _positive(value, path: str) -> float:
+    number = _number(value, path)
+    if number <= 0:
+        raise ConfigError(f"{path}: must be positive, got {number}")
+    return number
 
 
-def _parse_params(obj, path="params.") -> PhysicalParams:
-    obj = _require_mapping(obj, "params")
-    _reject_unknown(obj, {"hbar", "m", "g", "c"}, path)
-    hbar = _number(_get(obj, "hbar", path), path + "hbar")
-    m = _number(_get(obj, "m", path), path + "m")
-    g = _number(_get(obj, "g", path), path + "g")
-    c = _number(obj.get("c", 10.0), path + "c")
-    return _build(path[:-1], PhysicalParams, hbar, m, g, c)
+def _times(value, path: str) -> tuple[float, ...]:
+    times = _list(value, path)
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ConfigError(f"{path}: values must be strictly increasing")
+    if times[0] < 0:
+        raise ConfigError(f"{path}: times must be non-negative")
+    return times
 
 
-def _parse_grid(obj, path="grid.") -> Grid:
-    obj = _require_mapping(obj, "grid")
-    _reject_unknown(obj, {"x_min", "x_max", "n"}, path)
-    x_min = _number(_get(obj, "x_min", path), path + "x_min")
-    x_max = _number(_get(obj, "x_max", path), path + "x_max")
-    n = _integer(_get(obj, "n", path), path + "n")
-    return _build(path[:-1], Grid, x_min, x_max, n)
+def _steps(value, path: str) -> int:
+    return _build(path, SolverConfig, _integer(value, path)).n_steps
 
 
-def _parse_initial(obj, path="initial.") -> InitialState:
-    obj = _require_mapping(obj, "initial")
-    _reject_unknown(obj, {"x0", "p0", "sigma0"}, path)
-    x0 = _number(_get(obj, "x0", path), path + "x0")
-    p0 = _number(_get(obj, "p0", path), path + "p0")
-    sigma0 = _number(_get(obj, "sigma0", path), path + "sigma0")
-    if sigma0 <= 0:
-        raise ConfigError(f"initial.sigma0: must be positive, got {sigma0}")
-    return InitialState(x0=x0, p0=p0, sigma0=sigma0)
+def _step_counts(value, path: str) -> tuple[int, ...]:
+    return tuple(_build(path, splitstep._step_counts, _list(value, path, _integer)))
 
 
-def _parse_evolve(obj, path="evolve.") -> EvolveSettings:
-    obj = _require_mapping(obj, "evolve")
-    _reject_unknown(obj, {"t_values", "n_steps"}, path)
-    return EvolveSettings(*_times_and_steps(obj, path))
+def _c_values(value, path: str) -> tuple[float, ...]:
+    return tuple(_build(path, relativistic._c_values, _list(value, path)))
 
 
-def _parse_schedule(value, path: str) -> AccelSchedule:
+def _backend(value, path: str) -> str:
+    if value not in _BACKENDS:
+        raise ConfigError(f"{path}: expected one of {_BACKENDS}, got {value!r}")
+    return value
+
+
+def _n_random(value, path: str) -> int:
+    n_random = _integer(value, path)
+    if n_random < 1:
+        raise ConfigError(f"{path}: must be >= 1, got {n_random}")
+    return n_random
+
+
+def _schedule(value, path: str) -> AccelSchedule:
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected a list of [g, duration] pairs")
     segments = []
@@ -198,95 +204,68 @@ def _parse_schedule(value, path: str) -> AccelSchedule:
     return _build(path, AccelSchedule, tuple(segments))
 
 
-def _parse_scheme(value, path: str):
+def _scheme(value, path: str):
     if value == "colocated":
         return Colocated()
     if isinstance(value, dict):
-        _reject_unknown(value, {"branch_a", "branch_b"}, path + ".")
-        a = _parse_schedule(_get(value, "branch_a", path + "."), path + ".branch_a")
-        b = _parse_schedule(_get(value, "branch_b", path + "."), path + ".branch_b")
-        return BranchSchedules(accelerated=a, reference=b)
+        kinds = {"branch_a": _schedule, "branch_b": _schedule}
+        branches = _block(value, path + ".", kinds)
+        return BranchSchedules(branches["branch_a"], branches["branch_b"])
     raise ConfigError(
         f"{path}: expected \"colocated\" or an object with branch_a/branch_b"
     )
 
 
-def _parse_interfere(obj, path="interfere.") -> InterfereSettings:
-    obj = _require_mapping(obj, "interfere")
-    _reject_unknown(obj, {"t_values", "scheme", "backend", "n_steps"}, path)
-    t_values, n_steps = _times_and_steps(obj, path, InterfereSettings.n_steps)
-    scheme = _parse_scheme(obj.get("scheme", "colocated"), path + "scheme")
-    backend = obj.get("backend", "analytic")
-    if backend not in _BACKENDS:
-        raise ConfigError(
-            f"{path}backend: expected one of {_BACKENDS}, got {backend!r}"
-        )
-    return InterfereSettings(
-        t_values=t_values, scheme=scheme, backend=backend, n_steps=n_steps
-    )
+def _reader(make, kinds: dict, defaults=None):
+    """The parser of one block: its values read by _block, built by make."""
+    return lambda obj, path: _build(path, make, **_block(obj, path + ".", kinds, defaults))
 
 
-def _parse_verify(obj, grid: Grid, path="verify.") -> VerifySettings:
-    obj = _require_mapping(obj, "verify")
-    _reject_unknown(obj, {"n_oracle", "n_random", "step_counts", "c_values"}, path)
-    defaults = VerifySettings()
-    n_oracle = _integer(obj.get("n_oracle", defaults.n_oracle), path + "n_oracle")
-    # The checks run the oracle on this grid; the commutator guard is the tighter.
-    _build(path + "n_oracle", Grid, grid.x_min, grid.x_max, n_oracle)
-    if n_oracle > MAX_COMMUTATOR_N:
-        raise ConfigError(
-            f"{path}n_oracle: must be at most {MAX_COMMUTATOR_N}, got {n_oracle}"
-        )
-    n_random = _integer(obj.get("n_random", defaults.n_random), path + "n_random")
-    if n_random < 1:
-        raise ConfigError(f"{path}n_random: must be >= 1, got {n_random}")
-    if "step_counts" in obj:
-        raw = obj["step_counts"]
-        if not isinstance(raw, list) or len(raw) < 2:
-            raise ConfigError(f"{path}step_counts: expected a list of >= 2 integers")
-        counts = tuple(
-            _integer(v, f"{path}step_counts[{i}]") for i, v in enumerate(raw)
-        )
-        if any(b <= a for a, b in zip(counts, counts[1:])) or counts[0] < 1:
-            raise ConfigError(f"{path}step_counts: must be strictly increasing and >= 1")
-    else:
-        counts = defaults.step_counts
-    if "c_values" in obj:
-        cs = _number_list(obj["c_values"], path + "c_values")
-        _strictly_increasing(cs, path + "c_values")
-        if len(cs) < 3 or cs[0] <= 0:
-            raise ConfigError(f"{path}c_values: need >= 3 positive increasing values")
-    else:
-        cs = defaults.c_values
-    return VerifySettings(
-        n_oracle=n_oracle, n_random=n_random, step_counts=counts, c_values=cs
-    )
+_ROOT = {
+    "params": _reader(
+        PhysicalParams,
+        {"hbar": _number, "m": _number, "g": _number, "c": _number},
+        {"c": PhysicalParams.c},
+    ),
+    "grid": _reader(Grid, {"x_min": _number, "x_max": _number, "n": _integer}),
+    "initial": _reader(InitialState, {"x0": _number, "p0": _number, "sigma0": _positive}),
+    "evolve": _reader(EvolveSettings, {"t_values": _times, "n_steps": _steps}),
+    "interfere": _reader(
+        InterfereSettings,
+        {"t_values": _times, "n_steps": _steps, "scheme": _scheme, "backend": _backend},
+        _field_defaults(InterfereSettings),
+    ),
+    "verify": _reader(
+        VerifySettings,
+        {
+            "n_oracle": _integer,
+            "n_random": _n_random,
+            "step_counts": _step_counts,
+            "c_values": _c_values,
+        },
+        _field_defaults(VerifySettings),
+    ),
+    "seed": _seed,
+}
 
 
 def parse_config(raw: dict) -> RunConfig:
     """Validate a parsed JSON object into a RunConfig; raises ConfigError."""
-    raw = _require_mapping(raw, "config root")
-    _reject_unknown(
-        raw,
-        {"params", "grid", "initial", "evolve", "interfere", "verify", "seed"},
-        "",
-    )
-    params = _parse_params(_get(raw, "params", ""))
-    grid = _parse_grid(_get(raw, "grid", ""))
-    initial = _parse_initial(_get(raw, "initial", ""))
-    evolve = _parse_evolve(raw["evolve"]) if "evolve" in raw else None
-    interfere = _parse_interfere(raw["interfere"]) if "interfere" in raw else None
-    verify = _parse_verify(raw["verify"], grid) if "verify" in raw else VerifySettings()
-    seed = _seed(raw["seed"], "seed") if "seed" in raw else DEFAULT_SEED
-    return RunConfig(
-        params=params,
-        grid=grid,
-        initial=initial,
-        evolve=evolve,
-        interfere=interfere,
-        verify=verify,
-        seed=seed,
-    )
+    cfg = RunConfig(**_block(raw, "", _ROOT, _field_defaults(RunConfig)))
+    # The checks run the oracle on this grid; the commutator guard is the tighter.
+    n_oracle = cfg.verify.n_oracle
+    _build("verify.n_oracle", Grid, cfg.grid.x_min, cfg.grid.x_max, n_oracle)
+    if n_oracle > MAX_COMMUTATOR_N:
+        raise ConfigError(
+            f"verify.n_oracle: must be at most {MAX_COMMUTATOR_N}, got {n_oracle}"
+        )
+    return cfg
+
+
+def _start_packet(cfg: RunConfig, grid: Grid | None = None) -> WavePacket:
+    """The configured Gaussian start state, on grid or else the configured grid."""
+    init = cfg.initial
+    return make_gaussian(grid or cfg.grid, init.x0, init.p0, init.sigma0, cfg.params)
 
 
 def load_config(path: str) -> RunConfig:

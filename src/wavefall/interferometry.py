@@ -64,7 +64,7 @@ from .core import (
     moments,
     overlap,
 )
-from .errors import PhaseAliasing, SchemeMismatch, WavefallError
+from .errors import NonFiniteState, PhaseAliasing, SchemeMismatch, WavefallError
 from .splitstep import SolverConfig, evolve_split_step
 
 __all__ = [
@@ -304,12 +304,18 @@ def unwrap_phases(phases, t_values=None) -> np.ndarray:
     Each consecutive step is reduced to the nearest branch (magnitude at most
     pi); a reduced step within ALIASING_GUARD of pi is ambiguous (the true
     phase may have advanced by more than pi between samples) and raises
-    PhaseAliasing telling the caller to densify the sample times.
+    PhaseAliasing telling the caller to densify the sample times.  A NaN or
+    inf phase raises NonFiniteState naming its sample (or time).
     """
     phases = np.asarray(phases, dtype=float)
     out = np.empty_like(phases)
     if phases.size == 0:
         return out
+    finite = np.isfinite(phases)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        where = f"t={t_values[i]:.6g}" if t_values is not None else f"sample {i}"
+        raise NonFiniteState(f"phase {phases[i]} at {where} is not finite; cannot unwrap")
     out[0] = phases[0]
     two_pi = 2.0 * math.pi
     for i in range(1, phases.size):

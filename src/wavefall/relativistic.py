@@ -20,8 +20,9 @@ choice; this module reports both S and nr_action and leaves the comparison to
 the caller.
 
 This is the package's only use of scipy (simpson), and it is imported inside
-proper_time and rel_action, so importing wavefall, or running evolve and
-interfere, never loads scipy; verify loads it on its first proper-time call.
+rel_action, which proper_time calls, so importing wavefall, or running evolve
+and interfere, never loads scipy; verify loads it on its first proper-time
+call.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import PhysicalParams, Trajectory, _require_times
-from .errors import BadQuadrature, SuperluminalPath
+from .errors import BadQuadrature, NonFiniteState, SuperluminalPath
 
 __all__ = [
     "RelActionResult",
@@ -103,6 +104,10 @@ def _samples(traj: Trajectory, t: float, params: PhysicalParams, n_quad: int):
     v = np.asarray(traj.velocity(times))
     c2 = params.c**2
     radicand = 1.0 - 2.0 * params.g * x / c2 - v * v / c2
+    finite = np.isfinite(radicand)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFiniteState(f"radicand {radicand[i]} at t={times[i]:.6g} is not finite")
     low = float(radicand.min())
     if low <= 0.0:
         where = times[int(np.argmin(radicand))]
@@ -120,16 +125,9 @@ def proper_time(
 
     Composite Simpson on n_quad uniform intervals (rounded up to even,
     minimum 16).  Raises SuperluminalPath if the clock-rate radicand is
-    non-positive at any sample.
+    non-positive at any sample, NonFiniteState if it is NaN or inf.
     """
-    # Imported here: scipy.integrate costs ~0.6 s and ~45 MB, and only this
-    # quadrature needs it, so evolve and interfere never load scipy.
-    from scipy.integrate import simpson
-
-    times, _, _, radicand = _samples(traj, t, params, n_quad)
-    if t == 0.0:
-        return 0.0
-    return float(simpson(np.sqrt(radicand), x=times))
+    return rel_action(traj, t, params, n_quad).proper_time
 
 
 def rel_action(
@@ -141,7 +139,9 @@ def rel_action(
     samples; for parabolic paths the integrand is quadratic, which Simpson
     handles exactly, so abs_error isolates the genuine c^-2 gap.
     """
-    from scipy.integrate import simpson  # local for the reason in proper_time
+    # Imported here: scipy.integrate costs ~0.6 s and ~45 MB, and only this
+    # quadrature needs it, so evolve and interfere never load scipy.
+    from scipy.integrate import simpson
 
     times, x, v, radicand = _samples(traj, t, params, n_quad)
     if t == 0.0:
@@ -158,6 +158,18 @@ def rel_action(
     )
 
 
+def _c_values(c_list) -> list[float]:
+    """nr_limit_check's rule: at least three strictly increasing positive c."""
+    cs = [float(c) for c in c_list]
+    if len(cs) < 3:
+        raise ValueError("need at least three c values to fit a slope")
+    if any(b <= a for a, b in zip(cs, cs[1:])):
+        raise ValueError(f"c values must be strictly increasing, got {cs}")
+    if cs[0] <= 0:
+        raise ValueError(f"c values must be positive, got {cs}")
+    return cs
+
+
 def nr_limit_check(
     traj: Trajectory,
     t: float,
@@ -167,15 +179,12 @@ def nr_limit_check(
 ) -> LimitReport:
     """Fit the |S - nr_action| falloff against c on a log-log scale.
 
-    c_list must be strictly increasing with at least three entries.  A clean
-    weak-field setup lands near slope -2.  Errors at the noise floor for
-    every c (static path at the origin, or g = 0) yield fitted_order None.
+    c_list must be positive and strictly increasing, with at least three
+    entries.  A clean weak-field setup lands near slope -2.  Errors at the
+    noise floor for every c (static path at the origin, or g = 0) yield
+    fitted_order None.
     """
-    cs = [float(c) for c in c_list]
-    if len(cs) < 3:
-        raise ValueError("need at least three c values to fit a slope")
-    if any(b <= a for a, b in zip(cs, cs[1:])):
-        raise ValueError(f"c values must be strictly increasing, got {cs}")
+    cs = _c_values(c_list)
     rows = tuple(
         LimitRow(c=c, abs_error=rel_action(traj, t, replace(params, c=c), n_quad).abs_error)
         for c in cs
@@ -194,6 +203,8 @@ def static_proper_time(x0: float, t: float, params: PhysicalParams) -> float:
     _require_times("static_proper_time", [t])
     c2 = params.c**2
     radicand = 1.0 - 2.0 * params.g * x0 / c2
+    if not math.isfinite(radicand):
+        raise NonFiniteState(f"static radicand {radicand} at x0={x0} is not finite")
     if radicand <= 0.0:
         raise SuperluminalPath(
             f"static radicand {radicand:.3e} <= 0 at x0={x0} for c={params.c}"

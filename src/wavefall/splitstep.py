@@ -138,6 +138,17 @@ def evolve_split_step(
     return _packets(grid, amp, batched)
 
 
+def _step_counts(step_counts) -> list[int]:
+    """convergence_report's rule: at least two strictly increasing step counts."""
+    counts = [int(n) for n in step_counts]
+    if len(counts) < 2:
+        raise ValueError("need at least two step counts")
+    if any(b <= a for a, b in zip(counts, counts[1:])):
+        raise ValueError(f"step counts must be strictly increasing, got {counts}")
+    SolverConfig(counts[0])  # the smallest count must be a valid run
+    return counts
+
+
 def convergence_report(
     psi: WavePacket,
     params: PhysicalParams,
@@ -148,14 +159,11 @@ def convergence_report(
 
     The order between consecutive rows is log(err_i/err_j)/log(n_j/n_i), which
     reduces to log2(err(n)/err(2n)) for doubling counts; a second-order scheme
-    lands near 2.  Rows whose error sits at the rounding floor (below 1e-12,
-    e.g. every row when g = 0) get observed_order None, as does the last row.
+    lands near 2.  Rows whose error sits at the rounding floor (at most
+    1e-12, e.g. every row when g = 0) get observed_order None, as does the
+    last row; a NaN error gives a NaN order.
     """
-    counts = [int(n) for n in step_counts]
-    if len(counts) < 2:
-        raise ValueError("need at least two step counts")
-    if any(b <= a for a, b in zip(counts, counts[1:])):
-        raise ValueError(f"step counts must be strictly increasing, got {counts}")
+    counts = _step_counts(step_counts)
     reference = evolve_exact(psi, params, t)
     errors = [
         l2_distance(evolve_split_step(psi, params, t, SolverConfig(n)), reference)
@@ -166,7 +174,8 @@ def convergence_report(
         order: float | None = None
         if i + 1 < len(counts):
             nxt = errors[i + 1]
-            if err > ORDER_NOISE_FLOOR and nxt > ORDER_NOISE_FLOOR:
+            # NaN is not at the floor: it gives a NaN order, which fails.
+            if not (err <= ORDER_NOISE_FLOOR or nxt <= ORDER_NOISE_FLOOR):
                 order = math.log(err / nxt) / math.log(counts[i + 1] / n)
         rows.append(ConvergenceRow(n_steps=n, l2_error=err, observed_order=order))
     return rows

@@ -63,10 +63,16 @@ def _nan_moments(states, params):
         ("moments", _nan_moments, "spread_g_independence"),
         ("delta_action", lambda *args: math.nan, "delta_action_identity"),
         ("ehrenfest_mean", lambda *args: (math.nan, math.nan), "ehrenfest_means"),
+        (
+            "wavefall.splitstep.l2_distance",
+            lambda *args: math.nan,
+            "strang_convergence_order",
+        ),
     ],
 )
 def test_nan_deviation_fails_its_check(monkeypatch, attr, fake, name):
-    monkeypatch.setattr(checks, attr, fake)
+    # a dotted attr names a module other than checks
+    monkeypatch.setattr(attr if "." in attr else f"wavefall.checks.{attr}", fake)
     result = next(r for r in run_all_checks(default_config()) if r.name == name)
     assert not result.passed
     assert "nan" in result.measured

@@ -1,5 +1,8 @@
 """Config schema: strict validation, defaults, scheme parsing."""
 
+import re
+from functools import reduce
+
 import pytest
 
 from wavefall import (
@@ -167,3 +170,53 @@ def test_seed_range():
         parse_config(with_extra(seed=-1))
     with pytest.raises(ConfigError, match="seed"):
         parse_config(with_extra(seed=2**64))
+
+
+# Each config block: a valid instance, its required keys, and its optional
+# keys with the defaults they take when omitted.
+BLOCKS = {
+    "params": (MINIMAL["params"], ("hbar", "m", "g"), {"c": 10.0}),
+    "grid": (MINIMAL["grid"], ("x_min", "x_max", "n"), {}),
+    "initial": (MINIMAL["initial"], ("x0", "p0", "sigma0"), {}),
+    "evolve": ({"t_values": [0.5], "n_steps": 8}, ("t_values", "n_steps"), {}),
+    "interfere": (
+        {"t_values": [0.5]},
+        ("t_values",),
+        {"scheme": Colocated(), "backend": "analytic", "n_steps": 2048},
+    ),
+    "interfere.scheme": (
+        {"branch_a": [[1.0, 1.0]], "branch_b": [[0.0, 1.0]]},
+        ("branch_a", "branch_b"),
+        {},
+    ),
+    "verify": (
+        {},
+        (),
+        {
+            "n_oracle": 256,
+            "n_random": 1000,
+            "step_counts": (64, 128, 256, 512),
+            "c_values": (10.0, 20.0, 40.0, 80.0),
+        },
+    ),
+}
+
+
+def with_block(path, block):
+    if path == "interfere.scheme":
+        return with_extra(interfere={"t_values": [1.0], "scheme": block})
+    return with_extra(**{path: block})
+
+
+@pytest.mark.parametrize("path", list(BLOCKS))
+def test_every_block_has_a_strict_schema(path):
+    block, required, defaults = BLOCKS[path]
+    dotted = re.escape(path)
+    with pytest.raises(ConfigError, match=rf"^unknown key {dotted}\.bogus$"):
+        parse_config(with_block(path, dict(block, bogus=1)))
+    for key in required:
+        short = {k: v for k, v in block.items() if k != key}
+        with pytest.raises(ConfigError, match=rf"^missing required key {dotted}\.{key}$"):
+            parse_config(with_block(path, short))
+    parsed = reduce(getattr, path.split("."), parse_config(with_block(path, block)))
+    assert {key: getattr(parsed, key) for key in defaults} == defaults

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from wavefall import (
     BadQuadrature,
     NegativeTime,
+    NonFiniteState,
     PhysicalParams,
     SuperluminalPath,
     Trajectory,
@@ -17,6 +18,7 @@ from wavefall import (
     proper_time,
     rel_action,
     static_proper_time,
+    unwrap_phases,
 )
 
 
@@ -138,3 +140,22 @@ def test_leading_error_coefficient(params):
 def test_proper_time_rejects_bad_durations(params, clock, t):
     with pytest.raises(NegativeTime, match="t must be finite and >= 0"):
         clock(t, params)
+
+
+@pytest.mark.parametrize(
+    "call, where",
+    [
+        (lambda p: unwrap_phases([0.0, math.nan, 1.0]), "sample 1"),
+        (lambda p: unwrap_phases([0.0, math.nan], [0.5, 0.75]), "t=0.75"),
+        (
+            lambda p: proper_time(Trajectory.from_initial(math.nan, 0, 0, g=0), 1, p, 64),
+            "t=0 ",
+        ),
+        (lambda p: static_proper_time(math.nan, 1.0, p), "x0=nan"),
+    ],
+    ids=["unwrap_phases", "unwrap_phases-times", "proper_time", "static_proper_time"],
+)
+def test_nan_is_refused_naming_its_sample(params, call, where):
+    # NaN must not read as "within 1e-3 of pi" or as "radicand nan <= 0"
+    with pytest.raises(NonFiniteState, match=where):
+        call(params)

@@ -15,6 +15,9 @@ and their difference is independent of the starting point:
 
 which is exactly hbar times the phase the factored propagator attaches at
 position xt (momentum-kick phase plus the global cubic phase).
+
+Every closed form here refuses a NaN or infinite argument with
+NonFiniteState naming it, before any other check.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import PhysicalParams
+from .core import PhysicalParams, _require_finite_args
 from .errors import DegenerateInterval
 
 __all__ = [
@@ -52,6 +55,7 @@ def classical_action(
     kinetic = (m/2) ((x0-x1)^2/T + g^2 T^3/12) and
     potential = m g (T (x0+x1)/2 + g T^3/12); the value is their difference.
     """
+    _require_finite_args("classical_action", x0=x0, x1=x1, t0=t0, t1=t1)
     if not t1 > t0:
         raise DegenerateInterval(f"need t1 > t0, got t0={t0}, t1={t1}")
     m, g = params.m, params.g
@@ -72,6 +76,7 @@ def shifted_free_action(
     The comparison path is a straight line, so the action is purely kinetic:
     (m / 2t) (x0 - xt - g t^2/2)^2.  Requires t > 0.
     """
+    _require_finite_args("shifted_free_action", x0=x0, xt=xt, t=t)
     if not t > 0:
         raise DegenerateInterval(f"shifted_free_action: need t > 0, got {t}")
     diff = x0 - xt - 0.5 * params.g * t * t
@@ -84,6 +89,7 @@ def delta_action(xt: float, t: float, params: PhysicalParams) -> float:
 
     Independent of the starting point x0; vanishes identically at g = 0.
     """
+    _require_finite_args("delta_action", xt=xt, t=t)
     m, g = params.m, params.g
     return -m * g * xt * t - m * g * g * t**3 / 6.0
 
@@ -96,6 +102,7 @@ def ehrenfest_mean(
     Returns (x0 + p0 t/m - g t^2/2, p0 - m g t); quantum means follow these
     exactly because the potential is linear.
     """
+    _require_finite_args("ehrenfest_mean", x0=x0, p0=p0, t=t)
     m, g = params.m, params.g
     return (x0 + p0 * t / m - 0.5 * g * t * t, p0 - m * g * t)
 
@@ -109,6 +116,7 @@ def spread_bound(
     The exact spread grows toward half the bound once the free spreading
     dominates sigma0; gravity cancels out of both expressions.
     """
+    _require_finite_args("spread_bound", sigma0=sigma0, t=t)
     ratio = params.hbar * t / (params.m * sigma0)
     exact = sigma0 * math.sqrt(1.0 + (ratio / (2.0 * sigma0)) ** 2)
     return (ratio, exact)

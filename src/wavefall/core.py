@@ -351,6 +351,16 @@ def _require_finite(
         raise NonFiniteState(f"{context}: non-finite amplitude{where} at node {node}")
 
 
+def _require_finite_args(context: str, **values: float) -> None:
+    """Raise NonFiniteState naming the first scalar argument that is NaN or inf.
+
+    The message reads "<context>: <name>=<value> is not finite".
+    """
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise NonFiniteState(f"{context}: {name}={value} is not finite")
+
+
 def _require_times(context: str, times) -> None:
     """Raise NegativeTime naming the first time that is negative, NaN or infinite."""
     for t in times:
@@ -398,9 +408,9 @@ def make_gaussian(
     grid : Grid
         Lattice the packet lives on.
     x0, p0 : float
-        Center and mean momentum.  x0 must sit at least 6*sigma0 away from
-        both grid edges; |p0| must stay below half the largest lattice
-        momentum hbar*pi/dx.
+        Center and mean momentum, both finite.  x0 must sit at least
+        6*sigma0 away from both grid edges; |p0| must stay below half the
+        largest lattice momentum hbar*pi/dx.
     sigma0 : float
         Position spread; must be positive, finite and at least 2*dx so the
         packet is resolved.
@@ -414,6 +424,7 @@ def make_gaussian(
     # Every check is written to fail closed: a NaN input is refused here.
     if not 0 < sigma0 < math.inf:
         raise BadSigma(f"sigma0 must be positive and finite, got {sigma0}")
+    _require_finite_args("make_gaussian", x0=x0, p0=p0)
     if not (grid.x_min <= x0 - 6.0 * sigma0 and x0 + 6.0 * sigma0 <= grid.x_max):
         raise GridOverflow(
             f"make_gaussian: 6-sigma support [{x0 - 6 * sigma0:.4g}, "

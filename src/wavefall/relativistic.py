@@ -19,10 +19,10 @@ overall minus sign relative to the proper-time integral is a bookkeeping
 choice; this module reports both S and nr_action and leaves the comparison to
 the caller.
 
-This is the package's only use of scipy (simpson), and it is imported inside
-rel_action, which proper_time calls, so importing wavefall, or running evolve
-and interfere, never loads scipy; verify loads it on its first proper-time
-call.
+The quadrature is _simpson: the branch scipy.integrate.simpson takes on these
+samples (uniform nodes, an even interval count), with the same operations in
+the same order.  So the package needs numpy only, and its results equal
+scipy's bit for bit; the test suite checks that against scipy itself.
 """
 
 from __future__ import annotations
@@ -118,6 +118,30 @@ def _samples(traj: Trajectory, t: float, params: PhysicalParams, n_quad: int):
     return times, x, v, radicand
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> np.float64:
+    """Composite Simpson integral of samples y at nodes x, len(x) odd.
+
+    scipy.integrate.simpson(y, x=x) for an odd sample count runs
+    _basic_simpson's irregular-spacing formula; this is that formula with
+    the same operations in the same order, so the two agree bit for bit.
+    """
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
+    h1divh0 = np.true_divide(
+        1.0, h0divh1, out=np.zeros_like(h0divh1), where=h0divh1 != 0
+    )
+    weight1 = hsum * np.true_divide(
+        hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0
+    )
+    tmp = hsum / 6.0 * (
+        y[0:-2:2] * (2.0 - h1divh0) + y[1:-1:2] * weight1 + y[2::2] * (2.0 - h0divh1)
+    )
+    return np.sum(tmp)
+
+
 def proper_time(
     traj: Trajectory, t: float, params: PhysicalParams, n_quad: int
 ) -> float:
@@ -139,17 +163,13 @@ def rel_action(
     samples; for parabolic paths the integrand is quadratic, which Simpson
     handles exactly, so abs_error isolates the genuine c^-2 gap.
     """
-    # Imported here: scipy.integrate costs ~0.6 s and ~45 MB, and only this
-    # quadrature needs it, so evolve and interfere never load scipy.
-    from scipy.integrate import simpson
-
     times, x, v, radicand = _samples(traj, t, params, n_quad)
     if t == 0.0:
         return RelActionResult(0.0, 0.0, 0.0, 0.0)
-    tau = float(simpson(np.sqrt(radicand), x=times))
+    tau = float(_simpson(np.sqrt(radicand), times))
     action = params.m * params.c**2 * (tau - t)
     integrand = -params.m * params.g * x - 0.5 * params.m * v * v
-    nr = float(simpson(integrand, x=times))
+    nr = float(_simpson(integrand, times))
     return RelActionResult(
         proper_time=tau,
         action=action,

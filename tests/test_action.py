@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from wavefall import (
     DegenerateInterval,
+    NonFiniteState,
     PhysicalParams,
     Trajectory,
     classical_action,
@@ -165,3 +166,31 @@ def test_spread_bound_dominates_actual_growth(grid, params):
         measured = moments(evolve_exact(psi, params, t), params).sigma_x
         assert measured == pytest.approx(exact, abs=1e-8)
         assert measured - 1.0 <= bound  # growth never beats the bound
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: classical_action(NAN, 1, 0, 1, p), "classical_action: x0=nan"),
+        (lambda p: classical_action(0, 1, 0, INF, p), "classical_action: t1=inf"),
+        (lambda p: shifted_free_action(0, -INF, 1, p), "shifted_free_action: xt=-inf"),
+        (lambda p: shifted_free_action(0, 0, NAN, p), "shifted_free_action: t=nan"),
+        (lambda p: delta_action(NAN, 1, p), "delta_action: xt=nan"),
+        (lambda p: ehrenfest_mean(NAN, 0, 1, p), "ehrenfest_mean: x0=nan"),
+        (lambda p: ehrenfest_mean(0, INF, 1, p), "ehrenfest_mean: p0=inf"),
+        (lambda p: spread_bound(INF, 1, p), "spread_bound: sigma0=inf"),
+        (lambda p: spread_bound(1, NAN, p), "spread_bound: t=nan"),
+    ],
+    ids=[
+        "classical_action-x0", "classical_action-t1", "shifted_free_action-xt",
+        "shifted_free_action-t", "delta_action", "ehrenfest_mean-x0",
+        "ehrenfest_mean-p0", "spread_bound-sigma0", "spread_bound-t",
+    ],
+)
+def test_closed_forms_refuse_non_finite_arguments(params, call, message):
+    with pytest.raises(NonFiniteState) as info:
+        call(params)
+    assert str(info.value) == message + " is not finite"

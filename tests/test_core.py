@@ -123,14 +123,24 @@ def test_gaussian_rejects_bad_inputs(grid, params):
     for sigma0 in (math.nan, math.inf):
         with pytest.raises(BadSigma, match=f"got {sigma0}"):
             make_gaussian(grid, 0.0, 0.0, sigma0, params)
-    for x0, p0, match in [
+
+
+@pytest.mark.parametrize(
+    "x0, p0, name",
+    [
         (math.nan, 0.0, "x0=nan"),
         (math.inf, 0.0, "x0=inf"),
-        (0.0, math.nan, r"\|p0\|=nan"),
-        (0.0, -math.inf, r"\|p0\|=inf"),
-    ]:
-        with pytest.raises(GridOverflow, match=match):
-            make_gaussian(grid, x0, p0, 1.0, params)
+        (0.0, math.nan, "p0=nan"),
+        (0.0, -math.inf, "p0=-inf"),
+    ],
+    ids=["x0-nan", "x0-inf", "p0-nan", "p0--inf"],
+)
+def test_gaussian_refuses_non_finite_centre_and_momentum(grid, params, x0, p0, name):
+    # a non-finite input is not a grid overflow; it is refused before the
+    # support and momentum checks, naming the value
+    with pytest.raises(NonFiniteState) as info:
+        make_gaussian(grid, x0, p0, 1.0, params)
+    assert str(info.value) == f"make_gaussian: {name} is not finite"
 
 
 def test_momentum_norm_matches_position_norm(psi0):

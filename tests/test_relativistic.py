@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wavefall import (
@@ -20,6 +22,7 @@ from wavefall import (
     static_proper_time,
     unwrap_phases,
 )
+from wavefall.relativistic import _samples, _simpson
 
 
 def test_free_fall_trajectory_accelerates_toward_plus_x(params):
@@ -159,3 +162,60 @@ def test_nan_is_refused_naming_its_sample(params, call, where):
     # NaN must not read as "within 1e-3 of pi" or as "radicand nan <= 0"
     with pytest.raises(NonFiniteState, match=where):
         call(params)
+
+
+@pytest.fixture(scope="module")
+def scipy_simpson():
+    return pytest.importorskip("scipy.integrate").simpson
+
+
+def _assert_same_bits(y, x, simpson):
+    assert float(_simpson(y, x)).hex() == float(simpson(y, x=x)).hex()
+
+
+@given(
+    n=st.integers(8, 2049).map(lambda k: 2 * k),
+    u=st.floats(-300.0, 6.0),
+    decades=st.floats(0.0, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simpson_matches_scipy_bit_for_bit(scipy_simpson, n, u, decades, seed):
+    # uniform nodes with an even interval count, as _samples builds them,
+    # and finite samples of either sign spread over many decades
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 10.0**u, n + 1)
+    y = rng.standard_normal(n + 1) * 10.0 ** rng.uniform(-decades, decades, n + 1)
+    _assert_same_bits(y, x, scipy_simpson)
+
+
+@given(
+    n_quad=st.integers(16, 4098),
+    t=st.floats(1e-3, 3.0),
+    x0=st.floats(-10.0, 10.0),
+    v0=st.floats(-5.0, 5.0),
+    g=st.floats(-10.0, 10.0),
+    c=st.floats(100.0, 1e4),
+)
+def test_simpson_matches_scipy_on_clock_rates(scipy_simpson, n_quad, t, x0, v0, g, c):
+    # |x| <= 70 and |v| <= 35 keep the radicand above 0.7 for c >= 100
+    params = PhysicalParams(g=g, c=c)
+    times, _, _, radicand = _samples(
+        free_fall_trajectory(x0, v0, 0.0, params), t, params, n_quad
+    )
+    _assert_same_bits(np.sqrt(radicand), times, scipy_simpson)
+
+
+@pytest.mark.parametrize(
+    "field, bits",
+    [
+        ("proper_time", "0x1.fe49c5edbf080p-1"),
+        ("action", "-0x1.565d5e42c1c00p-2"),
+        ("nr_action", "-0x1.5555555555554p-2"),
+        ("abs_error", "0x1.0808ed6c6ac00p-10"),
+    ],
+)
+def test_rel_action_bits_on_default_params(field, bits):
+    # the values scipy.integrate.simpson gave on verify's limit-check path
+    params = PhysicalParams()
+    res = rel_action(free_fall_trajectory(0.0, 0.0, 0.0, params), 1.0, params, 4096)
+    assert getattr(res, field).hex() == bits

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .core import PhysicalParams, _require_finite_args
-from .errors import DegenerateInterval
+from .errors import BadSigma, DegenerateInterval
 
 __all__ = [
     "ActionValue",
@@ -117,6 +117,8 @@ def spread_bound(
     dominates sigma0; gravity cancels out of both expressions.
     """
     _require_finite_args("spread_bound", sigma0=sigma0, t=t)
+    if not sigma0 > 0:
+        raise BadSigma(f"spread_bound: sigma0 must be positive, got {sigma0}")
     ratio = params.hbar * t / (params.m * sigma0)
     exact = sigma0 * math.sqrt(1.0 + (ratio / (2.0 * sigma0)) ** 2)
     return (ratio, exact)

@@ -11,13 +11,14 @@ left, the evolution is exactly:
     4. global cubic phase e^{-i m g^2 t^3/(6 hbar)}.
 
 Each factor is one kernel acting in place on a C-contiguous (rows, n) stack
-of amplitudes.  free_evolve, apply_linear_phase and apply_global_phase run
-their kernel on a one-row stack, shift_packet on a stack of any number of
-rows; evolve_exact composes all four on such a stack, with its own (g, t)
-per row, and the interference protocol propagates its branches that way, a
-chunk of rows at a time.  evolve_piecewise and the protocol share one
-segment loop, _segment_chain, which takes the propagator of a segment as a
-callable.  Three rules keep every row bit-identical to a single-row call:
+of amplitudes.  shift_packet runs factor 1 on a stack of any number of
+rows, free_evolve factor 2 and apply_global_phase the kernel of factor 4 on
+a one-row stack; factor 3 has no public form.  evolve_exact composes all
+four on such a stack, with its own (g, t) per row, and the interference
+protocol propagates its branches that way, a chunk of rows at a time.
+evolve_piecewise and the protocol share one segment loop, _segment_chain,
+which takes the propagator of a segment as a callable.  Three rules keep
+every row bit-identical to a single-row call:
 
 - each row's phase is built from that row's scalar with the single-row
   expression; rows whose scalars have equal bits share one evaluation;
@@ -69,7 +70,6 @@ __all__ = [
     "AccelSchedule",
     "free_evolve",
     "shift_packet",
-    "apply_linear_phase",
     "apply_global_phase",
     "evolve_exact",
     "evolve_piecewise",
@@ -100,12 +100,6 @@ class AccelSchedule:
     @property
     def total_duration(self) -> float:
         return float(sum(dt for _, dt in self.segments))
-
-    def __iter__(self):
-        return iter(self.segments)
-
-    def __len__(self) -> int:
-        return len(self.segments)
 
 
 def _bits(v: float) -> bytes:
@@ -241,15 +235,6 @@ def shift_packet(
         return []
     amp, pair = _shift(psis, shifts, "shift_packet", batched)
     return _packets(psis[0].grid, amp[pair], batched)
-
-
-def apply_linear_phase(
-    psi: WavePacket, slope: float, params: PhysicalParams
-) -> WavePacket:
-    """Multiply by e^{-i slope x / hbar}; shifts the mean momentum by -slope."""
-    amp = _stack([psi])
-    _kick(amp, psi.grid, params.hbar, [slope])
-    return WavePacket(psi.grid, amp[0])
 
 
 def apply_global_phase(psi: WavePacket, theta: float) -> WavePacket:

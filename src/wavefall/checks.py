@@ -4,10 +4,12 @@ Each check exercises two independent routes to the same number (closed form
 vs dense oracle, closed form vs quadrature, analytic vs split-step) and
 passes only when they agree at the stated tolerance.  Checks never raise:
 any domain error is converted into a structured failure so a misconfigured
-run (tiny grid, wide packet) reports FAIL rather than a traceback.  Worst-case
-reductions go through `_worst`, which propagates NaN, so a NaN deviation fails
-its check instead of being dropped.  The whole suite is deterministic for a
-fixed config and seed.
+run (tiny grid, wide packet) reports FAIL rather than a traceback.  Each
+verify setting is read through its config rule, so a bad one built in code
+fails the checks that use it, naming the setting.  Worst-case reductions go
+through `_worst`, which propagates NaN, so a NaN deviation fails its check
+instead of being dropped.  The whole suite is deterministic for a fixed
+config and seed.
 
 Each check is one private function, _<name>(cfg, rng), that returns the
 passed/measured/target/detail fields of its CheckResult; the runner adds
@@ -24,8 +26,8 @@ import numpy as np
 
 from .action import classical_action, delta_action, ehrenfest_mean, shifted_free_action
 from .analytic import AccelSchedule, evolve_exact, evolve_piecewise, apply_global_phase
-from .config import RunConfig, _start_packet
-from .core import Grid, Trajectory, l2_distance, make_gaussian, moments, overlap
+from .config import RunConfig, _oracle_grid, _start_packet, _verify_setting
+from .core import Trajectory, l2_distance, make_gaussian, moments, overlap
 from .errors import WavefallError
 from .interferometry import branch_states, run_protocol
 from .oracle import (
@@ -55,7 +57,7 @@ def _worst(*values: float) -> float:
 
 
 def _factorization_vs_dense_oracle(cfg: RunConfig, rng) -> dict:
-    grid = Grid(cfg.grid.x_min, cfg.grid.x_max, cfg.verify.n_oracle)
+    grid = _oracle_grid(cfg)
     psi = _start_packet(cfg, grid)
     t = 1.0
     direct = evolve_exact(psi, cfg.params, t)
@@ -89,7 +91,7 @@ def _spread_g_independence(cfg: RunConfig, rng) -> dict:
 
 
 def _commutator_identity(cfg: RunConfig, rng) -> dict:
-    grid = Grid(cfg.grid.x_min, cfg.grid.x_max, cfg.verify.n_oracle)
+    grid = _oracle_grid(cfg)
     psi = _start_packet(cfg, grid)
     phi = make_gaussian(
         grid, cfg.initial.x0 + cfg.initial.sigma0, cfg.initial.p0,
@@ -100,7 +102,7 @@ def _commutator_identity(cfg: RunConfig, rng) -> dict:
         pars = replace(cfg.params, g=g)
         h = dense_hamiltonian(grid, pars)
         for t in (0.5, 1.0):
-            x_t = heisenberg_position(dense_propagator(h, t, pars), grid)
+            x_t = heisenberg_position(dense_propagator(h, t, pars))
             for bra, ket in ((psi, psi), (phi, psi)):
                 elem = commutator_element(bra, ket, x_t)
                 ov = overlap(bra, ket)
@@ -118,7 +120,9 @@ def _commutator_identity(cfg: RunConfig, rng) -> dict:
 def _delta_action_identity(cfg: RunConfig, rng) -> dict:
     worst_identity = 0.0
     worst_x0 = 0.0
-    for _ in range(cfg.verify.n_random):
+    # Fail closed: zero samples would pass on the initial zeros.
+    n_random = _verify_setting(cfg, "n_random")
+    for _ in range(n_random):
         m = rng.uniform(0.5, 3.0)
         g = rng.uniform(-2.0, 2.0)
         t = rng.uniform(0.25, 3.0)
@@ -140,7 +144,7 @@ def _delta_action_identity(cfg: RunConfig, rng) -> dict:
         passed=worst_identity < 1e-12 and worst_x0 < 1e-12,
         measured=f"identity {worst_identity:.3e}, x0-dependence {worst_x0:.3e}",
         target="both < 1e-12",
-        detail=f"{cfg.verify.n_random} randomized (m, g, t, x0, xt) tuples",
+        detail=f"{n_random} randomized (m, g, t, x0, xt) tuples",
     )
 
 
@@ -188,7 +192,7 @@ def _ehrenfest_means(cfg: RunConfig, rng) -> dict:
 
 
 def _strang_convergence_order(cfg: RunConfig, rng) -> dict:
-    counts = list(cfg.verify.step_counts)
+    counts = list(_verify_setting(cfg, "step_counts"))
     rows = convergence_report(_start_packet(cfg), cfg.params, 1.0, counts)
     orders = [r.observed_order for r in rows if r.observed_order is not None]
     if not orders:
@@ -208,7 +212,7 @@ def _strang_convergence_order(cfg: RunConfig, rng) -> dict:
 
 def _relativistic_limit_scaling(cfg: RunConfig, rng) -> dict:
     traj = free_fall_trajectory(0.0, 0.0, 0.0, cfg.params)
-    report = nr_limit_check(traj, 1.0, cfg.params, list(cfg.verify.c_values))
+    report = nr_limit_check(traj, 1.0, cfg.params, _verify_setting(cfg, "c_values"))
     static = Trajectory.from_initial(0.0, 0.0, 0.0, g=0.0)
     static_gap = abs(proper_time(static, 1.0, cfg.params, 4096) - 1.0)
     if report.fitted_order is None:

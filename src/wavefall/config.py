@@ -129,7 +129,8 @@ def _integer(value, path: str) -> int:
 
 
 def _list(value, path: str, item=_number) -> tuple:
-    if not isinstance(value, list) or not value:
+    # A tuple is a settings value built in code; JSON gives lists only.
+    if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{path}: expected a non-empty list of numbers")
     return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
 
@@ -221,6 +222,13 @@ def _reader(make, kinds: dict, defaults=None):
     return lambda obj, path: _build(path, make, **_block(obj, path + ".", kinds, defaults))
 
 
+_VERIFY = {
+    "n_oracle": _integer,
+    "n_random": _n_random,
+    "step_counts": _step_counts,
+    "c_values": _c_values,
+}
+
 _ROOT = {
     "params": _reader(
         PhysicalParams,
@@ -235,16 +243,7 @@ _ROOT = {
         {"t_values": _times, "n_steps": _steps, "scheme": _scheme, "backend": _backend},
         _field_defaults(InterfereSettings),
     ),
-    "verify": _reader(
-        VerifySettings,
-        {
-            "n_oracle": _integer,
-            "n_random": _n_random,
-            "step_counts": _step_counts,
-            "c_values": _c_values,
-        },
-        _field_defaults(VerifySettings),
-    ),
+    "verify": _reader(VerifySettings, _VERIFY, _field_defaults(VerifySettings)),
     "seed": _seed,
 }
 
@@ -253,13 +252,27 @@ def parse_config(raw: dict) -> RunConfig:
     """Validate a parsed JSON object into a RunConfig; raises ConfigError."""
     cfg = RunConfig(**_block(raw, "", _ROOT, _field_defaults(RunConfig)))
     # The checks run the oracle on this grid; the commutator guard is the tighter.
-    n_oracle = cfg.verify.n_oracle
-    _build("verify.n_oracle", Grid, cfg.grid.x_min, cfg.grid.x_max, n_oracle)
+    n_oracle = _oracle_grid(cfg).n
     if n_oracle > MAX_COMMUTATOR_N:
         raise ConfigError(
             f"verify.n_oracle: must be at most {MAX_COMMUTATOR_N}, got {n_oracle}"
         )
     return cfg
+
+
+def _verify_setting(cfg: RunConfig, key: str):
+    """cfg.verify.<key> read through its config rule; ConfigError names the key.
+
+    The checks read every setting this way, so a VerifySettings built in
+    code, which no rule has seen, fails the checks that use a bad value.
+    """
+    return _VERIFY[key](getattr(cfg.verify, key), f"verify.{key}")
+
+
+def _oracle_grid(cfg: RunConfig) -> Grid:
+    """The configured bounds with verify.n_oracle nodes; ConfigError names the key."""
+    n_oracle = _verify_setting(cfg, "n_oracle")
+    return _build("verify.n_oracle", Grid, cfg.grid.x_min, cfg.grid.x_max, n_oracle)
 
 
 def _start_packet(cfg: RunConfig, grid: Grid | None = None) -> WavePacket:

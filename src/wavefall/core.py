@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     BadSigma,
-    DegenerateInterval,
     GridMismatch,
     GridOverflow,
     NegativeTime,
@@ -34,14 +33,12 @@ __all__ = [
     "PhysicalParams",
     "Grid",
     "WavePacket",
-    "MomentumPacket",
     "Moments",
     "Trajectory",
     "make_gaussian",
     "moments",
     "overlap",
     "l2_distance",
-    "to_momentum",
     "margin_nodes",
     "boundary_amplitude",
     "check_margin",
@@ -166,25 +163,6 @@ class WavePacket:
         return float(np.sum(np.abs(self.amp) ** 2) * self.grid.dx)
 
 
-@dataclass(frozen=True, eq=False)
-class MomentumPacket:
-    """Momentum-space state on the wavenumber lattice of a Grid.
-
-    Amplitudes are indexed like grid.k (FFT layout) and normalized so that
-    sum |amp|^2 dk = 1.  Physical momentum is hbar*k.
-    """
-
-    grid: Grid
-    amp: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "amp", _frozen(self.amp, (self.grid.n,), "amp"))
-
-    @property
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amp) ** 2) * self.grid.dk)
-
-
 @dataclass(frozen=True)
 class Moments:
     """Lattice observables of a state: norm, means, and spreads."""
@@ -200,55 +178,27 @@ class Moments:
 class Trajectory:
     """Classical path under constant acceleration, convention xddot = -g.
 
-    Two construction forms share one evaluator: the initial-value form stores
-    (x0, v0 at t0), the boundary-value form stores (x0 at t0, x1 at t1) and
-    evaluates through a Lagrange-style expression so both endpoints are
-    reproduced exactly in floating point.
+    The path leaves x0 with velocity v0 at time t0.
     """
 
     g: float
     t0: float
     x0: float
-    v0: float | None = None
-    x1: float | None = None
-    t1: float | None = None
+    v0: float
 
     @classmethod
     def from_initial(cls, x0: float, v0: float, t0: float, g: float) -> "Trajectory":
         return cls(g=g, t0=t0, x0=x0, v0=v0)
 
-    @classmethod
-    def through_points(
-        cls, x0: float, t0: float, x1: float, t1: float, g: float
-    ) -> "Trajectory":
-        if not t1 > t0:
-            raise DegenerateInterval(f"need t1 > t0, got t0={t0}, t1={t1}")
-        return cls(g=g, t0=t0, x0=x0, x1=x1, t1=t1)
-
     def position(self, t):
         """x(t); accepts a scalar or ndarray of times."""
         dt = np.asarray(t) - self.t0
-        if self.v0 is not None:
-            out = self.x0 + self.v0 * dt - 0.5 * self.g * dt * dt
-        else:
-            span = self.t1 - self.t0
-            back = self.t1 - np.asarray(t)
-            out = (
-                self.x0 * (back / span)
-                + self.x1 * (dt / span)
-                + 0.5 * self.g * dt * back
-            )
+        out = self.x0 + self.v0 * dt - 0.5 * self.g * dt * dt
         return out if np.ndim(t) else float(out)
 
     def velocity(self, t):
         """xdot(t); accepts a scalar or ndarray of times."""
-        dt = np.asarray(t) - self.t0
-        if self.v0 is not None:
-            out = self.v0 - self.g * dt
-        else:
-            span = self.t1 - self.t0
-            slope = (self.x1 - self.x0) / span
-            out = slope + 0.5 * self.g * ((self.t1 - np.asarray(t)) - dt)
+        out = self.v0 - self.g * (np.asarray(t) - self.t0)
         return out if np.ndim(t) else float(out)
 
 
@@ -452,20 +402,15 @@ def make_gaussian(
 
 
 def _momentum_amp(amp: np.ndarray, g: Grid) -> np.ndarray:
-    """Momentum amplitudes of a position stack, transformed in place."""
+    """Momentum amplitudes of a position stack, transformed in place.
+
+    Convention: amp_k(k_j) = dx/sqrt(2 pi) * sum_i amp(x_i) e^{-i k_j x_i},
+    in FFT layout, which preserves the lattice norm (Parseval).
+    """
     np.fft.fft(amp, out=amp)
     amp *= np.exp(-1j * g.k * g.x_min)
     amp *= g.dx / math.sqrt(2.0 * math.pi)
     return amp
-
-
-def to_momentum(psi: WavePacket) -> MomentumPacket:
-    """Unitary map to the momentum representation (FFT layout).
-
-    Convention: amp_k(k_j) = dx/sqrt(2 pi) * sum_i amp(x_i) e^{-i k_j x_i},
-    which preserves the lattice norm (sum |amp_k|^2 dk = sum |amp|^2 dx).
-    """
-    return MomentumPacket(psi.grid, _momentum_amp(np.array(psi.amp), psi.grid))
 
 
 def moments(

@@ -112,18 +112,16 @@ def dense_propagator(
     return DenseOperator(hamiltonian.grid, u)
 
 
-def heisenberg_position(propagator: DenseOperator, grid: Grid) -> DenseOperator:
-    """x(t) = U^dagger X U; requires U unitary."""
-    if propagator.grid != grid:
-        raise GridMismatch("propagator grid differs from requested grid")
+def heisenberg_position(propagator: DenseOperator) -> DenseOperator:
+    """x(t) = U^dagger X U on the propagator's grid; requires U unitary."""
     defect = propagator.unitarity_defect()
     if not defect <= 1e-9:
         raise NotUnitary(
             f"heisenberg_position: unitarity defect {defect:.3e} exceeds tolerance"
         )
     u = propagator.matrix
-    x = grid.x.astype(np.complex128)
-    return DenseOperator(grid, u.conj().T @ (x[:, None] * u))
+    x = propagator.grid.x.astype(np.complex128)
+    return DenseOperator(propagator.grid, u.conj().T @ (x[:, None] * u))
 
 
 def commutator_element(phi: WavePacket, psi: WavePacket, x_t: DenseOperator) -> complex:

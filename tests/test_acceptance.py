@@ -102,7 +102,7 @@ def test_position_commutator_identity():
         pr = PhysicalParams(hbar=1.0, m=1.0, g=g, c=10.0)
         for t in (0.5, 1.0):
             u = dense_propagator(dense_hamiltonian(GRID, pr), t, pr)
-            x_t = heisenberg_position(u, GRID)
+            x_t = heisenberg_position(u)
             for bra, ket in ((psi, psi), (phi, psi)):
                 val = commutator_element(bra, ket, x_t)
                 ov = overlap(bra, ket)

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from wavefall import (
+    BadSigma,
     DegenerateInterval,
     NonFiniteState,
     PhysicalParams,
@@ -47,7 +48,8 @@ def test_classical_action_matches_quadrature(params, rng):
         m = rng.uniform(0.5, 3.0)
         g = rng.uniform(-2.0, 2.0)
         pr = PhysicalParams(hbar=1.0, m=m, g=g, c=10.0)
-        traj = Trajectory.through_points(x0, t0, x1, t1, g)
+        span = t1 - t0
+        traj = Trajectory.from_initial(x0, (x1 - x0) / span + g * span / 2, t0, g)
         k_ref, p_ref = lagrangian_integral(traj, t0, t1, pr)
         val = classical_action(x0, x1, t0, t1, pr)
         assert val.kinetic == pytest.approx(k_ref, abs=1e-9)
@@ -166,6 +168,15 @@ def test_spread_bound_dominates_actual_growth(grid, params):
         measured = moments(evolve_exact(psi, params, t), params).sigma_x
         assert measured == pytest.approx(exact, abs=1e-8)
         assert measured - 1.0 <= bound  # growth never beats the bound
+
+
+@pytest.mark.parametrize("sigma0", [0.0, -0.0, -1.0])
+def test_spread_bound_refuses_non_positive_sigma(params, sigma0):
+    # refused as make_gaussian refuses it, not a ZeroDivisionError or a
+    # negative bound
+    with pytest.raises(BadSigma) as info:
+        spread_bound(sigma0, 1.0, params)
+    assert str(info.value) == f"spread_bound: sigma0 must be positive, got {sigma0}"
 
 
 NAN, INF = math.nan, math.inf

@@ -5,7 +5,14 @@ from dataclasses import replace
 
 import pytest
 
-from wavefall import CHECK_NAMES, checks, default_config, moments, run_all_checks
+from wavefall import (
+    CHECK_NAMES,
+    VerifySettings,
+    checks,
+    default_config,
+    moments,
+    run_all_checks,
+)
 
 
 def test_all_checks_pass_on_defaults():
@@ -50,6 +57,29 @@ def test_sweeps_make_one_batched_call_per_route(count_calls):
     # evolve_split_step and a pair of moments calls: the two sweeps
     counts = {name: len(c) for name, c in calls.items()}
     assert counts == {"evolve_exact": 4, "evolve_split_step": 2, "moments": 4}
+
+
+@pytest.mark.parametrize(
+    "key, value, failing",
+    [
+        ("n_random", 0, {"delta_action_identity"}),
+        ("n_oracle", 100, {"factorization_vs_dense_oracle", "commutator_identity"}),
+        ("n_oracle", 256.0, {"factorization_vs_dense_oracle", "commutator_identity"}),
+        ("step_counts", (64,), {"strang_convergence_order"}),
+        ("c_values", (10.0, 20.0), {"relativistic_limit_scaling"}),
+    ],
+    ids=["n_random-0", "n_oracle-100", "n_oracle-float", "step_counts-one", "c_values-two"],
+)
+def test_bad_settings_built_in_code_fail_their_checks(key, value, failing):
+    # parse_config refuses these values; built in code they reach the checks,
+    # which report FAIL naming the setting instead of raising or passing
+    cfg = replace(default_config(), verify=VerifySettings(**{key: value}))
+    results = run_all_checks(cfg)
+    assert [r.name for r in results] == list(CHECK_NAMES)
+    assert {r.name for r in results if not r.passed} == failing
+    for r in results:
+        if r.name in failing:
+            assert r.detail.startswith(f"ConfigError: verify.{key}: "), r.detail
 
 
 def _nan_moments(states, params):

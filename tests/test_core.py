@@ -22,11 +22,11 @@ from wavefall import (
     make_gaussian,
     moments,
     overlap,
-    to_momentum,
 )
 from wavefall.core import (
     MARGIN_AMPLITUDE,
     _first_over_margin,
+    _momentum_amp,
     _require_finite,
     boundary_amplitude,
     check_margin,
@@ -144,15 +144,16 @@ def test_gaussian_refuses_non_finite_centre_and_momentum(grid, params, x0, p0, n
 
 
 def test_momentum_norm_matches_position_norm(psi0):
-    phi = to_momentum(psi0)
-    assert phi.norm == pytest.approx(psi0.norm, abs=1e-12)
+    phi = _momentum_amp(np.array(psi0.amp), psi0.grid)
+    norm_k = float(np.sum(np.abs(phi) ** 2) * psi0.grid.dk)
+    assert norm_k == pytest.approx(psi0.norm, abs=1e-12)
 
 
 def test_momentum_packet_centered_at_p0(grid, params):
     psi = make_gaussian(grid, 0.0, 2.0, 1.0, params)
-    phi = to_momentum(psi)
+    phi = _momentum_amp(np.array(psi.amp), grid)
     p = params.hbar * grid.k
-    w = np.abs(phi.amp) ** 2
+    w = np.abs(phi) ** 2
     mean_p = float(np.sum(p * w) / np.sum(w))
     assert mean_p == pytest.approx(2.0, abs=1e-9)
 
@@ -302,18 +303,8 @@ def test_trajectory_initial_value_form():
     assert tr.velocity(2.0) == pytest.approx(2.0 - 6.0)
 
 
-def test_trajectory_boundary_value_form_hits_endpoints_exactly():
-    tr = Trajectory.through_points(0.3, 0.1, -2.7, 1.9, g=1.7)
-    assert tr.position(0.1) == 0.3
-    assert tr.position(1.9) == -2.7
-    # interior point agrees with the initial-value parameterization
-    v0 = tr.velocity(0.1)
-    iv = Trajectory.from_initial(0.3, v0, 0.1, g=1.7)
-    assert tr.position(1.0) == pytest.approx(iv.position(1.0), abs=1e-12)
-
-
 def test_trajectory_velocity_is_position_derivative():
-    tr = Trajectory.through_points(0.0, 0.0, 3.0, 2.0, g=1.0)
+    tr = Trajectory.from_initial(0.0, 2.5, 0.0, g=1.0)
     h = 1e-6
     t = 0.7
     fd = (tr.position(t + h) - tr.position(t - h)) / (2 * h)

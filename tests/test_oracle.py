@@ -21,8 +21,8 @@ from wavefall import (
     l2_distance,
     make_gaussian,
     overlap,
-    to_momentum,
 )
+from wavefall.core import _momentum_amp
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ def small_psi(small_grid, params):
 def x_of_t(grid, params, t):
     """Heisenberg-picture position x(t) from a fresh Hamiltonian."""
     u = dense_propagator(dense_hamiltonian(grid, params), t, params)
-    return heisenberg_position(u, grid)
+    return heisenberg_position(u)
 
 
 def test_fourier_matrix_is_unitary(small_grid):
@@ -54,9 +54,9 @@ def test_fourier_matrix_matches_momentum_transform(small_psi):
     g = small_psi.grid
     f = fourier_matrix(g)
     spec = f @ small_psi.amp
-    phi = to_momentum(small_psi)
+    phi = _momentum_amp(np.array(small_psi.amp), g)
     ratio = g.dx * np.sqrt(g.n / (2.0 * np.pi))
-    assert np.abs(phi.amp - spec * ratio).max() < 1e-12
+    assert np.abs(phi - spec * ratio).max() < 1e-12
 
 
 def test_hamiltonian_is_exactly_hermitian(small_grid, params):
@@ -88,12 +88,12 @@ def test_propagator_rejects_non_hermitian(small_grid, params):
 def test_heisenberg_position_rejects_non_unitary(small_grid):
     not_u = DenseOperator(small_grid, 2.0 * np.eye(small_grid.n, dtype=complex))
     with pytest.raises(NotUnitary):
-        heisenberg_position(not_u, small_grid)
+        heisenberg_position(not_u)
 
 
 def test_heisenberg_position_mean_follows_the_fall(small_grid, small_psi, params):
     u = dense_propagator(dense_hamiltonian(small_grid, params), 1.0, params)
-    xt = heisenberg_position(u, small_grid)
+    xt = heisenberg_position(u)
     val = overlap(small_psi, xt.apply(small_psi))
     assert val.real == pytest.approx(-0.5, abs=1e-9)  # -g t^2 / 2 from rest
 
@@ -177,7 +177,7 @@ def test_nan_entry_fails_the_unitarity_check(small_grid):
     m = np.eye(small_grid.n, dtype=complex)
     m[3, 3] = np.nan
     with pytest.raises(NotUnitary):
-        heisenberg_position(DenseOperator(small_grid, m), small_grid)
+        heisenberg_position(DenseOperator(small_grid, m))
 
 
 def test_matrix_element_grid_mismatch(small_grid, small_psi, psi0):

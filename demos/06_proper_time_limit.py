@@ -17,9 +17,9 @@ from wavefall import (
 )
 
 params = PhysicalParams(hbar=1.0, m=1.0, g=1.0, c=10.0)
-traj = free_fall_trajectory(0.0, 0.0, 0.0, params)
+traj = free_fall_trajectory(0.0, 0.0, params)
 
-res = rel_action(traj, 1.0, params, 4096)
+res = rel_action(traj, 1.0, params)
 print(f"c = {params.c}: proper time {res.proper_time:.9f} (coordinate time 1)")
 print(f"  S_rel = {res.action:.9f}, S_newton = {res.nr_action:.9f}")
 print(f"  |gap| = {res.abs_error:.3e}")
@@ -31,6 +31,6 @@ for row in report.rows:
 print(f"fitted error order: {report.fitted_order:.3f} (expect -2)")
 
 x0 = 2.0
-parked = Trajectory.from_initial(x0, 0.0, 0.0, g=0.0)
-gap = abs(proper_time(parked, 1.0, params, 4096) - static_proper_time(x0, 1.0, params))
+parked = Trajectory(x0, 0.0, g=0.0)
+gap = abs(proper_time(parked, 1.0, params) - static_proper_time(x0, 1.0, params))
 print(f"\nparked clock at x = {x0}: quadrature vs closed form gap {gap:.3e}")

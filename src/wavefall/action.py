@@ -3,8 +3,8 @@
 Convention V = +m*g*x throughout, so classical paths obey xddot = -g.  The
 closed forms below follow from the unique parabola through the endpoints:
 
-    classical_action(x0, x1 over T) =
-        (m/2) [ (x0 - x1)^2 / T - g (x0 + x1) T - g^2 T^3 / 12 ]
+    classical_action(x0, x1 over t) =
+        (m/2) [ (x0 - x1)^2 / t - g (x0 + x1) t - g^2 t^3 / 12 ]
 
     shifted_free_action(x0, xt over t) = (m / 2t) (x0 - xt - g t^2 / 2)^2,
         the free action from x0 to the fall-corrected endpoint,
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import PhysicalParams, _require_finite_args
+from .core import PhysicalParams, _require_finite_args, _require_times
 from .errors import BadSigma, DegenerateInterval
 
 __all__ = [
@@ -48,21 +48,21 @@ class ActionValue:
 
 
 def classical_action(
-    x0: float, x1: float, t0: float, t1: float, params: PhysicalParams
+    x0: float, x1: float, t: float, params: PhysicalParams
 ) -> ActionValue:
-    """Action of the classical path between (t0, x0) and (t1, x1), in closed form.
+    """Action of the classical path from (0, x0) to (t, x1), in closed form.
 
-    kinetic = (m/2) ((x0-x1)^2/T + g^2 T^3/12) and
-    potential = m g (T (x0+x1)/2 + g T^3/12); the value is their difference.
+    kinetic = (m/2) ((x0-x1)^2/t + g^2 t^3/12) and
+    potential = m g (t (x0+x1)/2 + g t^3/12); the value is their difference.
+    Requires t > 0.
     """
-    _require_finite_args("classical_action", x0=x0, x1=x1, t0=t0, t1=t1)
-    if not t1 > t0:
-        raise DegenerateInterval(f"need t1 > t0, got t0={t0}, t1={t1}")
+    _require_finite_args("classical_action", x0=x0, x1=x1, t=t)
+    if not t > 0:
+        raise DegenerateInterval(f"classical_action: need t > 0, got {t}")
     m, g = params.m, params.g
-    span = t1 - t0
     disp = x0 - x1
-    kinetic = 0.5 * m * (disp * disp / span + g * g * span**3 / 12.0)
-    potential = m * g * (span * (x0 + x1) / 2.0 + g * span**3 / 12.0)
+    kinetic = 0.5 * m * (disp * disp / t + g * g * t**3 / 12.0)
+    potential = m * g * (t * (x0 + x1) / 2.0 + g * t**3 / 12.0)
     return ActionValue(
         value=kinetic - potential, kinetic=kinetic, potential=potential
     )
@@ -114,9 +114,11 @@ def spread_bound(
 
     Returns (hbar t / (m sigma0), sigma0 sqrt(1 + (hbar t / (2 m sigma0^2))^2)).
     The exact spread grows toward half the bound once the free spreading
-    dominates sigma0; gravity cancels out of both expressions.
+    dominates sigma0; gravity cancels out of both expressions.  Raises
+    NegativeTime for t < 0.
     """
     _require_finite_args("spread_bound", sigma0=sigma0, t=t)
+    _require_times("spread_bound", [t])
     if not sigma0 > 0:
         raise BadSigma(f"spread_bound: sigma0 must be positive, got {sigma0}")
     ratio = params.hbar * t / (params.m * sigma0)

@@ -131,12 +131,12 @@ def _delta_action_identity(cfg: RunConfig, rng) -> dict:
         pars = replace(cfg.params, m=m, g=g)
         expected = delta_action(xt, t, pars)
         diff = (
-            classical_action(x0, xt, 0.0, t, pars).value
+            classical_action(x0, xt, t, pars).value
             - shifted_free_action(x0, xt, t, pars).value
         )
         worst_identity = _worst(worst_identity, abs(diff - expected))
         other = (
-            classical_action(-x0, xt, 0.0, t, pars).value
+            classical_action(-x0, xt, t, pars).value
             - shifted_free_action(-x0, xt, t, pars).value
         )
         worst_x0 = _worst(worst_x0, abs(diff - other))
@@ -211,10 +211,10 @@ def _strang_convergence_order(cfg: RunConfig, rng) -> dict:
 
 
 def _relativistic_limit_scaling(cfg: RunConfig, rng) -> dict:
-    traj = free_fall_trajectory(0.0, 0.0, 0.0, cfg.params)
+    traj = free_fall_trajectory(0.0, 0.0, cfg.params)
     report = nr_limit_check(traj, 1.0, cfg.params, _verify_setting(cfg, "c_values"))
-    static = Trajectory.from_initial(0.0, 0.0, 0.0, g=0.0)
-    static_gap = abs(proper_time(static, 1.0, cfg.params, 4096) - 1.0)
+    static = Trajectory(0.0, 0.0, g=0.0)
+    static_gap = abs(proper_time(static, 1.0, cfg.params) - 1.0)
     if report.fitted_order is None:
         return dict(
             passed=static_gap < 1e-14,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -87,8 +88,8 @@ class PhysicalParams:
 class Grid:
     """Uniform periodic position lattice with its spectral companion.
 
-    The bounds and their span must be finite, and n must be a power of two,
-    at least 8.  Position nodes are
+    The bounds and their span must be finite, and n must be an integer
+    power of two, at least 8.  Position nodes are
     x_i = x_min + i*dx with dx = (x_max - x_min)/n; x_max itself is the wrap
     point and carries no node.  The wavenumber array k is stored in FFT layout
     (non-negative frequencies first), matching numpy.fft conventions.
@@ -106,6 +107,7 @@ class Grid:
             )
         if not self.x_max > self.x_min:
             raise ValueError(f"need x_max > x_min, got [{self.x_min}, {self.x_max}]")
+        _require_count("n", self.n)
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
 
@@ -178,27 +180,22 @@ class Moments:
 class Trajectory:
     """Classical path under constant acceleration, convention xddot = -g.
 
-    The path leaves x0 with velocity v0 at time t0.
+    The path leaves x0 with velocity v0 at time 0.
     """
 
-    g: float
-    t0: float
     x0: float
     v0: float
-
-    @classmethod
-    def from_initial(cls, x0: float, v0: float, t0: float, g: float) -> "Trajectory":
-        return cls(g=g, t0=t0, x0=x0, v0=v0)
+    g: float
 
     def position(self, t):
         """x(t); accepts a scalar or ndarray of times."""
-        dt = np.asarray(t) - self.t0
-        out = self.x0 + self.v0 * dt - 0.5 * self.g * dt * dt
+        t = np.asarray(t)
+        out = self.x0 + self.v0 * t - 0.5 * self.g * t * t
         return out if np.ndim(t) else float(out)
 
     def velocity(self, t):
         """xdot(t); accepts a scalar or ndarray of times."""
-        out = self.v0 - self.g * (np.asarray(t) - self.t0)
+        out = self.v0 - self.g * np.asarray(t)
         return out if np.ndim(t) else float(out)
 
 
@@ -309,6 +306,12 @@ def _require_finite_args(context: str, **values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise NonFiniteState(f"{context}: {name}={value} is not finite")
+
+
+def _require_count(name: str, value) -> None:
+    """Raise ValueError naming a count that is not an integer; bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_times(context: str, times) -> None:

@@ -17,7 +17,6 @@ __all__ = [
     "NotHermitian",
     "NotUnitary",
     "SuperluminalPath",
-    "BadQuadrature",
     "PhaseAliasing",
     "SchemeMismatch",
     "ConfigError",
@@ -57,7 +56,7 @@ class NegativeTime(WavefallError):
 
 
 class DegenerateInterval(WavefallError):
-    """Boundary-value problem needs t1 > t0."""
+    """A two-time action needs a positive duration t > 0."""
 
 
 class TooLarge(WavefallError):
@@ -74,10 +73,6 @@ class NotUnitary(WavefallError):
 
 class SuperluminalPath(WavefallError):
     """Proper-time radicand is non-positive somewhere along the path."""
-
-
-class BadQuadrature(WavefallError):
-    """Quadrature sample count below the supported minimum."""
 
 
 class PhaseAliasing(WavefallError):

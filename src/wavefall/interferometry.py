@@ -5,21 +5,23 @@ external packet evolve under the full potential in one branch (U_g) and under
 the free Hamiltonian in the other (U_{g=0}), then reads out the interference
 of the two external states.  With the branch overlap z = <reference|accelerated>:
 
-    visibility = |z|,  phase = arg z,  fringe_x = Re z,  fringe_y = Im z,
+    visibility = |z|,  phase = arg z,
 
-where fringe_x and fringe_y are the two quadrature readouts of the internal
-state for the equal-amplitude preparation, so fringe_x^2 + fringe_y^2 equals
-visibility^2 identically.
+and Re z, Im z are the two quadrature readouts of the internal state for the
+equal-amplitude preparation.
 
 Schemes
 -------
+One scheme serves every readout of a scan.
+
 colocated : the reference branch is the freely evolved packet translated onto
     the fallen branch's center, so the two probability clouds coincide and
     the overlap isolates the evolution phases.  The measured phase then obeys
-    the closed form predicted_phase(mean_x of the reference branch, t).
+    the closed form predicted_phase(mean_x of the reference branch, t).  A
+    colocated scan may read out at any times.
 per-branch schedules : each branch evolves under its own piecewise-constant
     acceleration schedule (equal totals, no recentering); the caller controls
-    recombination.
+    recombination.  The schedules fix the one readout time, their total.
 
 Both backends, the factored exact propagator ("analytic") and the split-step
 solver, take the same path: every branch is a row of (g, duration) segments,
@@ -118,8 +120,6 @@ class InterferenceRecord:
     visibility: float
     phase: float
     phase_unwrapped: float
-    fringe_x: float
-    fringe_y: float
     predicted_phase: float
     predicted_visibility: float | None
 
@@ -147,26 +147,23 @@ def gaussian_visibility(sigma_t: float, t: float, params: PhysicalParams) -> flo
     return math.exp(-0.5 * kick * kick)
 
 
-def _branch_pairs(psi0, params, times, schemes, backend, n_steps):
+def _branch_pairs(psi0, params, times, scheme, backend, n_steps):
     """Lazy (times, accelerated states, reference states) lists, chunk by chunk.
 
     The one place that picks a backend.  Each branch becomes a row of
     (g, duration) segments: a colocated readout at t gives ((g, t),) and
     ((0.0, t),), a BranchSchedules its two schedules.  Plain tuples, because
     AccelSchedule refuses the zero duration of t = 0.  The start state, the
-    backend and every (time, scheme) pair are validated on the call, before
-    any moments or propagation; the chunks run as they are iterated.
+    backend, the times and the scheme are validated on the call, before any
+    moments or propagation; the chunks run as they are iterated.
     """
     _require_finite(psi0.amp[None], "start state psi0", batched=False)
     if backend not in _BACKENDS:
         raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
     _require_times("readout time", times)
-    rows, labels = [], []
-    for t, scheme in zip(times, schemes):
-        labels += [f"readout t={t}, {b} branch" for b in ("accelerated", "reference")]
-        if isinstance(scheme, Colocated):
-            rows += [((params.g, t),), ((0.0, t),)]
-            continue
+    if isinstance(scheme, Colocated):
+        rows = [row for t in times for row in (((params.g, t),), ((0.0, t),))]
+    elif isinstance(scheme, BranchSchedules):
         total_a = scheme.accelerated.total_duration
         total_b = scheme.reference.total_duration
         if not math.isclose(total_a, total_b, rel_tol=1e-12, abs_tol=1e-12):
@@ -174,48 +171,47 @@ def _branch_pairs(psi0, params, times, schemes, backend, n_steps):
                 f"branch schedules disagree: accelerated total {total_a} vs "
                 f"reference total {total_b}"
             )
-        if not math.isclose(total_a, t, rel_tol=1e-12, abs_tol=1e-12):
-            raise SchemeMismatch(
-                f"schedule total {total_a} does not match requested t={t}"
-            )
-        rows += [scheme.accelerated.segments, scheme.reference.segments]
+        for t in times:
+            if not math.isclose(total_a, t, rel_tol=1e-12, abs_tol=1e-12):
+                raise SchemeMismatch(
+                    f"schedule total {total_a} does not match requested t={t}"
+                )
+        rows = [scheme.accelerated.segments, scheme.reference.segments] * len(times)
+    else:
+        raise TypeError(f"scheme must be Colocated or BranchSchedules, got {scheme!r}")
+    labels = [
+        f"readout t={t}, {b} branch" for t in times for b in ("accelerated", "reference")
+    ]
     if backend == "analytic":
         step = evolve_exact
     else:
         step = partial(evolve_split_step, config=SolverConfig(n_steps))
-    return _propagate(psi0, params, times, schemes, rows, labels, step)
+    recenter = isinstance(scheme, Colocated)
+    return _propagate(psi0, params, times, recenter, rows, labels, step)
 
 
-def _propagate(psi0, params, times, schemes, rows, labels, step):
+def _propagate(psi0, params, times, recenter, rows, labels, step):
     """The (times, accelerated, reference) lists of each chunk of branch rows.
 
     Rows run in chunks of whole (accelerated, reference) pairs whose stack
     stays within _CHUNK_BYTES, each through analytic._segment_chain with
-    step, the backend's batched propagator.  The colocated free branch is
-    then translated onto the fallen one: amp(x + g t^2/2) recenters the
-    peak at center_free - g t^2/2.  A chunk runs inside
-    analytic._SharedFallPhases, so on the analytic backend that
+    step, the backend's batched propagator.  With recenter, the colocated
+    scheme, every free branch is then translated onto its fallen one:
+    amp(x + g t^2/2) recenters the peak at center_free - g t^2/2.  A chunk
+    runs inside analytic._SharedFallPhases, so on the analytic backend that
     recentering reuses the e^{+i k g t^2/2} phase its accelerated branch
     built; the shared phases are dropped before the chunk is yielded.
     """
     per_chunk = max(1, _CHUNK_BYTES // (2 * psi0.amp.nbytes))
     for first in range(0, len(times), per_chunk):
-        pairs = range(first, min(first + per_chunk, len(times)))
-        chunk = slice(2 * pairs.start, 2 * pairs.stop)
+        ts = times[first : first + per_chunk]
+        chunk = slice(2 * first, 2 * (first + len(ts)))
         with _SharedFallPhases():
             states = _segment_chain(psi0, params, rows[chunk], labels[chunk], step)
             accelerated, reference = states[0::2], states[1::2]
-            coloc = [
-                j for j, k in enumerate(pairs) if isinstance(schemes[k], Colocated)
-            ]
-            if coloc:
-                ts = [times[pairs[j]] for j in coloc]
-                shifted = shift_packet(
-                    [reference[j] for j in coloc], [0.5 * params.g * t * t for t in ts]
-                )
-                for j, state in zip(coloc, shifted):
-                    reference[j] = state
-        yield [times[k] for k in pairs], accelerated, reference
+            if recenter:
+                reference = shift_packet(reference, [0.5 * params.g * t * t for t in ts])
+        yield ts, accelerated, reference
 
 
 def branch_states(
@@ -228,7 +224,7 @@ def branch_states(
 ) -> tuple[WavePacket, WavePacket]:
     """The (accelerated, reference) external states at readout time t."""
     _, (accelerated,), (reference,) = next(
-        _branch_pairs(psi0, params, [t], [scheme], backend, n_steps)
+        _branch_pairs(psi0, params, [t], scheme, backend, n_steps)
     )
     return accelerated, reference
 
@@ -267,8 +263,6 @@ def _readout(
             overlap=z,
             visibility=abs(z),
             phase=math.atan2(z.imag, z.real),
-            fringe_x=z.real,
-            fringe_y=z.imag,
             predicted_phase=predicted_phase(xbar, t, params),
             predicted_visibility=(
                 gaussian_visibility(sigma, t, params) if gaussian else None
@@ -298,37 +292,39 @@ def run_protocol(
     return fringe_scan(psi0, params, [t], scheme, backend, n_steps)[0]
 
 
-def unwrap_phases(phases, t_values=None) -> np.ndarray:
-    """Continue principal-value phases by nearest-branch steps.
+def unwrap_phases(phases, t_values) -> np.ndarray:
+    """Continue principal-value phases, sampled at t_values, by nearest-branch steps.
 
     Each consecutive step is reduced to the nearest branch (magnitude at most
     pi); a reduced step within ALIASING_GUARD of pi is ambiguous (the true
     phase may have advanced by more than pi between samples) and raises
     PhaseAliasing telling the caller to densify the sample times.  A NaN or
-    inf phase raises NonFiniteState naming its sample (or time).
+    inf phase raises NonFiniteState naming its time.  Raises ValueError when
+    the two sequences differ in length.
     """
     phases = np.asarray(phases, dtype=float)
+    if len(t_values) != phases.size:
+        raise ValueError(
+            f"{phases.size} phases but {len(t_values)} t_values; need one time per phase"
+        )
     out = np.empty_like(phases)
     if phases.size == 0:
         return out
     finite = np.isfinite(phases)
     if not finite.all():
         i = int(np.argmin(finite))
-        where = f"t={t_values[i]:.6g}" if t_values is not None else f"sample {i}"
-        raise NonFiniteState(f"phase {phases[i]} at {where} is not finite; cannot unwrap")
+        raise NonFiniteState(
+            f"phase {phases[i]} at t={t_values[i]:.6g} is not finite; cannot unwrap"
+        )
     out[0] = phases[0]
     two_pi = 2.0 * math.pi
     for i in range(1, phases.size):
         step = math.remainder(phases[i] - out[i - 1], two_pi)
         if abs(step) > math.pi - ALIASING_GUARD:
-            where = (
-                f"between t={t_values[i - 1]:.6g} and t={t_values[i]:.6g}"
-                if t_values is not None
-                else f"between samples {i - 1} and {i}"
-            )
             raise PhaseAliasing(
-                f"phase step {step:+.4f} rad {where} is within {ALIASING_GUARD} "
-                f"of pi and cannot be unwrapped; densify t_values"
+                f"phase step {step:+.4f} rad between t={t_values[i - 1]:.6g} and "
+                f"t={t_values[i]:.6g} is within {ALIASING_GUARD} of pi and cannot "
+                f"be unwrapped; densify t_values"
             )
         out[i] = out[i - 1] + step
     return out
@@ -344,22 +340,22 @@ def fringe_scan(
 ) -> list[InterferenceRecord]:
     """The protocol read out at strictly increasing times, with unwrapped phases.
 
-    scheme may also be a callable t -> scheme for scans where the branch
-    schedules depend on the readout time.  On either backend the branches
-    of all times evolve a chunk of rows at a time, in one batched call per
-    schedule segment, and each chunk is read out in one batched call; a scan
-    holds one chunk of states at a time.  Raises NonFiniteState when psi0
-    holds a non-finite amplitude, GridOverflow naming the readout time,
-    branch and segment that left the grid, and PhaseAliasing when
-    consecutive phase samples are too far apart to continue unambiguously.
+    One scheme serves every readout: Colocated at any times, a BranchSchedules
+    at its one total duration (SchemeMismatch otherwise).  On either backend
+    the branches of all times evolve a chunk of rows at a time, in one
+    batched call per schedule segment, and each chunk is read out in one
+    batched call; a scan holds one chunk of states at a time.  Raises
+    TypeError for any other scheme, NonFiniteState when psi0 holds a
+    non-finite amplitude, GridOverflow naming the readout time, branch and
+    segment that left the grid, and PhaseAliasing when consecutive phase
+    samples are too far apart to continue unambiguously.
     """
     times = [float(t) for t in t_values]
     if len(times) == 0:
         return []
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"t_values must be strictly increasing, got {times}")
-    schemes = [scheme(t) if callable(scheme) else scheme for t in times]
-    chunks = _branch_pairs(psi0, params, times, schemes, backend, n_steps)
+    chunks = _branch_pairs(psi0, params, times, scheme, backend, n_steps)
     gaussian = _looks_gaussian(psi0, params)
     fields = [f for chunk in chunks for f in _readout(*chunk, params, gaussian)]
     unwrapped = unwrap_phases([f["phase"] for f in fields], times)

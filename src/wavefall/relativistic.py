@@ -4,9 +4,10 @@ The clock rate implemented here is
 
     dtau/dt = sqrt(1 - 2 g x(t)/c^2 - xdot(t)^2/c^2),
 
-integrated over coordinate time [0, t] by composite Simpson quadrature.  The
-associated action is S = m c^2 (tau - t), and its literal c -> infinity limit
-along the same path is the comparison integral
+integrated over coordinate time [0, t] by composite Simpson quadrature on a
+fixed QUAD_INTERVALS = 4096 uniform intervals.  The associated action is
+S = m c^2 (tau - t), and its literal c -> infinity limit along the same path
+is the comparison integral
 
     nr_action = integral of (-m g x - m xdot^2 / 2) dt,
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import PhysicalParams, Trajectory, _require_times
-from .errors import BadQuadrature, NonFiniteState, SuperluminalPath
+from .errors import NonFiniteState, SuperluminalPath
 
 __all__ = [
     "RelActionResult",
@@ -46,7 +47,8 @@ __all__ = [
     "static_proper_time",
 ]
 
-MIN_QUAD_INTERVALS = 16
+# Simpson intervals of every proper-time quadrature; Simpson needs an even count.
+QUAD_INTERVALS = 4096
 # Errors below this are quadrature/rounding noise; no scaling fit is possible.
 LIMIT_NOISE_FLOOR = 1e-14
 
@@ -80,26 +82,19 @@ class LimitReport:
     fitted_order: float | None
 
 
-def free_fall_trajectory(
-    x0: float, v0: float, t0: float, params: PhysicalParams
-) -> Trajectory:
-    """Geodesic of the implemented metric: x(t) = x0 + v0 (t-t0) + g (t-t0)^2/2.
+def free_fall_trajectory(x0: float, v0: float, params: PhysicalParams) -> Trajectory:
+    """Geodesic of the implemented metric: x(t) = x0 + v0 t + g t^2/2.
 
     Built as a Trajectory with the sign of g flipped, because Trajectory
     evaluates xddot = -g while geodesics of this metric accelerate toward +x
     for g > 0.
     """
-    return Trajectory.from_initial(x0, v0, t0, g=-params.g)
+    return Trajectory(x0, v0, g=-params.g)
 
 
-def _samples(traj: Trajectory, t: float, params: PhysicalParams, n_quad: int):
+def _samples(traj: Trajectory, t: float, params: PhysicalParams):
     _require_times("proper-time quadrature", [t])
-    if n_quad < MIN_QUAD_INTERVALS:
-        raise BadQuadrature(
-            f"n_quad={n_quad} below the minimum of {MIN_QUAD_INTERVALS} intervals"
-        )
-    n = n_quad + (n_quad % 2)  # Simpson needs an even interval count
-    times = np.linspace(0.0, t, n + 1)
+    times = np.linspace(0.0, t, QUAD_INTERVALS + 1)
     x = np.asarray(traj.position(times))
     v = np.asarray(traj.velocity(times))
     c2 = params.c**2
@@ -142,28 +137,24 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> np.float64:
     return np.sum(tmp)
 
 
-def proper_time(
-    traj: Trajectory, t: float, params: PhysicalParams, n_quad: int
-) -> float:
+def proper_time(traj: Trajectory, t: float, params: PhysicalParams) -> float:
     """Elapsed proper time along traj over coordinate time [0, t].
 
-    Composite Simpson on n_quad uniform intervals (rounded up to even,
-    minimum 16).  Raises SuperluminalPath if the clock-rate radicand is
-    non-positive at any sample, NonFiniteState if it is NaN or inf.
+    Composite Simpson on QUAD_INTERVALS uniform intervals.  Raises
+    SuperluminalPath if the clock-rate radicand is non-positive at any
+    sample, NonFiniteState if it is NaN or inf.
     """
-    return rel_action(traj, t, params, n_quad).proper_time
+    return rel_action(traj, t, params).proper_time
 
 
-def rel_action(
-    traj: Trajectory, t: float, params: PhysicalParams, n_quad: int
-) -> RelActionResult:
+def rel_action(traj: Trajectory, t: float, params: PhysicalParams) -> RelActionResult:
     """S = m c^2 (tau - t) with its same-path non-relativistic comparison.
 
     nr_action integrates -m g x - m xdot^2/2 over [0, t] on the same Simpson
     samples; for parabolic paths the integrand is quadratic, which Simpson
     handles exactly, so abs_error isolates the genuine c^-2 gap.
     """
-    times, x, v, radicand = _samples(traj, t, params, n_quad)
+    times, x, v, radicand = _samples(traj, t, params)
     if t == 0.0:
         return RelActionResult(0.0, 0.0, 0.0, 0.0)
     tau = float(_simpson(np.sqrt(radicand), times))
@@ -195,7 +186,6 @@ def nr_limit_check(
     t: float,
     params: PhysicalParams,
     c_list: list[float],
-    n_quad: int = 4096,
 ) -> LimitReport:
     """Fit the |S - nr_action| falloff against c on a log-log scale.
 
@@ -206,7 +196,7 @@ def nr_limit_check(
     """
     cs = _c_values(c_list)
     rows = tuple(
-        LimitRow(c=c, abs_error=rel_action(traj, t, replace(params, c=c), n_quad).abs_error)
+        LimitRow(c=c, abs_error=rel_action(traj, t, replace(params, c=c)).abs_error)
         for c in cs
     )
     errors = np.array([r.abs_error for r in rows])

@@ -39,6 +39,7 @@ from .core import (
     _as_rows,
     _first_over_margin,
     _packets,
+    _require_count,
     _require_finite,
     _require_times,
     _stack,
@@ -60,11 +61,12 @@ ORDER_NOISE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Number of Strang steps for one split-step run, at least 1."""
+    """Number of Strang steps for one split-step run, an integer of at least 1."""
 
     n_steps: int
 
     def __post_init__(self) -> None:
+        _require_count("n_steps", self.n_steps)
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 
@@ -140,7 +142,10 @@ def evolve_split_step(
 
 def _step_counts(step_counts) -> list[int]:
     """convergence_report's rule: at least two strictly increasing step counts."""
-    counts = [int(n) for n in step_counts]
+    counts = list(step_counts)
+    for i, n in enumerate(counts):
+        _require_count(f"step_counts[{i}]", n)
+    counts = [int(n) for n in counts]
     if len(counts) < 2:
         raise ValueError("need at least two step counts")
     if any(b <= a for a, b in zip(counts, counts[1:])):

@@ -131,11 +131,11 @@ def test_action_difference_identity():
         pr = PhysicalParams(hbar=1.0, m=m, g=g, c=10.0)
         delta = delta_action(xt, t, pr)
         diff = (
-            classical_action(x0, xt, 0.0, t, pr).value
+            classical_action(x0, xt, t, pr).value
             - shifted_free_action(x0, xt, t, pr).value
         )
         other = (
-            classical_action(-x0, xt, 0.0, t, pr).value
+            classical_action(-x0, xt, t, pr).value
             - shifted_free_action(-x0, xt, t, pr).value
         )
         worst_id = max(worst_id, abs(delta - diff))
@@ -200,12 +200,12 @@ def test_split_step_is_second_order():
 
 def test_relativistic_action_approaches_newtonian():
     # geodesic of the clock-rate metric, from rest at the origin
-    traj = Trajectory.from_initial(0.0, 0.0, 0.0, g=-PARAMS.g)
+    traj = Trajectory(0.0, 0.0, g=-PARAMS.g)
     rep = nr_limit_check(traj, 1.0, PARAMS, [10.0, 20.0, 40.0, 80.0])
     order_ok = rep.fitted_order is not None and abs(rep.fitted_order + 2.0) <= 0.1
-    parked = Trajectory.from_initial(2.0, 0.0, 0.0, g=0.0)
+    parked = Trajectory(2.0, 0.0, g=0.0)
     static_gap = abs(
-        proper_time(parked, 1.0, PARAMS, 4096) - static_proper_time(2.0, 1.0, PARAMS)
+        proper_time(parked, 1.0, PARAMS) - static_proper_time(2.0, 1.0, PARAMS)
     )
     report(
         "relativistic_action_approaches_newtonian",

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from wavefall import (
     BadSigma,
     DegenerateInterval,
+    NegativeTime,
     NonFiniteState,
     PhysicalParams,
     Trajectory,
@@ -25,7 +26,7 @@ from wavefall import (
 )
 
 
-def lagrangian_integral(traj, t0, t1, params):
+def lagrangian_integral(traj, t, params):
     """Quadrature oracle: integrate m xdot^2/2 - m g x along traj."""
 
     def kin(t):
@@ -35,41 +36,39 @@ def lagrangian_integral(traj, t0, t1, params):
     def pot(t):
         return params.m * params.g * traj.position(t)
 
-    k, _ = quad(kin, t0, t1, epsabs=1e-12, epsrel=1e-12)
-    p, _ = quad(pot, t0, t1, epsabs=1e-12, epsrel=1e-12)
+    k, _ = quad(kin, 0.0, t, epsabs=1e-12, epsrel=1e-12)
+    p, _ = quad(pot, 0.0, t, epsabs=1e-12, epsrel=1e-12)
     return k, p
 
 
 def test_classical_action_matches_quadrature(params, rng):
     for _ in range(20):
         x0, x1 = rng.uniform(-5, 5, size=2)
-        t0 = rng.uniform(-1, 1)
-        t1 = t0 + rng.uniform(0.25, 3.0)
+        t = rng.uniform(0.25, 3.0)
         m = rng.uniform(0.5, 3.0)
         g = rng.uniform(-2.0, 2.0)
         pr = PhysicalParams(hbar=1.0, m=m, g=g, c=10.0)
-        span = t1 - t0
-        traj = Trajectory.from_initial(x0, (x1 - x0) / span + g * span / 2, t0, g)
-        k_ref, p_ref = lagrangian_integral(traj, t0, t1, pr)
-        val = classical_action(x0, x1, t0, t1, pr)
+        traj = Trajectory(x0, (x1 - x0) / t + g * t / 2, g=g)
+        k_ref, p_ref = lagrangian_integral(traj, t, pr)
+        val = classical_action(x0, x1, t, pr)
         assert val.kinetic == pytest.approx(k_ref, abs=1e-9)
         assert val.potential == pytest.approx(p_ref, abs=1e-9)
         assert val.value == pytest.approx(k_ref - p_ref, abs=1e-9)
 
 
 def test_classical_action_frozen_example(params):
-    # stationary endpoints over T = 2: value -1/3 splits as 1/3 - 2/3
-    val = classical_action(0.0, 0.0, 0.0, 2.0, params)
+    # stationary endpoints over t = 2: value -1/3 splits as 1/3 - 2/3
+    val = classical_action(0.0, 0.0, 2.0, params)
     assert val.kinetic == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert val.potential == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert val.value == pytest.approx(-1.0 / 3.0, abs=1e-15)
 
 
 def test_classical_action_needs_ordered_times(params):
-    with pytest.raises(DegenerateInterval):
-        classical_action(0.0, 1.0, 1.0, 1.0, params)
-    with pytest.raises(DegenerateInterval):
-        classical_action(0.0, 1.0, 2.0, 1.0, params)
+    # the path starts at t = 0, so the end time must come after it
+    for t in (0.0, -1.0):
+        with pytest.raises(DegenerateInterval, match="classical_action: need t > 0"):
+            classical_action(0.0, 1.0, t, params)
 
 
 def test_shifted_free_action_is_straight_line_action(params, rng):
@@ -107,7 +106,7 @@ def test_delta_action_is_the_action_difference(params, rng):
         pr = PhysicalParams(hbar=1.0, m=m, g=g, c=10.0)
         lhs = delta_action(xt, t, pr)
         rhs = (
-            classical_action(x0, xt, 0.0, t, pr).value
+            classical_action(x0, xt, t, pr).value
             - shifted_free_action(x0, xt, t, pr).value
         )
         assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -118,7 +117,7 @@ def test_delta_action_independent_of_x0(params):
     # defines it is flat in x0
     t, xt = 1.3, 0.7
     vals = [
-        classical_action(x0, xt, 0.0, t, params).value
+        classical_action(x0, xt, t, params).value
         - shifted_free_action(x0, xt, t, params).value
         for x0 in (-5.0, -1.0, 0.0, 2.0, 5.0)
     ]
@@ -179,14 +178,21 @@ def test_spread_bound_refuses_non_positive_sigma(params, sigma0):
     assert str(info.value) == f"spread_bound: sigma0 must be positive, got {sigma0}"
 
 
+@pytest.mark.parametrize("t", [-1.0, -1e-300])
+def test_spread_bound_refuses_negative_time(params, t):
+    # not a negative bound from a negative duration
+    with pytest.raises(NegativeTime, match="spread_bound: t must be finite and >= 0"):
+        spread_bound(1.0, t, params)
+
+
 NAN, INF = math.nan, math.inf
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda p: classical_action(NAN, 1, 0, 1, p), "classical_action: x0=nan"),
-        (lambda p: classical_action(0, 1, 0, INF, p), "classical_action: t1=inf"),
+        (lambda p: classical_action(NAN, 1, 1, p), "classical_action: x0=nan"),
+        (lambda p: classical_action(0, 1, INF, p), "classical_action: t=inf"),
         (lambda p: shifted_free_action(0, -INF, 1, p), "shifted_free_action: xt=-inf"),
         (lambda p: shifted_free_action(0, 0, NAN, p), "shifted_free_action: t=nan"),
         (lambda p: delta_action(NAN, 1, p), "delta_action: xt=nan"),
@@ -196,7 +202,7 @@ NAN, INF = math.nan, math.inf
         (lambda p: spread_bound(1, NAN, p), "spread_bound: t=nan"),
     ],
     ids=[
-        "classical_action-x0", "classical_action-t1", "shifted_free_action-xt",
+        "classical_action-x0", "classical_action-t", "shifted_free_action-xt",
         "shifted_free_action-t", "delta_action", "ehrenfest_mean-x0",
         "ehrenfest_mean-p0", "spread_bound-sigma0", "spread_bound-t",
     ],

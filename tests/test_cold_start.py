@@ -42,7 +42,7 @@ for argv in runs:
     codes.append(cli.main(argv))
     loaded[" ".join(argv[:3])] = scipy_modules()
 params = wavefall.PhysicalParams()
-proper_time(free_fall_trajectory(0.0, 0.0, 0.0, params), 1.0, params, 64)
+proper_time(free_fall_trajectory(0.0, 0.0, params), 1.0, params)
 loaded["quadrature"] = scipy_modules()
 # Control: the same expression sees scipy once something does import it.
 import scipy.integrate

@@ -53,6 +53,17 @@ def test_grid_rejects_bad_shapes():
         Grid(-1.0, 1.0, 4)  # below the minimum
 
 
+@pytest.mark.parametrize("n", [256.0, True, "256"], ids=["float", "bool", "str"])
+def test_grid_refuses_a_non_integer_count(n):
+    # refused by name before the power-of-two test, which needs an int
+    with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+        Grid(-20.0, 20.0, n)
+
+
+def test_grid_accepts_numpy_integer_counts():
+    assert Grid(-20.0, 20.0, np.int64(256)) == Grid(-20.0, 20.0, 256)
+
+
 @pytest.mark.parametrize(
     "x_min, x_max",
     [(-math.inf, 20.0), (-20.0, math.inf), (math.nan, 20.0), (-1e308, 1e308)],
@@ -297,14 +308,14 @@ def test_check_margin_raises_with_context(grid):
 
 def test_trajectory_initial_value_form():
     # xddot = -g: falling from rest toward -x for g > 0
-    tr = Trajectory.from_initial(1.0, 2.0, 0.0, g=3.0)
+    tr = Trajectory(1.0, 2.0, g=3.0)
     assert tr.position(0.0) == 1.0
     assert tr.position(2.0) == pytest.approx(1.0 + 4.0 - 0.5 * 3.0 * 4.0)
     assert tr.velocity(2.0) == pytest.approx(2.0 - 6.0)
 
 
 def test_trajectory_velocity_is_position_derivative():
-    tr = Trajectory.from_initial(0.0, 2.5, 0.0, g=1.0)
+    tr = Trajectory(0.0, 2.5, g=1.0)
     h = 1e-6
     t = 0.7
     fd = (tr.position(t + h) - tr.position(t - h)) / (2 * h)

@@ -40,8 +40,6 @@ def test_canonical_fringe_at_unit_time(psi0, params):
     assert rec.visibility == pytest.approx(math.exp(-0.625), abs=1e-9)
     assert rec.predicted_phase == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert rec.predicted_visibility == pytest.approx(math.exp(-0.625), abs=1e-9)
-    assert rec.fringe_x == rec.overlap.real
-    assert rec.fringe_y == rec.overlap.imag
 
 
 def test_overlap_matches_characteristic_function(psi0, params):
@@ -164,25 +162,26 @@ def test_split_step_backend_on_unequal_length_schedules(psi0, params):
 
 @pytest.mark.parametrize("backend", ["analytic", "split-step"])
 def test_scan_equals_per_time_protocol(psi0, params, backend):
-    # schedules of unequal lengths, so later segments run on fewer rows
-    def schedules(t):
-        return BranchSchedules(
-            accelerated=AccelSchedule(((1.0, 0.6 * t), (0.0, 0.4 * t))),
-            reference=AccelSchedule(((0.0, 0.25 * t), (1.0, 0.5 * t), (0.0, 0.25 * t))),
-        )
-
-    # 37 readouts: more than one chunk of rows at n = 256, and not a multiple
-    # of the chunk size
+    # 37 colocated readouts: more than one chunk of rows at n = 256, and not a
+    # multiple of the chunk size
     times = list(np.linspace(0.05, 0.95, 37))
-    for scheme in (Colocated(), schedules):
-        scan = fringe_scan(psi0, params, times, scheme, backend=backend, n_steps=128)
-        assert len(scan) == len(times)
-        for rec in scan:
-            one = run_protocol(
-                psi0, params, rec.t, scheme(rec.t) if callable(scheme) else scheme,
-                backend=backend, n_steps=128,
-            )
-            assert replace(rec, phase_unwrapped=one.phase) == one
+    scan = fringe_scan(psi0, params, times, Colocated(), backend=backend, n_steps=128)
+    assert len(scan) == len(times)
+    for rec in scan:
+        one = run_protocol(psi0, params, rec.t, backend=backend, n_steps=128)
+        assert replace(rec, phase_unwrapped=one.phase) == one
+    # per-branch schedules of unequal lengths, so the last segment runs on the
+    # reference row alone, read out at their one time, the total
+    schedules = BranchSchedules(
+        accelerated=AccelSchedule(((1.0, 0.6), (0.0, 0.4))),
+        reference=AccelSchedule(((0.0, 0.25), (1.0, 0.5), (0.0, 0.25))),
+    )
+    (rec,) = fringe_scan(psi0, params, [1.0], schedules, backend=backend, n_steps=128)
+    accelerated, reference = branch_states(
+        psi0, params, 1.0, schedules, backend=backend, n_steps=128
+    )
+    assert rec.overlap == overlap(reference, accelerated)
+    assert rec.phase_unwrapped == rec.phase
 
 
 def test_one_chunk_analytic_scan_shares_its_transforms(
@@ -240,19 +239,31 @@ def test_schedule_totals_compare_relative_to_their_size(psi0, params):
 def test_unwrap_accumulates_a_growing_phase():
     true = np.array([0.0, 1.5, 3.0, 4.5, 6.0, 7.5])
     wrapped = np.angle(np.exp(1j * true))
-    out = unwrap_phases(wrapped)
+    out = unwrap_phases(wrapped, range(len(true)))
     np.testing.assert_allclose(out, true, atol=1e-12)
 
 
 def test_unwrap_handles_decreasing_phase():
     true = -np.array([0.2, 1.7, 3.2, 4.7])
-    out = unwrap_phases(np.angle(np.exp(1j * true)))
+    out = unwrap_phases(np.angle(np.exp(1j * true)), [0.1, 0.2, 0.3, 0.4])
     np.testing.assert_allclose(out, true, atol=1e-12)
 
 
 def test_unwrap_refuses_half_turn_steps():
-    with pytest.raises(PhaseAliasing):
-        unwrap_phases([0.0, math.pi])
+    with pytest.raises(PhaseAliasing, match="between t=0.5 and t=0.75"):
+        unwrap_phases([0.0, math.pi], [0.5, 0.75])
+
+
+@pytest.mark.parametrize(
+    "phases, t_values",
+    [([0.0, math.nan], [0.5]), ([0.0], [0.5, 0.75]), ([], [0.5])],
+    ids=["missing-time", "extra-time", "no-phases"],
+)
+def test_unwrap_needs_one_time_per_phase(phases, t_values):
+    # every phase needs its time, which the error messages name
+    message = f"{len(phases)} phases but {len(t_values)} t_values"
+    with pytest.raises(ValueError, match=message):
+        unwrap_phases(phases, t_values)
 
 
 def test_fringe_scan_unwraps_the_cubic_phase(psi0, params):
@@ -278,19 +289,19 @@ def test_fringe_scan_validates_times(psi0, params):
     assert fringe_scan(psi0, params, []) == []
 
 
-def test_fringe_scan_accepts_time_dependent_schemes(psi0, params):
-    # per-time schedules: single segment matching each readout time
-    def scheme(t):
-        sched = AccelSchedule(((params.g, t),))
-        free = AccelSchedule(((0.0, t),))
-        return BranchSchedules(accelerated=sched, reference=free)
+@pytest.mark.parametrize("scheme", ["colocated", None, lambda t: Colocated()])
+def test_fringe_scan_refuses_a_scheme_of_another_type(psi0, params, scheme):
+    with pytest.raises(TypeError, match="scheme must be Colocated or BranchSchedules"):
+        fringe_scan(psi0, params, [0.5, 1.0], scheme)
 
-    records = fringe_scan(psi0, params, [0.2, 0.4], scheme=scheme)
-    assert len(records) == 2
-    # each record must match a directly built schedule for its own time
-    for rec in records:
-        direct = run_protocol(psi0, params, rec.t, scheme=scheme(rec.t))
-        assert rec.overlap == pytest.approx(direct.overlap, abs=1e-12)
+
+def test_per_branch_scan_reads_out_at_the_schedule_total_only(psi0, params):
+    schedules = BranchSchedules(
+        accelerated=AccelSchedule(((params.g, 0.4),)),
+        reference=AccelSchedule(((0.0, 0.4),)),
+    )
+    with pytest.raises(SchemeMismatch, match=r"total 0.4 does not match requested t=0.2"):
+        fringe_scan(psi0, params, [0.2, 0.4], schedules)
 
 
 def test_schedule_total_matches_the_readout_time_relative_to_its_size(psi0):

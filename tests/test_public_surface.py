@@ -1,7 +1,9 @@
 """The package's exports are the layer modules' __all__ lists, nothing more."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import wavefall
@@ -36,6 +38,7 @@ REMOVED = {
     "MomentumPacket",
     "to_momentum",
     "apply_linear_phase",
+    "BadQuadrature",
 }
 
 
@@ -86,3 +89,19 @@ def test_every_export_is_used_by_the_package_demos_or_benchmarks():
     for path in files:
         used |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
     assert sorted(set(wavefall.__all__) - used) == []
+
+
+def test_no_quadrature_size_or_start_time_comes_back():
+    # every path starts at t = 0 and every proper-time quadrature has one size
+    for name in (
+        "proper_time",
+        "rel_action",
+        "nr_limit_check",
+        "free_fall_trajectory",
+        "classical_action",
+    ):
+        params = inspect.signature(getattr(wavefall, name)).parameters
+        assert not {"n_quad", "t0"} & set(params), name
+    fields = {f.name for f in dataclasses.fields(wavefall.Trajectory)}
+    assert not {"n_quad", "t0"} & fields
+    assert not hasattr(wavefall.Trajectory, "from_initial")

@@ -30,6 +30,18 @@ def test_solver_config_validation():
         SolverConfig(0)
 
 
+@pytest.mark.parametrize("n_steps", [2.5, 8.0, True], ids=["fraction", "float", "bool"])
+def test_solver_config_refuses_a_non_integer_count(n_steps):
+    with pytest.raises(ValueError, match=f"n_steps must be an integer, got {n_steps!r}"):
+        SolverConfig(n_steps)
+
+
+def test_solver_config_accepts_numpy_integer_counts(psi0, params):
+    numpy_count = evolve_split_step(psi0, params, 1.0, SolverConfig(np.int32(4)))
+    plain_count = evolve_split_step(psi0, params, 1.0, SolverConfig(4))
+    assert numpy_count.amp.tobytes() == plain_count.amp.tobytes()
+
+
 def test_split_step_matches_exact_at_high_resolution(psi0, params):
     out = evolve_split_step(psi0, params, 1.0, SolverConfig(1024))
     ref = evolve_exact(psi0, params, 1.0)
@@ -189,6 +201,20 @@ def test_convergence_flat_at_zero_g(psi0):
     rows = convergence_report(psi0, params0, 1.0, [16, 32, 64])
     assert all(r.l2_error < 1e-12 for r in rows)
     assert all(r.observed_order is None for r in rows)
+
+
+@pytest.mark.parametrize(
+    "counts, bad", [([8.9, 16], 0), ([8, True], 1)], ids=["float", "bool"]
+)
+def test_convergence_report_refuses_non_integer_counts(psi0, params, counts, bad):
+    # 8.9 must not be truncated to a run of 8 steps
+    with pytest.raises(ValueError, match=rf"step_counts\[{bad}\] must be an integer"):
+        convergence_report(psi0, params, 1.0, counts)
+
+
+def test_convergence_report_keeps_numpy_integer_counts(psi0, params):
+    rows = convergence_report(psi0, params, 1.0, np.array([16, 32]))
+    assert [type(r.n_steps) for r in rows] == [int, int]
 
 
 def test_convergence_report_validates_counts(psi0, params):

@@ -17,7 +17,8 @@ which is exactly hbar times the phase the factored propagator attaches at
 position xt (momentum-kick phase plus the global cubic phase).
 
 Every closed form here refuses a NaN or infinite argument with
-NonFiniteState naming it, before any other check.
+NonFiniteState naming it, before any other check, and refuses a result that
+overflows to inf (or NaN) the same way, naming the result.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import PhysicalParams, _require_finite_args, _require_times
+from .core import (
+    PhysicalParams, _require_finite_args, _require_finite_result, _require_times,
+)
 from .errors import BadSigma, DegenerateInterval
 
 __all__ = [
@@ -63,9 +66,9 @@ def classical_action(
     disp = x0 - x1
     kinetic = 0.5 * m * (disp * disp / t + g * g * t**3 / 12.0)
     potential = m * g * (t * (x0 + x1) / 2.0 + g * t**3 / 12.0)
-    return ActionValue(
-        value=kinetic - potential, kinetic=kinetic, potential=potential
-    )
+    value = kinetic - potential
+    _require_finite_result("classical_action", value=value)
+    return ActionValue(value=value, kinetic=kinetic, potential=potential)
 
 
 def shifted_free_action(
@@ -81,6 +84,7 @@ def shifted_free_action(
         raise DegenerateInterval(f"shifted_free_action: need t > 0, got {t}")
     diff = x0 - xt - 0.5 * params.g * t * t
     value = 0.5 * params.m * diff * diff / t
+    _require_finite_result("shifted_free_action", value=value)
     return ActionValue(value=value, kinetic=value, potential=0.0)
 
 
@@ -91,7 +95,9 @@ def delta_action(xt: float, t: float, params: PhysicalParams) -> float:
     """
     _require_finite_args("delta_action", xt=xt, t=t)
     m, g = params.m, params.g
-    return -m * g * xt * t - m * g * g * t**3 / 6.0
+    value = -m * g * xt * t - m * g * g * t**3 / 6.0
+    _require_finite_result("delta_action", value=value)
+    return value
 
 
 def ehrenfest_mean(
@@ -104,7 +110,9 @@ def ehrenfest_mean(
     """
     _require_finite_args("ehrenfest_mean", x0=x0, p0=p0, t=t)
     m, g = params.m, params.g
-    return (x0 + p0 * t / m - 0.5 * g * t * t, p0 - m * g * t)
+    x, p = x0 + p0 * t / m - 0.5 * g * t * t, p0 - m * g * t
+    _require_finite_result("ehrenfest_mean", x=x, p=p)
+    return (x, p)
 
 
 def spread_bound(
@@ -123,4 +131,5 @@ def spread_bound(
         raise BadSigma(f"spread_bound: sigma0 must be positive, got {sigma0}")
     ratio = params.hbar * t / (params.m * sigma0)
     exact = sigma0 * math.sqrt(1.0 + (ratio / (2.0 * sigma0)) ** 2)
+    _require_finite_result("spread_bound", bound=ratio, exact=exact)
     return (ratio, exact)

@@ -168,8 +168,8 @@ def _shift(
     Each distinct start state (by identity) is checked finite and
     transformed once; each distinct pair then takes the k-space phase
     e^{+i k a}, one inverse FFT and the margin check.  Returns the position
-    stack of the pairs and each row's pair.  Both checks name the caller's
-    first offending row.
+    stack of the pairs and each row's pair.  Both checks name the caller
+    (context) and its first offending row.
     """
     grid = psis[0].grid
     start, start_rows = _distinct(map(id, psis))
@@ -186,17 +186,18 @@ def _shift(
         None if shared is None else shared.setdefault(grid, {}),
     )
     np.fft.ifft(amp, out=amp)
-    _check_margin_rows(amp, "shift_packet", pair_rows, len(psis))
+    _check_margin_rows(amp, context, pair_rows, len(psis))
     return amp, pair
 
 
 def _free(
-    amp: np.ndarray, grid: Grid, hbar: float, m: float, times: list[float]
+    amp: np.ndarray, grid: Grid, hbar: float, m: float, times: list[float],
+    context: str,
 ) -> None:
     """Free flight per row of a k-space stack: e^{-i hbar t k^2/(2 m)}, then to x."""
     _apply_phases(amp, times, lambda t: np.exp(-0.5j * hbar * t * grid.k * grid.k / m))
     np.fft.ifft(amp, out=amp)
-    check_margin(amp, "free_evolve")
+    check_margin(amp, context)
 
 
 def _kick(amp: np.ndarray, grid: Grid, hbar: float, slopes: list[float]) -> None:
@@ -215,7 +216,7 @@ def free_evolve(psi: WavePacket, params: PhysicalParams, t: float) -> WavePacket
     amp = _stack([psi])
     _require_finite(amp, "free_evolve start state", batched=False)
     np.fft.fft(amp, out=amp)
-    _free(amp, psi.grid, params.hbar, params.m, [t])
+    _free(amp, psi.grid, params.hbar, params.m, [t], "free_evolve")
     return WavePacket(psi.grid, amp[0])
 
 
@@ -281,7 +282,7 @@ def evolve_exact(
     amp, pair = _shift(psis, shifts, "evolve_exact", batched)
     np.fft.fft(amp, out=amp)
     amp = amp[pair]
-    _free(amp, grid, hbar, m, times)
+    _free(amp, grid, hbar, m, times, "evolve_exact")
     _kick(amp, grid, hbar, [p.m * p.g * ti for p, ti in zip(pars, times)])
     _rotate(
         amp,

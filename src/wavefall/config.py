@@ -8,8 +8,9 @@ produce identical runs; the seed drives every randomized sweep.
 
 Each block is one dict from key to parser, read by _block; omitted keys take
 the settings dataclasses' defaults.  No domain rule is copied: blocks go to
-their constructors, and verify.step_counts and verify.c_values to the rules
-of convergence_report and nr_limit_check, each failure naming its path.
+their constructors and verify.c_values to the rule of nr_limit_check, each
+failure naming its path.  verify.step_counts has its rule here, its only
+caller: at least two strictly increasing counts, each a valid SolverConfig.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields
 
-from . import relativistic, splitstep
+from . import relativistic
 from .analytic import AccelSchedule
 from .core import Grid, PhysicalParams, WavePacket, make_gaussian
 from .errors import ConfigError
@@ -172,7 +173,16 @@ def _steps(value, path: str) -> int:
 
 
 def _step_counts(value, path: str) -> tuple[int, ...]:
-    return tuple(_build(path, splitstep._step_counts, _list(value, path, _integer)))
+    """At least two strictly increasing step counts, the smallest a valid run."""
+    counts = _list(value, path, _integer)
+    if len(counts) < 2:
+        raise ConfigError(f"{path}: need at least two step counts")
+    if any(b <= a for a, b in zip(counts, counts[1:])):
+        raise ConfigError(
+            f"{path}: step counts must be strictly increasing, got {list(counts)}"
+        )
+    _build(path, SolverConfig, counts[0])
+    return counts
 
 
 def _c_values(value, path: str) -> tuple[float, ...]:

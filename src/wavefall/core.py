@@ -308,6 +308,13 @@ def _require_finite_args(context: str, **values: float) -> None:
             raise NonFiniteState(f"{context}: {name}={value} is not finite")
 
 
+def _require_finite_result(context: str, **values: float) -> None:
+    """Raise NonFiniteState, "<context>: result <name>=<value> is not finite"."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise NonFiniteState(f"{context}: result {name}={value} is not finite")
+
+
 def _require_count(name: str, value) -> None:
     """Raise ValueError naming a count that is not an integer; bool is refused."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):

@@ -6,6 +6,7 @@ criterion is independent and pinned to explicit literals rather than
 fixtures so the gate reads as a standalone contract.
 """
 
+import cmath
 import json
 import math
 import subprocess
@@ -23,7 +24,6 @@ from wavefall import (
     apply_global_phase,
     classical_action,
     commutator_element,
-    convergence_report,
     delta_action,
     dense_hamiltonian,
     dense_propagator,
@@ -185,16 +185,25 @@ def test_mean_motion_follows_classical_fall():
 
 
 def test_split_step_is_second_order():
+    # the whole Strang defect is the global phase m g^2 t^3 / (24 hbar N^2):
+    # the measured overlap phase matches it and falls as 1/N^2
     psi = canonical_packet()
-    rows = convergence_report(psi, PARAMS, 1.0, [64, 128, 256, 512])
-    orders = [r.observed_order for r in rows if r.observed_order is not None]
-    ok = len(orders) == 3 and all(1.8 <= o <= 2.2 for o in orders)
+    exact = evolve_exact(psi, PARAMS, 1.0)
+    counts = [64, 128, 256, 512]
+    phases = [
+        cmath.phase(overlap(exact, evolve_split_step(psi, PARAMS, 1.0, SolverConfig(n))))
+        for n in counts
+    ]
+    predicted = [PARAMS.m * PARAMS.g**2 / (24.0 * PARAMS.hbar * n * n) for n in counts]
+    worst = max(abs(a - b) for a, b in zip(phases, predicted))
+    orders = [math.log2(a / b) for a, b in zip(phases, phases[1:])]
+    ok = worst < 1e-12 and all(abs(o - 2.0) < 1e-4 for o in orders)
     report(
         "split_step_is_second_order",
         ok,
-        "observed orders "
-        + ", ".join(f"{o:.3f}" for o in orders)
-        + " (each within [1.8, 2.2] over steps 64..512)",
+        f"overlap phase off m g^2 t^3/(24 hbar N^2) by {worst:.3e} (tol 1e-12); "
+        "orders " + ", ".join(f"{o:.6f}" for o in orders)
+        + " (each within 1e-4 of 2 over steps 64..512)",
     )
 
 

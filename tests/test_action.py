@@ -200,11 +200,17 @@ NAN, INF = math.nan, math.inf
         (lambda p: ehrenfest_mean(0, INF, 1, p), "ehrenfest_mean: p0=inf"),
         (lambda p: spread_bound(INF, 1, p), "spread_bound: sigma0=inf"),
         (lambda p: spread_bound(1, NAN, p), "spread_bound: t=nan"),
+        # finite arguments whose result overflows: (1e+200, inf), value=inf
+        # and (-inf, -1e+200) were returned without error
+        (lambda p: spread_bound(1e-200, 1.0, p), "spread_bound: result exact=inf"),
+        (lambda p: classical_action(0, 1, 1e-320, p), "classical_action: result value=inf"),
+        (lambda p: ehrenfest_mean(0, 0, 1e200, p), "ehrenfest_mean: result x=-inf"),
     ],
     ids=[
         "classical_action-x0", "classical_action-t", "shifted_free_action-xt",
         "shifted_free_action-t", "delta_action", "ehrenfest_mean-x0",
         "ehrenfest_mean-p0", "spread_bound-sigma0", "spread_bound-t",
+        "spread_bound-result", "classical_action-result", "ehrenfest_mean-result",
     ],
 )
 def test_closed_forms_refuse_non_finite_arguments(params, call, message):

@@ -168,7 +168,7 @@ def test_piecewise_overflow_is_labelled_like_a_scan_overflow(psi0, params):
     with pytest.raises(GridOverflow) as info:
         evolve_piecewise(psi0, params, sched)
     assert str(info.value).startswith(
-        "schedule, segment 1 (g=1.0, duration=8.0): free_evolve: "
+        "schedule, segment 1 (g=1.0, duration=8.0): evolve_exact: "
     )
 
 
@@ -270,13 +270,20 @@ def test_batched_overflow_names_the_offending_row(psi0, params):
     assert "in row" not in str(single.value)
 
 
+@pytest.mark.parametrize("g, t", [(0.0, 1e8), (1.0, 7.0)], ids=["free-flight", "shift"])
+def test_evolve_exact_margin_failures_name_evolve_exact(psi0, params, g, t):
+    # the free-flight and shift stages used to name free_evolve and shift_packet
+    with pytest.raises(GridOverflow, match="^evolve_exact: boundary amplitude"):
+        evolve_exact(psi0, replace(params, g=g), t)
+
+
 def test_shift_overflow_names_the_callers_row_after_sharing(psi0, params):
     # t = 6 shifts the packet 18 units down, onto the guard band, in the shift
     # stage.  Rows 0 and 1 share one shift-stage row, so the shared stack's
     # offending row is 1, while the caller's first offending row is 2.
     with pytest.raises(GridOverflow) as info:
         evolve_exact(psi0, params, [1.0, 1.0, 6.0, 6.0])
-    assert str(info.value).startswith("shift_packet: ")
+    assert str(info.value).startswith("evolve_exact: ")
     assert " in row 2 exceeds" in str(info.value)
     assert info.value.row == 2
     # two rows share one shift-stage row: the caller's row 0 is still named
@@ -285,6 +292,7 @@ def test_shift_overflow_names_the_callers_row_after_sharing(psi0, params):
     assert info.value.row == 0
     with pytest.raises(GridOverflow) as info:
         shift_packet([psi0, psi0, psi0], [1.0, 1.0, 18.0])
+    assert str(info.value).startswith("shift_packet: ")
     assert " in row 2 exceeds" in str(info.value)
     assert info.value.row == 2
 

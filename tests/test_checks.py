@@ -53,10 +53,12 @@ def test_sweeps_make_one_batched_call_per_route(count_calls):
     names = ("evolve_exact", "evolve_split_step", "moments")
     calls = {name: count_calls(checks, name) for name in names}
     run_all_checks(default_config())
-    # evolve_exact: the oracle check, the two sweeps and protocol_symmetries;
-    # evolve_split_step and a pair of moments calls: the two sweeps
+    # evolve_exact: the oracle check, the two sweeps, strang_convergence_order
+    # and protocol_symmetries; evolve_split_step: the two sweeps and one run
+    # per step count; a pair of moments calls: the two sweeps
     counts = {name: len(c) for name, c in calls.items()}
-    assert counts == {"evolve_exact": 4, "evolve_split_step": 2, "moments": 4}
+    steps = len(default_config().verify.step_counts)
+    assert counts == {"evolve_exact": 5, "evolve_split_step": 2 + steps, "moments": 4}
 
 
 @pytest.mark.parametrize(
@@ -93,11 +95,7 @@ def _nan_moments(states, params):
         ("moments", _nan_moments, "spread_g_independence"),
         ("delta_action", lambda *args: math.nan, "delta_action_identity"),
         ("ehrenfest_mean", lambda *args: (math.nan, math.nan), "ehrenfest_means"),
-        (
-            "wavefall.splitstep.l2_distance",
-            lambda *args: math.nan,
-            "strang_convergence_order",
-        ),
+        ("l2_distance", lambda *args: math.nan, "strang_convergence_order"),
     ],
 )
 def test_nan_deviation_fails_its_check(monkeypatch, attr, fake, name):
@@ -106,3 +104,21 @@ def test_nan_deviation_fails_its_check(monkeypatch, attr, fake, name):
     result = next(r for r in run_all_checks(default_config()) if r.name == name)
     assert not result.passed
     assert "nan" in result.measured
+
+
+def test_verify_fails_a_solver_whose_hbar_over_m_is_off_by_1e_8(monkeypatch):
+    # m/(1 + 1e-8) and g (1 + 1e-8) keep m g, so only hbar/m moves, by 1e-8:
+    # observables drift by ~4e-8, inside the sweeps' 1e-6, while the state
+    # less phi_N is 4.2e-9 from the exact one, far above rounding
+    real = checks.evolve_split_step
+
+    def scaled(p):
+        return replace(p, m=p.m / (1 + 1e-8), g=p.g * (1 + 1e-8))
+
+    def off_by_1e_8(psi, params, t, config):
+        params = [scaled(p) for p in params] if isinstance(params, list) else scaled(params)
+        return real(psi, params, t, config)
+
+    monkeypatch.setattr(checks, "evolve_split_step", off_by_1e_8)
+    failed = {r.name for r in run_all_checks(default_config()) if not r.passed}
+    assert "strang_convergence_order" in failed

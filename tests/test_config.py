@@ -164,6 +164,28 @@ def test_verify_bounds():
         parse_config(with_extra(verify={"step_counts": [64]}))
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ([64], ": need at least two step counts"),
+        ([64, 64], ": step counts must be strictly increasing, got [64, 64]"),
+        ([128, 64], ": step counts must be strictly increasing, got [128, 64]"),
+        ([0, 8], ": n_steps must be >= 1, got 0"),
+        ([8.9, 16], "[0]: expected an integer, got 8.9"),
+        ([8, True], "[1]: expected an integer, got True"),
+        ([], ": expected a non-empty list of numbers"),
+    ],
+    ids=["one", "repeated", "decreasing", "zero", "float", "bool", "empty"],
+)
+def test_step_counts_rule(counts, message):
+    # at least two strictly increasing integers, the smallest a valid run;
+    # 8.9 must not be truncated to a run of 8 steps
+    with pytest.raises(ConfigError) as info:
+        parse_config(with_extra(verify={"step_counts": counts}))
+    assert str(info.value) == "verify.step_counts" + message
+    assert parse_config(with_extra(verify={"step_counts": [1, 2]})).verify.step_counts == (1, 2)
+
+
 def test_seed_range():
     assert parse_config(with_extra(seed=7)).seed == 7
     with pytest.raises(ConfigError, match="seed"):

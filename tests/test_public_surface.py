@@ -39,6 +39,8 @@ REMOVED = {
     "to_momentum",
     "apply_linear_phase",
     "BadQuadrature",
+    "convergence_report",
+    "ConvergenceRow",
 }
 
 

@@ -1,11 +1,15 @@
-"""Split-step solver: accuracy, convergence order, boundary guard, batches."""
+"""Split-step solver: accuracy, the Strang phase, boundary guard, batches."""
 
+import cmath
+import math
 import re
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject
+from hypothesis import strategies as st
 
 from wavefall import splitstep
 from wavefall import (
@@ -16,13 +20,15 @@ from wavefall import (
     PhysicalParams,
     WavePacket,
     SolverConfig,
-    convergence_report,
+    apply_global_phase,
     evolve_exact,
     evolve_split_step,
     l2_distance,
     make_gaussian,
     moments,
+    overlap,
 )
+from wavefall.core import boundary_amplitude
 
 
 def test_solver_config_validation():
@@ -174,51 +180,92 @@ def test_batch_rows_must_share_grid_hbar_and_m(grid, psi0, params):
     evolve_split_step(psi0, [params, PhysicalParams(c=3.0)], 1.0, cfg)
 
 
-def test_convergence_report_orders_near_two(psi0, params):
-    rows = convergence_report(psi0, params, 1.0, [64, 128, 256, 512])
-    assert [r.n_steps for r in rows] == [64, 128, 256, 512]
-    orders = [r.observed_order for r in rows[:-1]]
-    assert all(o is not None for o in orders)
-    for o in orders:
-        assert 1.8 < o < 2.2
-    assert rows[-1].observed_order is None
+def _clear_of_band_edges(psi):
+    """Whether the unit-norm state is below 1e-12 on the outer 5% of x and of k.
+
+    The domain of _strang_tolerance: on the lattice, [x, p] is a c-number,
+    and the Strang defect the global phase phi_N, only for states clear of
+    both edges.  The margin guard allows up to 1e-10 in x and nothing
+    guards k, so the property states the domain.
+    """
+    grid = psi.grid
+    amp_k = np.fft.fftshift(np.fft.fft(psi.amp)) / np.sqrt(grid.n)
+    edges = boundary_amplitude(np.stack([psi.amp, amp_k]), grid.n)
+    return bool(np.all(edges * np.sqrt(grid.dx) < 1e-12))
+
+
+def _less_strang_phase(psi, params, t, n_steps):
+    return apply_global_phase(psi, -splitstep._strang_phase(params, t, n_steps))
+
+
+def test_strang_phase_closed_form(params):
+    assert splitstep._strang_phase(params, 1.0, 64) == 1.0 / (24.0 * 64**2)
+    other = PhysicalParams(hbar=0.5, m=2.0, g=-0.7)
+    assert splitstep._strang_phase(other, 1.5, 3) == pytest.approx(
+        2.0 * 0.49 * 1.5**3 / (24.0 * 0.5 * 9)
+    )
+    for g in (0.0, -0.0):
+        assert splitstep._strang_phase(replace(params, g=g), 1.0, 1) == 0.0
+
+
+def test_split_step_error_is_second_order(psi0, params):
+    # the raw L2 error is |e^{i phi_N} - 1|, so doubling N quarters it
+    exact = evolve_exact(psi0, params, 1.0)
+    counts = [64, 128, 256, 512]
+    errors = [
+        l2_distance(evolve_split_step(psi0, params, 1.0, SolverConfig(n)), exact)
+        for n in counts
+    ]
+    for err, nxt in zip(errors, errors[1:]):
+        assert math.log2(err / nxt) == pytest.approx(2.0, abs=1e-3)
 
 
 def test_convergence_error_magnitude_matches_phase_defect(psi0, params):
-    # L2 error per run = |2 sin(m g^2 t^3 / (48 hbar n^2))| * sqrt(2)... the
-    # leading defect is the global phase m g^2 t^3/(24 n^2), so the L2 norm
-    # of (e^{i eps} - 1) psi is ~ eps
-    rows = convergence_report(psi0, params, 1.0, [64, 128])
-    eps = 1.0 / (24.0 * 64**2)
-    assert rows[0].l2_error == pytest.approx(eps, rel=1e-3)
+    # the whole error is the global phase: the raw distance is
+    # |e^{i phi_N} - 1| = 2 sin(phi_N / 2), the overlap phase is phi_N, and
+    # what is left once it is removed is rounding
+    exact = evolve_exact(psi0, params, 1.0)
+    for n in (8, 64, 128):
+        split = evolve_split_step(psi0, params, 1.0, SolverConfig(n))
+        phi = splitstep._strang_phase(params, 1.0, n)
+        tol = splitstep._strang_tolerance(params, 1.0, n, psi0.grid.n)
+        assert abs(l2_distance(split, exact) - 2.0 * math.sin(0.5 * phi)) < tol
+        assert abs(cmath.phase(overlap(exact, split)) - phi) < tol
+        assert l2_distance(_less_strang_phase(split, params, 1.0, n), exact) < tol
 
 
-def test_convergence_flat_at_zero_g(psi0):
-    # with g = 0 splitting is exact; all errors sit at the floor
-    from wavefall import PhysicalParams
+def test_convergence_flat_at_zero_g(psi0, params):
+    # with g = 0 (or -0.0) the splitting is exact: no phase, only rounding
+    for g in (0.0, -0.0):
+        flat = replace(params, g=g)
+        exact = evolve_exact(psi0, flat, 1.0)
+        for n in (1, 16, 32, 64):
+            split = evolve_split_step(psi0, flat, 1.0, SolverConfig(n))
+            tol = splitstep._strang_tolerance(flat, 1.0, n, psi0.grid.n)
+            assert l2_distance(split, exact) < tol
 
-    params0 = PhysicalParams(hbar=1.0, m=1.0, g=0.0, c=10.0)
-    rows = convergence_report(psi0, params0, 1.0, [16, 32, 64])
-    assert all(r.l2_error < 1e-12 for r in rows)
-    assert all(r.observed_order is None for r in rows)
 
-
-@pytest.mark.parametrize(
-    "counts, bad", [([8.9, 16], 0), ([8, True], 1)], ids=["float", "bool"]
+@given(
+    hbar=st.floats(0.5, 2.0),
+    m=st.floats(0.5, 2.0),
+    g=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)),
+    t=st.floats(0.0, 2.0),
+    x0=st.floats(-4.0, 4.0),
+    p0=st.floats(-1.5, 1.5),
+    n=st.sampled_from([64, 128, 256, 512, 1024]),
+    n_steps=st.integers(1, 512),
 )
-def test_convergence_report_refuses_non_integer_counts(psi0, params, counts, bad):
-    # 8.9 must not be truncated to a run of 8 steps
-    with pytest.raises(ValueError, match=rf"step_counts\[{bad}\] must be an integer"):
-        convergence_report(psi0, params, 1.0, counts)
-
-
-def test_convergence_report_keeps_numpy_integer_counts(psi0, params):
-    rows = convergence_report(psi0, params, 1.0, np.array([16, 32]))
-    assert [type(r.n_steps) for r in rows] == [int, int]
-
-
-def test_convergence_report_validates_counts(psi0, params):
-    with pytest.raises(ValueError):
-        convergence_report(psi0, params, 1.0, [64])
-    with pytest.raises(ValueError):
-        convergence_report(psi0, params, 1.0, [64, 64])
+def test_split_step_less_strang_phase_is_exact_to_rounding(
+    hbar, m, g, t, x0, p0, n, n_steps
+):
+    # sigma0 = 1.4 fits every n here: make_gaussian needs 2 dx = 1.25 at n = 64
+    params = PhysicalParams(hbar=hbar, m=m, g=g)
+    try:
+        psi = make_gaussian(Grid(-20.0, 20.0, n), x0, p0, 1.4, params)
+        exact = evolve_exact(psi, params, t)
+        split = evolve_split_step(psi, params, t, SolverConfig(n_steps))
+    except GridOverflow:
+        reject()
+    assume(_clear_of_band_edges(psi) and _clear_of_band_edges(exact))
+    distance = l2_distance(_less_strang_phase(split, params, t, n_steps), exact)
+    assert distance < splitstep._strang_tolerance(params, t, n_steps, n)

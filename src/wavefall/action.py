@@ -18,7 +18,8 @@ position xt (momentum-kick phase plus the global cubic phase).
 
 Every closed form here refuses a NaN or infinite argument with
 NonFiniteState naming it, before any other check, and refuses a result that
-overflows to inf (or NaN) the same way, naming the result.
+overflows to inf (or NaN), or whose float arithmetic raises OverflowError or
+ZeroDivisionError, the same way, naming the function.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    PhysicalParams, _require_finite_args, _require_finite_result, _require_times,
+    PhysicalParams, _RefuseOverflow, _require_finite_args, _require_finite_result,
+    _require_times,
 )
 from .errors import BadSigma, DegenerateInterval
 
@@ -64,8 +66,9 @@ def classical_action(
         raise DegenerateInterval(f"classical_action: need t > 0, got {t}")
     m, g = params.m, params.g
     disp = x0 - x1
-    kinetic = 0.5 * m * (disp * disp / t + g * g * t**3 / 12.0)
-    potential = m * g * (t * (x0 + x1) / 2.0 + g * t**3 / 12.0)
+    with _RefuseOverflow("classical_action"):
+        kinetic = 0.5 * m * (disp * disp / t + g * g * t**3 / 12.0)
+        potential = m * g * (t * (x0 + x1) / 2.0 + g * t**3 / 12.0)
     value = kinetic - potential
     _require_finite_result("classical_action", value=value)
     return ActionValue(value=value, kinetic=kinetic, potential=potential)
@@ -95,7 +98,8 @@ def delta_action(xt: float, t: float, params: PhysicalParams) -> float:
     """
     _require_finite_args("delta_action", xt=xt, t=t)
     m, g = params.m, params.g
-    value = -m * g * xt * t - m * g * g * t**3 / 6.0
+    with _RefuseOverflow("delta_action"):
+        value = -m * g * xt * t - m * g * g * t**3 / 6.0
     _require_finite_result("delta_action", value=value)
     return value
 
@@ -129,7 +133,8 @@ def spread_bound(
     _require_times("spread_bound", [t])
     if not sigma0 > 0:
         raise BadSigma(f"spread_bound: sigma0 must be positive, got {sigma0}")
-    ratio = params.hbar * t / (params.m * sigma0)
-    exact = sigma0 * math.sqrt(1.0 + (ratio / (2.0 * sigma0)) ** 2)
+    with _RefuseOverflow("spread_bound"):
+        ratio = params.hbar * t / (params.m * sigma0)
+        exact = sigma0 * math.sqrt(1.0 + (ratio / (2.0 * sigma0)) ** 2)
     _require_finite_result("spread_bound", bound=ratio, exact=exact)
     return (ratio, exact)

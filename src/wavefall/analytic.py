@@ -60,6 +60,7 @@ from .core import (
     _check_margin_rows,
     _packets,
     _require_finite,
+    _require_finite_result,
     _require_times,
     _stack,
     check_margin,
@@ -269,7 +270,8 @@ def evolve_exact(
     any row touches the guarded boundary nodes after the shift or after free
     flight, naming the first such row of a stack and carrying its index as
     .row, and NonFiniteState, naming the row and node, when a start state
-    holds NaN or inf.
+    holds NaN or inf, or naming the row, before any phase is built, when its
+    shift, kick slope or cubic angle is not finite.
     """
     batched, (psis, pars, times) = _as_rows("evolve_exact", psi, params, t)
     if not psis:
@@ -278,17 +280,39 @@ def evolve_exact(
     grid, hbar, m = psis[0].grid, pars[0].hbar, pars[0].m
     if any((p.hbar, p.m) != (hbar, m) for p in pars):
         raise ValueError("evolve_exact: rows must share hbar and m")
-    shifts = [0.5 * p.g * ti * ti for p, ti in zip(pars, times)]
+    shifts, slopes, thetas = _factor_scalars(pars, times, batched)
     amp, pair = _shift(psis, shifts, "evolve_exact", batched)
     np.fft.fft(amp, out=amp)
     amp = amp[pair]
     _free(amp, grid, hbar, m, times, "evolve_exact")
-    _kick(amp, grid, hbar, [p.m * p.g * ti for p, ti in zip(pars, times)])
-    _rotate(
-        amp,
-        [-p.m * p.g * p.g * ti**3 / (6.0 * p.hbar) for p, ti in zip(pars, times)],
-    )
+    _kick(amp, grid, hbar, slopes)
+    _rotate(amp, thetas)
     return _packets(grid, amp, batched)
+
+
+def _factor_scalars(pars, times, batched: bool):
+    """Each row's shift g t^2/2, kick slope m g t and cubic angle of evolve_exact.
+
+    Raises NonFiniteState, "evolve_exact[ in row R]: result <name>=<value> is
+    not finite", at the first row with a scalar that is not finite; t**3
+    past the float range counts as an infinite angle.
+    """
+    shifts, slopes, thetas = [], [], []
+    for row, (p, ti) in enumerate(zip(pars, times)):
+        shift, slope = 0.5 * p.g * ti * ti, p.m * p.g * ti
+        try:
+            theta = -p.m * p.g * p.g * ti**3 / (6.0 * p.hbar)
+        except OverflowError:
+            theta = -math.inf
+        if not (math.isfinite(shift) and math.isfinite(slope) and math.isfinite(theta)):
+            where = f" in row {row}" if batched else ""
+            _require_finite_result(
+                f"evolve_exact{where}", shift=shift, kick_slope=slope, cubic_angle=theta
+            )
+        shifts.append(shift)
+        slopes.append(slope)
+        thetas.append(theta)
+    return shifts, slopes, thetas
 
 
 def _segment_chain(psi, params, rows, labels, step):

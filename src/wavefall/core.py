@@ -136,9 +136,10 @@ class Grid:
         return wav
 
 
-def _frozen(value, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """A read-only complex copy of value; ValueError unless it has this shape."""
-    a = np.array(value, dtype=np.complex128, copy=True)
+def _frozen(value, shape: tuple[int, ...], name: str, keep_real=False) -> np.ndarray:
+    """A read-only complex copy, float64 if keep_real and real; ValueError off shape."""
+    real = keep_real and not np.iscomplexobj(value)
+    a = np.array(value, dtype=np.float64 if real else np.complex128, copy=True)
     if a.shape != shape:
         raise ValueError(f"{name} shape {a.shape} does not match grid n={shape[0]}")
     a.setflags(write=False)
@@ -313,6 +314,33 @@ def _require_finite_result(context: str, **values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise NonFiniteState(f"{context}: result {name}={value} is not finite")
+
+
+class _RefuseOverflow:
+    """`with _RefuseOverflow(context):` turns float overflow into NonFiniteState.
+
+    Python float arithmetic raises OverflowError (x**3 past the float range)
+    or ZeroDivisionError (a divisor that underflowed to 0) where numpy would
+    give inf or NaN, and numpy raises FloatingPointError under
+    np.errstate(..., "raise"); inside the block each is re-raised as
+    NonFiniteState, "<context>: a result overflows the float range (<type>)".
+    A class, not a contextlib generator, which costs three times as much per
+    block: verify runs the action closed forms thousands of times.
+    """
+
+    def __init__(self, context: str) -> None:
+        self.context = context
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and issubclass(
+            kind, (OverflowError, ZeroDivisionError, FloatingPointError)
+        ):
+            raise NonFiniteState(
+                f"{self.context}: a result overflows the float range ({kind.__name__})"
+            ) from exc
 
 
 def _require_count(name: str, value) -> None:

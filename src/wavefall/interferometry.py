@@ -59,7 +59,10 @@ from .core import (
     PhysicalParams,
     WavePacket,
     _position_moments,
+    _RefuseOverflow,
     _require_finite,
+    _require_finite_args,
+    _require_finite_result,
     _require_times,
     _stack,
     make_gaussian,
@@ -130,10 +133,15 @@ def predicted_phase(xbar: float, t: float, params: PhysicalParams) -> float:
     xbar is the mean position of the reference branch at readout.  For the
     colocated scheme this matches the measured phase exactly for symmetric
     packets (the translation covers the fall, so only the momentum-kick phase
-    at the branch center and the global cubic phase survive).
+    at the branch center and the global cubic phase survive).  A non-finite
+    argument or result raises NonFiniteState.
     """
+    _require_finite_args("predicted_phase", xbar=xbar, t=t)
     m, g = params.m, params.g
-    return -(m * g * xbar * t + m * g * g * t**3 / 6.0) / params.hbar
+    with _RefuseOverflow("predicted_phase"):
+        phase = -(m * g * xbar * t + m * g * g * t**3 / 6.0) / params.hbar
+    _require_finite_result("predicted_phase", phase=phase)
+    return phase
 
 
 def gaussian_visibility(sigma_t: float, t: float, params: PhysicalParams) -> float:
@@ -141,10 +149,13 @@ def gaussian_visibility(sigma_t: float, t: float, params: PhysicalParams) -> flo
 
     sigma_t is the position spread at readout time.  The contrast is the
     magnitude of the Gaussian's characteristic function at the accumulated
-    momentum kick m g t.
+    momentum kick m g t.  A NaN contrast, such as sigma_t = 0 against a kick
+    that overflows, raises NonFiniteState.
     """
     kick = params.m * params.g * t * sigma_t / params.hbar
-    return math.exp(-0.5 * kick * kick)
+    visibility = math.exp(-0.5 * kick * kick)
+    _require_finite_result("gaussian_visibility", visibility=visibility)
+    return visibility
 
 
 def _branch_pairs(psi0, params, times, scheme, backend, n_steps):

@@ -1,11 +1,11 @@
 """Dense-matrix reference route: brute-force operators on small grids.
 
 Everything here is deliberately independent of the factored propagator and of
-the split-step solver: the Hamiltonian is assembled as an explicit matrix
-(momentum via conjugating a diagonal wavenumber lattice with the unitary DFT),
-the propagator comes from a Hermitian eigendecomposition, and Heisenberg-
-picture operators from explicit conjugation.  Sizes are guarded because the
-cost is O(n^3); this module is a cross-check, not a production solver.
+the split-step solver, and uses no DFT: the Hamiltonian is a real symmetric
+matrix built from closed forms, the propagator comes from its eigenpairs, and
+Heisenberg-picture operators from explicit conjugation.  Sizes are guarded
+because the cost is O(n^3); this module is a cross-check, not a production
+solver.
 
 Each DenseOperator computes its eigendecomposition at most once, on first
 use, so propagators at several times share one `eigh` when they are built
@@ -28,7 +28,6 @@ from .errors import GridMismatch, NotHermitian, NotUnitary, TooLarge
 
 __all__ = [
     "DenseOperator",
-    "fourier_matrix",
     "dense_hamiltonian",
     "dense_propagator",
     "heisenberg_position",
@@ -41,14 +40,14 @@ MAX_COMMUTATOR_N = 512
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """An n x n matrix acting on position-space amplitudes of one Grid."""
+    """An n x n matrix acting on position amplitudes of one Grid; real stays real."""
 
     grid: Grid
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.grid.n
-        object.__setattr__(self, "matrix", _frozen(self.matrix, (n, n), "matrix"))
+        matrix = _frozen(self.matrix, (self.grid.n,) * 2, "matrix", keep_real=True)
+        object.__setattr__(self, "matrix", matrix)
 
     def hermiticity_defect(self) -> float:
         return float(np.abs(self.matrix - self.matrix.conj().T).max())
@@ -71,35 +70,34 @@ class DenseOperator:
         return WavePacket(self.grid, self.matrix @ psi.amp)
 
 
-def fourier_matrix(grid: Grid) -> np.ndarray:
-    """Unitary DFT matrix F[j, i] = e^{-i k_j x_i} / sqrt(n)."""
-    return np.exp(-1j * np.outer(grid.k, grid.x)) / np.sqrt(grid.n)
-
-
 def dense_hamiltonian(grid: Grid, params: PhysicalParams) -> DenseOperator:
-    """H = P^2/(2m) + m g X with the spectral kinetic term, as a dense matrix.
+    """H = P^2/(2m) + m g X as a real symmetric matrix, with no DFT.
 
-    The kinetic block is F^dagger diag((hbar k)^2 / 2m) F; the result is
-    symmetrized so the Hermiticity defect is exactly zero.  Guarded at
-    n <= 1024.
+    The kinetic block is the periodic Fourier-grid matrix T[j, l] = c[|j - l|],
+    c[0] = (hbar^2/2m) (pi/dx)^2 (1 + 2/n^2)/3 and, for d >= 1,
+    c[d] = (hbar^2/m) (pi/L)^2 (-1)^d / sin^2(pi d/n), L the box length: the
+    lattice's spectral kinetic term, summed in closed form (Marston and
+    Balint-Kurti, J. Chem. Phys. 91, 3571, 1989; Colbert and Miller, J. Chem.
+    Phys. 96, 1982, 1992).  Indexing by |j - l| makes H exactly symmetric.
+    Guarded at n <= 1024.
     """
     if grid.n > MAX_DENSE_N:
         raise TooLarge(f"dense_hamiltonian: n={grid.n} exceeds the {MAX_DENSE_N} guard")
-    f = fourier_matrix(grid)
-    kinetic_diag = (params.hbar * grid.k) ** 2 / (2.0 * params.m)
-    h = (f.conj().T * kinetic_diag) @ f
-    h += np.diag(params.m * params.g * grid.x)
-    h = 0.5 * (h + h.conj().T)
+    d = np.arange(grid.n)
+    c = params.hbar**2 / params.m * (np.pi / grid.length) ** 2 * (-1.0) ** d
+    c[1:] /= np.sin(np.pi * d[1:] / grid.n) ** 2
+    c[0] *= (grid.n**2 + 2) / 6.0  # (hbar^2/2m) (pi/dx)^2 (1 + 2/n^2)/3
+    h = c[np.abs(d[:, None] - d)] + np.diag(params.m * params.g * grid.x)
     return DenseOperator(grid, h)
 
 
 def dense_propagator(
     hamiltonian: DenseOperator, t: float, params: PhysicalParams
 ) -> DenseOperator:
-    """U = exp(-i H t / hbar) through the eigendecomposition of Hermitian H.
+    """U = V e^{-i w t / hbar} V^dagger from the eigenpairs (w, V) of Hermitian H.
 
-    The Hermiticity check runs on every call; the eigendecomposition is
-    computed once per `hamiltonian` object and reused for later times.
+    V is real for a real H.  The Hermiticity check runs on every call; the
+    eigendecomposition is computed once per `hamiltonian` object and reused.
     """
     defect = hamiltonian.hermiticity_defect()
     scale = max(1.0, float(np.abs(hamiltonian.matrix).max()))
@@ -119,8 +117,7 @@ def heisenberg_position(propagator: DenseOperator) -> DenseOperator:
         raise NotUnitary(
             f"heisenberg_position: unitarity defect {defect:.3e} exceeds tolerance"
         )
-    u = propagator.matrix
-    x = propagator.grid.x.astype(np.complex128)
+    u, x = propagator.matrix, propagator.grid.x
     return DenseOperator(propagator.grid, u.conj().T @ (x[:, None] * u))
 
 

@@ -33,7 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PhysicalParams, Trajectory, _require_times
+from .core import (
+    PhysicalParams, Trajectory, _RefuseOverflow, _require_finite_result, _require_times,
+)
 from .errors import NonFiniteState, SuperluminalPath
 
 __all__ = [
@@ -51,6 +53,9 @@ __all__ = [
 QUAD_INTERVALS = 4096
 # Errors below this are quadrature/rounding noise; no scaling fit is possible.
 LIMIT_NOISE_FLOOR = 1e-14
+# np.errstate of the quadrature: an overflow, 0/0 or x/0 raises, and
+# _RefuseOverflow names it, so no sample is silently inf, NaN or zeroed.
+_RAISE = dict(over="raise", divide="raise", invalid="raise")
 
 
 @dataclass(frozen=True)
@@ -94,11 +99,12 @@ def free_fall_trajectory(x0: float, v0: float, params: PhysicalParams) -> Trajec
 
 def _samples(traj: Trajectory, t: float, params: PhysicalParams):
     _require_times("proper-time quadrature", [t])
-    times = np.linspace(0.0, t, QUAD_INTERVALS + 1)
-    x = np.asarray(traj.position(times))
-    v = np.asarray(traj.velocity(times))
-    c2 = params.c**2
-    radicand = 1.0 - 2.0 * params.g * x / c2 - v * v / c2
+    with _RefuseOverflow("proper-time quadrature"), np.errstate(**_RAISE):
+        c2 = params.c**2
+        times = np.linspace(0.0, t, QUAD_INTERVALS + 1)
+        x = np.asarray(traj.position(times))
+        v = np.asarray(traj.velocity(times))
+        radicand = 1.0 - 2.0 * params.g * x / c2 - v * v / c2
     finite = np.isfinite(radicand)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -157,15 +163,20 @@ def rel_action(traj: Trajectory, t: float, params: PhysicalParams) -> RelActionR
     times, x, v, radicand = _samples(traj, t, params)
     if t == 0.0:
         return RelActionResult(0.0, 0.0, 0.0, 0.0)
-    tau = float(_simpson(np.sqrt(radicand), times))
-    action = params.m * params.c**2 * (tau - t)
-    integrand = -params.m * params.g * x - 0.5 * params.m * v * v
-    nr = float(_simpson(integrand, times))
+    with _RefuseOverflow("rel_action"), np.errstate(**_RAISE):
+        tau = float(_simpson(np.sqrt(radicand), times))
+        action = params.m * params.c**2 * (tau - t)
+        integrand = -params.m * params.g * x - 0.5 * params.m * v * v
+        nr = float(_simpson(integrand, times))
+    abs_error = abs(action - nr)
+    _require_finite_result(
+        "rel_action", action=action, nr_action=nr, abs_error=abs_error
+    )
     return RelActionResult(
         proper_time=tau,
         action=action,
         nr_action=nr,
-        abs_error=abs(action - nr),
+        abs_error=abs_error,
     )
 
 
@@ -209,14 +220,20 @@ def nr_limit_check(
 
 
 def static_proper_time(x0: float, t: float, params: PhysicalParams) -> float:
-    """Closed form for a clock held at x0: t sqrt(1 - 2 g x0 / c^2)."""
+    """Closed form for a clock held at x0: t sqrt(1 - 2 g x0 / c^2).
+
+    A radicand or result that is not finite raises NonFiniteState.
+    """
     _require_times("static_proper_time", [t])
-    c2 = params.c**2
-    radicand = 1.0 - 2.0 * params.g * x0 / c2
+    with _RefuseOverflow("static_proper_time"):
+        c2 = params.c**2
+        radicand = 1.0 - 2.0 * params.g * x0 / c2
     if not math.isfinite(radicand):
         raise NonFiniteState(f"static radicand {radicand} at x0={x0} is not finite")
     if radicand <= 0.0:
         raise SuperluminalPath(
             f"static radicand {radicand:.3e} <= 0 at x0={x0} for c={params.c}"
         )
-    return t * math.sqrt(radicand)
+    tau = t * math.sqrt(radicand)
+    _require_finite_result("static_proper_time", tau=tau)
+    return tau

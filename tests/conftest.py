@@ -35,12 +35,12 @@ def rng():
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Record the shape of every np.linalg.eigh call made during the test."""
+    """Record (shape, dtype) of every np.linalg.eigh call made during the test."""
     calls = []
     real = np.linalg.eigh
 
     def counting(a, *args, **kwargs):
-        calls.append(a.shape)
+        calls.append((a.shape, a.dtype))
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)

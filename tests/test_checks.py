@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from wavefall import (
@@ -42,8 +43,8 @@ def test_one_eigendecomposition_per_hamiltonian_and_none_across_runs(
     monkeypatch.setattr(checks, "heisenberg_position", counting)
     run_all_checks(default_config())
     # one Hamiltonian for factorization_vs_dense_oracle, one per g for
-    # commutator_identity; one x(t) per (g, t)
-    assert len(eigh_calls) == 3
+    # commutator_identity; one x(t) per (g, t); each H real
+    assert [dtype for _, dtype in eigh_calls] == [np.float64] * 3
     assert len(heisenberg) == 4
     run_all_checks(default_config())
     assert len(eigh_calls) == 6  # a second run reuses nothing from the first

@@ -1,5 +1,8 @@
 """Dense-matrix route: operators, propagator, Heisenberg commutator."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,12 +19,12 @@ from wavefall import (
     dense_hamiltonian,
     dense_propagator,
     evolve_exact,
-    fourier_matrix,
     heisenberg_position,
     l2_distance,
     make_gaussian,
     overlap,
 )
+from wavefall import oracle
 from wavefall.core import _momentum_amp
 
 
@@ -42,26 +45,64 @@ def x_of_t(grid, params, t):
     return heisenberg_position(u)
 
 
-def test_fourier_matrix_is_unitary(small_grid):
-    f = fourier_matrix(small_grid)
-    eye = f @ f.conj().T
-    assert np.abs(eye - np.eye(small_grid.n)).max() < 1e-12
+def wavenumbers(grid):
+    """k_j = 2 pi j / L in FFT order: j = 0, ..., n/2 - 1, then -n/2, ..., -1."""
+    return 2.0 * np.pi / grid.length * np.r_[0 : grid.n // 2, -grid.n // 2 : 0]
 
 
-def test_fourier_matrix_matches_momentum_transform(small_psi):
-    # F uses absolute coordinates, so it differs from the dedicated
-    # transform only by the real scale dx sqrt(n / 2 pi)
+def dft_matrix(grid):
+    """Unitary DFT matrix F[j, i] = e^{-i k_j x_i} / sqrt(n)."""
+    return np.exp(-1j * np.outer(wavenumbers(grid), grid.x)) / np.sqrt(grid.n)
+
+
+def spectral_hamiltonian(grid, params):
+    """F^dagger diag((hbar k)^2 / 2m) F + diag(m g x), the oracle's reference."""
+    f = dft_matrix(grid)
+    kinetic = (params.hbar * wavenumbers(grid)) ** 2 / (2.0 * params.m)
+    return (f.conj().T * kinetic) @ f + np.diag(params.m * params.g * grid.x)
+
+
+def test_momentum_transform_matches_explicit_dft_sum(small_psi):
+    # amp_k(k_j) = dx / sqrt(2 pi) sum_i amp(x_i) e^{-i k_j x_i}, in FFT layout
     g = small_psi.grid
-    f = fourier_matrix(g)
-    spec = f @ small_psi.amp
+    f = dft_matrix(g)
+    assert np.abs(f @ f.conj().T - np.eye(g.n)).max() < 1e-12
+    explicit = g.dx * np.sqrt(g.n / (2.0 * np.pi)) * (f @ small_psi.amp)
     phi = _momentum_amp(np.array(small_psi.amp), g)
-    ratio = g.dx * np.sqrt(g.n / (2.0 * np.pi))
-    assert np.abs(phi - spec * ratio).max() < 1e-12
+    assert np.abs(phi - explicit).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 256, 1024])
+@pytest.mark.parametrize(
+    "hbar, m, g, bounds",
+    [(1.0, 1.0, 1.0, (-20.0, 20.0)), (1.3, 0.7, -2.5, (-3.0, 9.0)),
+     (2.0, 0.01, 10.0, (-100.0, -50.0))],
+)
+def test_hamiltonian_is_the_spectral_construction_in_closed_form(n, hbar, m, g, bounds):
+    grid = Grid(*bounds, n)
+    pars = PhysicalParams(hbar=hbar, m=m, g=g, c=10.0)
+    h = dense_hamiltonian(grid, pars).matrix
+    assert h.dtype == np.float64
+    assert np.array_equal(h, h.T)
+    ref = spectral_hamiltonian(grid, pars)
+    assert np.abs(h - ref).max() <= 1e-12 * np.abs(h).max()
+
+
+def test_oracle_source_reads_no_fft_and_no_wavenumbers():
+    # the oracle shares no DFT code with the routes it cross-checks
+    nodes = list(ast.walk(ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))))
+    attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    words = attrs | {n.id for n in nodes if isinstance(n, ast.Name)}
+    words |= {n.name for n in nodes if isinstance(n, ast.alias)}
+    words |= {n.module or "" for n in nodes if isinstance(n, ast.ImportFrom)}
+    assert [word for word in words if "fft" in word.lower()] == []
+    assert "k" not in attrs
 
 
 def test_hamiltonian_is_exactly_hermitian(small_grid, params):
     h = dense_hamiltonian(small_grid, params)
-    # symmetrized construction: the defect is identically zero
+    # real, indexed by |j - l|: the defect is identically zero
+    assert h.matrix.dtype == np.float64
     assert h.hermiticity_defect() == 0.0
 
 
@@ -116,12 +157,7 @@ def test_commutator_independent_of_g(small_grid, params):
 
 
 def test_commutator_guards(small_grid, params, psi0):
-    big = Grid(-20.0, 20.0, 1024)
-    amp = np.zeros(big.n, dtype=complex)
-    amp[big.n // 2] = 1.0
-    spike = WavePacket(big, amp)
-    with pytest.raises(TooLarge):
-        commutator_element(spike, spike, DenseOperator(big, np.diag(big.x)))
+    # the n = 1024 size guard: test_commutator_size_guard_runs_before_any_eigh
     chi = make_gaussian(small_grid, 0.0, 0.0, 1.5, params)
     with pytest.raises(GridMismatch):
         x_op = DenseOperator(small_grid, np.diag(small_grid.x))
@@ -134,7 +170,7 @@ def test_propagators_share_one_eigendecomposition_per_hamiltonian(
     h = dense_hamiltonian(small_grid, params)
     dense_propagator(h, 0.5, params)
     dense_propagator(h, 1.0, params)
-    assert len(eigh_calls) == 1
+    assert eigh_calls == [((small_grid.n, small_grid.n), np.float64)]
     dense_propagator(dense_hamiltonian(small_grid, params), 1.0, params)
     assert len(eigh_calls) == 2  # a new Hamiltonian object decomposes afresh
 

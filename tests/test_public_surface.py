@@ -41,6 +41,7 @@ REMOVED = {
     "BadQuadrature",
     "convergence_report",
     "ConvergenceRow",
+    "fourier_matrix",
 }
 
 

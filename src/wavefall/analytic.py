@@ -271,7 +271,8 @@ def evolve_exact(
     flight, naming the first such row of a stack and carrying its index as
     .row, and NonFiniteState, naming the row and node, when a start state
     holds NaN or inf, or naming the row, before any phase is built, when its
-    shift, kick slope or cubic angle is not finite.
+    shift, kick slope or cubic angle, or the largest angle of a phase, is not
+    finite.
     """
     batched, (psis, pars, times) = _as_rows("evolve_exact", psi, params, t)
     if not psis:
@@ -280,7 +281,7 @@ def evolve_exact(
     grid, hbar, m = psis[0].grid, pars[0].hbar, pars[0].m
     if any((p.hbar, p.m) != (hbar, m) for p in pars):
         raise ValueError("evolve_exact: rows must share hbar and m")
-    shifts, slopes, thetas = _factor_scalars(pars, times, batched)
+    shifts, slopes, thetas = _factor_scalars(grid, pars, times, batched)
     amp, pair = _shift(psis, shifts, "evolve_exact", batched)
     np.fft.fft(amp, out=amp)
     amp = amp[pair]
@@ -290,13 +291,18 @@ def evolve_exact(
     return _packets(grid, amp, batched)
 
 
-def _factor_scalars(pars, times, batched: bool):
+def _factor_scalars(grid: Grid, pars, times, batched: bool):
     """Each row's shift g t^2/2, kick slope m g t and cubic angle of evolve_exact.
 
     Raises NonFiniteState, "evolve_exact[ in row R]: result <name>=<value> is
     not finite", at the first row with a scalar that is not finite; t**3
-    past the float range counts as an infinite angle.
+    past the float range counts as an infinite angle.  The largest angle of
+    each phase is checked too: free flight hbar t k_max^2/(2m), kick
+    |slope| max|x|/hbar and shift k_max |shift|.  Each is formed in its
+    kernel's order, and numpy divides a complex array by a real d as a
+    product with 1/d, so a finite angle here means no overflow there.
     """
+    k_max, x_max = float(np.abs(grid.k).max()), float(np.abs(grid.x).max())
     shifts, slopes, thetas = [], [], []
     for row, (p, ti) in enumerate(zip(pars, times)):
         shift, slope = 0.5 * p.g * ti * ti, p.m * p.g * ti
@@ -304,10 +310,16 @@ def _factor_scalars(pars, times, batched: bool):
             theta = -p.m * p.g * p.g * ti**3 / (6.0 * p.hbar)
         except OverflowError:
             theta = -math.inf
-        if not (math.isfinite(shift) and math.isfinite(slope) and math.isfinite(theta)):
+        angles = dict(
+            free_flight_angle=0.5 * p.hbar * ti * k_max * k_max * (1.0 / p.m),
+            kick_angle=abs(slope) * x_max * (1.0 / p.hbar),
+            shift_angle=k_max * abs(shift),
+        )
+        if not all(map(math.isfinite, (shift, slope, theta, *angles.values()))):
             where = f" in row {row}" if batched else ""
             _require_finite_result(
-                f"evolve_exact{where}", shift=shift, kick_slope=slope, cubic_angle=theta
+                f"evolve_exact{where}", shift=shift, kick_slope=slope,
+                cubic_angle=theta, **angles,
             )
         shifts.append(shift)
         slopes.append(slope)

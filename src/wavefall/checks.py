@@ -57,6 +57,16 @@ def _worst(*values: float) -> float:
     return float(np.max(values))
 
 
+# Strang steps of every split-step sweep.  N steps give the exact state times
+# the global phase e^{i phi_N} (_strang_phase), which a check removes or, for
+# means and spreads, never sees, so any N is exact up to phi_N and rounding.
+# The rounding bound, _strang_tolerance, grows with N, so fewer steps give a
+# tighter bound.  64, not 1: it is the smallest count strang_convergence_order
+# certifies by default, and a run of many steps still exercises the
+# every-step boundary guard.
+_SWEEP_STEPS = 64
+
+
 def _factorization_vs_dense_oracle(cfg: RunConfig, rng) -> dict:
     grid = _oracle_grid(cfg)
     psi = _start_packet(cfg, grid)
@@ -82,7 +92,8 @@ def _spread_g_independence(cfg: RunConfig, rng) -> dict:
         return _worst(*(abs(s_g - s_0) / s_0 for s_g, s_0 in zip(s[:3], s[3:])))
 
     worst_exact = worst_spread_gap(evolve_exact(psi, pars, times))
-    worst_num = worst_spread_gap(evolve_split_step(psi, pars, times, SolverConfig(2048)))
+    split = evolve_split_step(psi, pars, times, SolverConfig(_SWEEP_STEPS))
+    worst_num = worst_spread_gap(split)
     return dict(
         passed=worst_exact < 1e-10 and worst_num < 1e-6,
         measured=f"analytic {worst_exact:.3e}, split-step {worst_num:.3e}",
@@ -151,7 +162,7 @@ def _delta_action_identity(cfg: RunConfig, rng) -> dict:
 
 def _interference_phase_cross_validation(cfg: RunConfig, rng) -> dict:
     psi = _start_packet(cfg)
-    t, n_steps = 1.0, 2048
+    t, n_steps = 1.0, _SWEEP_STEPS
     rec_a = run_protocol(psi, cfg.params, t)
     rec_s = run_protocol(psi, cfg.params, t, backend="split-step", n_steps=n_steps)
     d_phase = abs(rec_a.phase - rec_a.predicted_phase)
@@ -175,24 +186,40 @@ def _interference_phase_cross_validation(cfg: RunConfig, rng) -> dict:
 
 
 def _ehrenfest_means(cfg: RunConfig, rng) -> dict:
+    """Both routes' means against the classical fall, at a rounding bound.
+
+    A mean of a unit-norm state a differs from that of b by at most
+    2 max|x| |a - b| for mean_x and 2 hbar k_max |a - b| for mean_p, since
+    <a|X|a> - <b|X|b> = <a - b|X|a> + <b|X|a - b> and the momentum amplitudes
+    keep the L2 distance.  The global phase phi_N drops out of a mean, and
+    either route's state is within _strang_tolerance of the exact one, taken
+    at the sweep's largest angle; that tolerance sets both targets.
+    """
     psi = _start_packet(cfg)
     gs = (0.0, cfg.params.g, 2.0 * cfg.params.g)
     pars = [replace(cfg.params, g=g) for g in gs for _ in range(3)]
     times = [0.5, 1.0, 2.0] * 3
     x0, p0 = cfg.initial.x0, cfg.initial.p0
     wants = [ehrenfest_mean(x0, p0, t, p) for p, t in zip(pars, times)]
-    worst = 0.0
+    grid = psi.grid
+    tol = max(
+        _strang_tolerance(p, t, _SWEEP_STEPS, grid.n) for p, t in zip(pars, times)
+    )
+    tol_x = 2.0 * float(np.abs(grid.x).max()) * tol
+    tol_p = 2.0 * cfg.params.hbar * float(np.abs(grid.k).max()) * tol
+    worst_x = worst_p = 0.0
     for states in (
         evolve_exact(psi, pars, times),
-        evolve_split_step(psi, pars, times, SolverConfig(512)),
+        evolve_split_step(psi, pars, times, SolverConfig(_SWEEP_STEPS)),
     ):
         for got, (want_x, want_p) in zip(moments(states, pars), wants):
-            worst = _worst(worst, abs(got.mean_x - want_x), abs(got.mean_p - want_p))
+            worst_x = _worst(worst_x, abs(got.mean_x - want_x))
+            worst_p = _worst(worst_p, abs(got.mean_p - want_p))
     return dict(
-        passed=worst < 1e-6,
-        measured=f"worst |mean - classical| {worst:.3e}",
-        target="< 1e-06",
-        detail="g sweep x t sweep, both backends",
+        passed=worst_x < tol_x and worst_p < tol_p,
+        measured=f"worst |mean - classical| x {worst_x:.3e}, p {worst_p:.3e}",
+        target=f"x < {tol_x:.3e}, p < {tol_p:.3e} (2 max|x| tol, 2 hbar k_max tol)",
+        detail=f"g sweep x t sweep, both backends, N={_SWEEP_STEPS}",
     )
 
 

@@ -148,7 +148,8 @@ def proper_time(traj: Trajectory, t: float, params: PhysicalParams) -> float:
 
     Composite Simpson on QUAD_INTERVALS uniform intervals.  Raises
     SuperluminalPath if the clock-rate radicand is non-positive at any
-    sample, NonFiniteState if it is NaN or inf.
+    sample, NonFiniteState if it is NaN or inf, or if t is so small (below
+    about 6e-151) that the Simpson weights lose precision.
     """
     return rel_action(traj, t, params).proper_time
 
@@ -164,6 +165,15 @@ def rel_action(traj: Trajectory, t: float, params: PhysicalParams) -> RelActionR
     if t == 0.0:
         return RelActionResult(0.0, 0.0, 0.0, 0.0)
     with _RefuseOverflow("rel_action"), np.errstate(**_RAISE):
+        # Simpson's middle weight divides by h0 h1, which loses bits once it
+        # is subnormal: a clock at rest came out at 1.14 t for t = 1e-158.
+        h = np.diff(times)
+        hprod = float((h[0::2] * h[1::2]).min())
+        if not hprod >= np.finfo(float).tiny:
+            raise NonFiniteState(
+                f"rel_action: Simpson step product {hprod:.3e} at t={t:.6g} is "
+                "below the smallest normal float"
+            )
         tau = float(_simpson(np.sqrt(radicand), times))
         action = params.m * params.c**2 * (tau - t)
         integrand = -params.m * params.g * x - 0.5 * params.m * v * v

@@ -11,8 +11,10 @@ from wavefall import (
     VerifySettings,
     checks,
     default_config,
+    interferometry,
     moments,
     run_all_checks,
+    splitstep,
 )
 
 
@@ -107,11 +109,22 @@ def test_nan_deviation_fails_its_check(monkeypatch, attr, fake, name):
     assert "nan" in result.measured
 
 
+def test_verify_runs_1152_strang_steps_in_7_calls(count_calls):
+    # the three sweeps run _SWEEP_STEPS steps each and strang_convergence_order
+    # one run per step count; the boundary guard runs once per step
+    guards = count_calls(splitstep, "_first_over_margin")
+    runs = [count_calls(m, "evolve_split_step") for m in (checks, interferometry)]
+    run_all_checks(default_config())
+    counts = default_config().verify.step_counts
+    assert len(guards) == 3 * checks._SWEEP_STEPS + sum(counts) == 1152
+    assert sum(map(len, runs)) == 3 + len(counts) == 7
+
+
 def test_verify_fails_a_solver_whose_hbar_over_m_is_off_by_1e_8(monkeypatch):
     # m/(1 + 1e-8) and g (1 + 1e-8) keep m g, so only hbar/m moves, by 1e-8:
-    # observables drift by ~4e-8, inside the sweeps' 1e-6, while the state
-    # less phi_N is 4.2e-9 from the exact one, far above rounding
-    real = checks.evolve_split_step
+    # observables drift by ~4e-8 and the state less phi_N is 4.2e-9 from the
+    # exact one, both far above the rounding bounds of the split-step checks
+    real = splitstep.evolve_split_step
 
     def scaled(p):
         return replace(p, m=p.m / (1 + 1e-8), g=p.g * (1 + 1e-8))
@@ -120,6 +133,11 @@ def test_verify_fails_a_solver_whose_hbar_over_m_is_off_by_1e_8(monkeypatch):
         params = [scaled(p) for p in params] if isinstance(params, list) else scaled(params)
         return real(psi, params, t, config)
 
-    monkeypatch.setattr(checks, "evolve_split_step", off_by_1e_8)
+    for module in (checks, interferometry):
+        monkeypatch.setattr(module, "evolve_split_step", off_by_1e_8)
     failed = {r.name for r in run_all_checks(default_config()) if not r.passed}
-    assert "strang_convergence_order" in failed
+    assert {
+        "strang_convergence_order",
+        "interference_phase_cross_validation",
+        "ehrenfest_means",
+    } <= failed

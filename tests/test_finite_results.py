@@ -132,6 +132,41 @@ def test_evolve_exact_refuses_a_cubic_angle_past_the_float_range(psi0):
         evolve_exact(psi0, P, 1e103)
 
 
+@pytest.mark.parametrize(
+    "params, t, name",
+    [
+        # hbar t k^2/(2m) overflowed dividing by m
+        (replace(P, m=1e-300, g=0.0), 1e10, "free_flight_angle"),
+        # m g t x/hbar overflowed while the cubic angle stayed finite
+        (PhysicalParams(hbar=1e-10, m=1e300), 1e-2, "kick_angle"),
+        # k a overflowed: shift 1.2e307, cubic and free-flight angles 1.4e308
+        (PhysicalParams(hbar=1e-10, m=1.5e-216, g=2.4e107), 1e100, "shift_angle"),
+    ],
+    ids=["free-flight", "kick", "shift"],
+)
+def test_evolve_exact_refuses_a_phase_angle_past_the_float_range(
+    psi0, count_calls, params, t, name
+):
+    # each emitted an overflow RuntimeWarning while building its phase
+    phases = count_calls(analytic, "_apply_phases")
+    with pytest.raises(NonFiniteState, match=rf"^evolve_exact: result {name}=inf "):
+        evolve_exact(psi0, params, t)
+    assert phases == []
+
+
+@pytest.mark.parametrize("t", [1e-158, 1e-160])
+def test_proper_time_refuses_a_t_whose_simpson_weights_underflow(t):
+    # h0 h1 is subnormal below t of about 6e-151: a clock at rest read
+    # 1.14 t at t = 1e-158 and t/3 at t = 1e-160
+    with pytest.raises(NonFiniteState, match="rel_action: Simpson step product"):
+        proper_time(Trajectory(0.0, 0.0, 0.0), t, P)
+
+
+def test_proper_time_keeps_full_precision_just_above_the_underflow():
+    t = 1e-150
+    assert proper_time(Trajectory(0.0, 0.0, 0.0), t, P) == pytest.approx(t, rel=1e-14)
+
+
 MAGNITUDES = [0.0] + [
     sign * 10.0**e for sign in (1.0, -1.0) for e in range(-300, 301, 50)
 ]

@@ -60,6 +60,7 @@ from .core import (
     _check_margin_rows,
     _packets,
     _require_finite,
+    _require_finite_angles,
     _require_finite_result,
     _require_times,
     _stack,
@@ -178,6 +179,11 @@ def _shift(
     _require_finite(amp, f"{context} start state", batched, start_rows)
     np.fft.fft(amp, out=amp)
     pair, pair_rows = _distinct(zip(start, map(_bits, shifts)))
+    k_max = float(np.abs(grid.k).max())
+    _require_finite_angles(
+        context, "shift_angle", [_shift_angle(shifts[r], k_max) for r in pair_rows],
+        batched, pair_rows,
+    )
     amp = amp[[start[r] for r in pair_rows]]
     shared = _FALL_PHASES.get()
     _apply_phases(
@@ -191,18 +197,45 @@ def _shift(
     return amp, pair
 
 
+def _shift_angle(a: float, k_max: float) -> float:
+    """Largest |angle| of the shift phase e^{+i k a}, k_max |a|."""
+    return k_max * abs(a)
+
+
+def _free_angle(hbar: float, m: float, t: float, k_max: float) -> float:
+    """Largest |angle| of _free's phase, hbar t k_max^2/(2m), in its order."""
+    return 0.5 * hbar * t * k_max * k_max * (1.0 / m)
+
+
+def _kick_angle(hbar: float, slope: float, x_max: float) -> float:
+    """Largest |angle| of _kick's phase, |slope| max|x|/hbar, in its order."""
+    return abs(slope) * x_max * (1.0 / hbar)
+
+
 def _free(
     amp: np.ndarray, grid: Grid, hbar: float, m: float, times: list[float],
     context: str,
 ) -> None:
     """Free flight per row of a k-space stack: e^{-i hbar t k^2/(2 m)}, then to x."""
+    k_max = float(np.abs(grid.k).max())
+    _require_finite_angles(
+        context, "free_flight_angle", [_free_angle(hbar, m, t, k_max) for t in times],
+        len(times) > 1,
+    )
     _apply_phases(amp, times, lambda t: np.exp(-0.5j * hbar * t * grid.k * grid.k / m))
     np.fft.ifft(amp, out=amp)
     check_margin(amp, context)
 
 
-def _kick(amp: np.ndarray, grid: Grid, hbar: float, slopes: list[float]) -> None:
+def _kick(
+    amp: np.ndarray, grid: Grid, hbar: float, slopes: list[float], context: str
+) -> None:
     """Momentum kick per row: the position-space phase e^{-i slope x / hbar}."""
+    x_max = float(np.abs(grid.x).max())
+    _require_finite_angles(
+        context, "kick_angle", [_kick_angle(hbar, s, x_max) for s in slopes],
+        len(slopes) > 1,
+    )
     _apply_phases(amp, slopes, lambda slope: np.exp(-1j * slope * grid.x / hbar))
 
 
@@ -286,7 +319,7 @@ def evolve_exact(
     np.fft.fft(amp, out=amp)
     amp = amp[pair]
     _free(amp, grid, hbar, m, times, "evolve_exact")
-    _kick(amp, grid, hbar, slopes)
+    _kick(amp, grid, hbar, slopes, "evolve_exact")
     _rotate(amp, thetas)
     return _packets(grid, amp, batched)
 
@@ -297,10 +330,9 @@ def _factor_scalars(grid: Grid, pars, times, batched: bool):
     Raises NonFiniteState, "evolve_exact[ in row R]: result <name>=<value> is
     not finite", at the first row with a scalar that is not finite; t**3
     past the float range counts as an infinite angle.  The largest angle of
-    each phase is checked too: free flight hbar t k_max^2/(2m), kick
-    |slope| max|x|/hbar and shift k_max |shift|.  Each is formed in its
-    kernel's order, and numpy divides a complex array by a real d as a
-    product with 1/d, so a finite angle here means no overflow there.
+    each phase is checked too, by the kernels' own _shift_angle,
+    _free_angle and _kick_angle, so that every row is refused before any
+    phase is built; each kernel checks its angles again for its other callers.
     """
     k_max, x_max = float(np.abs(grid.k).max()), float(np.abs(grid.x).max())
     shifts, slopes, thetas = [], [], []
@@ -311,9 +343,9 @@ def _factor_scalars(grid: Grid, pars, times, batched: bool):
         except OverflowError:
             theta = -math.inf
         angles = dict(
-            free_flight_angle=0.5 * p.hbar * ti * k_max * k_max * (1.0 / p.m),
-            kick_angle=abs(slope) * x_max * (1.0 / p.hbar),
-            shift_angle=k_max * abs(shift),
+            free_flight_angle=_free_angle(p.hbar, p.m, ti, k_max),
+            kick_angle=_kick_angle(p.hbar, slope, x_max),
+            shift_angle=_shift_angle(shift, k_max),
         )
         if not all(map(math.isfinite, (shift, slope, theta, *angles.values()))):
             where = f" in row {row}" if batched else ""

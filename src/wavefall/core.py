@@ -316,6 +316,25 @@ def _require_finite_result(context: str, **values: float) -> None:
             raise NonFiniteState(f"{context}: result {name}={value} is not finite")
 
 
+def _require_finite_angles(
+    context: str, name: str, angles, batched: bool, rows=None
+) -> None:
+    """Raise NonFiniteState at the first row whose largest phase angle is not finite.
+
+    A phase kernel calls this before it builds its phase, angles[i] being
+    the largest |angle| of stack row i formed in the order of the kernel's
+    expression; numpy divides a complex array by a real d as a product with
+    1/d, so a finite angle means the phase is built without overflow.  The
+    message reads "<context>[ in row R]: result <name>=<angle> is not
+    finite", the row named only for a batched call, R = rows[i] when given.
+    """
+    for i, angle in enumerate(angles):
+        if not math.isfinite(angle):
+            row = i if rows is None else rows[i]
+            where = f" in row {row}" if batched else ""
+            raise NonFiniteState(f"{context}{where}: result {name}={angle} is not finite")
+
+
 class _RefuseOverflow:
     """`with _RefuseOverflow(context):` turns float overflow into NonFiniteState.
 

@@ -94,13 +94,15 @@ def dense_hamiltonian(grid: Grid, params: PhysicalParams) -> DenseOperator:
 def dense_propagator(
     hamiltonian: DenseOperator, t: float, params: PhysicalParams
 ) -> DenseOperator:
-    """U = V e^{-i w t / hbar} V^T from the eigenpairs (w, V) of real symmetric H.
+    """U = V e^{-i w t / hbar} V^dagger from the eigenpairs (w, V) of Hermitian H.
 
-    V is real, so U is formed as two real products written straight into one
-    complex array: Re U = (V cos(w t/hbar)) V^T and Im U = (V sin(-w t/hbar))
-    V^T, half the flops of one complex product and no complex temporary.
-    The Hermiticity check runs on every call; the eigendecomposition is
-    computed once per `hamiltonian` object and reused.
+    For a real matrix V is real, and U is formed as two real products written
+    straight into one complex array: Re U = (V cos(w t/hbar)) V^T and
+    Im U = (V sin(-w t/hbar)) V^T, half the flops of one complex product and
+    no complex temporary.  A complex matrix, Hermitian or merely stored as
+    complex, takes the one complex product.  The Hermiticity check runs on
+    every call; the eigendecomposition is computed once per `hamiltonian`
+    object and reused.
     """
     defect = hamiltonian.hermiticity_defect()
     scale = max(1.0, float(np.abs(hamiltonian.matrix).max()))
@@ -110,6 +112,9 @@ def dense_propagator(
         )
     w, v = hamiltonian._eigh
     angle = w * t / params.hbar
+    if not np.isrealobj(v):
+        u = (v * np.exp(-1j * angle)) @ v.conj().T
+        return DenseOperator(hamiltonian.grid, u)
     u = np.empty(v.shape, dtype=complex)
     np.matmul(v * np.cos(angle), v.T, out=u.real)
     np.matmul(v * np.sin(-angle), v.T, out=u.imag)

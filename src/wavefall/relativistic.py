@@ -167,8 +167,7 @@ def rel_action(traj: Trajectory, t: float, params: PhysicalParams) -> RelActionR
     with _RefuseOverflow("rel_action"), np.errstate(**_RAISE):
         # Simpson's middle weight divides by h0 h1, which loses bits once it
         # is subnormal: a clock at rest came out at 1.14 t for t = 1e-158.
-        h = np.diff(times)
-        hprod = float((h[0::2] * h[1::2]).min())
+        hprod = (t / QUAD_INTERVALS) ** 2
         if not hprod >= np.finfo(float).tiny:
             raise NonFiniteState(
                 f"rel_action: Simpson step product {hprod:.3e} at t={t:.6g} is "

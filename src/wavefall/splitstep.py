@@ -40,6 +40,7 @@ from .core import (
     _packets,
     _require_count,
     _require_finite,
+    _require_finite_angles,
     _require_times,
     _stack,
     margin_nodes,
@@ -80,7 +81,9 @@ def evolve_split_step(
     guarded boundary nodes, naming that row (for a sequence call), its step
     and its time; the exception carries the row's index as .row.  Raises
     NonFiniteState, naming the row and node, when a start state holds NaN
-    or inf.
+    or inf, and naming the row when the largest angle of its potential or
+    kinetic phase, m |g| max|x| dt/(2 hbar) or hbar k_max^2 dt/(2m), formed
+    in the order of the expression that builds the phase, is not finite.
     """
     batched, (psis, pars, times) = _as_rows("evolve_split_step", psi, params, t)
     if not psis:
@@ -94,6 +97,16 @@ def evolve_split_step(
     # Per-row (rows, 1) columns, combined in the single-row operation order so
     # that every row's phases, and hence its bits, match a single-row call.
     dts = [ti / config.n_steps for ti in times]
+    k_max, x_max = float(np.abs(grid.k).max()), float(np.abs(grid.x).max())
+    _require_finite_angles(
+        "evolve_split_step", "potential_angle",
+        [0.5 * p.m * abs(p.g) * x_max * d * (1.0 / hbar) for p, d in zip(pars, dts)],
+        batched,
+    )
+    _require_finite_angles(
+        "evolve_split_step", "kinetic_angle",
+        [0.5 * hbar * (k_max * k_max) * d * (1.0 / m) for d in dts], batched,
+    )
     dt = np.array(dts)[:, None]
     kick = np.array([-0.5j * p.m * p.g for p in pars])[:, None]
     half_v = np.exp(kick * grid.x * dt / hbar)

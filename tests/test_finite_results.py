@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from wavefall import (
     NonFiniteState,
     PhysicalParams,
+    SolverConfig,
     Trajectory,
     WavefallError,
     analytic,
@@ -23,11 +24,14 @@ from wavefall import (
     delta_action,
     ehrenfest_mean,
     evolve_exact,
+    evolve_split_step,
+    free_evolve,
     free_fall_trajectory,
     gaussian_visibility,
     predicted_phase,
     proper_time,
     rel_action,
+    shift_packet,
     shifted_free_action,
     spread_bound,
     static_proper_time,
@@ -152,6 +156,38 @@ def test_evolve_exact_refuses_a_phase_angle_past_the_float_range(
     with pytest.raises(NonFiniteState, match=rf"^evolve_exact: result {name}=inf "):
         evolve_exact(psi0, params, t)
     assert phases == []
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda psi: free_evolve(psi, TINY_M, 1e10),
+            r"^free_evolve: result free_flight_angle=inf ",
+        ),
+        (
+            lambda psi: shift_packet([psi, psi], [1.0, 1e307]),
+            r"^shift_packet in row 1: result shift_angle=inf ",
+        ),
+        (
+            lambda psi: evolve_split_step(psi, TINY_M, 1e10, SolverConfig(1)),
+            r"^evolve_split_step: result kinetic_angle=inf ",
+        ),
+        (
+            lambda psi: evolve_split_step(
+                [psi, psi], PhysicalParams(hbar=1e-10, m=1e300), 1e-2, SolverConfig(1)
+            ),
+            r"^evolve_split_step in row 0: result potential_angle=inf ",
+        ),
+    ],
+    ids=["free_evolve", "shift_packet", "split-step-kinetic", "split-step-potential"],
+)
+def test_public_kernels_refuse_a_phase_angle_past_the_float_range(
+    psi0, call, message
+):
+    # each emitted an overflow RuntimeWarning while building its phase
+    with pytest.raises(NonFiniteState, match=message):
+        call(psi0)
 
 
 @pytest.mark.parametrize("t", [1e-158, 1e-160])

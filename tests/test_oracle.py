@@ -112,6 +112,21 @@ def test_propagator_is_unitary(small_grid, params):
     assert u.unitarity_defect() < 1e-12
 
 
+def test_propagator_of_a_complex_hamiltonian_matches_the_real_one(small_grid, params):
+    # D H D^dagger, D a diagonal unitary, has the propagator D U D^dagger;
+    # the real H stored as complex has U itself
+    h = dense_hamiltonian(small_grid, params)
+    u = dense_propagator(h, 1.0, params).matrix
+    d = np.exp(1j * np.linspace(0.0, 3.0, small_grid.n))
+    rotated = DenseOperator(small_grid, d[:, None] * h.matrix * d.conj())
+    stored = DenseOperator(small_grid, h.matrix.astype(complex))
+    for operator, expected in [(rotated, d[:, None] * u * d.conj()), (stored, u)]:
+        assert operator.matrix.dtype == np.complex128
+        u_c = dense_propagator(operator, 1.0, params)
+        assert u_c.unitarity_defect() < 1e-12
+        assert np.abs(u_c.matrix - expected).max() < 1e-10
+
+
 def test_propagator_matches_factored_evolution(small_grid, small_psi, params):
     u = dense_propagator(dense_hamiltonian(small_grid, params), 1.0, params)
     dense_out = u.apply(small_psi)

@@ -83,22 +83,45 @@ def _factorization_vs_dense_oracle(cfg: RunConfig, rng) -> dict:
 
 
 def _spread_g_independence(cfg: RunConfig, rng) -> dict:
+    """sigma_x at g against g = 0 on both routes; split-step at a rounding bound.
+
+    For unit-norm states a and b, |sigma_a^2 - sigma_b^2| <= 6 max|x|^2 |a - b|:
+    <x^2> moves by at most 2 max|x|^2 |a - b|, as a mean does in
+    _ehrenfest_means, and <x>^2 by at most (2 max|x| |a - b|)(2 max|x|).
+    Each split-step state is within tol, the sweep's largest
+    _strang_tolerance, of the exact one (phi_N drops out of a spread), so its
+    sigma is within delta = 6 max|x|^2 tol/(sigma_split + sigma_exact) of the
+    exact sigma.  The split-step gap |s_g - s_0| is then at most
+    delta_g + delta_0 + |e_g - e_0|, with e the exact sigmas; over s_0, the
+    largest such bound of the three times is the split-step target.
+    """
     psi = _start_packet(cfg)
     pars = [cfg.params] * 3 + [replace(cfg.params, g=0.0)] * 3
     times = (0.5, 1.0, 2.0) * 2
+    grid = psi.grid
+    tol = max(
+        _strang_tolerance(p, t, _SWEEP_STEPS, grid.n) for p, t in zip(pars, times)
+    )
+    rounding = 6.0 * float(np.abs(grid.x).max()) ** 2 * tol
 
-    def worst_spread_gap(states):
-        s = [m.sigma_x for m in moments(states, pars)]
-        return _worst(*(abs(s_g - s_0) / s_0 for s_g, s_0 in zip(s[:3], s[3:])))
+    def gaps(s):
+        return [abs(s_g - s_0) / s_0 for s_g, s_0 in zip(s[:3], s[3:])]
 
-    worst_exact = worst_spread_gap(evolve_exact(psi, pars, times))
-    split = evolve_split_step(psi, pars, times, SolverConfig(_SWEEP_STEPS))
-    worst_num = worst_spread_gap(split)
+    exact = [m.sigma_x for m in moments(evolve_exact(psi, pars, times), pars)]
+    split_states = evolve_split_step(psi, pars, times, SolverConfig(_SWEEP_STEPS))
+    split = [m.sigma_x for m in moments(split_states, pars)]
+    delta = [rounding / (s + e) for s, e in zip(split, exact)]
+    bound = _worst(*(
+        (delta[i] + delta[i + 3] + abs(exact[i] - exact[i + 3])) / split[i + 3]
+        for i in range(3)
+    ))
+    worst_exact = _worst(*gaps(exact))
+    worst_num = _worst(*gaps(split))
     return dict(
-        passed=worst_exact < 1e-10 and worst_num < 1e-6,
+        passed=worst_exact < 1e-10 and worst_num < bound,
         measured=f"analytic {worst_exact:.3e}, split-step {worst_num:.3e}",
-        target="analytic < 1e-10, split-step < 1e-06",
-        detail="t in {0.5, 1, 2}",
+        target=f"analytic < 1e-10, split-step < {bound:.3e} (6 max|x|^2 tol rule)",
+        detail=f"t in {{0.5, 1, 2}}, N={_SWEEP_STEPS}",
     )
 
 
@@ -129,29 +152,42 @@ def _commutator_identity(cfg: RunConfig, rng) -> dict:
     )
 
 
+# Ranges of the (m, g, t, x0, xt) draws of delta_action_identity, and the most
+# draws taken in one block.
+_DRAW_LOW = (0.5, -2.0, 0.25, -5.0, -5.0)
+_DRAW_HIGH = (3.0, 2.0, 3.0, 5.0, 5.0)
+_DRAW_BLOCK = 1024
+
+
 def _delta_action_identity(cfg: RunConfig, rng) -> dict:
     worst_identity = 0.0
     worst_x0 = 0.0
     # Fail closed: zero samples would pass on the initial zeros.
     n_random = _verify_setting(cfg, "n_random")
-    for _ in range(n_random):
-        m = rng.uniform(0.5, 3.0)
-        g = rng.uniform(-2.0, 2.0)
-        t = rng.uniform(0.25, 3.0)
-        x0 = rng.uniform(-5.0, 5.0)
-        xt = rng.uniform(-5.0, 5.0)
-        pars = replace(cfg.params, m=m, g=g)
-        expected = delta_action(xt, t, pars)
-        diff = (
-            classical_action(x0, xt, t, pars).value
-            - shifted_free_action(x0, xt, t, pars).value
-        )
-        worst_identity = _worst(worst_identity, abs(diff - expected))
-        other = (
-            classical_action(-x0, xt, t, pars).value
-            - shifted_free_action(-x0, xt, t, pars).value
-        )
-        worst_x0 = _worst(worst_x0, abs(diff - other))
+    # One uniform call per block of rows gives, bit for bit, the values of
+    # five scalar calls per draw in the same order, and leaves the rng in the
+    # same state; the block size caps the memory.  Each draw still calls the
+    # public closed forms, which this check tests; only the draws and the
+    # NaN-propagating worst-case reductions are done once per block.
+    for start in range(0, n_random, _DRAW_BLOCK):
+        rows = min(_DRAW_BLOCK, n_random - start)
+        identity, x0_dependence = [], []
+        draws = rng.uniform(_DRAW_LOW, _DRAW_HIGH, (rows, 5)).tolist()
+        for m, g, t, x0, xt in draws:
+            pars = replace(cfg.params, m=m, g=g)
+            expected = delta_action(xt, t, pars)
+            diff = (
+                classical_action(x0, xt, t, pars).value
+                - shifted_free_action(x0, xt, t, pars).value
+            )
+            identity.append(abs(diff - expected))
+            other = (
+                classical_action(-x0, xt, t, pars).value
+                - shifted_free_action(-x0, xt, t, pars).value
+            )
+            x0_dependence.append(abs(diff - other))
+        worst_identity = _worst(worst_identity, *identity)
+        worst_x0 = _worst(worst_x0, *x0_dependence)
     return dict(
         passed=worst_identity < 1e-12 and worst_x0 < 1e-12,
         measured=f"identity {worst_identity:.3e}, x0-dependence {worst_x0:.3e}",

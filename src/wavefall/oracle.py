@@ -140,8 +140,10 @@ def commutator_element(phi: WavePacket, psi: WavePacket, x_t: DenseOperator) -> 
     -i hbar t / m * <phi|psi>, independent of g, to within
     1e-6 * (hbar t / m) * |<phi|psi>| + 1e-8.  The identity holds because
     x(t) = x + p t/m - g t^2/2 in the Heisenberg picture, so only the p term
-    survives the commutator.  Guarded at n <= 512; poorly localized inputs
-    raise GridOverflow.
+    survives the commutator.  The element is formed from two matrix-vector
+    products, <phi|x(t) (X psi)> - <X phi|x(t) psi>, with no n x n
+    temporary.  Guarded at n <= 512; poorly localized inputs raise
+    GridOverflow.
     """
     grid = x_t.grid
     if grid.n > MAX_COMMUTATOR_N:
@@ -152,7 +154,8 @@ def commutator_element(phi: WavePacket, psi: WavePacket, x_t: DenseOperator) -> 
         raise GridMismatch("commutator_element: state grids differ from operator grid")
     check_margin(phi, "commutator_element (phi)")
     check_margin(psi, "commutator_element (psi)")
-    x = grid.x
-    # [x(t), X] with diagonal X: right multiplication scales columns, left rows.
-    comm = x_t.matrix * x[None, :] - x[:, None] * x_t.matrix
-    return complex(np.conj(phi.amp) @ (comm @ psi.amp) * grid.dx)
+    x, bra = grid.x, np.conj(phi.amp)
+    return complex(
+        (bra @ (x_t.matrix @ (x * psi.amp)) - (bra * x) @ (x_t.matrix @ psi.amp))
+        * grid.dx
+    )

@@ -141,3 +141,83 @@ def test_verify_fails_a_solver_whose_hbar_over_m_is_off_by_1e_8(monkeypatch):
         "interference_phase_cross_validation",
         "ehrenfest_means",
     } <= failed
+
+
+@pytest.mark.parametrize("n_random", [1000, checks._DRAW_BLOCK + 1])
+def test_delta_action_draws_equal_five_scalar_uniform_calls_per_draw(
+    count_calls, n_random
+):
+    # the block draws must give what five scalar draws per tuple gave, in the
+    # same order, and leave the rng where those left it
+    deltas = count_calls(checks, "delta_action")
+    actions = count_calls(checks, "classical_action")
+    cfg = default_config()
+    cfg = replace(cfg, verify=replace(cfg.verify, n_random=n_random))
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    assert checks._delta_action_identity(cfg, rng)["passed"]
+    lows, highs = (0.5, -2.0, 0.25, -5.0, -5.0), (3.0, 2.0, 3.0, 5.0, 5.0)
+    for i in range(n_random):
+        m, g, t, x0, xt = (ref.uniform(lo, hi) for lo, hi in zip(lows, highs))
+        d_xt, d_t, pars = deltas[i]
+        assert (pars.m, pars.g, d_t, d_xt) == (m, g, t, xt)
+        assert actions[2 * i][:3] == (x0, xt, t)
+        assert actions[2 * i + 1][:3] == (-x0, xt, t)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_verify_calls_each_closed_form_once_per_use(count_calls):
+    names = ("classical_action", "shifted_free_action", "delta_action")
+    calls = {name: count_calls(checks, name) for name in names}
+    cfg = default_config()
+    run_all_checks(cfg)
+    n = cfg.verify.n_random
+    assert {name: len(c) for name, c in calls.items()} == {
+        "classical_action": 2 * n, "shifted_free_action": 2 * n, "delta_action": n
+    }
+
+
+def test_a_nan_at_one_draw_fails_delta_action_identity(monkeypatch):
+    # a NaN from a single draw, inside the first block, must reach the result
+    real, calls = checks.delta_action, []
+
+    def nan_at_draw_500(*args):
+        calls.append(args)
+        return math.nan if len(calls) == 501 else real(*args)
+
+    monkeypatch.setattr(checks, "delta_action", nan_at_draw_500)
+    result = next(
+        r for r in run_all_checks(default_config()) if r.name == "delta_action_identity"
+    )
+    assert len(calls) == 1000
+    assert not result.passed
+    assert "identity nan" in result.measured
+
+
+def test_spread_check_fails_a_split_step_whose_mass_moves_with_g_by_1e_8(monkeypatch):
+    # m (1 + 1e-8 g) makes sigma_x depend on g by ~1e-8, far below the old bare
+    # 1e-6 bound and far above the rounding bound of about 2.6e-10
+    real = splitstep.evolve_split_step
+
+    def g_dependent_mass(psi, params, t, config):
+        # rows of one call share m, so each row runs alone
+        return [
+            real(psi, replace(p, m=p.m * (1 + 1e-8 * p.g)), t_row, config)
+            for p, t_row in zip(params, t)
+        ]
+
+    monkeypatch.setattr(checks, "evolve_split_step", g_dependent_mass)
+    result = checks._spread_g_independence(default_config(), None)
+    assert not result["passed"]
+    assert "split-step < 2.6" in result["target"]
+
+
+def test_delta_action_identity_fails_a_classical_action_off_by_1e_10(monkeypatch):
+    real = checks.classical_action
+
+    def off_by_1e_10(*args):
+        action = real(*args)
+        return replace(action, value=action.value * (1 + 1e-10))
+
+    monkeypatch.setattr(checks, "classical_action", off_by_1e_10)
+    result = checks._delta_action_identity(default_config(), np.random.default_rng(1))
+    assert not result["passed"]

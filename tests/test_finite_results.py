@@ -6,14 +6,15 @@ numpy returns inf or NaN with a RuntimeWarning; pytest treats a warning as
 an error, so each case below also shows that no warning is emitted.
 """
 
-import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from wavefall import (
+    Grid,
     NonFiniteState,
     PhysicalParams,
     SolverConfig,
@@ -28,6 +29,7 @@ from wavefall import (
     free_evolve,
     free_fall_trajectory,
     gaussian_visibility,
+    make_gaussian,
     predicted_phase,
     proper_time,
     rel_action,
@@ -210,12 +212,17 @@ magnitude = st.sampled_from(MAGNITUDES)
 positive = st.sampled_from([v for v in MAGNITUDES if v > 0])
 
 
+# The start state of evolve_exact in the magnitude property.
+PSI = make_gaussian(Grid(-20.0, 20.0, 256), 0.0, 0.0, 1.0, P)
+
+
 @given(
     hbar=positive, m=positive, g=magnitude, c=positive,
     a=magnitude, b=magnitude, t=magnitude,
 )
 def test_closed_forms_are_finite_or_refused(hbar, m, g, c, a, b, t):
     params = PhysicalParams(hbar=hbar, m=m, g=g, c=c)
+    path = Trajectory(a, b, g)
     calls = [
         lambda: classical_action(a, b, t, params).value,
         lambda: shifted_free_action(a, b, t, params).value,
@@ -225,10 +232,13 @@ def test_closed_forms_are_finite_or_refused(hbar, m, g, c, a, b, t):
         lambda: predicted_phase(a, t, params),
         lambda: gaussian_visibility(a, t, params),
         lambda: static_proper_time(a, t, params),
+        lambda: evolve_exact(PSI, params, t).amp,
+        lambda: astuple(rel_action(path, t, params)),
+        lambda: proper_time(path, t, params),
     ]
     for call in calls:
         try:
             out = call()
         except WavefallError:
             continue
-        assert all(map(math.isfinite, out if isinstance(out, tuple) else (out,)))
+        assert np.isfinite(out).all()

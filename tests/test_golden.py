@@ -10,12 +10,15 @@ that moves any byte here must say why, and regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-The script takes no arguments; given any (`--help` included) it prints its
-usage, writes nothing and exits 2.
+The script reports on stderr what moved in each file: every changed field
+of every verify check, old -> new, and for each CSV "unchanged" or the
+number of rows that differ.  It takes no arguments; given any (`--help`
+included) it prints its usage, writes nothing and exits 2.
 """
 
 import json
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -73,15 +76,53 @@ def test_multi_chunk_analytic_scan_is_byte_identical(tmp_path):
     assert compared_bytes(got) == compared_bytes(GOLDEN / DENSE)
 
 
+def what_moved(name: str, old: bytes | None, new: bytes) -> list[str]:
+    """The compared content of one golden file, old against new, in words.
+
+    For the verify JSON, one line per check field that changed, old -> new;
+    for a CSV, "unchanged" or the number of rows that differ.
+    """
+    if old is None:
+        return [f"{name}: new file"]
+    if old == new:
+        return [f"{name}: unchanged"]
+    if not name.endswith(".json"):
+        rows = list(zip_longest(old.splitlines(), new.splitlines()))
+        return [f"{name}: {sum(a != b for a, b in rows)} of {len(rows)} rows differ"]
+    before = {c["name"]: c for c in json.loads(old)}
+    after = {c["name"]: c for c in json.loads(new)}
+    lines = []
+    for check in before.keys() | after.keys():
+        if check not in after:
+            lines.append(f"{name}: {check} removed")
+        elif check not in before:
+            lines.append(f"{name}: {check} added")
+        else:
+            lines.extend(
+                f"{name}: {check} {field}: {before[check][field]!r}"
+                f" -> {after[check][field]!r}"
+                for field in sorted(after[check])
+                if before[check].get(field) != after[check][field]
+            )
+    return sorted(lines)
+
+
 def regenerate(argv: list[str]) -> int:
-    """Rewrite every golden file; any argument is refused, nothing is written."""
+    """Rewrite every golden file and report what moved; refuse any argument.
+
+    Given any argument, prints the usage, writes nothing and returns 2.
+    """
     if argv:
         print("usage: PYTHONPATH=src python tests/test_golden.py", file=sys.stderr)
         return 2
     GOLDEN.mkdir(exist_ok=True)
     for name in RUNS:
+        path = GOLDEN / name
+        old = compared_bytes(path) if path.exists() else None
         out = run_golden(name, GOLDEN)
         print(f"wrote {out}", file=sys.stderr)
+        for line in what_moved(name, old, compared_bytes(out)):
+            print(line, file=sys.stderr)
     for stale in GOLDEN.glob("*.config.json"):
         stale.unlink()
     return 0
@@ -92,6 +133,38 @@ def test_regenerate_refuses_arguments(monkeypatch, tmp_path, capsys):
     assert regenerate(["--help"]) == 2
     assert "usage" in capsys.readouterr().err
     assert not (tmp_path / "golden").exists()
+
+
+def test_what_moved_names_each_changed_check_field_and_counts_csv_rows():
+    checks = json.loads(compared_bytes(GOLDEN / "verify.json"))
+    moved = [dict(c) for c in checks]
+    moved[2]["measured"] = "worst deviation 1.000e-08 of tolerance"
+    moved[5]["passed"] = False
+    old, new = (json.dumps(c, indent=2).encode() for c in (checks, moved))
+    assert what_moved("verify.json", old, new) == sorted([
+        f"verify.json: {checks[2]['name']} measured: "
+        f"{checks[2]['measured']!r} -> 'worst deviation 1.000e-08 of tolerance'",
+        f"verify.json: {checks[5]['name']} passed: True -> False",
+    ])
+    assert what_moved("verify.json", old, old) == ["verify.json: unchanged"]
+    csv = (GOLDEN / "evolve.csv").read_bytes()
+    lines = csv.splitlines(keepends=True)
+    edited = b"".join(lines[:2] + [b"0,0\n"] + lines[3:] + [b"1,1\n"])
+    assert what_moved("evolve.csv", csv, csv) == ["evolve.csv: unchanged"]
+    assert what_moved("evolve.csv", csv, edited) == [
+        f"evolve.csv: 2 of {len(lines) + 1} rows differ"
+    ]
+    assert what_moved("evolve.csv", None, csv) == ["evolve.csv: new file"]
+
+
+def test_regenerate_reports_what_moved(monkeypatch, tmp_path, capsys):
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    (golden / "evolve.csv").write_bytes((GOLDEN / "evolve.csv").read_bytes())
+    monkeypatch.setitem(globals(), "GOLDEN", golden)
+    monkeypatch.setitem(globals(), "RUNS", {"evolve.csv": RUNS["evolve.csv"]})
+    assert regenerate([]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == "evolve.csv: unchanged"
 
 
 if __name__ == "__main__":

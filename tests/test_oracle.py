@@ -252,3 +252,22 @@ def test_ground_state_localizes_at_the_potential_floor(params):
     # triangular-well level spacings shrink with energy
     gaps = np.diff(w[:4])
     assert gaps[0] > gaps[1] > gaps[2] > 0
+
+
+@pytest.mark.parametrize("g", [0.0, 1.0])
+def test_commutator_element_equals_the_dense_commutator(small_grid, rng, g):
+    # random complex states, zero on the outer quarter at each end so that
+    # they pass the margin check; the reference builds X_t X - X X_t, and the
+    # scale is the sum of the two terms' magnitudes
+    pars = PhysicalParams(hbar=1.0, m=1.0, g=g, c=10.0)
+    x_t = x_of_t(small_grid, pars, 0.7)
+    n, x, dx = small_grid.n, small_grid.x, small_grid.dx
+    amps = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    amps[:, : n // 4] = amps[:, -n // 4 :] = 0.0
+    phi, psi = (WavePacket(small_grid, amp) for amp in amps)
+    comm = x_t.matrix @ np.diag(x) - np.diag(x) @ x_t.matrix
+    want = np.vdot(phi.amp, comm @ psi.amp) * dx
+    a_phi, a_xt, a_psi = np.abs(phi.amp), np.abs(x_t.matrix), np.abs(psi.amp)
+    a_x = np.abs(x)
+    scale = (a_phi @ (a_xt @ (a_x * a_psi)) + (a_phi * a_x) @ (a_xt @ a_psi)) * dx
+    assert abs(commutator_element(phi, psi, x_t) - want) <= 1e-12 * scale

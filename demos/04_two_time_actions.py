@@ -11,12 +11,10 @@ import numpy as np
 from wavefall import (
     Grid,
     PhysicalParams,
+    branch_states,
     classical_action,
     delta_action,
-    evolve_exact,
-    free_evolve,
     make_gaussian,
-    shift_packet,
     shifted_free_action,
 )
 
@@ -35,13 +33,13 @@ for x0 in (-3.0, -1.0, 0.0, 2.0):
 
 print("\nthe x0 column drops out of the difference entirely")
 
-# the same number, read off the wavefunctions: the evolved state divided by
-# the shifted free flight is e^{i delta_action(x)/hbar} node by node
+# the same number, read off the wavefunctions: the falling state divided by
+# the interferometer's reference branch, the free flight recentered by the
+# classical fall, is e^{i delta_action(x)/hbar} across the packet
 grid = Grid(x_min=-20.0, x_max=20.0, n=256)
 psi0 = make_gaussian(grid, 0.0, 0.0, 1.0, params)
-full = evolve_exact(psi0, params, t)
-base = free_evolve(shift_packet(psi0, 0.5 * params.g * t * t), params, t)
-mask = np.abs(base.amp) > 1e-6
+full, base = branch_states(psi0, params, t)
+mask = np.abs(base.amp) > 1e-3
 measured = np.angle(full.amp[mask] / base.amp[mask])
 predicted = np.array([delta_action(x, t, params) for x in grid.x[mask]])
 wrapped = np.angle(np.exp(1j * predicted / params.hbar))

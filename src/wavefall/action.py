@@ -28,8 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    PhysicalParams, _RefuseOverflow, _require_finite_args, _require_finite_result,
-    _require_times,
+    PhysicalParams, _RefuseOverflow, _require_finite_scalars, _require_times,
 )
 from .errors import BadSigma, DegenerateInterval
 
@@ -61,7 +60,7 @@ def classical_action(
     potential = m g (t (x0+x1)/2 + g t^3/12); the value is their difference.
     Requires t > 0.
     """
-    _require_finite_args("classical_action", x0=x0, x1=x1, t=t)
+    _require_finite_scalars("classical_action", x0=x0, x1=x1, t=t)
     if not t > 0:
         raise DegenerateInterval(f"classical_action: need t > 0, got {t}")
     m, g = params.m, params.g
@@ -70,7 +69,7 @@ def classical_action(
         kinetic = 0.5 * m * (disp * disp / t + g * g * t**3 / 12.0)
         potential = m * g * (t * (x0 + x1) / 2.0 + g * t**3 / 12.0)
     value = kinetic - potential
-    _require_finite_result("classical_action", value=value)
+    _require_finite_scalars("classical_action", result=True, value=value)
     return ActionValue(value=value, kinetic=kinetic, potential=potential)
 
 
@@ -82,12 +81,12 @@ def shifted_free_action(
     The comparison path is a straight line, so the action is purely kinetic:
     (m / 2t) (x0 - xt - g t^2/2)^2.  Requires t > 0.
     """
-    _require_finite_args("shifted_free_action", x0=x0, xt=xt, t=t)
+    _require_finite_scalars("shifted_free_action", x0=x0, xt=xt, t=t)
     if not t > 0:
         raise DegenerateInterval(f"shifted_free_action: need t > 0, got {t}")
     diff = x0 - xt - 0.5 * params.g * t * t
     value = 0.5 * params.m * diff * diff / t
-    _require_finite_result("shifted_free_action", value=value)
+    _require_finite_scalars("shifted_free_action", result=True, value=value)
     return ActionValue(value=value, kinetic=value, potential=0.0)
 
 
@@ -96,11 +95,11 @@ def delta_action(xt: float, t: float, params: PhysicalParams) -> float:
 
     Independent of the starting point x0; vanishes identically at g = 0.
     """
-    _require_finite_args("delta_action", xt=xt, t=t)
+    _require_finite_scalars("delta_action", xt=xt, t=t)
     m, g = params.m, params.g
     with _RefuseOverflow("delta_action"):
         value = -m * g * xt * t - m * g * g * t**3 / 6.0
-    _require_finite_result("delta_action", value=value)
+    _require_finite_scalars("delta_action", result=True, value=value)
     return value
 
 
@@ -112,10 +111,10 @@ def ehrenfest_mean(
     Returns (x0 + p0 t/m - g t^2/2, p0 - m g t); quantum means follow these
     exactly because the potential is linear.
     """
-    _require_finite_args("ehrenfest_mean", x0=x0, p0=p0, t=t)
+    _require_finite_scalars("ehrenfest_mean", x0=x0, p0=p0, t=t)
     m, g = params.m, params.g
     x, p = x0 + p0 * t / m - 0.5 * g * t * t, p0 - m * g * t
-    _require_finite_result("ehrenfest_mean", x=x, p=p)
+    _require_finite_scalars("ehrenfest_mean", result=True, x=x, p=p)
     return (x, p)
 
 
@@ -129,12 +128,12 @@ def spread_bound(
     dominates sigma0; gravity cancels out of both expressions.  Raises
     NegativeTime for t < 0.
     """
-    _require_finite_args("spread_bound", sigma0=sigma0, t=t)
+    _require_finite_scalars("spread_bound", sigma0=sigma0, t=t)
     _require_times("spread_bound", [t])
     if not sigma0 > 0:
         raise BadSigma(f"spread_bound: sigma0 must be positive, got {sigma0}")
     with _RefuseOverflow("spread_bound"):
         ratio = params.hbar * t / (params.m * sigma0)
         exact = sigma0 * math.sqrt(1.0 + (ratio / (2.0 * sigma0)) ** 2)
-    _require_finite_result("spread_bound", bound=ratio, exact=exact)
+    _require_finite_scalars("spread_bound", result=True, bound=ratio, exact=exact)
     return (ratio, exact)

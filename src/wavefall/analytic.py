@@ -12,10 +12,12 @@ left, the evolution is exactly:
 
 Each factor is one kernel acting in place on a C-contiguous (rows, n) stack
 of amplitudes.  shift_packet runs factor 1 on a stack of any number of
-rows, free_evolve factor 2 and apply_global_phase the kernel of factor 4 on
-a one-row stack; factor 3 has no public form.  evolve_exact composes all
-four on such a stack, with its own (g, t) per row, and the interference
-protocol propagates its branches that way, a chunk of rows at a time.
+rows, and apply_global_phase the kernel of factor 4 on a one-row stack;
+factors 2 and 3 have no public form.  evolve_exact composes all four on
+such a stack, with its own (g, t) per row, and the interference protocol
+propagates its branches that way, a chunk of rows at a time.  The kernels
+check no angle: evolve_exact and shift_packet check each row's phase angles
+once, before they build any phase.
 evolve_piecewise and the protocol share one segment loop, _segment_chain,
 which takes the propagator of a segment as a callable.  Three rules keep
 every row bit-identical to a single-row call:
@@ -61,7 +63,7 @@ from .core import (
     _packets,
     _require_finite,
     _require_finite_angles,
-    _require_finite_result,
+    _require_finite_scalars,
     _require_times,
     _stack,
     check_margin,
@@ -70,7 +72,6 @@ from .errors import GridOverflow
 
 __all__ = [
     "AccelSchedule",
-    "free_evolve",
     "shift_packet",
     "apply_global_phase",
     "evolve_exact",
@@ -171,7 +172,8 @@ def _shift(
     transformed once; each distinct pair then takes the k-space phase
     e^{+i k a}, one inverse FFT and the margin check.  Returns the position
     stack of the pairs and each row's pair.  Both checks name the caller
-    (context) and its first offending row.
+    (context) and its first offending row; the caller has checked every
+    shift angle.
     """
     grid = psis[0].grid
     start, start_rows = _distinct(map(id, psis))
@@ -179,11 +181,6 @@ def _shift(
     _require_finite(amp, f"{context} start state", batched, start_rows)
     np.fft.fft(amp, out=amp)
     pair, pair_rows = _distinct(zip(start, map(_bits, shifts)))
-    k_max = float(np.abs(grid.k).max())
-    _require_finite_angles(
-        context, "shift_angle", [_shift_angle(shifts[r], k_max) for r in pair_rows],
-        batched, pair_rows,
-    )
     amp = amp[[start[r] for r in pair_rows]]
     shared = _FALL_PHASES.get()
     _apply_phases(
@@ -213,45 +210,21 @@ def _kick_angle(hbar: float, slope: float, x_max: float) -> float:
 
 
 def _free(
-    amp: np.ndarray, grid: Grid, hbar: float, m: float, times: list[float],
-    context: str,
+    amp: np.ndarray, grid: Grid, hbar: float, m: float, times: list[float]
 ) -> None:
     """Free flight per row of a k-space stack: e^{-i hbar t k^2/(2 m)}, then to x."""
-    k_max = float(np.abs(grid.k).max())
-    _require_finite_angles(
-        context, "free_flight_angle", [_free_angle(hbar, m, t, k_max) for t in times],
-        len(times) > 1,
-    )
     _apply_phases(amp, times, lambda t: np.exp(-0.5j * hbar * t * grid.k * grid.k / m))
     np.fft.ifft(amp, out=amp)
-    check_margin(amp, context)
 
 
-def _kick(
-    amp: np.ndarray, grid: Grid, hbar: float, slopes: list[float], context: str
-) -> None:
+def _kick(amp: np.ndarray, grid: Grid, hbar: float, slopes: list[float]) -> None:
     """Momentum kick per row: the position-space phase e^{-i slope x / hbar}."""
-    x_max = float(np.abs(grid.x).max())
-    _require_finite_angles(
-        context, "kick_angle", [_kick_angle(hbar, s, x_max) for s in slopes],
-        len(slopes) > 1,
-    )
     _apply_phases(amp, slopes, lambda slope: np.exp(-1j * slope * grid.x / hbar))
 
 
 def _rotate(amp: np.ndarray, thetas: list[float]) -> None:
     """Global phase e^{i theta} per row."""
     _apply_phases(amp, thetas, lambda theta: np.exp(1j * theta))
-
-
-def free_evolve(psi: WavePacket, params: PhysicalParams, t: float) -> WavePacket:
-    """Evolve under the kinetic term alone: e^{-i hbar t k^2/(2 m)} in k-space."""
-    _require_times("free_evolve", [t])
-    amp = _stack([psi])
-    _require_finite(amp, "free_evolve start state", batched=False)
-    np.fft.fft(amp, out=amp)
-    _free(amp, psi.grid, params.hbar, params.m, [t], "free_evolve")
-    return WavePacket(psi.grid, amp[0])
 
 
 def shift_packet(
@@ -268,12 +241,20 @@ def shift_packet(
     batched, (psis, shifts) = _as_rows("shift_packet", psi, a)
     if not psis:
         return []
+    k_max = float(np.abs(psis[0].grid.k).max())
+    _require_finite_angles(
+        "shift_packet", "shift_angle", [_shift_angle(s, k_max) for s in shifts], batched
+    )
     amp, pair = _shift(psis, shifts, "shift_packet", batched)
     return _packets(psis[0].grid, amp[pair], batched)
 
 
 def apply_global_phase(psi: WavePacket, theta: float) -> WavePacket:
-    """Multiply by the overall phase e^{i theta}; no observable changes."""
+    """Multiply by the overall phase e^{i theta}; no observable changes.
+
+    Raises NonFiniteState when theta is NaN or inf.
+    """
+    _require_finite_scalars("apply_global_phase", theta=theta)
     amp = _stack([psi])
     _rotate(amp, [theta])
     return WavePacket(psi.grid, amp[0])
@@ -318,8 +299,9 @@ def evolve_exact(
     amp, pair = _shift(psis, shifts, "evolve_exact", batched)
     np.fft.fft(amp, out=amp)
     amp = amp[pair]
-    _free(amp, grid, hbar, m, times, "evolve_exact")
-    _kick(amp, grid, hbar, slopes, "evolve_exact")
+    _free(amp, grid, hbar, m, times)
+    check_margin(amp, "evolve_exact")
+    _kick(amp, grid, hbar, slopes)
     _rotate(amp, thetas)
     return _packets(grid, amp, batched)
 
@@ -332,7 +314,7 @@ def _factor_scalars(grid: Grid, pars, times, batched: bool):
     past the float range counts as an infinite angle.  The largest angle of
     each phase is checked too, by the kernels' own _shift_angle,
     _free_angle and _kick_angle, so that every row is refused before any
-    phase is built; each kernel checks its angles again for its other callers.
+    phase is built; the kernels check no angle themselves.
     """
     k_max, x_max = float(np.abs(grid.k).max()), float(np.abs(grid.x).max())
     shifts, slopes, thetas = [], [], []
@@ -349,8 +331,8 @@ def _factor_scalars(grid: Grid, pars, times, batched: bool):
         )
         if not all(map(math.isfinite, (shift, slope, theta, *angles.values()))):
             where = f" in row {row}" if batched else ""
-            _require_finite_result(
-                f"evolve_exact{where}", shift=shift, kick_slope=slope,
+            _require_finite_scalars(
+                f"evolve_exact{where}", result=True, shift=shift, kick_slope=slope,
                 cubic_angle=theta, **angles,
             )
         shifts.append(shift)

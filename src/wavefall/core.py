@@ -299,38 +299,32 @@ def _require_finite(
         raise NonFiniteState(f"{context}: non-finite amplitude{where} at node {node}")
 
 
-def _require_finite_args(context: str, **values: float) -> None:
-    """Raise NonFiniteState naming the first scalar argument that is NaN or inf.
+def _require_finite_scalars(context: str, result: bool = False, **values: float) -> None:
+    """Raise NonFiniteState naming the first scalar that is NaN or inf.
 
-    The message reads "<context>: <name>=<value> is not finite".
+    The message reads "<context>: <name>=<value> is not finite" for an
+    argument, and "<context>: result <name>=<value> is not finite" when
+    result is True.
     """
     for name, value in values.items():
         if not math.isfinite(value):
-            raise NonFiniteState(f"{context}: {name}={value} is not finite")
+            kind = "result " if result else ""
+            raise NonFiniteState(f"{context}: {kind}{name}={value} is not finite")
 
 
-def _require_finite_result(context: str, **values: float) -> None:
-    """Raise NonFiniteState, "<context>: result <name>=<value> is not finite"."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise NonFiniteState(f"{context}: result {name}={value} is not finite")
-
-
-def _require_finite_angles(
-    context: str, name: str, angles, batched: bool, rows=None
-) -> None:
+def _require_finite_angles(context: str, name: str, angles, batched: bool) -> None:
     """Raise NonFiniteState at the first row whose largest phase angle is not finite.
 
-    A phase kernel calls this before it builds its phase, angles[i] being
-    the largest |angle| of stack row i formed in the order of the kernel's
-    expression; numpy divides a complex array by a real d as a product with
-    1/d, so a finite angle means the phase is built without overflow.  The
-    message reads "<context>[ in row R]: result <name>=<angle> is not
-    finite", the row named only for a batched call, R = rows[i] when given.
+    A public entry point calls this once per call, before it builds any
+    phase, angles[i] being the largest |angle| of its row i formed in the
+    order of the kernel's expression; numpy divides a complex array by a
+    real d as a product with 1/d, so a finite angle means the phase is
+    built without overflow.  The message reads "<context>[ in row R]:
+    result <name>=<angle> is not finite", the row named only for a batched
+    call.
     """
-    for i, angle in enumerate(angles):
+    for row, angle in enumerate(angles):
         if not math.isfinite(angle):
-            row = i if rows is None else rows[i]
             where = f" in row {row}" if batched else ""
             raise NonFiniteState(f"{context}{where}: result {name}={angle} is not finite")
 
@@ -431,7 +425,7 @@ def make_gaussian(
     # Every check is written to fail closed: a NaN input is refused here.
     if not 0 < sigma0 < math.inf:
         raise BadSigma(f"sigma0 must be positive and finite, got {sigma0}")
-    _require_finite_args("make_gaussian", x0=x0, p0=p0)
+    _require_finite_scalars("make_gaussian", x0=x0, p0=p0)
     if not (grid.x_min <= x0 - 6.0 * sigma0 and x0 + 6.0 * sigma0 <= grid.x_max):
         raise GridOverflow(
             f"make_gaussian: 6-sigma support [{x0 - 6 * sigma0:.4g}, "

@@ -61,8 +61,7 @@ from .core import (
     _position_moments,
     _RefuseOverflow,
     _require_finite,
-    _require_finite_args,
-    _require_finite_result,
+    _require_finite_scalars,
     _require_times,
     _stack,
     make_gaussian,
@@ -136,11 +135,11 @@ def predicted_phase(xbar: float, t: float, params: PhysicalParams) -> float:
     at the branch center and the global cubic phase survive).  A non-finite
     argument or result raises NonFiniteState.
     """
-    _require_finite_args("predicted_phase", xbar=xbar, t=t)
+    _require_finite_scalars("predicted_phase", xbar=xbar, t=t)
     m, g = params.m, params.g
     with _RefuseOverflow("predicted_phase"):
         phase = -(m * g * xbar * t + m * g * g * t**3 / 6.0) / params.hbar
-    _require_finite_result("predicted_phase", phase=phase)
+    _require_finite_scalars("predicted_phase", result=True, phase=phase)
     return phase
 
 
@@ -154,7 +153,7 @@ def gaussian_visibility(sigma_t: float, t: float, params: PhysicalParams) -> flo
     """
     kick = params.m * params.g * t * sigma_t / params.hbar
     visibility = math.exp(-0.5 * kick * kick)
-    _require_finite_result("gaussian_visibility", visibility=visibility)
+    _require_finite_scalars("gaussian_visibility", result=True, visibility=visibility)
     return visibility
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    PhysicalParams, Trajectory, _RefuseOverflow, _require_finite_result, _require_times,
+    PhysicalParams, Trajectory, _RefuseOverflow, _require_finite_scalars, _require_times,
 )
 from .errors import NonFiniteState, SuperluminalPath
 
@@ -178,8 +178,8 @@ def rel_action(traj: Trajectory, t: float, params: PhysicalParams) -> RelActionR
         integrand = -params.m * params.g * x - 0.5 * params.m * v * v
         nr = float(_simpson(integrand, times))
     abs_error = abs(action - nr)
-    _require_finite_result(
-        "rel_action", action=action, nr_action=nr, abs_error=abs_error
+    _require_finite_scalars(
+        "rel_action", result=True, action=action, nr_action=nr, abs_error=abs_error
     )
     return RelActionResult(
         proper_time=tau,
@@ -244,5 +244,5 @@ def static_proper_time(x0: float, t: float, params: PhysicalParams) -> float:
             f"static radicand {radicand:.3e} <= 0 at x0={x0} for c={params.c}"
         )
     tau = t * math.sqrt(radicand)
-    _require_finite_result("static_proper_time", tau=tau)
+    _require_finite_scalars("static_proper_time", result=True, tau=tau)
     return tau

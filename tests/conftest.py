@@ -63,3 +63,19 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def free_flight():
+    """free_flight(psi, params, t): the amplitudes of e^{-i hbar t k^2/(2m)} psi.
+
+    Built with numpy alone, in the operation order of the exact route's
+    free-flight factor, so a state it flies matches that factor bit for bit.
+    """
+
+    def fly(psi, params, t):
+        k = psi.grid.k
+        phase = np.exp(-0.5j * params.hbar * t * k * k / params.m)
+        return np.fft.ifft(np.fft.fft(psi.amp) * phase)
+
+    return fly

@@ -17,12 +17,12 @@ from wavefall import (
     PhysicalParams,
     SolverConfig,
     WavePacket,
+    analytic,
     apply_global_phase,
     branch_states,
     evolve_exact,
     evolve_piecewise,
     evolve_split_step,
-    free_evolve,
     l2_distance,
     make_gaussian,
     moments,
@@ -31,29 +31,15 @@ from wavefall import (
 )
 
 
-def test_free_evolve_preserves_norm_and_momentum(psi0, params):
-    out = free_evolve(psi0, params, 1.3)
-    assert out.norm == pytest.approx(1.0, abs=1e-12)
-    m = moments(out, params)
-    assert m.mean_p == pytest.approx(0.0, abs=1e-10)
-    assert m.mean_x == pytest.approx(0.0, abs=1e-10)
-
-
-def test_free_evolve_rejects_negative_time(psi0, params):
-    with pytest.raises(NegativeTime):
-        free_evolve(psi0, params, -0.1)
-
-
 @pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize(
     "evolve",
     [
-        free_evolve,
         evolve_exact,
         lambda psi, params, t: evolve_split_step(psi, params, t, SolverConfig(8)),
         branch_states,
     ],
-    ids=["free_evolve", "evolve_exact", "evolve_split_step", "branch_states"],
+    ids=["evolve_exact", "evolve_split_step", "branch_states"],
 )
 def test_non_finite_time_is_rejected(psi0, params, evolve, t):
     with pytest.raises(NegativeTime, match="finite"):
@@ -66,7 +52,6 @@ def test_non_finite_time_is_rejected(psi0, params, evolve, t):
 @pytest.mark.parametrize(
     "name, evolve",
     [
-        ("free_evolve", free_evolve),
         ("evolve_exact", evolve_exact),
         ("shift_packet", lambda psi, params, t: shift_packet(psi, t)),
         (
@@ -74,7 +59,7 @@ def test_non_finite_time_is_rejected(psi0, params, evolve, t):
             lambda psi, params, t: evolve_split_step(psi, params, t, SolverConfig(8)),
         ),
     ],
-    ids=["free_evolve", "evolve_exact", "shift_packet", "evolve_split_step"],
+    ids=["evolve_exact", "shift_packet", "evolve_split_step"],
 )
 def test_non_finite_start_state_is_refused_by_row_and_node(
     psi0, params, name, evolve, value
@@ -85,9 +70,8 @@ def test_non_finite_start_state_is_refused_by_row_and_node(
     with pytest.raises(NonFiniteState) as info:
         evolve(bad, params, 1.0)
     assert str(info.value) == f"{name} start state: non-finite amplitude at node 100"
-    if name != "free_evolve":
-        with pytest.raises(NonFiniteState, match="in row 1 at node 100$"):
-            evolve([psi0, bad], params, 1.0)
+    with pytest.raises(NonFiniteState, match="in row 1 at node 100$"):
+        evolve([psi0, bad], params, 1.0)
 
 
 def test_shift_packet_moves_the_center(grid, params):
@@ -189,19 +173,28 @@ def test_schedule_duration_validation():
     assert sched.total_duration == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf], ids=["nan", "inf"])
+def test_global_phase_refuses_a_non_finite_angle(psi0, theta):
+    # returned an all-NaN state, for inf after a RuntimeWarning
+    with pytest.raises(
+        NonFiniteState, match=rf"^apply_global_phase: theta={theta} is not finite$"
+    ):
+        apply_global_phase(psi0, theta)
+
+
 def test_evolve_exact_overflow_on_long_fall(psi0, params):
     # the packet reaches x ~ -12.5 at t = 5 and leaks into the margin band
     with pytest.raises(GridOverflow):
         evolve_exact(psi0, params, 5.0)
 
 
-def test_factorization_order_matters(psi0, params):
+def test_factorization_order_matters(psi0, params, free_flight):
     # dropping the global cubic phase changes the state by exactly that phase
     t = 1.0
     full = evolve_exact(psi0, params, t)
-    flown = free_evolve(shift_packet(psi0, 0.5 * t * t), params, t)
+    flown = free_flight(shift_packet(psi0, 0.5 * t * t), params, t)
     kick = np.exp(-1j * params.m * params.g * t * psi0.grid.x / params.hbar)
-    partial = WavePacket(psi0.grid, flown.amp * kick)
+    partial = WavePacket(psi0.grid, flown * kick)
     z = overlap(partial, full)
     assert abs(z) == pytest.approx(1.0, abs=1e-12)
     assert math.atan2(z.imag, z.real) == pytest.approx(-1.0 / 6.0, abs=1e-12)

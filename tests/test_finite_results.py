@@ -21,12 +21,12 @@ from wavefall import (
     Trajectory,
     WavefallError,
     analytic,
+    apply_global_phase,
     classical_action,
     delta_action,
     ehrenfest_mean,
     evolve_exact,
     evolve_split_step,
-    free_evolve,
     free_fall_trajectory,
     gaussian_visibility,
     make_gaussian,
@@ -160,13 +160,20 @@ def test_evolve_exact_refuses_a_phase_angle_past_the_float_range(
     assert phases == []
 
 
+def test_each_phase_angle_is_evaluated_once_per_row(psi0, count_calls):
+    # each angle is formed once per row, at the public entry point; the
+    # kernels behind it form none
+    names = ("_shift_angle", "_free_angle", "_kick_angle")
+    angles = [count_calls(analytic, name) for name in names]
+    evolve_exact(psi0, P, [0.5, 1.0, 1.5])
+    assert [len(calls) for calls in angles] == [3, 3, 3]
+    shift_packet([psi0] * 4, [0.5, 1.0, 1.0, 1.5])
+    assert [len(calls) for calls in angles] == [7, 3, 3]
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
-        (
-            lambda psi: free_evolve(psi, TINY_M, 1e10),
-            r"^free_evolve: result free_flight_angle=inf ",
-        ),
         (
             lambda psi: shift_packet([psi, psi], [1.0, 1e307]),
             r"^shift_packet in row 1: result shift_angle=inf ",
@@ -182,7 +189,7 @@ def test_evolve_exact_refuses_a_phase_angle_past_the_float_range(
             r"^evolve_split_step in row 0: result potential_angle=inf ",
         ),
     ],
-    ids=["free_evolve", "shift_packet", "split-step-kinetic", "split-step-potential"],
+    ids=["shift_packet", "split-step-kinetic", "split-step-potential"],
 )
 def test_public_kernels_refuse_a_phase_angle_past_the_float_range(
     psi0, call, message
@@ -212,7 +219,7 @@ magnitude = st.sampled_from(MAGNITUDES)
 positive = st.sampled_from([v for v in MAGNITUDES if v > 0])
 
 
-# The start state of evolve_exact in the magnitude property.
+# The start state of the propagators and kernels in the magnitude property.
 PSI = make_gaussian(Grid(-20.0, 20.0, 256), 0.0, 0.0, 1.0, P)
 
 
@@ -233,6 +240,10 @@ def test_closed_forms_are_finite_or_refused(hbar, m, g, c, a, b, t):
         lambda: gaussian_visibility(a, t, params),
         lambda: static_proper_time(a, t, params),
         lambda: evolve_exact(PSI, params, t).amp,
+        lambda: shift_packet(PSI, a).amp,
+        lambda: [out.amp for out in shift_packet([PSI, PSI], [0.0, a])],
+        lambda: apply_global_phase(PSI, a).amp,
+        lambda: evolve_split_step(PSI, params, t, SolverConfig(1)).amp,
         lambda: astuple(rel_action(path, t, params)),
         lambda: proper_time(path, t, params),
     ]

@@ -5,8 +5,10 @@ evolve CSV, the interfere CSV for each backend and the verify JSON, of which
 the `checks` array is compared.  It also holds the analytic interfere CSV for
 configs/interfere_dense.json, whose 45 irregular readouts at n = 1024 run in
 six chunks of rows, so a defect in how rows are chunked or share work shows
-there.  The CLI is byte-deterministic, so a change
-that moves any byte here must say why, and regenerates the files with
+there.  The CLI is byte-deterministic for a given BLAS thread count, and
+every file is written by the CLI in a child process with one BLAS thread,
+so the comparison holds on any host.  A change that moves any byte here
+must say why, and regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -17,6 +19,8 @@ included) it prints its usage, writes nothing and exits 2.
 """
 
 import json
+import os
+import subprocess
 import sys
 from itertools import zip_longest
 from pathlib import Path
@@ -30,6 +34,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 DEFAULT_CONFIG = ROOT / "configs" / "default.json"
 DENSE_CONFIG = ROOT / "configs" / "interfere_dense.json"
 DENSE = "interfere_analytic_dense.csv"
+# The dense oracle's eigh rounds differently with the number of BLAS threads,
+# which moves the last digits of two verify measurements.
+ONE_BLAS_THREAD = {
+    "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"
+}
 
 # Output file -> (subcommand, config, interfere backend to set or None).
 RUNS = {
@@ -42,7 +51,7 @@ RUNS = {
 
 
 def run_golden(name: str, out_dir: Path) -> Path:
-    """Run the CLI in-process for one golden file; return the output path."""
+    """Run the CLI for one golden file with one BLAS thread; return the output path."""
     command, config, backend = RUNS[name]
     if backend is not None:
         cfg = json.loads(config.read_text())
@@ -50,9 +59,14 @@ def run_golden(name: str, out_dir: Path) -> Path:
         config = out_dir / f"{name}.config.json"
         config.write_text(json.dumps(cfg))
     out = out_dir / name
-    rc = cli.main([command, "--config", str(config), "--out", str(out)])
-    if rc != cli.EXIT_OK:
-        raise RuntimeError(f"wavefall {command} exited {rc}")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **ONE_BLAS_THREAD)
+    res = subprocess.run(
+        [sys.executable, "-m", "wavefall", command, "--config", str(config),
+         "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    if res.returncode != cli.EXIT_OK:
+        raise RuntimeError(f"wavefall {command} exited {res.returncode}: {res.stderr}")
     return out
 
 

@@ -42,6 +42,7 @@ REMOVED = {
     "convergence_report",
     "ConvergenceRow",
     "fourier_matrix",
+    "free_evolve",
 }
 
 

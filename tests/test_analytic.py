@@ -47,6 +47,35 @@ def test_non_finite_time_is_rejected(psi0, params, evolve, t):
 
 
 @pytest.mark.parametrize(
+    "evolve",
+    [
+        evolve_exact,
+        lambda psi, params, t: evolve_exact([psi, psi], params, [1.0, t]),
+        branch_states,
+    ],
+    ids=["evolve_exact", "evolve_exact-row", "branch_states"],
+)
+def test_negative_time_is_rejected(psi0, params, evolve):
+    with pytest.raises(NegativeTime, match=r"t must be finite and >= 0, got -0\.1$"):
+        evolve(psi0, params, -0.1)
+
+
+@pytest.mark.parametrize("route", ["evolve_exact-g0", "branch_states-reference"])
+def test_free_flight_preserves_norm_and_momentum(psi0, params, route):
+    # free flight at g = 0, and the reference branch T U0 psi0, which also
+    # translates by -g t^2/2 without a kick
+    t = 1.3
+    if route == "evolve_exact-g0":
+        out, center = evolve_exact(psi0, replace(params, g=0.0), t), 0.0
+    else:
+        out, center = branch_states(psi0, params, t)[1], -0.5 * params.g * t * t
+    assert out.norm == pytest.approx(1.0, abs=1e-12)
+    m = moments(out, params)
+    assert m.mean_p == pytest.approx(0.0, abs=1e-10)
+    assert m.mean_x == pytest.approx(center, abs=1e-10)
+
+
+@pytest.mark.parametrize(
     "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
 )
 @pytest.mark.parametrize(

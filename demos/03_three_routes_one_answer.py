@@ -1,9 +1,9 @@
 """Three independent propagation routes cross-checked.
 
 The factored closed form, the split-step spectral solver, and the dense
-eigendecomposition propagator evolve the same packet; the script prints the
-pairwise L2 distances, then the split-step refinement toward the closed
-form.  For a linear potential the whole Strang splitting error is the global
+oracle, which evolves in the eigenbasis of H, evolve the same packet; the
+script prints the pairwise L2 distances, then the split-step refinement
+toward the closed form.  For a linear potential the whole Strang splitting error is the global
 phase phi_N = m g^2 t^3 / (24 hbar N^2): the overlap phase of the split-step
 state with the exact one equals phi_N, and the L2 error, |e^{i phi_N} - 1|,
 falls as 1/N^2.
@@ -16,7 +16,7 @@ from wavefall import (
     PhysicalParams,
     SolverConfig,
     dense_hamiltonian,
-    dense_propagator,
+    evolve_dense,
     evolve_exact,
     evolve_split_step,
     l2_distance,
@@ -31,7 +31,7 @@ t = 1.0
 
 exact = evolve_exact(psi0, params, t)
 split = evolve_split_step(psi0, params, t, SolverConfig(2048))
-dense = dense_propagator(dense_hamiltonian(grid, params), t, params).apply(psi0)
+dense = evolve_dense(dense_hamiltonian(grid, params), psi0, t, params)
 
 print("pairwise L2 distances at t = 1:")
 print(f"  factored vs dense  : {l2_distance(exact, dense):.3e}")

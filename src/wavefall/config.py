@@ -24,7 +24,7 @@ from .analytic import AccelSchedule
 from .core import Grid, PhysicalParams, WavePacket, make_gaussian
 from .errors import ConfigError
 from .interferometry import _BACKENDS, BranchSchedules, Colocated
-from .oracle import MAX_COMMUTATOR_N
+from .oracle import MAX_DENSE_N
 from .splitstep import SolverConfig
 
 __all__ = [
@@ -261,11 +261,11 @@ _ROOT = {
 def parse_config(raw: dict) -> RunConfig:
     """Validate a parsed JSON object into a RunConfig; raises ConfigError."""
     cfg = RunConfig(**_block(raw, "", _ROOT, _field_defaults(RunConfig)))
-    # The checks run the oracle on this grid; the commutator guard is the tighter.
+    # The checks run the oracle on this grid, under its size guard.
     n_oracle = _oracle_grid(cfg).n
-    if n_oracle > MAX_COMMUTATOR_N:
+    if n_oracle > MAX_DENSE_N:
         raise ConfigError(
-            f"verify.n_oracle: must be at most {MAX_COMMUTATOR_N}, got {n_oracle}"
+            f"verify.n_oracle: must be at most {MAX_DENSE_N}, got {n_oracle}"
         )
     return cfg
 

@@ -2,18 +2,18 @@
 
 Everything here is deliberately independent of the factored propagator and of
 the split-step solver, and uses no DFT: the Hamiltonian is a real symmetric
-matrix built from closed forms, the propagator comes from its eigenpairs, and
-Heisenberg-picture operators from explicit conjugation.  Sizes are guarded
-because the cost is O(n^3); this module is a cross-check, not a production
-solver.
+matrix built from closed forms, and time evolution runs in its energy basis.
+With H = V diag(w) V^dagger, U(t) psi = V (e^{-i w t/hbar} * (V^dagger psi)),
+one formula for real and complex H (Moler and Van Loan, SIAM Review 45, 3,
+2003).  No n x n propagator is formed: after `eigh`, U costs matrix-vector
+products only.
 
-Each DenseOperator computes its eigendecomposition at most once, on first
-use, so propagators at several times share one `eigh` when they are built
-from the same Hamiltonian object.  The matrix is read-only, so the cached
-eigenpairs cannot go stale; nothing is cached across objects.  Likewise
-`commutator_element(phi, psi, x_t)` takes a ready Heisenberg-picture
-operator, so one x(t) serves every (bra, ket) pair at that time.  Every
-guard compares as `not defect <= tol`, so a NaN defect fails closed.
+Each DenseOperator decomposes itself at most once, on first use, and every
+guard of that O(n^3) work runs there: size, Hermiticity, and orthogonality
+of V.  U = V E V^dagger is unitary exactly when V is orthogonal, so the last
+is the unitarity guard.  The matrix is read-only, so the cached eigenpairs
+cannot go stale; nothing is cached across objects.  Every guard compares as
+`not defect <= tol`, so a NaN defect fails closed.
 """
 
 from __future__ import annotations
@@ -23,19 +23,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Grid, PhysicalParams, WavePacket, _frozen, check_margin
+from .core import Grid, PhysicalParams, WavePacket, _frozen, _require_times, check_margin
 from .errors import GridMismatch, NotHermitian, NotUnitary, TooLarge
 
 __all__ = [
     "DenseOperator",
     "dense_hamiltonian",
-    "dense_propagator",
-    "heisenberg_position",
+    "evolve_dense",
     "commutator_element",
 ]
 
 MAX_DENSE_N = 1024
-MAX_COMMUTATOR_N = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,22 +50,27 @@ class DenseOperator:
     def hermiticity_defect(self) -> float:
         return float(np.abs(self.matrix - self.matrix.conj().T).max())
 
-    def unitarity_defect(self) -> float:
-        eye = np.eye(self.grid.n)
-        return float(np.abs(self.matrix.conj().T @ self.matrix - eye).max())
-
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs (w, v) of the matrix, taken as Hermitian; read-only."""
+        """Eigenpairs (w, V), read-only, after the guards that fail closed."""
+        n = self.grid.n
+        if n > MAX_DENSE_N:
+            raise TooLarge(f"dense oracle: n={n} exceeds the {MAX_DENSE_N} guard")
+        defect = self.hermiticity_defect()
+        scale = max(1.0, float(np.abs(self.matrix).max()))
+        if not defect <= 1e-12 * scale:
+            raise NotHermitian(
+                f"dense oracle: Hermiticity defect {defect:.3e} exceeds tolerance"
+            )
         w, v = np.linalg.eigh(self.matrix)
+        defect = float(np.abs(v.conj().T @ v - np.eye(n)).max())
+        if not defect <= 1e-9:
+            raise NotUnitary(
+                f"dense oracle: orthogonality defect {defect:.3e} of V exceeds tolerance"
+            )
         w.setflags(write=False)
         v.setflags(write=False)
         return w, v
-
-    def apply(self, psi: WavePacket) -> WavePacket:
-        if psi.grid != self.grid:
-            raise GridMismatch("operator and state grids differ")
-        return WavePacket(self.grid, self.matrix @ psi.amp)
 
 
 def dense_hamiltonian(grid: Grid, params: PhysicalParams) -> DenseOperator:
@@ -91,71 +94,59 @@ def dense_hamiltonian(grid: Grid, params: PhysicalParams) -> DenseOperator:
     return DenseOperator(grid, h)
 
 
-def dense_propagator(
-    hamiltonian: DenseOperator, t: float, params: PhysicalParams
-) -> DenseOperator:
-    """U = V e^{-i w t / hbar} V^dagger from the eigenpairs (w, V) of Hermitian H.
+def _times(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m for complex a, as two products, so a real m is never cast to complex."""
+    return a.real @ m + 1j * (a.imag @ m)
 
-    For a real matrix V is real, and U is formed as two real products written
-    straight into one complex array: Re U = (V cos(w t/hbar)) V^T and
-    Im U = (V sin(-w t/hbar)) V^T, half the flops of one complex product and
-    no complex temporary.  A complex matrix, Hermitian or merely stored as
-    complex, takes the one complex product.  The Hermiticity check runs on
-    every call; the eigendecomposition is computed once per `hamiltonian`
-    object and reused.
-    """
-    defect = hamiltonian.hermiticity_defect()
-    scale = max(1.0, float(np.abs(hamiltonian.matrix).max()))
-    if not defect <= 1e-12 * scale:
-        raise NotHermitian(
-            f"dense_propagator: Hermiticity defect {defect:.3e} exceeds tolerance"
-        )
+
+def _evolve(
+    hamiltonian: DenseOperator, amps: np.ndarray, t: float, params: PhysicalParams
+) -> np.ndarray:
+    """U(t) applied to each row of amps: V (e^{-i w t/hbar} * (V^dagger a))."""
     w, v = hamiltonian._eigh
-    angle = w * t / params.hbar
-    if not np.isrealobj(v):
-        u = (v * np.exp(-1j * angle)) @ v.conj().T
-        return DenseOperator(hamiltonian.grid, u)
-    u = np.empty(v.shape, dtype=complex)
-    np.matmul(v * np.cos(angle), v.T, out=u.real)
-    np.matmul(v * np.sin(-angle), v.T, out=u.imag)
-    return DenseOperator(hamiltonian.grid, u)
+    energy = _times(amps, v.conj()) * np.exp(-1j * w * t / params.hbar)
+    return _times(energy, v.T)
 
 
-def heisenberg_position(propagator: DenseOperator) -> DenseOperator:
-    """x(t) = U^dagger X U on the propagator's grid; requires U unitary."""
-    defect = propagator.unitarity_defect()
-    if not defect <= 1e-9:
-        raise NotUnitary(
-            f"heisenberg_position: unitarity defect {defect:.3e} exceeds tolerance"
-        )
-    u, x = propagator.matrix, propagator.grid.x
-    return DenseOperator(propagator.grid, u.conj().T @ (x[:, None] * u))
-
-
-def commutator_element(phi: WavePacket, psi: WavePacket, x_t: DenseOperator) -> complex:
-    """<phi| [x(t), x(0)] |psi> by explicit dense algebra.
-
-    `x_t` is the Heisenberg-picture position from `heisenberg_position`, on
-    the grid of both states.  For margin-localized states the value is
-    -i hbar t / m * <phi|psi>, independent of g, to within
-    1e-6 * (hbar t / m) * |<phi|psi>| + 1e-8.  The identity holds because
-    x(t) = x + p t/m - g t^2/2 in the Heisenberg picture, so only the p term
-    survives the commutator.  The element is formed from two matrix-vector
-    products, <phi|x(t) (X psi)> - <X phi|x(t) psi>, with no n x n
-    temporary.  Guarded at n <= 512; poorly localized inputs raise
-    GridOverflow.
+def evolve_dense(
+    hamiltonian: DenseOperator, psi: WavePacket, t: float, params: PhysicalParams
+) -> WavePacket:
+    """U(t) psi in the energy basis of `hamiltonian`, four real matrix-vector
+    products for a real H.  GridMismatch off the operator's grid, NegativeTime
+    for a t that is negative or not finite.
     """
-    grid = x_t.grid
-    if grid.n > MAX_COMMUTATOR_N:
-        raise TooLarge(
-            f"commutator_element: n={grid.n} exceeds the {MAX_COMMUTATOR_N} guard"
-        )
+    if psi.grid != hamiltonian.grid:
+        raise GridMismatch("evolve_dense: operator and state grids differ")
+    _require_times("evolve_dense", [t])
+    return WavePacket(psi.grid, _evolve(hamiltonian, psi.amp, t, params))
+
+
+def commutator_element(
+    phi: WavePacket,
+    psi: WavePacket,
+    hamiltonian: DenseOperator,
+    t: float,
+    params: PhysicalParams,
+) -> complex:
+    """<phi| [x(t), x(0)] |psi> with x(t) = U^dagger X U, by dense algebra.
+
+    x(t) itself is never formed.  By associativity,
+    <phi|x(t) X psi> = <U phi| X U(X psi)> and <phi|X x(t) psi> =
+    <U(X phi)| X U psi>, so the element is the Heisenberg-picture one, built
+    from four evolved states.  For margin-localized states the value is
+    -i hbar t / m * <phi|psi>, independent of g, to within
+    1e-6 * (hbar t / m) * |<phi|psi>| + 1e-8: x(t) = x + p t/m - g t^2/2 in
+    the Heisenberg picture, so only the p term survives the commutator.
+    Poorly localized inputs raise GridOverflow.
+    """
+    grid = hamiltonian.grid
     if phi.grid != grid or psi.grid != grid:
         raise GridMismatch("commutator_element: state grids differ from operator grid")
+    _require_times("commutator_element", [t])
     check_margin(phi, "commutator_element (phi)")
     check_margin(psi, "commutator_element (psi)")
-    x, bra = grid.x, np.conj(phi.amp)
-    return complex(
-        (bra @ (x_t.matrix @ (x * psi.amp)) - (bra * x) @ (x_t.matrix @ psi.amp))
-        * grid.dx
+    x = grid.x
+    u_phi, u_x_phi, u_psi, u_x_psi = _evolve(
+        hamiltonian, np.stack([phi.amp, x * phi.amp, psi.amp, x * psi.amp]), t, params
     )
+    return complex((np.vdot(u_phi, x * u_x_psi) - np.vdot(u_x_phi, x * u_psi)) * grid.dx)

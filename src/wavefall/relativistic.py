@@ -51,8 +51,6 @@ __all__ = [
 
 # Simpson intervals of every proper-time quadrature; Simpson needs an even count.
 QUAD_INTERVALS = 4096
-# Errors below this are quadrature/rounding noise; no scaling fit is possible.
-LIMIT_NOISE_FLOOR = 1e-14
 # np.errstate of the quadrature: an overflow, 0/0 or x/0 raises, and
 # _RefuseOverflow names it, so no sample is silently inf, NaN or zeroed.
 _RAISE = dict(over="raise", divide="raise", invalid="raise")
@@ -80,8 +78,8 @@ class LimitRow:
 class LimitReport:
     """Scaling study over c: per-c errors and the fitted log-log slope.
 
-    fitted_order is None when every error sits at the noise floor (static
-    paths at the origin, or g = 0)."""
+    fitted_order is None when an error is exactly zero (a clock parked at
+    the origin, or g = 0), which no log-log fit can take."""
 
     rows: tuple[LimitRow, ...]
     fitted_order: float | None
@@ -157,9 +155,11 @@ def proper_time(traj: Trajectory, t: float, params: PhysicalParams) -> float:
 def rel_action(traj: Trajectory, t: float, params: PhysicalParams) -> RelActionResult:
     """S = m c^2 (tau - t) with its same-path non-relativistic comparison.
 
-    nr_action integrates -m g x - m xdot^2/2 over [0, t] on the same Simpson
-    samples; for parabolic paths the integrand is quadratic, which Simpson
-    handles exactly, so abs_error isolates the genuine c^-2 gap.
+    With q = 2 g x + xdot^2, the radicand is R = 1 - q/c^2, and with
+    s = -q/(1 + sqrt(R)) = c^2 (sqrt(R) - 1): S = m int s, tau = t + int s/c^2
+    and S - nr_action = -m int s^2/(2 c^2).  No sum subtracts nearly equal
+    numbers, so abs_error keeps its c^-2 law at large c.  nr_action integrates
+    -m g x - m xdot^2/2 on the same Simpson samples, exactly for parabolas.
     """
     times, x, v, radicand = _samples(traj, t, params)
     if t == 0.0:
@@ -173,11 +173,13 @@ def rel_action(traj: Trajectory, t: float, params: PhysicalParams) -> RelActionR
                 f"rel_action: Simpson step product {hprod:.3e} at t={t:.6g} is "
                 "below the smallest normal float"
             )
-        tau = float(_simpson(np.sqrt(radicand), times))
-        action = params.m * params.c**2 * (tau - t)
+        s = -(2.0 * params.g * x + v * v) / (1.0 + np.sqrt(radicand))
+        lag = float(_simpson(s, times))
+        tau = t + lag / params.c**2
+        action = params.m * lag
+        abs_error = params.m * float(_simpson(0.5 * (s / params.c) ** 2, times))
         integrand = -params.m * params.g * x - 0.5 * params.m * v * v
         nr = float(_simpson(integrand, times))
-    abs_error = abs(action - nr)
     _require_finite_scalars(
         "rel_action", result=True, action=action, nr_action=nr, abs_error=abs_error
     )
@@ -210,9 +212,10 @@ def nr_limit_check(
     """Fit the |S - nr_action| falloff against c on a log-log scale.
 
     c_list must be positive and strictly increasing, with at least three
-    entries.  A clean weak-field setup lands near slope -2.  Errors at the
-    noise floor for every c (static path at the origin, or g = 0) yield
-    fitted_order None.
+    entries.  A clean weak-field setup lands near slope -2.  abs_error is a
+    sum of non-negative terms, so it is zero only where every term is (q = 0
+    throughout: a static path at the origin, or g = 0) or underflows; any
+    zero error yields fitted_order None.
     """
     cs = _c_values(c_list)
     rows = tuple(
@@ -220,9 +223,8 @@ def nr_limit_check(
         for c in cs
     )
     errors = np.array([r.abs_error for r in rows])
-    # No fit at the noise floor, nor for mixed zero/nonzero errors, which
-    # cannot be fitted on a log scale.
-    if np.all(errors <= LIMIT_NOISE_FLOOR) or np.any(errors <= 0.0):
+    # A zero error cannot be fitted on a log scale.
+    if np.any(errors <= 0.0):
         return LimitReport(rows=rows, fitted_order=None)
     slope = float(np.polyfit(np.log(cs), np.log(errors), 1)[0])
     return LimitReport(rows=rows, fitted_order=slope)

@@ -33,21 +33,14 @@ def test_results_carry_measured_and_target_text():
 
 
 def test_one_eigendecomposition_per_hamiltonian_and_none_across_runs(
-    eigh_calls, monkeypatch
+    eigh_calls, count_calls
 ):
-    heisenberg = []
-    real = checks.heisenberg_position
-
-    def counting(*args):
-        heisenberg.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(checks, "heisenberg_position", counting)
+    elements = count_calls(checks, "commutator_element")
     run_all_checks(default_config())
     # one Hamiltonian for factorization_vs_dense_oracle, one per g for
-    # commutator_identity; one x(t) per (g, t); each H real
+    # commutator_identity, each H real; two elements per (g, t)
     assert [dtype for _, dtype in eigh_calls] == [np.float64] * 3
-    assert len(heisenberg) == 4
+    assert len(elements) == 8
     run_all_checks(default_config())
     assert len(eigh_calls) == 6  # a second run reuses nothing from the first
 

@@ -154,8 +154,10 @@ def test_backend_restricted():
 
 
 def test_verify_bounds():
-    with pytest.raises(ConfigError, match="n_oracle"):
-        parse_config(with_extra(verify={"n_oracle": 1024}))
+    # the oracle's one size guard, MAX_DENSE_N = 1024
+    assert parse_config(with_extra(verify={"n_oracle": 1024})).verify.n_oracle == 1024
+    with pytest.raises(ConfigError, match="n_oracle: must be at most 1024, got 2048"):
+        parse_config(with_extra(verify={"n_oracle": 2048}))
     with pytest.raises(ConfigError, match=r"n_oracle: n must be a power of two"):
         parse_config(with_extra(verify={"n_oracle": 12}))
     with pytest.raises(ConfigError, match="c_values"):

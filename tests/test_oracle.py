@@ -1,15 +1,19 @@
-"""Dense-matrix route: operators, propagator, Heisenberg commutator."""
+"""Dense-matrix route: the Hamiltonian, energy-basis evolution, Heisenberg commutator."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from wavefall import (
     DenseOperator,
     Grid,
     GridMismatch,
+    NegativeTime,
     NotHermitian,
     NotUnitary,
     PhysicalParams,
@@ -17,9 +21,8 @@ from wavefall import (
     WavePacket,
     commutator_element,
     dense_hamiltonian,
-    dense_propagator,
+    evolve_dense,
     evolve_exact,
-    heisenberg_position,
     l2_distance,
     make_gaussian,
     overlap,
@@ -37,12 +40,6 @@ def small_grid():
 @pytest.fixture
 def small_psi(small_grid, params):
     return make_gaussian(small_grid, 0.0, 0.0, 1.5, params)
-
-
-def x_of_t(grid, params, t):
-    """Heisenberg-picture position x(t) from a fresh Hamiltonian."""
-    u = dense_propagator(dense_hamiltonian(grid, params), t, params)
-    return heisenberg_position(u)
 
 
 def wavenumbers(grid):
@@ -106,59 +103,151 @@ def test_hamiltonian_is_exactly_hermitian(small_grid, params):
     assert h.hermiticity_defect() == 0.0
 
 
-def test_propagator_is_unitary(small_grid, params):
+def test_energy_basis_is_unitary(small_grid, params):
+    # U = V E V^dagger is unitary exactly when V is; hold V to 1e-12 for the
+    # real H and for the complex operators of the next test
     h = dense_hamiltonian(small_grid, params)
-    u = dense_propagator(h, 1.0, params)
-    assert u.unitarity_defect() < 1e-12
+    d = np.exp(1j * np.linspace(0.0, 3.0, small_grid.n))
+    for operator in (
+        h,
+        DenseOperator(small_grid, d[:, None] * h.matrix * d.conj()),
+        DenseOperator(small_grid, h.matrix.astype(complex)),
+    ):
+        v = operator._eigh[1]
+        assert np.abs(v.conj().T @ v - np.eye(small_grid.n)).max() < 1e-12
 
 
-def test_propagator_of_a_complex_hamiltonian_matches_the_real_one(small_grid, params):
-    # D H D^dagger, D a diagonal unitary, has the propagator D U D^dagger;
-    # the real H stored as complex has U itself
+def test_propagator_of_a_complex_hamiltonian_matches_the_real_one(
+    small_grid, small_psi, params
+):
+    # D H D^dagger, D a diagonal unitary, evolves psi to D U D^dagger psi; the
+    # real H stored as complex evolves it to U psi
     h = dense_hamiltonian(small_grid, params)
-    u = dense_propagator(h, 1.0, params).matrix
     d = np.exp(1j * np.linspace(0.0, 3.0, small_grid.n))
     rotated = DenseOperator(small_grid, d[:, None] * h.matrix * d.conj())
     stored = DenseOperator(small_grid, h.matrix.astype(complex))
-    for operator, expected in [(rotated, d[:, None] * u * d.conj()), (stored, u)]:
+    back = WavePacket(small_grid, d.conj() * small_psi.amp)
+    expected = (
+        d * evolve_dense(h, back, 1.0, params).amp,
+        evolve_dense(h, small_psi, 1.0, params).amp,
+    )
+    for operator, want in zip((rotated, stored), expected):
         assert operator.matrix.dtype == np.complex128
-        u_c = dense_propagator(operator, 1.0, params)
-        assert u_c.unitarity_defect() < 1e-12
-        assert np.abs(u_c.matrix - expected).max() < 1e-10
+        got = evolve_dense(operator, small_psi, 1.0, params).amp
+        assert np.abs(got - want).max() < 1e-10
 
 
-def test_propagator_matches_factored_evolution(small_grid, small_psi, params):
-    u = dense_propagator(dense_hamiltonian(small_grid, params), 1.0, params)
-    dense_out = u.apply(small_psi)
-    exact_out = evolve_exact(small_psi, params, 1.0)
-    assert l2_distance(dense_out, exact_out) < 1e-10
+def test_propagator_matches_factored_evolution_on_the_default_packet(
+    small_grid, small_psi, params
+):
+    # g = 1 at n = 64 lies outside the property's conservative domain below
+    dense = evolve_dense(dense_hamiltonian(small_grid, params), small_psi, 1.0, params)
+    assert l2_distance(dense, evolve_exact(small_psi, params, 1.0)) < 1e-10
 
 
-def test_propagator_rejects_non_hermitian(small_grid, params):
+# The draws of the property below keep only packets inside a conservative
+# phase-space domain: on the box [-20, 20] the classical mean +- 9 sigma_x
+# stays within |x| <= 14 over [0, t], and |p| + 8 sigma_p <= 0.7 hbar k_max.
+# The routes carry no a-priori phase-space guard, so nothing else defines
+# where the exact route and the oracle must agree; outside it the packet
+# wraps in x or aliases in k.
+def _inside_domain(grid, m, g, t, x0, p0, sigma0):
+    hbar = 1.0
+    times = [0.0, t] + ([p0 / (m * g)] if g != 0.0 and 0.0 < p0 / (m * g) < t else [])
+    mean_x = max(abs(x0 + p0 * s / m - 0.5 * g * s * s) for s in times)
+    sigma_x = math.hypot(sigma0, hbar * t / (2.0 * m * sigma0))
+    mean_p = max(abs(p0), abs(p0 - m * g * t))
+    k_max = math.pi / grid.dx
+    return (
+        sigma0 >= 2.0 * grid.dx
+        and mean_x + 9.0 * sigma_x <= 14.0
+        and mean_p + 8.0 * hbar / (2.0 * sigma0) <= 0.7 * hbar * k_max
+    )
+
+
+@given(
+    m=st.floats(0.5, 3.0),
+    g=st.floats(-2.0, 2.0),
+    t=st.floats(0.0, 2.0),
+    x0=st.floats(-5.0, 5.0),
+    p0=st.floats(-2.0, 2.0),
+    sigma0=st.floats(0.7, 2.0),
+    n=st.sampled_from([64, 128, 256]),
+)
+# at n = 64 the domain is narrow (sigma0 in [1.25, 1.55]), and draws seldom land in it
+@example(m=1.0, g=0.3, t=1.0, x0=0.0, p0=0.0, sigma0=1.5, n=64)
+def test_propagator_matches_factored_evolution(m, g, t, x0, p0, sigma0, n):
+    grid = Grid(-20.0, 20.0, n)
+    assume(_inside_domain(grid, m, g, t, x0, p0, sigma0))
+    pars = PhysicalParams(m=m, g=g)
+    psi = make_gaussian(grid, x0, p0, sigma0, pars)
+    h = dense_hamiltonian(grid, pars)
+    dense = evolve_dense(h, psi, t, pars)
+    assert l2_distance(dense, evolve_exact(psi, pars, t)) < 1e-10
+    assert abs(dense.norm - psi.norm) < 1e-12
+    # commutator_identity's tolerance: rel 1e-6 of hbar t/m |<psi|psi>|, abs 1e-8
+    ov = overlap(psi, psi)
+    expect = -1j * pars.hbar * t / pars.m * ov
+    tol = 1e-6 * (pars.hbar * t / pars.m) * abs(ov) + 1e-8
+    assert abs(commutator_element(psi, psi, h, t, pars) - expect) < tol
+
+
+def test_propagator_rejects_non_hermitian(small_grid, small_psi, params):
     bad = np.zeros((small_grid.n, small_grid.n), dtype=complex)
     bad[0, 1] = 1.0  # no conjugate partner
     with pytest.raises(NotHermitian):
-        dense_propagator(DenseOperator(small_grid, bad), 1.0, params)
+        evolve_dense(DenseOperator(small_grid, bad), small_psi, 1.0, params)
 
 
-def test_heisenberg_position_rejects_non_unitary(small_grid):
-    not_u = DenseOperator(small_grid, 2.0 * np.eye(small_grid.n, dtype=complex))
-    with pytest.raises(NotUnitary):
-        heisenberg_position(not_u)
+def _scaled_column(v):
+    v[:, 0] *= 1.01
+    return v
 
 
-def test_heisenberg_position_mean_follows_the_fall(small_grid, small_psi, params):
-    u = dense_propagator(dense_hamiltonian(small_grid, params), 1.0, params)
-    xt = heisenberg_position(u)
-    val = overlap(small_psi, xt.apply(small_psi))
-    assert val.real == pytest.approx(-0.5, abs=1e-9)  # -g t^2 / 2 from rest
+def _nan_entry(v):
+    v[3, 3] = np.nan
+    return v
+
+
+@pytest.mark.parametrize("edit", [_scaled_column, _nan_entry], ids=["scaled", "nan"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda h, psi, p: evolve_dense(h, psi, 1.0, p),
+        lambda h, psi, p: commutator_element(psi, psi, h, 1.0, p),
+    ],
+    ids=["evolve_dense", "commutator_element"],
+)
+def test_non_orthogonal_eigenvectors_fail_closed(
+    small_grid, small_psi, params, monkeypatch, edit, call
+):
+    # U = V E V^dagger is unitary only for an orthogonal V; a V that is not,
+    # NaN included, must never reach a state
+    real = np.linalg.eigh
+
+    def seeded(a):
+        w, v = real(a)
+        return w, edit(v)
+
+    monkeypatch.setattr(np.linalg, "eigh", seeded)
+    h = dense_hamiltonian(small_grid, params)
+    for _ in range(2):  # a refused decomposition is not cached
+        with pytest.raises(NotUnitary, match="orthogonality"):
+            call(h, small_psi, params)
+
+
+def test_dense_mean_follows_the_fall(small_grid, small_psi, params):
+    # <U psi| X U psi> = -g t^2 / 2 from rest
+    state = evolve_dense(dense_hamiltonian(small_grid, params), small_psi, 1.0, params)
+    mean = float(np.sum(small_grid.x * np.abs(state.amp) ** 2) * small_grid.dx)
+    assert mean == pytest.approx(-0.5, abs=1e-9)
 
 
 def test_commutator_is_minus_i_hbar_t_over_m(small_grid, params):
     psi = make_gaussian(small_grid, 0.0, 0.0, 1.5, params)
     phi = make_gaussian(small_grid, 1.5, 0.0, 1.5, params)
     t = 0.7
-    val = commutator_element(phi, psi, x_of_t(small_grid, params, t))
+    val = commutator_element(phi, psi, dense_hamiltonian(small_grid, params), t, params)
     expected = -1j * params.hbar * t / params.m * overlap(phi, psi)
     assert abs(val - expected) < 1e-6 * abs(expected) + 1e-8
 
@@ -166,75 +255,82 @@ def test_commutator_is_minus_i_hbar_t_over_m(small_grid, params):
 def test_commutator_independent_of_g(small_grid, params):
     psi = make_gaussian(small_grid, 0.0, 0.0, 1.5, params)
     free = PhysicalParams(hbar=1.0, m=1.0, g=0.0, c=10.0)
-    v_g = commutator_element(psi, psi, x_of_t(small_grid, params, 0.5))
-    v_0 = commutator_element(psi, psi, x_of_t(small_grid, free, 0.5))
+    v_g, v_0 = (
+        commutator_element(psi, psi, dense_hamiltonian(small_grid, p), 0.5, p)
+        for p in (params, free)
+    )
     assert abs(v_g - v_0) < 1e-8
 
 
 def test_commutator_guards(small_grid, params, psi0):
-    # the n = 1024 size guard: test_commutator_size_guard_runs_before_any_eigh
+    # the n = 2048 size guard: test_commutator_size_guard_runs_before_any_eigh
     chi = make_gaussian(small_grid, 0.0, 0.0, 1.5, params)
     with pytest.raises(GridMismatch):
-        x_op = DenseOperator(small_grid, np.diag(small_grid.x))
-        commutator_element(chi, psi0, x_op)
+        commutator_element(chi, psi0, dense_hamiltonian(small_grid, params), 1.0, params)
 
 
-def test_propagators_share_one_eigendecomposition_per_hamiltonian(
-    small_grid, params, eigh_calls
-):
+@pytest.mark.parametrize("t", [-0.5, math.nan, math.inf], ids=["negative", "nan", "inf"])
+def test_bad_durations_are_refused(small_grid, small_psi, params, eigh_calls, t):
     h = dense_hamiltonian(small_grid, params)
-    dense_propagator(h, 0.5, params)
-    dense_propagator(h, 1.0, params)
-    assert eigh_calls == [((small_grid.n, small_grid.n), np.float64)]
-    dense_propagator(dense_hamiltonian(small_grid, params), 1.0, params)
-    assert len(eigh_calls) == 2  # a new Hamiltonian object decomposes afresh
-
-
-def test_propagators_from_one_hamiltonian_equal_fresh_ones(small_grid, params):
-    h = dense_hamiltonian(small_grid, params)
-    for t in (0.5, 1.0):
-        shared = dense_propagator(h, t, params)
-        fresh = dense_propagator(dense_hamiltonian(small_grid, params), t, params)
-        assert np.array_equal(shared.matrix, fresh.matrix)
-
-
-def test_commutator_size_guard_runs_before_any_eigh(params, eigh_calls):
-    big = Grid(-20.0, 20.0, 1024)
-    amp = np.zeros(big.n, dtype=complex)
-    amp[big.n // 2] = 1.0
-    spike = WavePacket(big, amp)
-    with pytest.raises(TooLarge):
-        commutator_element(spike, spike, DenseOperator(big, np.diag(big.x)))
+    with pytest.raises(NegativeTime, match="t must be finite and >= 0"):
+        evolve_dense(h, small_psi, t, params)
+    with pytest.raises(NegativeTime, match="t must be finite and >= 0"):
+        commutator_element(small_psi, small_psi, h, t, params)
     assert eigh_calls == []
 
 
-def test_nan_entry_fails_the_hermiticity_check(small_grid, params):
+def test_propagators_share_one_eigendecomposition_per_hamiltonian(
+    small_grid, small_psi, params, eigh_calls
+):
+    h = dense_hamiltonian(small_grid, params)
+    evolve_dense(h, small_psi, 0.5, params)
+    evolve_dense(h, small_psi, 1.0, params)
+    commutator_element(small_psi, small_psi, h, 1.0, params)
+    assert eigh_calls == [((small_grid.n, small_grid.n), np.float64)]
+    evolve_dense(dense_hamiltonian(small_grid, params), small_psi, 1.0, params)
+    assert len(eigh_calls) == 2  # a new Hamiltonian object decomposes afresh
+
+
+def test_propagators_from_one_hamiltonian_equal_fresh_ones(small_grid, small_psi, params):
+    h = dense_hamiltonian(small_grid, params)
+    for t in (0.5, 1.0):
+        shared = evolve_dense(h, small_psi, t, params)
+        fresh = evolve_dense(dense_hamiltonian(small_grid, params), small_psi, t, params)
+        assert np.array_equal(shared.amp, fresh.amp)
+
+
+def test_commutator_size_guard_runs_before_any_eigh(params, eigh_calls):
+    big = Grid(-20.0, 20.0, 2048)
+    amp = np.zeros(big.n, dtype=complex)
+    amp[big.n // 2] = 1.0
+    spike = WavePacket(big, amp)
+    h = DenseOperator(big, np.diag(big.x))
+    with pytest.raises(TooLarge):
+        commutator_element(spike, spike, h, 1.0, params)
+    with pytest.raises(TooLarge):
+        evolve_dense(h, spike, 1.0, params)
+    assert eigh_calls == []
+
+
+def test_nan_entry_fails_the_hermiticity_check(small_grid, small_psi, params):
     m = np.eye(small_grid.n, dtype=complex)
     m[3, 3] = np.nan
     with pytest.raises(NotHermitian):
-        dense_propagator(DenseOperator(small_grid, m), 1.0, params)
+        evolve_dense(DenseOperator(small_grid, m), small_psi, 1.0, params)
 
 
-def test_nan_gravity_hamiltonian_fails_the_hermiticity_check(small_grid):
+def test_nan_gravity_hamiltonian_fails_the_hermiticity_check(small_grid, small_psi):
     # PhysicalParams rejects a NaN g; force one past it, so that the oracle's
     # own guard is shown to fail closed on what reaches it.
     pars = PhysicalParams(hbar=1.0, m=1.0, g=1.0, c=10.0)
     object.__setattr__(pars, "g", float("nan"))
     with pytest.raises(NotHermitian):
-        dense_propagator(dense_hamiltonian(small_grid, pars), 1.0, pars)
+        evolve_dense(dense_hamiltonian(small_grid, pars), small_psi, 1.0, pars)
 
 
-def test_nan_entry_fails_the_unitarity_check(small_grid):
-    m = np.eye(small_grid.n, dtype=complex)
-    m[3, 3] = np.nan
-    with pytest.raises(NotUnitary):
-        heisenberg_position(DenseOperator(small_grid, m))
-
-
-def test_matrix_element_grid_mismatch(small_grid, small_psi, psi0):
-    xop = DenseOperator(small_grid, np.diag(small_grid.x))
+def test_evolution_grid_mismatch(small_grid, params, psi0):
     with pytest.raises(GridMismatch):
-        overlap(psi0, xop.apply(small_psi))
+        evolve_dense(dense_hamiltonian(small_grid, params), psi0, 1.0, params)
 
 
 def test_ground_state_localizes_at_the_potential_floor(params):
@@ -257,17 +353,21 @@ def test_ground_state_localizes_at_the_potential_floor(params):
 @pytest.mark.parametrize("g", [0.0, 1.0])
 def test_commutator_element_equals_the_dense_commutator(small_grid, rng, g):
     # random complex states, zero on the outer quarter at each end so that
-    # they pass the margin check; the reference builds X_t X - X X_t, and the
-    # scale is the sum of the two terms' magnitudes
+    # they pass the margin check.  The reference builds X_t X - X X_t from
+    # U = expm(-i H t/hbar), independent of the oracle's own eigh; the scale
+    # is the sum of the two terms' magnitudes
+    expm = pytest.importorskip("scipy.linalg").expm
     pars = PhysicalParams(hbar=1.0, m=1.0, g=g, c=10.0)
-    x_t = x_of_t(small_grid, pars, 0.7)
+    h, t = dense_hamiltonian(small_grid, pars), 0.7
+    u = expm(-1j * h.matrix * t / pars.hbar)
     n, x, dx = small_grid.n, small_grid.x, small_grid.dx
+    x_t = u.conj().T @ (x[:, None] * u)
     amps = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
     amps[:, : n // 4] = amps[:, -n // 4 :] = 0.0
     phi, psi = (WavePacket(small_grid, amp) for amp in amps)
-    comm = x_t.matrix @ np.diag(x) - np.diag(x) @ x_t.matrix
+    comm = x_t @ np.diag(x) - np.diag(x) @ x_t
     want = np.vdot(phi.amp, comm @ psi.amp) * dx
-    a_phi, a_xt, a_psi = np.abs(phi.amp), np.abs(x_t.matrix), np.abs(psi.amp)
+    a_phi, a_xt, a_psi = np.abs(phi.amp), np.abs(x_t), np.abs(psi.amp)
     a_x = np.abs(x)
     scale = (a_phi @ (a_xt @ (a_x * a_psi)) + (a_phi * a_x) @ (a_xt @ a_psi)) * dx
-    assert abs(commutator_element(phi, psi, x_t) - want) <= 1e-12 * scale
+    assert abs(commutator_element(phi, psi, h, t, pars) - want) <= 1e-12 * scale

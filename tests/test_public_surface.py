@@ -43,6 +43,8 @@ REMOVED = {
     "ConvergenceRow",
     "fourier_matrix",
     "free_evolve",
+    "heisenberg_position",
+    "dense_propagator",
 }
 
 

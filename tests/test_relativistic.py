@@ -195,13 +195,35 @@ def test_simpson_matches_scipy_on_clock_rates(scipy_simpson, t, x0, v0, g, c):
     "field, bits",
     [
         ("proper_time", "0x1.fe49c5edbf080p-1"),
-        ("action", "-0x1.565d5e42c1c00p-2"),
+        ("action", "-0x1.565d5e42c1bbcp-2"),
         ("nr_action", "-0x1.5555555555554p-2"),
-        ("abs_error", "0x1.0808ed6c6ac00p-10"),
+        ("abs_error", "0x1.0808ed6c6669ap-10"),
     ],
 )
 def test_rel_action_bits_on_default_params(field, bits):
-    # the values scipy.integrate.simpson gave on verify's limit-check path
+    # the values scipy.integrate.simpson gives on verify's limit-check path,
+    # with the integrands of rel_action's rearranged form
     params = PhysicalParams()
     res = rel_action(free_fall_trajectory(0.0, 0.0, params), 1.0, params)
     assert getattr(res, field).hex() == bits
+
+
+@pytest.mark.parametrize(
+    "traj",
+    [free_fall_trajectory(0.0, 0.0, PhysicalParams()), Trajectory(0.3, 0.7, g=0.5)],
+    ids=["free_fall", "thrown"],
+)
+def test_action_gap_keeps_its_c_minus_two_law_at_large_c(traj):
+    # formed as m c^2 (tau - t) minus nr_action, c^2 |S - nr_action| on the
+    # free-fall path read 0.538, 275.8 and 4.4e7 at c = 1e4, 1e5 and 1e6,
+    # against 0.1000 at c = 1e3: the difference cancelled to rounding
+    def scaled(c):
+        return c * c * rel_action(traj, 1.0, PhysicalParams(c=c)).abs_error
+
+    reference = scaled(1e3)
+    for c in (1e4, 1e5, 1e6):
+        assert abs(scaled(c) - reference) < 1e-6
+    # errors of 1e-15 to 1e-19 are still exact, and still fitted
+    for cs in ([1e4, 1e5, 1e6], [1e7, 1e8, 1e9]):
+        report = nr_limit_check(traj, 1.0, PhysicalParams(), cs)
+        assert report.fitted_order == pytest.approx(-2.0, abs=1e-6)

@@ -31,7 +31,7 @@ t = 1.0
 
 exact = evolve_exact(psi0, params, t)
 split = evolve_split_step(psi0, params, t, SolverConfig(2048))
-dense = evolve_dense(dense_hamiltonian(grid, params), psi0, t, params)
+dense = evolve_dense(dense_hamiltonian(grid, params), psi0, t)
 
 print("pairwise L2 distances at t = 1:")
 print(f"  factored vs dense  : {l2_distance(exact, dense):.3e}")

@@ -20,7 +20,8 @@ check no angle: evolve_exact and shift_packet check each row's phase angles
 once, before they build any phase.
 evolve_piecewise and the protocol share one segment loop, _segment_chain,
 which takes the propagator of a segment as a callable.  Three rules keep
-every row bit-identical to a single-row call:
+every row bit-identical to a single-row call, and a fourth halves the cost of
+the k-space phases without changing a bit:
 
 - each row's phase is built from that row's scalar with the single-row
   expression; rows whose scalars have equal bits share one evaluation;
@@ -34,7 +35,18 @@ every row bit-identical to a single-row call:
   ``amp = amp * np.exp(...)`` is not safe: once the stack reaches 256 KiB
   numpy reuses the temporary on the right as the output, which swaps the
   operands, and its fused complex multiply then rounds the imaginary part
-  differently.
+  differently;
+- the k-space phases, free flight's e^{-i hbar t k^2/(2m)} and the shift's
+  e^{+i k a}, are built on half the spectrum, the nodes k_0 .. k_{n/2}
+  (Nyquist included), and mirrored onto the rest: free flight's as it is,
+  the shift's conjugated.  This is exact, not an approximation: fftfreq
+  gives k_{-j} = -k_j to the bit, so node n - j's angle is node j's
+  (free flight) or its negation (the shift) to the bit, and the real part
+  of each exponent is a zero of either sign; e^{+-0 + i theta} has the
+  same bits for either zero, cos is even and sin odd.  An angle that is
+  zero takes its sign from its own node (_k_phase).  The kick's
+  e^{-i slope x/hbar} is built on every node, since the nodes of x carry
+  no such symmetry.
 
 The boundary margin is re-checked over every distinct shift-stage row and
 over every row after free flight; it fails closed on NaN and names the first
@@ -128,6 +140,42 @@ def _apply_phases(amp: np.ndarray, values, phase, built=None) -> None:
         row *= built[key]
 
 
+def _k_phase(grid: Grid, exponent, odd: bool) -> np.ndarray:
+    """e^{exponent(grid.k)}, with np.exp run on the nodes k_0 .. k_{n/2} only.
+
+    Node n - j takes node j's phase for an even exponent and its conjugate
+    for an odd one; see the module docstring for why this is exact.  A zero
+    angle is the exception: its sign comes from its own node's arithmetic,
+    which neither rule predicts, so each mirrored node whose angle at j is
+    +-0 takes the imaginary part of its own exponent, e^{+-0 + i(+-0)} being
+    1 with that zero.  Each exponent's |angle| grows with |k|, rounding
+    included, so only when node 1's angle is zero can another node's be.
+    """
+    n, h = grid.n, grid.n // 2 + 1
+    half = exponent(grid.k[:h])
+    full = np.empty(n, dtype=np.complex128)
+    np.exp(half, out=full[:h])
+    mirror = full[h - 2 : 0 : -1]
+    if odd:
+        np.conjugate(mirror, out=full[h:])
+    else:
+        full[h:] = mirror
+    if half[1].imag == 0:
+        nodes = n - 1 - np.flatnonzero(half.imag[1 : h - 1] == 0)
+        full.imag[nodes] = exponent(grid.k[nodes]).imag
+    return full
+
+
+def _shift_phase(grid: Grid, a: float) -> np.ndarray:
+    """The fall shift's k-space phase e^{+i k a}, odd in k."""
+    return _k_phase(grid, lambda k: 1j * k * a, odd=True)
+
+
+def _free_phase(grid: Grid, hbar: float, m: float, t: float) -> np.ndarray:
+    """Free flight's k-space phase e^{-i hbar t k^2/(2 m)}, even in k."""
+    return _k_phase(grid, lambda k: -0.5j * hbar * t * k * k / m, odd=False)
+
+
 # Fall-shift phases e^{+i k a} by grid and bits of a, shared by every shift
 # inside a `with _SharedFallPhases():` block; None outside one.
 _FALL_PHASES: ContextVar[dict | None] = ContextVar("_FALL_PHASES", default=None)
@@ -186,7 +234,7 @@ def _shift(
     _apply_phases(
         amp,
         [shifts[r] for r in pair_rows],
-        lambda a: np.exp(1j * grid.k * a),
+        lambda a: _shift_phase(grid, a),
         None if shared is None else shared.setdefault(grid, {}),
     )
     np.fft.ifft(amp, out=amp)
@@ -213,7 +261,7 @@ def _free(
     amp: np.ndarray, grid: Grid, hbar: float, m: float, times: list[float]
 ) -> None:
     """Free flight per row of a k-space stack: e^{-i hbar t k^2/(2 m)}, then to x."""
-    _apply_phases(amp, times, lambda t: np.exp(-0.5j * hbar * t * grid.k * grid.k / m))
+    _apply_phases(amp, times, lambda t: _free_phase(grid, hbar, m, t))
     np.fft.ifft(amp, out=amp)
 
 
@@ -257,7 +305,7 @@ def apply_global_phase(psi: WavePacket, theta: float) -> WavePacket:
     _require_finite_scalars("apply_global_phase", theta=theta)
     amp = _stack([psi])
     _rotate(amp, [theta])
-    return WavePacket(psi.grid, amp[0])
+    return _packets(psi.grid, amp, False)
 
 
 def evolve_exact(

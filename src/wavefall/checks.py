@@ -67,7 +67,7 @@ def _factorization_vs_dense_oracle(cfg: RunConfig, rng) -> dict:
     psi = _start_packet(cfg, grid)
     t = 1.0
     direct = evolve_exact(psi, cfg.params, t)
-    dense = evolve_dense(dense_hamiltonian(grid, cfg.params), psi, t, cfg.params)
+    dense = evolve_dense(dense_hamiltonian(grid, cfg.params), psi, t)
     dist = l2_distance(direct, dense)
     return dict(
         passed=dist < 1e-6,
@@ -133,7 +133,7 @@ def _commutator_identity(cfg: RunConfig, rng) -> dict:
         h = dense_hamiltonian(grid, pars)
         for t in (0.5, 1.0):
             for bra, ket in ((psi, psi), (phi, psi)):
-                elem = commutator_element(bra, ket, h, t, pars)
+                elem = commutator_element(bra, ket, h, t)
                 ov = overlap(bra, ket)
                 expect = -1j * pars.hbar * t / pars.m * ov
                 tol = 1e-6 * (pars.hbar * t / pars.m) * abs(ov) + 1e-8

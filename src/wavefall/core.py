@@ -394,8 +394,19 @@ def _stack(psis: list[WavePacket]) -> np.ndarray:
 
 
 def _packets(grid: Grid, amp: np.ndarray, batched: bool):
-    """One WavePacket per row of a stack; the bare packet for a single call."""
-    out = [WavePacket(grid, a) for a in amp]
+    """One WavePacket per row of a stack; the bare packet for a single call.
+
+    amp must be the caller's own fresh (rows, n) complex stack: it is frozen
+    read-only and each packet's amp is a view of its row, not a copy, so a
+    packet that is kept holds the whole stack alive.
+    """
+    amp.setflags(write=False)
+    out = []
+    for row in amp:
+        psi = object.__new__(WavePacket)
+        object.__setattr__(psi, "grid", grid)
+        object.__setattr__(psi, "amp", row)
+        out.append(psi)
     return out if batched else out[0]
 
 

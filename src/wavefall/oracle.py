@@ -18,12 +18,21 @@ cannot go stale; nothing is cached across objects.  Every guard compares as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import Grid, PhysicalParams, WavePacket, _frozen, _require_times, check_margin
+from .core import (
+    Grid,
+    PhysicalParams,
+    WavePacket,
+    _frozen,
+    _require_finite,
+    _require_times,
+    check_margin,
+)
 from .errors import GridMismatch, NotHermitian, NotUnitary, TooLarge
 
 __all__ = [
@@ -38,12 +47,20 @@ MAX_DENSE_N = 1024
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """An n x n matrix acting on position amplitudes of one Grid; real stays real."""
+    """An n x n Hamiltonian on position amplitudes of one Grid; real stays real.
+
+    hbar is the quantum scale its evolution U(t) = e^{-i H t/hbar} uses, so
+    an operator cannot be evolved with a hbar other than the one it was
+    built with; it must be finite and positive (ValueError otherwise).
+    """
 
     grid: Grid
     matrix: np.ndarray
+    hbar: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise ValueError(f"hbar must be finite and positive, got {self.hbar}")
         matrix = _frozen(self.matrix, (self.grid.n,) * 2, "matrix", keep_real=True)
         object.__setattr__(self, "matrix", matrix)
 
@@ -82,7 +99,7 @@ def dense_hamiltonian(grid: Grid, params: PhysicalParams) -> DenseOperator:
     lattice's spectral kinetic term, summed in closed form (Marston and
     Balint-Kurti, J. Chem. Phys. 91, 3571, 1989; Colbert and Miller, J. Chem.
     Phys. 96, 1982, 1992).  Indexing by |j - l| makes H exactly symmetric.
-    Guarded at n <= 1024.
+    The operator records params.hbar.  Guarded at n <= 1024.
     """
     if grid.n > MAX_DENSE_N:
         raise TooLarge(f"dense_hamiltonian: n={grid.n} exceeds the {MAX_DENSE_N} guard")
@@ -91,7 +108,7 @@ def dense_hamiltonian(grid: Grid, params: PhysicalParams) -> DenseOperator:
     c[1:] /= np.sin(np.pi * d[1:] / grid.n) ** 2
     c[0] *= (grid.n**2 + 2) / 6.0  # (hbar^2/2m) (pi/dx)^2 (1 + 2/n^2)/3
     h = c[np.abs(d[:, None] - d)] + np.diag(params.m * params.g * grid.x)
-    return DenseOperator(grid, h)
+    return DenseOperator(grid, h, params.hbar)
 
 
 def _times(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -99,26 +116,24 @@ def _times(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return a.real @ m + 1j * (a.imag @ m)
 
 
-def _evolve(
-    hamiltonian: DenseOperator, amps: np.ndarray, t: float, params: PhysicalParams
-) -> np.ndarray:
+def _evolve(hamiltonian: DenseOperator, amps: np.ndarray, t: float) -> np.ndarray:
     """U(t) applied to each row of amps: V (e^{-i w t/hbar} * (V^dagger a))."""
     w, v = hamiltonian._eigh
-    energy = _times(amps, v.conj()) * np.exp(-1j * w * t / params.hbar)
+    energy = _times(amps, v.conj()) * np.exp(-1j * w * t / hamiltonian.hbar)
     return _times(energy, v.T)
 
 
-def evolve_dense(
-    hamiltonian: DenseOperator, psi: WavePacket, t: float, params: PhysicalParams
-) -> WavePacket:
-    """U(t) psi in the energy basis of `hamiltonian`, four real matrix-vector
-    products for a real H.  GridMismatch off the operator's grid, NegativeTime
-    for a t that is negative or not finite.
+def evolve_dense(hamiltonian: DenseOperator, psi: WavePacket, t: float) -> WavePacket:
+    """U(t) psi in the energy basis of `hamiltonian`, with its own hbar; four
+    real matrix-vector products for a real H.  GridMismatch off the operator's
+    grid, NegativeTime for a t that is negative or not finite, NonFiniteState
+    naming the node for a start state holding NaN or inf.
     """
     if psi.grid != hamiltonian.grid:
         raise GridMismatch("evolve_dense: operator and state grids differ")
     _require_times("evolve_dense", [t])
-    return WavePacket(psi.grid, _evolve(hamiltonian, psi.amp, t, params))
+    _require_finite(psi.amp[None], "evolve_dense start state", False)
+    return WavePacket(psi.grid, _evolve(hamiltonian, psi.amp, t))
 
 
 def commutator_element(
@@ -126,7 +141,6 @@ def commutator_element(
     psi: WavePacket,
     hamiltonian: DenseOperator,
     t: float,
-    params: PhysicalParams,
 ) -> complex:
     """<phi| [x(t), x(0)] |psi> with x(t) = U^dagger X U, by dense algebra.
 
@@ -137,16 +151,19 @@ def commutator_element(
     -i hbar t / m * <phi|psi>, independent of g, to within
     1e-6 * (hbar t / m) * |<phi|psi>| + 1e-8: x(t) = x + p t/m - g t^2/2 in
     the Heisenberg picture, so only the p term survives the commutator.
-    Poorly localized inputs raise GridOverflow.
+    Poorly localized inputs raise GridOverflow, and a state holding NaN or
+    inf raises NonFiniteState naming phi or psi and the node.
     """
     grid = hamiltonian.grid
     if phi.grid != grid or psi.grid != grid:
         raise GridMismatch("commutator_element: state grids differ from operator grid")
     _require_times("commutator_element", [t])
+    _require_finite(phi.amp[None], "commutator_element (phi)", False)
+    _require_finite(psi.amp[None], "commutator_element (psi)", False)
     check_margin(phi, "commutator_element (phi)")
     check_margin(psi, "commutator_element (psi)")
     x = grid.x
     u_phi, u_x_phi, u_psi, u_x_psi = _evolve(
-        hamiltonian, np.stack([phi.amp, x * phi.amp, psi.amp, x * psi.amp]), t, params
+        hamiltonian, np.stack([phi.amp, x * phi.amp, psi.amp, x * psi.amp]), t
     )
     return complex((np.vdot(u_phi, x * u_x_psi) - np.vdot(u_x_phi, x * u_psi)) * grid.dx)

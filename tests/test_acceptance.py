@@ -59,7 +59,7 @@ def test_exact_propagator_matches_dense_oracle():
     # the factored product and evolution in the eigenbasis of H are two
     # independent routes to the same unitary
     psi = canonical_packet()
-    dense = evolve_dense(dense_hamiltonian(GRID, PARAMS), psi, 1.0, PARAMS)
+    dense = evolve_dense(dense_hamiltonian(GRID, PARAMS), psi, 1.0)
     err = l2_distance(evolve_exact(psi, PARAMS, 1.0), dense)
     report(
         "exact_propagator_matches_dense_oracle",
@@ -102,7 +102,7 @@ def test_position_commutator_identity():
         h = dense_hamiltonian(GRID, pr)
         for t in (0.5, 1.0):
             for bra, ket in ((psi, psi), (phi, psi)):
-                val = commutator_element(bra, ket, h, t, pr)
+                val = commutator_element(bra, ket, h, t)
                 ov = overlap(bra, ket)
                 expected = -1j * pr.hbar * t / pr.m * ov
                 tol = 1e-6 * (pr.hbar * t / pr.m) * abs(ov) + 1e-8

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from wavefall import (
@@ -254,6 +254,50 @@ def test_batched_exact_rows_equal_single_calls(rows):
     assert len(batch) == len(rows)
     for psi, p, t, row in zip(starts, pars, times, batch):
         assert row.amp.tobytes() == evolve_exact(psi, p, t).amp.tobytes()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint64)
+
+
+# The k-space phases run np.exp on k_0 .. k_{n/2} only and mirror the rest.
+# That is exact because fftfreq gives k_{-j} = -k_j to the bit, e^{+-0 + i
+# theta} has the same bits for either zero and sin is odd; a zero angle
+# keeps the sign its own node gives it.  t and a of 0.0 and -0.0, and
+# angles that underflow to zero, are drawn on their own.
+@given(
+    n=st.sampled_from([2**p for p in range(3, 13)]),
+    bounds=st.tuples(FINITE, FINITE),
+    hbar=POSITIVE,
+    m=POSITIVE,
+    t=st.one_of(st.just(0.0), st.just(-0.0), st.just(5e-324), POSITIVE),
+    a=st.one_of(st.just(0.0), st.just(-0.0), st.just(5e-324), st.just(-5e-324), FINITE),
+)
+@example(n=64, bounds=(-20.0, 20.0), hbar=1.0, m=1.0, t=0.0, a=-0.0)
+@example(n=64, bounds=(-20.0, 20.0), hbar=1.0, m=1.0, t=1e-320, a=-5e-324)
+def test_half_spectrum_phases_equal_the_full_spectrum_bit_for_bit(
+    n, bounds, hbar, m, t, a
+):
+    try:
+        grid = Grid(*bounds, n)
+    except ValueError:
+        assume(False)
+    # a span near the float floor leaves dx = 0 or k infinite
+    assume(grid.dx > 0)
+    with np.errstate(all="ignore"):
+        assume(np.isfinite(grid.k).all())
+    k_max = float(np.abs(grid.k).max())
+    # the entry points refuse a phase whose largest angle is not finite
+    assume(math.isfinite(analytic._free_angle(hbar, m, t, k_max)))
+    assume(math.isfinite(analytic._shift_angle(a, k_max)))
+    free = np.exp(-0.5j * hbar * t * grid.k * grid.k / m)
+    shift = np.exp(1j * grid.k * a)
+    assert np.array_equal(_bits(analytic._free_phase(grid, hbar, m, t)), _bits(free))
+    assert np.array_equal(_bits(analytic._shift_phase(grid, a)), _bits(shift))
 
 
 def test_rows_of_a_stack_above_256_kib_equal_single_calls():

@@ -15,13 +15,17 @@ from wavefall import (
     GridOverflow,
     NonFiniteState,
     PhysicalParams,
+    SolverConfig,
     Trajectory,
     WavePacket,
+    apply_global_phase,
     evolve_exact,
+    evolve_split_step,
     l2_distance,
     make_gaussian,
     moments,
     overlap,
+    shift_packet,
 )
 from wavefall.core import (
     MARGIN_AMPLITUDE,
@@ -106,8 +110,31 @@ def test_wavepacket_amp_is_copied_and_readonly(grid):
     psi = WavePacket(grid, raw)
     raw[0] = 0.0
     assert psi.amp[0] == 1.0
+    assert not np.shares_memory(psi.amp, raw)
     with pytest.raises(ValueError):
         psi.amp[0] = 2.0
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda psi, params: evolve_exact(psi, params, [0.3, 0.6]),
+        lambda psi, params: shift_packet(psi, [0.5, -0.5]),
+        lambda psi, params: evolve_split_step(psi, params, [0.3, 0.6], SolverConfig(4)),
+        lambda psi, params: [apply_global_phase(psi, 0.4)],
+    ],
+    ids=["evolve_exact", "shift_packet", "evolve_split_step", "apply_global_phase"],
+)
+def test_kernel_packets_are_read_only_rows(psi0, params, kernel):
+    # a kernel hands out the rows of its own fresh stack, not copies of them
+    packets = kernel(psi0, params)
+    stack = packets[0].amp.base
+    assert stack is not None and all(psi.amp.base is stack for psi in packets)
+    for psi in packets:
+        assert not psi.amp.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            psi.amp[0] = 2.0
+        assert not np.shares_memory(psi.amp, psi0.amp)
 
 
 def test_gaussian_is_normalized_with_requested_moments(grid, params):

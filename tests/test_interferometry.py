@@ -212,6 +212,14 @@ def test_one_chunk_analytic_scan_shares_its_transforms(
     # N + 1 shift, N free-flight, N + 1 kick and N + 1 global phases, and two
     # for the Gaussian test; the recentering builds none of its own
     assert len(exps) == 4 * n + 5
+    # np.exp runs on k_0 .. k_{n/2} for each k-space phase (shift and free
+    # flight), on every node for each kick and for the Gaussian test, and on
+    # one value for each global phase
+    half = psi0.grid.n // 2 + 1
+    sizes = sorted(np.size(args[0]) for args in exps)
+    assert sizes == sorted(
+        [half] * (2 * n + 1) + [psi0.grid.n] * (n + 3) + [1] * (n + 1)
+    )
     # the shared fall-shift phases went with the chunk
     assert analytic._FALL_PHASES.get() is None
 

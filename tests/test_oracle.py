@@ -14,6 +14,7 @@ from wavefall import (
     Grid,
     GridMismatch,
     NegativeTime,
+    NonFiniteState,
     NotHermitian,
     NotUnitary,
     PhysicalParams,
@@ -110,8 +111,8 @@ def test_energy_basis_is_unitary(small_grid, params):
     d = np.exp(1j * np.linspace(0.0, 3.0, small_grid.n))
     for operator in (
         h,
-        DenseOperator(small_grid, d[:, None] * h.matrix * d.conj()),
-        DenseOperator(small_grid, h.matrix.astype(complex)),
+        DenseOperator(small_grid, d[:, None] * h.matrix * d.conj(), params.hbar),
+        DenseOperator(small_grid, h.matrix.astype(complex), params.hbar),
     ):
         v = operator._eigh[1]
         assert np.abs(v.conj().T @ v - np.eye(small_grid.n)).max() < 1e-12
@@ -124,16 +125,16 @@ def test_propagator_of_a_complex_hamiltonian_matches_the_real_one(
     # real H stored as complex evolves it to U psi
     h = dense_hamiltonian(small_grid, params)
     d = np.exp(1j * np.linspace(0.0, 3.0, small_grid.n))
-    rotated = DenseOperator(small_grid, d[:, None] * h.matrix * d.conj())
-    stored = DenseOperator(small_grid, h.matrix.astype(complex))
+    rotated = DenseOperator(small_grid, d[:, None] * h.matrix * d.conj(), params.hbar)
+    stored = DenseOperator(small_grid, h.matrix.astype(complex), params.hbar)
     back = WavePacket(small_grid, d.conj() * small_psi.amp)
     expected = (
-        d * evolve_dense(h, back, 1.0, params).amp,
-        evolve_dense(h, small_psi, 1.0, params).amp,
+        d * evolve_dense(h, back, 1.0).amp,
+        evolve_dense(h, small_psi, 1.0).amp,
     )
     for operator, want in zip((rotated, stored), expected):
         assert operator.matrix.dtype == np.complex128
-        got = evolve_dense(operator, small_psi, 1.0, params).amp
+        got = evolve_dense(operator, small_psi, 1.0).amp
         assert np.abs(got - want).max() < 1e-10
 
 
@@ -141,7 +142,7 @@ def test_propagator_matches_factored_evolution_on_the_default_packet(
     small_grid, small_psi, params
 ):
     # g = 1 at n = 64 lies outside the property's conservative domain below
-    dense = evolve_dense(dense_hamiltonian(small_grid, params), small_psi, 1.0, params)
+    dense = evolve_dense(dense_hamiltonian(small_grid, params), small_psi, 1.0)
     assert l2_distance(dense, evolve_exact(small_psi, params, 1.0)) < 1e-10
 
 
@@ -182,21 +183,21 @@ def test_propagator_matches_factored_evolution(m, g, t, x0, p0, sigma0, n):
     pars = PhysicalParams(m=m, g=g)
     psi = make_gaussian(grid, x0, p0, sigma0, pars)
     h = dense_hamiltonian(grid, pars)
-    dense = evolve_dense(h, psi, t, pars)
+    dense = evolve_dense(h, psi, t)
     assert l2_distance(dense, evolve_exact(psi, pars, t)) < 1e-10
     assert abs(dense.norm - psi.norm) < 1e-12
     # commutator_identity's tolerance: rel 1e-6 of hbar t/m |<psi|psi>|, abs 1e-8
     ov = overlap(psi, psi)
     expect = -1j * pars.hbar * t / pars.m * ov
     tol = 1e-6 * (pars.hbar * t / pars.m) * abs(ov) + 1e-8
-    assert abs(commutator_element(psi, psi, h, t, pars) - expect) < tol
+    assert abs(commutator_element(psi, psi, h, t) - expect) < tol
 
 
 def test_propagator_rejects_non_hermitian(small_grid, small_psi, params):
     bad = np.zeros((small_grid.n, small_grid.n), dtype=complex)
     bad[0, 1] = 1.0  # no conjugate partner
     with pytest.raises(NotHermitian):
-        evolve_dense(DenseOperator(small_grid, bad), small_psi, 1.0, params)
+        evolve_dense(DenseOperator(small_grid, bad, params.hbar), small_psi, 1.0)
 
 
 def _scaled_column(v):
@@ -213,8 +214,8 @@ def _nan_entry(v):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda h, psi, p: evolve_dense(h, psi, 1.0, p),
-        lambda h, psi, p: commutator_element(psi, psi, h, 1.0, p),
+        lambda h, psi: evolve_dense(h, psi, 1.0),
+        lambda h, psi: commutator_element(psi, psi, h, 1.0),
     ],
     ids=["evolve_dense", "commutator_element"],
 )
@@ -233,12 +234,12 @@ def test_non_orthogonal_eigenvectors_fail_closed(
     h = dense_hamiltonian(small_grid, params)
     for _ in range(2):  # a refused decomposition is not cached
         with pytest.raises(NotUnitary, match="orthogonality"):
-            call(h, small_psi, params)
+            call(h, small_psi)
 
 
 def test_dense_mean_follows_the_fall(small_grid, small_psi, params):
     # <U psi| X U psi> = -g t^2 / 2 from rest
-    state = evolve_dense(dense_hamiltonian(small_grid, params), small_psi, 1.0, params)
+    state = evolve_dense(dense_hamiltonian(small_grid, params), small_psi, 1.0)
     mean = float(np.sum(small_grid.x * np.abs(state.amp) ** 2) * small_grid.dx)
     assert mean == pytest.approx(-0.5, abs=1e-9)
 
@@ -247,7 +248,7 @@ def test_commutator_is_minus_i_hbar_t_over_m(small_grid, params):
     psi = make_gaussian(small_grid, 0.0, 0.0, 1.5, params)
     phi = make_gaussian(small_grid, 1.5, 0.0, 1.5, params)
     t = 0.7
-    val = commutator_element(phi, psi, dense_hamiltonian(small_grid, params), t, params)
+    val = commutator_element(phi, psi, dense_hamiltonian(small_grid, params), t)
     expected = -1j * params.hbar * t / params.m * overlap(phi, psi)
     assert abs(val - expected) < 1e-6 * abs(expected) + 1e-8
 
@@ -256,7 +257,7 @@ def test_commutator_independent_of_g(small_grid, params):
     psi = make_gaussian(small_grid, 0.0, 0.0, 1.5, params)
     free = PhysicalParams(hbar=1.0, m=1.0, g=0.0, c=10.0)
     v_g, v_0 = (
-        commutator_element(psi, psi, dense_hamiltonian(small_grid, p), 0.5, p)
+        commutator_element(psi, psi, dense_hamiltonian(small_grid, p), 0.5)
         for p in (params, free)
     )
     assert abs(v_g - v_0) < 1e-8
@@ -266,36 +267,76 @@ def test_commutator_guards(small_grid, params, psi0):
     # the n = 2048 size guard: test_commutator_size_guard_runs_before_any_eigh
     chi = make_gaussian(small_grid, 0.0, 0.0, 1.5, params)
     with pytest.raises(GridMismatch):
-        commutator_element(chi, psi0, dense_hamiltonian(small_grid, params), 1.0, params)
+        commutator_element(chi, psi0, dense_hamiltonian(small_grid, params), 1.0)
 
 
 @pytest.mark.parametrize("t", [-0.5, math.nan, math.inf], ids=["negative", "nan", "inf"])
 def test_bad_durations_are_refused(small_grid, small_psi, params, eigh_calls, t):
     h = dense_hamiltonian(small_grid, params)
     with pytest.raises(NegativeTime, match="t must be finite and >= 0"):
-        evolve_dense(h, small_psi, t, params)
+        evolve_dense(h, small_psi, t)
     with pytest.raises(NegativeTime, match="t must be finite and >= 0"):
-        commutator_element(small_psi, small_psi, h, t, params)
+        commutator_element(small_psi, small_psi, h, t)
     assert eigh_calls == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_states_are_refused_before_any_product(
+    small_grid, small_psi, params, eigh_calls, bad
+):
+    amp = small_psi.amp.copy()
+    amp[32] = bad
+    broken = WavePacket(small_grid, amp)
+    h = dense_hamiltonian(small_grid, params)
+    with pytest.raises(NonFiniteState, match=r"^evolve_dense start state: .* node 32$"):
+        evolve_dense(h, broken, 1.0)
+    for args, which in (((broken, small_psi), "phi"), ((small_psi, broken), "psi")):
+        with pytest.raises(
+            NonFiniteState, match=rf"^commutator_element \({which}\): .* node 32$"
+        ):
+            commutator_element(*args, h, 1.0)
+    assert eigh_calls == []
+
+
+def test_operator_evolves_with_the_hbar_it_was_built_with(small_grid, params):
+    pars = PhysicalParams(hbar=2.0, m=1.0, g=1.0, c=10.0)
+    psi = make_gaussian(small_grid, 0.0, 0.0, 1.5, pars)
+    h = dense_hamiltonian(small_grid, pars)
+    assert h.hbar == 2.0
+    assert l2_distance(evolve_dense(h, psi, 1.0), evolve_exact(psi, pars, 1.0)) < 1e-6
+    # the same matrix declared with hbar = 1 is another evolution
+    other = DenseOperator(small_grid, h.matrix, params.hbar)
+    assert l2_distance(evolve_dense(other, psi, 1.0), evolve_exact(psi, pars, 1.0)) > 0.1
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+def test_operator_hbar_must_be_finite_and_positive(small_grid, hbar):
+    with pytest.raises(ValueError, match="hbar must be finite and positive"):
+        DenseOperator(small_grid, np.eye(small_grid.n), hbar)
+
+
+def test_operator_from_a_bare_matrix_must_be_given_its_hbar(small_grid):
+    with pytest.raises(TypeError):
+        DenseOperator(small_grid, np.eye(small_grid.n))
 
 
 def test_propagators_share_one_eigendecomposition_per_hamiltonian(
     small_grid, small_psi, params, eigh_calls
 ):
     h = dense_hamiltonian(small_grid, params)
-    evolve_dense(h, small_psi, 0.5, params)
-    evolve_dense(h, small_psi, 1.0, params)
-    commutator_element(small_psi, small_psi, h, 1.0, params)
+    evolve_dense(h, small_psi, 0.5)
+    evolve_dense(h, small_psi, 1.0)
+    commutator_element(small_psi, small_psi, h, 1.0)
     assert eigh_calls == [((small_grid.n, small_grid.n), np.float64)]
-    evolve_dense(dense_hamiltonian(small_grid, params), small_psi, 1.0, params)
+    evolve_dense(dense_hamiltonian(small_grid, params), small_psi, 1.0)
     assert len(eigh_calls) == 2  # a new Hamiltonian object decomposes afresh
 
 
 def test_propagators_from_one_hamiltonian_equal_fresh_ones(small_grid, small_psi, params):
     h = dense_hamiltonian(small_grid, params)
     for t in (0.5, 1.0):
-        shared = evolve_dense(h, small_psi, t, params)
-        fresh = evolve_dense(dense_hamiltonian(small_grid, params), small_psi, t, params)
+        shared = evolve_dense(h, small_psi, t)
+        fresh = evolve_dense(dense_hamiltonian(small_grid, params), small_psi, t)
         assert np.array_equal(shared.amp, fresh.amp)
 
 
@@ -304,11 +345,11 @@ def test_commutator_size_guard_runs_before_any_eigh(params, eigh_calls):
     amp = np.zeros(big.n, dtype=complex)
     amp[big.n // 2] = 1.0
     spike = WavePacket(big, amp)
-    h = DenseOperator(big, np.diag(big.x))
+    h = DenseOperator(big, np.diag(big.x), params.hbar)
     with pytest.raises(TooLarge):
-        commutator_element(spike, spike, h, 1.0, params)
+        commutator_element(spike, spike, h, 1.0)
     with pytest.raises(TooLarge):
-        evolve_dense(h, spike, 1.0, params)
+        evolve_dense(h, spike, 1.0)
     assert eigh_calls == []
 
 
@@ -316,7 +357,7 @@ def test_nan_entry_fails_the_hermiticity_check(small_grid, small_psi, params):
     m = np.eye(small_grid.n, dtype=complex)
     m[3, 3] = np.nan
     with pytest.raises(NotHermitian):
-        evolve_dense(DenseOperator(small_grid, m), small_psi, 1.0, params)
+        evolve_dense(DenseOperator(small_grid, m, params.hbar), small_psi, 1.0)
 
 
 def test_nan_gravity_hamiltonian_fails_the_hermiticity_check(small_grid, small_psi):
@@ -325,12 +366,12 @@ def test_nan_gravity_hamiltonian_fails_the_hermiticity_check(small_grid, small_p
     pars = PhysicalParams(hbar=1.0, m=1.0, g=1.0, c=10.0)
     object.__setattr__(pars, "g", float("nan"))
     with pytest.raises(NotHermitian):
-        evolve_dense(dense_hamiltonian(small_grid, pars), small_psi, 1.0, pars)
+        evolve_dense(dense_hamiltonian(small_grid, pars), small_psi, 1.0)
 
 
 def test_evolution_grid_mismatch(small_grid, params, psi0):
     with pytest.raises(GridMismatch):
-        evolve_dense(dense_hamiltonian(small_grid, params), psi0, 1.0, params)
+        evolve_dense(dense_hamiltonian(small_grid, params), psi0, 1.0)
 
 
 def test_ground_state_localizes_at_the_potential_floor(params):
@@ -370,4 +411,4 @@ def test_commutator_element_equals_the_dense_commutator(small_grid, rng, g):
     a_phi, a_xt, a_psi = np.abs(phi.amp), np.abs(x_t), np.abs(psi.amp)
     a_x = np.abs(x)
     scale = (a_phi @ (a_xt @ (a_x * a_psi)) + (a_phi * a_x) @ (a_xt @ a_psi)) * dx
-    assert abs(commutator_element(phi, psi, h, t, pars) - want) <= 1e-12 * scale
+    assert abs(commutator_element(phi, psi, h, t) - want) <= 1e-12 * scale

@@ -33,7 +33,13 @@ from .errors import WavefallError
 from .interferometry import branch_states, run_protocol
 from .oracle import commutator_element, dense_hamiltonian, evolve_dense
 from .relativistic import free_fall_trajectory, nr_limit_check, proper_time
-from .splitstep import SolverConfig, _strang_phase, _strang_tolerance, evolve_split_step
+from .splitstep import (
+    SolverConfig,
+    _strang_phase,
+    _strang_rows,
+    _strang_tolerance,
+    evolve_split_step,
+)
 
 __all__ = ["CheckResult", "run_all_checks", "CHECK_NAMES"]
 
@@ -258,8 +264,8 @@ def _strang_convergence_order(cfg: RunConfig, rng) -> dict:
     psi, t = _start_packet(cfg), 1.0
     exact = evolve_exact(psi, cfg.params, t)
     worst = 0.0
-    for n_steps in counts:
-        split = evolve_split_step(psi, cfg.params, t, SolverConfig(n_steps))
+    # One stack of len(counts) rows, each bit-identical to its own run.
+    for n_steps, split in zip(counts, _strang_rows(psi, cfg.params, t, counts)):
         stripped = apply_global_phase(split, -_strang_phase(cfg.params, t, n_steps))
         tol = _strang_tolerance(cfg.params, t, n_steps, psi.grid.n)
         worst = _worst(worst, l2_distance(stripped, exact) / tol)

@@ -88,8 +88,9 @@ class PhysicalParams:
 class Grid:
     """Uniform periodic position lattice with its spectral companion.
 
-    The bounds and their span must be finite, and n must be an integer
-    power of two, at least 8.  Position nodes are
+    The bounds and their span must be finite, n must be an integer power of
+    two, at least 8, and the span large enough for n nodes: dx positive and
+    every wavenumber finite.  Position nodes are
     x_i = x_min + i*dx with dx = (x_max - x_min)/n; x_max itself is the wrap
     point and carries no node.  The wavenumber array k is stored in FFT layout
     (non-negative frequencies first), matching numpy.fft conventions.
@@ -110,6 +111,16 @@ class Grid:
         _require_count("n", self.n)
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
+        if not self.dx > 0:
+            raise ValueError(
+                f"span {self.length} is too small for n={self.n}: dx={self.dx}"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(self.k).all():
+                raise ValueError(
+                    f"span {self.length} is too small for n={self.n}: "
+                    f"the wavenumbers overflow"
+                )
 
     @property
     def length(self) -> float:

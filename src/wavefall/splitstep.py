@@ -13,7 +13,13 @@ Independent runs are evolved as one (rows, n) stack: each step is one
 in-place FFT pair along the last axis, with per-row potential and kinetic
 phase arrays built in the single-run operation order, so every row is
 bit-identical to the same run made alone.  Rows share the grid, hbar and m
-and may differ in g, duration and start state.
+and may differ in g, duration and start state; in the private kernel
+(_strang_rows) they may also differ in step count.  There the rows are
+stacked longest-first, so the rows still running are always a prefix of
+the stack, and each stretch of steps acts on zero-copy views of that
+prefix and of its phase rows.  The bits do not change: the FFT transforms
+each row on its own, every multiply is elementwise, and a row sees the
+same phases, in the same order, for its own number of steps.
 
 The boundary margin is checked after every step, not only at the end, so a
 packet that would wrap around the periodic grid mid-run raises GridOverflow
@@ -85,18 +91,33 @@ def evolve_split_step(
     kinetic phase, m |g| max|x| dt/(2 hbar) or hbar k_max^2 dt/(2m), formed
     in the order of the expression that builds the phase, is not finite.
     """
-    batched, (psis, pars, times) = _as_rows("evolve_split_step", psi, params, t)
+    return _strang_rows(psi, params, t, config.n_steps)
+
+
+def _strang_rows(psi, params, t, n_steps):
+    """evolve_split_step with n_steps an int or one count (>= 1) per row.
+
+    The rows are stacked longest-first, and each stretch of steps up to the
+    next count acts on views of the prefix still running and of its phase
+    rows (module docstring), so every row keeps the bits of its single-row
+    run.  Results come back in the caller's order, and errors name the
+    caller's row with that row's own step and count.  Counts that are
+    already longest-first (all equal, say) keep the caller's order, and the
+    loop then runs over one view of the whole stack.
+    """
+    batched, (psis, pars, times, counts) = _as_rows(
+        "evolve_split_step", psi, params, t, n_steps
+    )
     if not psis:
         return []
     _require_times("evolve_split_step", times)
     grid, hbar, m = psis[0].grid, pars[0].hbar, pars[0].m
     if any((p.hbar, p.m) != (hbar, m) for p in pars):
         raise ValueError("evolve_split_step: rows must share hbar and m")
-    amp = _stack(psis)
 
     # Per-row (rows, 1) columns, combined in the single-row operation order so
     # that every row's phases, and hence its bits, match a single-row call.
-    dts = [ti / config.n_steps for ti in times]
+    dts = [ti / ni for ti, ni in zip(times, counts)]
     k_max, x_max = float(np.abs(grid.k).max()), float(np.abs(grid.x).max())
     _require_finite_angles(
         "evolve_split_step", "potential_angle",
@@ -107,30 +128,42 @@ def evolve_split_step(
         "evolve_split_step", "kinetic_angle",
         [0.5 * hbar * (k_max * k_max) * d * (1.0 / m) for d in dts], batched,
     )
-    dt = np.array(dts)[:, None]
-    kick = np.array([-0.5j * p.m * p.g for p in pars])[:, None]
+    # order[j] is the caller's row at stack row j; a stable sort keeps the
+    # caller's order among equal counts.
+    order = sorted(range(len(counts)), key=lambda i: -counts[i])
+    amp = _stack([psis[i] for i in order])
+    dt = np.array([dts[i] for i in order])[:, None]
+    kick = np.array([-0.5j * pars[i].m * pars[i].g for i in order])[:, None]
     half_v = np.exp(kick * grid.x * dt / hbar)
     kinetic = np.exp(-0.5j * hbar * grid.k**2 * dt / m)
 
-    _require_finite(amp, "evolve_split_step start state", batched)
-    for step in range(1, config.n_steps + 1):
-        amp *= half_v
-        np.fft.fft(amp, out=amp)
-        amp *= kinetic
-        np.fft.ifft(amp, out=amp)
-        amp *= half_v
-        hit = _first_over_margin(amp)
-        if hit is not None:
-            row, worst = hit
-            where = f" in row {row}" if batched else ""
-            raise GridOverflow(
-                f"evolve_split_step: boundary amplitude {worst:.3e} on the outer "
-                f"{margin_nodes(grid.n)} nodes{where} at step {step}/{config.n_steps} "
-                f"(t={step * dts[row]:.6g}); enlarge the grid or shorten the run",
-                row=row,
-            )
+    _require_finite(amp, "evolve_split_step start state", batched, rows=order)
+    step, running = 0, len(order)
+    while running:
+        last = counts[order[running - 1]]
+        a, v, kin = amp[:running], half_v[:running], kinetic[:running]
+        for step in range(step + 1, last + 1):
+            a *= v
+            np.fft.fft(a, out=a)
+            a *= kin
+            np.fft.ifft(a, out=a)
+            a *= v
+            hit = _first_over_margin(a)
+            if hit is not None:
+                j, worst = hit
+                row = order[j]
+                where = f" in row {row}" if batched else ""
+                raise GridOverflow(
+                    f"evolve_split_step: boundary amplitude {worst:.3e} on the outer "
+                    f"{margin_nodes(grid.n)} nodes{where} at step {step}/{counts[row]} "
+                    f"(t={step * dts[row]:.6g}); enlarge the grid or shorten the run",
+                    row=row,
+                )
+        while running and counts[order[running - 1]] == last:
+            running -= 1
 
-    return _packets(grid, amp, batched)
+    out = _packets(grid, amp, batched)
+    return [out[j] for j in np.argsort(order)] if batched else out
 
 
 def _strang_phase(params: PhysicalParams, t: float, n_steps: int) -> float:

@@ -46,15 +46,17 @@ def test_one_eigendecomposition_per_hamiltonian_and_none_across_runs(
 
 
 def test_sweeps_make_one_batched_call_per_route(count_calls):
-    names = ("evolve_exact", "evolve_split_step", "moments")
+    names = ("evolve_exact", "evolve_split_step", "_strang_rows", "moments")
     calls = {name: count_calls(checks, name) for name in names}
     run_all_checks(default_config())
     # evolve_exact: the oracle check, the two sweeps, strang_convergence_order
-    # and protocol_symmetries; evolve_split_step: the two sweeps and one run
-    # per step count; a pair of moments calls: the two sweeps
+    # and protocol_symmetries; evolve_split_step: the two sweeps; the Strang
+    # kernel: one stacked run of every step count; a pair of moments calls:
+    # the two sweeps
     counts = {name: len(c) for name, c in calls.items()}
-    steps = len(default_config().verify.step_counts)
-    assert counts == {"evolve_exact": 5, "evolve_split_step": 2 + steps, "moments": 4}
+    assert counts == {
+        "evolve_exact": 5, "evolve_split_step": 2, "_strang_rows": 1, "moments": 4
+    }
 
 
 @pytest.mark.parametrize(
@@ -102,32 +104,40 @@ def test_nan_deviation_fails_its_check(monkeypatch, attr, fake, name):
     assert "nan" in result.measured
 
 
-def test_verify_runs_1152_strang_steps_in_7_calls(count_calls):
-    # the three sweeps run _SWEEP_STEPS steps each and strang_convergence_order
-    # one run per step count; the boundary guard runs once per step
+def test_verify_runs_704_strang_loop_steps_in_4_runs(count_calls):
+    # the three sweeps run _SWEEP_STEPS steps each, and strang_convergence_order
+    # one stack of every step count, as long as its largest count; the
+    # boundary guard runs once per loop step, on the rows still running
     guards = count_calls(splitstep, "_first_over_margin")
-    runs = [count_calls(m, "evolve_split_step") for m in (checks, interferometry)]
+    public = [count_calls(m, "evolve_split_step") for m in (checks, interferometry)]
+    kernel = [count_calls(m, "_strang_rows") for m in (splitstep, checks)]
     run_all_checks(default_config())
     counts = default_config().verify.step_counts
-    assert len(guards) == 3 * checks._SWEEP_STEPS + sum(counts) == 1152
-    assert sum(map(len, runs)) == 3 + len(counts) == 7
+    assert len(guards) == 3 * checks._SWEEP_STEPS + max(counts) == 704
+    # the row-steps are those of one single-row run per row: 6 + 2 + 9 rows
+    # of _SWEEP_STEPS steps, and one row per step count
+    row_steps = sum(len(stack) for stack, in guards)
+    assert row_steps == 17 * checks._SWEEP_STEPS + sum(counts) == 2048
+    assert sum(map(len, public)) == 3
+    assert sum(map(len, kernel)) == 4
 
 
 def test_verify_fails_a_solver_whose_hbar_over_m_is_off_by_1e_8(monkeypatch):
     # m/(1 + 1e-8) and g (1 + 1e-8) keep m g, so only hbar/m moves, by 1e-8:
     # observables drift by ~4e-8 and the state less phi_N is 4.2e-9 from the
-    # exact one, both far above the rounding bounds of the split-step checks
-    real = splitstep.evolve_split_step
+    # exact one, both far above the rounding bounds of the split-step checks.
+    # Every split-step run, public or stacked, passes through the kernel.
+    real = splitstep._strang_rows
 
     def scaled(p):
         return replace(p, m=p.m / (1 + 1e-8), g=p.g * (1 + 1e-8))
 
-    def off_by_1e_8(psi, params, t, config):
+    def off_by_1e_8(psi, params, t, n_steps):
         params = [scaled(p) for p in params] if isinstance(params, list) else scaled(params)
-        return real(psi, params, t, config)
+        return real(psi, params, t, n_steps)
 
-    for module in (checks, interferometry):
-        monkeypatch.setattr(module, "evolve_split_step", off_by_1e_8)
+    for module in (splitstep, checks):
+        monkeypatch.setattr(module, "_strang_rows", off_by_1e_8)
     failed = {r.name for r in run_all_checks(default_config()) if not r.passed}
     assert {
         "strang_convergence_order",

@@ -194,6 +194,20 @@ def test_grid_whose_span_overflows_exits_2_naming_the_block(tmp_path):
     assert "finite" in res.stderr
 
 
+def test_grid_whose_span_is_too_small_exits_2_naming_the_block(tmp_path):
+    cfg = write_cfg(
+        tmp_path / "c.json",
+        {
+            "grid": {"x_min": 0.0, "x_max": 5e-324, "n": 8},
+            "evolve": {"t_values": [0.5], "n_steps": 8},
+        },
+    )
+    res = run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "o.csv"))
+    assert res.returncode == 2
+    assert "config error: grid: span 5e-324 is too small for n=8" in res.stderr
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["evolve", "interfere"])
 def test_seed_is_a_verify_only_option(tmp_path, command):
     cfg = write_cfg(

@@ -78,6 +78,17 @@ def test_grid_rejects_non_finite_bounds_and_span(x_min, x_max):
         Grid(x_min, x_max, 256)
 
 
+@pytest.mark.parametrize(
+    "x_max, reason",
+    [(5e-324, "dx=0.0"), (2.225073858507e-311, "the wavenumbers overflow")],
+    ids=["dx-zero", "k-overflows"],
+)
+def test_grid_refuses_a_span_too_small_for_its_lattice(x_max, reason):
+    # a finite, positive span whose dx is 0, or whose pi/dx overflows
+    with pytest.raises(ValueError, match=f"span {x_max} is too small for n=8: {reason}"):
+        Grid(0.0, x_max, 8)
+
+
 def test_grid_arrays_are_readonly():
     g = Grid(-10.0, 10.0, 64)
     with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from wavefall import (
     GridMismatch,
     GridOverflow,
     NegativeTime,
+    NonFiniteState,
     PhysicalParams,
     WavePacket,
     SolverConfig,
@@ -269,3 +270,57 @@ def test_split_step_less_strang_phase_is_exact_to_rounding(
     assume(_clear_of_band_edges(psi) and _clear_of_band_edges(exact))
     distance = l2_distance(_less_strang_phase(split, params, t, n_steps), exact)
     assert distance < splitstep._strang_tolerance(params, t, n_steps, n)
+
+
+# One row of a mixed-count stack: (count, g, t, x0, p0).  A count of 1 and
+# the zeros of g are drawn on their own; on WIDE no row nears the margin.
+WIDE = Grid(-30.0, 30.0, 256)
+_ROW = st.tuples(
+    st.one_of(st.just(1), st.integers(1, 40)),
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
+    st.floats(0.0, 1.5),
+    st.floats(-2.0, 2.0),
+    st.floats(-1.0, 1.0),
+)
+
+
+@given(
+    rows=st.lists(_ROW, min_size=1, max_size=5).flatmap(st.permutations),
+    equal_counts=st.booleans(),
+)
+def test_rows_of_a_mixed_count_stack_equal_single_runs_bit_for_bit(rows, equal_counts):
+    counts = [rows[0][0]] * len(rows) if equal_counts else [r[0] for r in rows]
+    pars = [PhysicalParams(g=g) for _, g, _, _, _ in rows]
+    times = [t for _, _, t, _, _ in rows]
+    starts = [make_gaussian(WIDE, x0, p0, 1.0, p) for (*_, x0, p0), p in zip(rows, pars)]
+    stacked = splitstep._strang_rows(starts, pars, times, counts)
+    assert len(stacked) == len(rows)
+    for psi, p, t, n_steps, row in zip(starts, pars, times, counts, stacked):
+        single = evolve_split_step(psi, p, t, SolverConfig(n_steps))
+        assert np.array_equal(row.amp.view(np.uint64), single.amp.view(np.uint64))
+
+
+def test_mixed_count_overflow_names_the_callers_row_step_and_time(grid, psi0, params):
+    # longest-first, the runaway row 2 sits at stack row 1, behind the
+    # 100-step row; the error must name caller row 2 and its own step and time
+    runaway = make_gaussian(grid, 0.0, 8.0, 1.0, params)
+    with pytest.raises(GridOverflow) as single:
+        evolve_split_step(runaway, params, 4.0, SolverConfig(64))
+    with pytest.raises(GridOverflow) as mixed:
+        splitstep._strang_rows([psi0, psi0, runaway], params, [1.0, 1.0, 4.0], [8, 100, 64])
+    where = r"step (\d+/64) \(t=([^)]*)\)"
+    assert "in row 2 at step" in str(mixed.value)
+    assert mixed.value.row == 2
+    assert re.search(where, str(mixed.value)).groups() == re.search(
+        where, str(single.value)
+    ).groups()
+
+
+def test_mixed_count_non_finite_start_names_the_callers_row(psi0, params):
+    amp = np.array(psi0.amp)
+    amp[100] = np.nan
+    bad = WavePacket(psi0.grid, amp)
+    with pytest.raises(
+        NonFiniteState, match=r"start state: non-finite amplitude in row 2 at node 100"
+    ):
+        splitstep._strang_rows([psi0, psi0, bad], params, 1.0, [8, 16, 32])

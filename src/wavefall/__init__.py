@@ -8,8 +8,8 @@ interferometry protocol that measures that phase directly.  A verification
 suite cross-checks all of the routes against each other.
 
 Export rule: each layer module's __all__ is the only list of its public
-names, and the package exports their union plus __version__, except the
-boundary-margin helpers of core, which it deletes after the star imports.
+names, and the package exports their union plus __version__, with no
+exception.
 """
 
 from . import action, analytic, checks, config, core, errors, interferometry
@@ -25,12 +25,8 @@ from .oracle import *
 from .relativistic import *
 from .splitstep import *
 
-# The boundary-margin helpers stay public in core, for tools that wrap each
-# module's __all__, but are not exported by the package.
-del MARGIN_AMPLITUDE, MARGIN_FRACTION, margin_nodes, boundary_amplitude, check_margin
-
 __version__ = "0.1.0"
 
 _LAYERS = (action, analytic, checks, config, core, errors, interferometry, oracle,
            relativistic, splitstep)
-__all__ = ["__version__"] + [n for m in _LAYERS for n in m.__all__ if n in globals()]
+__all__ = ["__version__"] + [n for m in _LAYERS for n in m.__all__]

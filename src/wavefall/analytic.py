@@ -49,11 +49,13 @@ the k-space phases without changing a bit:
   no such symmetry.
 
 The boundary margin is re-checked over every distinct shift-stage row and
-over every row after free flight; it fails closed on NaN and names the first
-offending row of a stack.  Note that a single long step whose packet wraps
-around the periodic grid and re-enters with a clean final margin cannot be
-detected here, so bound long falls with evolve_piecewise (per-segment
-checks) or cross-check with the split-step solver, which guards every step.
+over every row after free flight.  Every refusal (margin, start state,
+scalar or angle) is decided in core, fails closed on NaN and names the
+caller's first offending row when the call is batched, one-row lists
+included.  Note that a single long step whose packet wraps around the
+periodic grid and re-enters with a clean final margin cannot be detected
+here, so bound long falls with evolve_piecewise (per-segment checks) or
+cross-check with the split-step solver, which guards every step.
 """
 
 from __future__ import annotations
@@ -71,14 +73,15 @@ from .core import (
     PhysicalParams,
     WavePacket,
     _as_rows,
-    _check_margin_rows,
+    _check_margin,
+    _in_row,
     _packets,
     _require_finite,
-    _require_finite_angles,
+    _require_finite_rows,
     _require_finite_scalars,
     _require_times,
+    _shared_hbar_m,
     _stack,
-    check_margin,
 )
 from .errors import GridOverflow
 
@@ -238,7 +241,7 @@ def _shift(
         None if shared is None else shared.setdefault(grid, {}),
     )
     np.fft.ifft(amp, out=amp)
-    _check_margin_rows(amp, context, pair_rows, len(psis))
+    _check_margin(amp, context, batched, pair_rows)
     return amp, pair
 
 
@@ -290,8 +293,8 @@ def shift_packet(
     if not psis:
         return []
     k_max = float(np.abs(psis[0].grid.k).max())
-    _require_finite_angles(
-        "shift_packet", "shift_angle", [_shift_angle(s, k_max) for s in shifts], batched
+    _require_finite_rows(
+        "shift_packet", batched, shift_angle=[_shift_angle(s, k_max) for s in shifts]
     )
     amp, pair = _shift(psis, shifts, "shift_packet", batched)
     return _packets(psis[0].grid, amp[pair], batched)
@@ -300,10 +303,12 @@ def shift_packet(
 def apply_global_phase(psi: WavePacket, theta: float) -> WavePacket:
     """Multiply by the overall phase e^{i theta}; no observable changes.
 
-    Raises NonFiniteState when theta is NaN or inf.
+    Raises NonFiniteState when theta is NaN or inf, or naming the node when
+    the state holds NaN or inf.
     """
     _require_finite_scalars("apply_global_phase", theta=theta)
     amp = _stack([psi])
+    _require_finite(amp, "apply_global_phase start state", False)
     _rotate(amp, [theta])
     return _packets(psi.grid, amp, False)
 
@@ -340,15 +345,14 @@ def evolve_exact(
     if not psis:
         return []
     _require_times("evolve_exact", times)
-    grid, hbar, m = psis[0].grid, pars[0].hbar, pars[0].m
-    if any((p.hbar, p.m) != (hbar, m) for p in pars):
-        raise ValueError("evolve_exact: rows must share hbar and m")
+    grid = psis[0].grid
+    hbar, m = _shared_hbar_m("evolve_exact", pars)
     shifts, slopes, thetas = _factor_scalars(grid, pars, times, batched)
     amp, pair = _shift(psis, shifts, "evolve_exact", batched)
     np.fft.fft(amp, out=amp)
     amp = amp[pair]
     _free(amp, grid, hbar, m, times)
-    check_margin(amp, "evolve_exact")
+    _check_margin(amp, "evolve_exact", batched)
     _kick(amp, grid, hbar, slopes)
     _rotate(amp, thetas)
     return _packets(grid, amp, batched)
@@ -365,28 +369,26 @@ def _factor_scalars(grid: Grid, pars, times, batched: bool):
     phase is built; the kernels check no angle themselves.
     """
     k_max, x_max = float(np.abs(grid.k).max()), float(np.abs(grid.x).max())
-    shifts, slopes, thetas = [], [], []
-    for row, (p, ti) in enumerate(zip(pars, times)):
-        shift, slope = 0.5 * p.g * ti * ti, p.m * p.g * ti
-        try:
-            theta = -p.m * p.g * p.g * ti**3 / (6.0 * p.hbar)
-        except OverflowError:
-            theta = -math.inf
-        angles = dict(
-            free_flight_angle=_free_angle(p.hbar, p.m, ti, k_max),
-            kick_angle=_kick_angle(p.hbar, slope, x_max),
-            shift_angle=_shift_angle(shift, k_max),
-        )
-        if not all(map(math.isfinite, (shift, slope, theta, *angles.values()))):
-            where = f" in row {row}" if batched else ""
-            _require_finite_scalars(
-                f"evolve_exact{where}", result=True, shift=shift, kick_slope=slope,
-                cubic_angle=theta, **angles,
-            )
-        shifts.append(shift)
-        slopes.append(slope)
-        thetas.append(theta)
+    shifts = [0.5 * p.g * ti * ti for p, ti in zip(pars, times)]
+    slopes = [p.m * p.g * ti for p, ti in zip(pars, times)]
+    thetas = [_cubic_angle(p, ti) for p, ti in zip(pars, times)]
+    _require_finite_rows(
+        "evolve_exact", batched, shift=shifts, kick_slope=slopes, cubic_angle=thetas,
+        free_flight_angle=[
+            _free_angle(p.hbar, p.m, ti, k_max) for p, ti in zip(pars, times)
+        ],
+        kick_angle=[_kick_angle(p.hbar, s, x_max) for p, s in zip(pars, slopes)],
+        shift_angle=[_shift_angle(s, k_max) for s in shifts],
+    )
     return shifts, slopes, thetas
+
+
+def _cubic_angle(p: PhysicalParams, t: float) -> float:
+    """The global phase angle -m g^2 t^3/(6 hbar); -inf when t**3 overflows."""
+    try:
+        return -p.m * p.g * p.g * t**3 / (6.0 * p.hbar)
+    except OverflowError:
+        return -math.inf
 
 
 def _segment_chain(psi, params, rows, labels, step):
@@ -413,7 +415,7 @@ def _segment_chain(psi, params, rows, labels, step):
         except GridOverflow as exc:
             r = live[exc.row]
             g_i, dt_i = rows[r][i]
-            cause = str(exc).replace(f" in row {exc.row}", "", 1)
+            cause = str(exc).replace(_in_row(exc.row, True), "", 1)
             raise GridOverflow(
                 f"{labels[r]}, segment {i} (g={g_i}, duration={dt_i}): {cause}"
             ) from exc
@@ -427,9 +429,12 @@ def evolve_piecewise(
 ) -> WavePacket:
     """Chain evolve_exact over a piecewise-constant acceleration schedule.
 
-    hbar and m come from params; each segment overrides g.  A margin failure
-    is re-raised as "schedule, segment i (g=..., duration=...): ...".
+    hbar and m come from params; each segment overrides g.  A start state
+    holding NaN or inf is refused first, with NonFiniteState naming the
+    node, even for the empty schedule.  A margin failure is re-raised as
+    "schedule, segment i (g=..., duration=...): ...".
     """
+    _require_finite(psi.amp[None], "evolve_piecewise start state", False)
     rows, labels = [schedule.segments], ["schedule"]
     (out,) = _segment_chain(psi, params, rows, labels, evolve_exact)
     return out

@@ -29,8 +29,6 @@ from .errors import (
 )
 
 __all__ = [
-    "MARGIN_AMPLITUDE",
-    "MARGIN_FRACTION",
     "PhysicalParams",
     "Grid",
     "WavePacket",
@@ -40,17 +38,14 @@ __all__ = [
     "moments",
     "overlap",
     "l2_distance",
-    "margin_nodes",
-    "boundary_amplitude",
-    "check_margin",
 ]
 
 # Amplitude allowed on the guarded boundary nodes; anything at or above this
 # means the packet is touching the edge and periodic wrap-around would silently
 # corrupt the evolution, so producing operations raise GridOverflow instead.
-MARGIN_AMPLITUDE = 1.0e-10
+_MARGIN_AMPLITUDE = 1.0e-10
 # Fraction of nodes guarded at each end of the grid.
-MARGIN_FRACTION = 0.05
+_MARGIN_FRACTION = 0.05
 
 # Argument types read as one value per row; anything else broadcasts.
 _SEQUENCES = (list, tuple, np.ndarray)
@@ -211,18 +206,18 @@ class Trajectory:
         return out if np.ndim(t) else float(out)
 
 
-def margin_nodes(n: int) -> int:
+def _margin_nodes(n: int) -> int:
     """Number of guarded nodes at each end of an n-node grid."""
-    return max(1, int(n * MARGIN_FRACTION))
+    return max(1, int(n * _MARGIN_FRACTION))
 
 
-def boundary_amplitude(amp: np.ndarray, n: int):
+def _boundary_amplitude(amp: np.ndarray, n: int):
     """Largest |amp| over the guarded nodes at both ends of the last axis.
 
     A 1-D state gives a float; a (rows, n) stack gives one maximum per row.
     A NaN on the guarded nodes propagates into the result.
     """
-    m = margin_nodes(n)
+    m = _margin_nodes(n)
     worst = np.maximum(
         np.abs(amp[..., :m]).max(axis=-1), np.abs(amp[..., -m:]).max(axis=-1)
     )
@@ -232,7 +227,7 @@ def boundary_amplitude(amp: np.ndarray, n: int):
 @cache
 def _guard_index(n: int) -> np.ndarray:
     """Indices of the guarded nodes at both ends of an n-node grid."""
-    m = margin_nodes(n)
+    m = _margin_nodes(n)
     index = np.r_[0:m, n - m : n]
     index.setflags(write=False)
     return index
@@ -243,47 +238,46 @@ def _first_over_margin(stack: np.ndarray) -> tuple[int, float] | None:
 
     None when every row is clean.  The common clean case costs one gather of
     the guarded nodes, one abs and one global max; only a max that is not
-    below MARGIN_AMPLITUDE (a NaN max included, so the check fails closed)
-    pays for the per-row maxima of boundary_amplitude to name the row.
+    below _MARGIN_AMPLITUDE (a NaN max included, so the check fails closed)
+    pays for the per-row maxima of _boundary_amplitude to name the row.
     """
     n = stack.shape[-1]
-    if np.abs(stack.take(_guard_index(n), axis=-1)).max() < MARGIN_AMPLITUDE:
+    if np.abs(stack.take(_guard_index(n), axis=-1)).max() < _MARGIN_AMPLITUDE:
         return None
-    worst = boundary_amplitude(stack, n)
-    row = int(np.flatnonzero(~(worst < MARGIN_AMPLITUDE))[0])
+    worst = _boundary_amplitude(stack, n)
+    row = int(np.flatnonzero(~(worst < _MARGIN_AMPLITUDE))[0])
     return row, float(worst[row])
 
 
-def check_margin(psi, context: str) -> None:
-    """Raise GridOverflow if a packet touches the guarded boundary region.
-
-    psi is a WavePacket or a (rows, n) amplitude stack.  The check covers
-    every row, fails closed on NaN and, for a stack of several rows, names
-    the first offending row, which the exception also carries as .row.
-    """
-    stack = psi.amp[None] if isinstance(psi, WavePacket) else psi
-    _check_margin_rows(stack, context, range(len(stack)), len(stack))
+def _in_row(row: int, batched: bool) -> str:
+    """How every refusal names a row: " in row R" if batched, else nothing."""
+    return f" in row {row}" if batched else ""
 
 
-def _check_margin_rows(stack: np.ndarray, context: str, rows, total: int) -> None:
-    """check_margin for a stack whose row i stands for row rows[i] of a caller.
+def _check_margin(
+    stack: np.ndarray, context: str, batched: bool, rows=None, at=None
+) -> None:
+    """Raise GridOverflow at the first row of a (rows, n) stack over the margin.
 
-    total is the number of rows of the caller's stack.  The error names, and
-    carries as .row, the caller's row of the first offending stack row, and
-    names a row only when total > 1, as check_margin on the caller's stack.
+    The message reads "<context>: boundary amplitude A on the outer M
+    nodes[ in row R][ at step k/N (t=T)] exceeds the 1e-10 margin; enlarge
+    the grid or shorten the evolution".  R is named and mapped through rows
+    as in _require_finite, and carried as .row; at, when given, maps R to
+    (k, N, T).  The check fails closed on NaN and inf.
     """
     hit = _first_over_margin(stack)
-    if hit is not None:
-        row, worst = hit
-        row = rows[row]
-        where = f" in row {row}" if total > 1 else ""
-        raise GridOverflow(
-            f"{context}: boundary amplitude {worst:.3e} on the outer "
-            f"{margin_nodes(stack.shape[-1])} nodes{where} exceeds the "
-            f"{MARGIN_AMPLITUDE:.0e} margin; enlarge the grid or shorten the "
-            f"evolution",
-            row=row,
-        )
+    if hit is None:
+        return
+    row, worst = hit
+    row = row if rows is None else rows[row]
+    when = "" if at is None else " at step {}/{} (t={:.6g})".format(*at(row))
+    raise GridOverflow(
+        f"{context}: boundary amplitude {worst:.3e} on the outer "
+        f"{_margin_nodes(stack.shape[-1])} nodes{_in_row(row, batched)}{when} "
+        f"exceeds the {_MARGIN_AMPLITUDE:.0e} margin; enlarge the grid or "
+        f"shorten the evolution",
+        row=row,
+    )
 
 
 def _require_finite(
@@ -306,8 +300,9 @@ def _require_finite(
         row, node = divmod(int(np.argmin(finite)), stack.shape[-1])
         if rows is not None:
             row = rows[row]
-        where = f" in row {row}" if batched else ""
-        raise NonFiniteState(f"{context}: non-finite amplitude{where} at node {node}")
+        raise NonFiniteState(
+            f"{context}: non-finite amplitude{_in_row(row, batched)} at node {node}"
+        )
 
 
 def _require_finite_scalars(context: str, result: bool = False, **values: float) -> None:
@@ -323,21 +318,31 @@ def _require_finite_scalars(context: str, result: bool = False, **values: float)
             raise NonFiniteState(f"{context}: {kind}{name}={value} is not finite")
 
 
-def _require_finite_angles(context: str, name: str, angles, batched: bool) -> None:
-    """Raise NonFiniteState at the first row whose largest phase angle is not finite.
+def _require_finite_rows(context: str, batched: bool, **columns: list) -> None:
+    """Raise NonFiniteState at the first value, row by row, that is NaN or inf.
 
-    A public entry point calls this once per call, before it builds any
-    phase, angles[i] being the largest |angle| of its row i formed in the
-    order of the kernel's expression; numpy divides a complex array by a
-    real d as a product with 1/d, so a finite angle means the phase is
-    built without overflow.  The message reads "<context>[ in row R]:
-    result <name>=<angle> is not finite", the row named only for a batched
-    call.
+    Each column holds one value per row, searched row by row and, within a
+    row, in the order given.  The message reads "<context>[ in row R]:
+    result <name>=<value> is not finite", the row named only for a batched
+    call.  Entry points pass each row's largest phase angles formed in the
+    kernel's order, before building any phase: numpy divides a complex
+    array by a real d as a product with 1/d, so a finite angle means the
+    phase is built without overflow.
     """
-    for row, angle in enumerate(angles):
-        if not math.isfinite(angle):
-            where = f" in row {row}" if batched else ""
-            raise NonFiniteState(f"{context}{where}: result {name}={angle} is not finite")
+    for row, values in enumerate(zip(*columns.values())):
+        if not all(map(math.isfinite, values)):
+            _require_finite_scalars(
+                f"{context}{_in_row(row, batched)}", result=True,
+                **dict(zip(columns, values)),
+            )
+
+
+def _shared_hbar_m(context: str, pars) -> tuple[float, float]:
+    """The hbar and m that every row's params share; ValueError if they differ."""
+    hbar, m = pars[0].hbar, pars[0].m
+    if any((p.hbar, p.m) != (hbar, m) for p in pars):
+        raise ValueError(f"{context}: rows must share hbar and m")
+    return hbar, m
 
 
 class _RefuseOverflow:
@@ -470,7 +475,7 @@ def make_gaussian(
     )
     amp = amp / math.sqrt(float(np.sum(np.abs(amp) ** 2)) * grid.dx)
     psi = WavePacket(grid, amp)
-    check_margin(psi, "make_gaussian")
+    _check_margin(psi.amp[None], "make_gaussian", False)
     return psi
 
 
@@ -546,11 +551,10 @@ def _position_moments(amp: np.ndarray, g: Grid, batched: bool):
     bad = np.flatnonzero(~((0 < norm) & (norm < math.inf)))
     if bad.size:
         row = int(bad[0])
-        where = f" in row {row}" if batched else ""
         error = ValueError if norm[row] == 0 else NonFiniteState
         raise error(
-            f"moments: norm {norm[row]}{where} is not positive and finite; "
-            f"cannot take moments"
+            f"moments: norm {norm[row]}{_in_row(row, batched)} is not positive "
+            f"and finite; cannot take moments"
         )
     mean_x = np.sum(g.x * prob, axis=-1) * g.dx / norm
     var_x = np.sum((g.x - mean_x[:, None]) ** 2 * prob, axis=-1) * g.dx / norm

@@ -28,10 +28,10 @@ from .core import (
     Grid,
     PhysicalParams,
     WavePacket,
+    _check_margin,
     _frozen,
     _require_finite,
     _require_times,
-    check_margin,
 )
 from .errors import GridMismatch, NotHermitian, NotUnitary, TooLarge
 
@@ -160,8 +160,8 @@ def commutator_element(
     _require_times("commutator_element", [t])
     _require_finite(phi.amp[None], "commutator_element (phi)", False)
     _require_finite(psi.amp[None], "commutator_element (psi)", False)
-    check_margin(phi, "commutator_element (phi)")
-    check_margin(psi, "commutator_element (psi)")
+    _check_margin(phi.amp[None], "commutator_element (phi)", False)
+    _check_margin(psi.amp[None], "commutator_element (psi)", False)
     x = grid.x
     u_phi, u_x_phi, u_psi, u_x_psi = _evolve(
         hamiltonian, np.stack([phi.amp, x * phi.amp, psi.amp, x * psi.amp]), t

@@ -25,10 +25,10 @@ The boundary margin is checked after every step, not only at the end, so a
 packet that would wrap around the periodic grid mid-run raises GridOverflow
 even when the final state would look clean.  The check is one gather of the
 guarded nodes of every row at once, then one abs and one max
-(core._first_over_margin); it fails closed on NaN and inf, and only when it
-fails does it reduce row by row to name the first offending row (for a
-batch), its step and its time.  A start state holding NaN or inf is refused
-with NonFiniteState before the first step.
+(core._first_over_margin); it fails closed on NaN and inf.  Only a step
+that fails it calls core._check_margin, the refusal every route shares,
+to name the row (for a batched call), step and time.  A start state
+holding NaN or inf is refused with NonFiniteState before the first step.
 """
 
 from __future__ import annotations
@@ -42,16 +42,16 @@ from .core import (
     PhysicalParams,
     WavePacket,
     _as_rows,
+    _check_margin,
     _first_over_margin,
     _packets,
     _require_count,
     _require_finite,
-    _require_finite_angles,
+    _require_finite_rows,
     _require_times,
+    _shared_hbar_m,
     _stack,
-    margin_nodes,
 )
-from .errors import GridOverflow
 
 __all__ = ["SolverConfig", "evolve_split_step"]
 
@@ -87,9 +87,9 @@ def evolve_split_step(
     guarded boundary nodes, naming that row (for a sequence call), its step
     and its time; the exception carries the row's index as .row.  Raises
     NonFiniteState, naming the row and node, when a start state holds NaN
-    or inf, and naming the row when the largest angle of its potential or
-    kinetic phase, m |g| max|x| dt/(2 hbar) or hbar k_max^2 dt/(2m), formed
-    in the order of the expression that builds the phase, is not finite.
+    or inf, and naming the first row whose potential or kinetic phase has a
+    largest angle, m |g| max|x| dt/(2 hbar) or hbar k_max^2 dt/(2m), formed
+    in the order of the expression that builds the phase, that is not finite.
     """
     return _strang_rows(psi, params, t, config.n_steps)
 
@@ -111,22 +111,19 @@ def _strang_rows(psi, params, t, n_steps):
     if not psis:
         return []
     _require_times("evolve_split_step", times)
-    grid, hbar, m = psis[0].grid, pars[0].hbar, pars[0].m
-    if any((p.hbar, p.m) != (hbar, m) for p in pars):
-        raise ValueError("evolve_split_step: rows must share hbar and m")
+    grid = psis[0].grid
+    hbar, m = _shared_hbar_m("evolve_split_step", pars)
 
     # Per-row (rows, 1) columns, combined in the single-row operation order so
     # that every row's phases, and hence its bits, match a single-row call.
     dts = [ti / ni for ti, ni in zip(times, counts)]
     k_max, x_max = float(np.abs(grid.k).max()), float(np.abs(grid.x).max())
-    _require_finite_angles(
-        "evolve_split_step", "potential_angle",
-        [0.5 * p.m * abs(p.g) * x_max * d * (1.0 / hbar) for p, d in zip(pars, dts)],
-        batched,
-    )
-    _require_finite_angles(
-        "evolve_split_step", "kinetic_angle",
-        [0.5 * hbar * (k_max * k_max) * d * (1.0 / m) for d in dts], batched,
+    _require_finite_rows(
+        "evolve_split_step", batched,
+        potential_angle=[
+            0.5 * p.m * abs(p.g) * x_max * d * (1.0 / hbar) for p, d in zip(pars, dts)
+        ],
+        kinetic_angle=[0.5 * hbar * (k_max * k_max) * d * (1.0 / m) for d in dts],
     )
     # order[j] is the caller's row at stack row j; a stable sort keeps the
     # caller's order among equal counts.
@@ -148,16 +145,10 @@ def _strang_rows(psi, params, t, n_steps):
             a *= kin
             np.fft.ifft(a, out=a)
             a *= v
-            hit = _first_over_margin(a)
-            if hit is not None:
-                j, worst = hit
-                row = order[j]
-                where = f" in row {row}" if batched else ""
-                raise GridOverflow(
-                    f"evolve_split_step: boundary amplitude {worst:.3e} on the outer "
-                    f"{margin_nodes(grid.n)} nodes{where} at step {step}/{counts[row]} "
-                    f"(t={step * dts[row]:.6g}); enlarge the grid or shorten the run",
-                    row=row,
+            if _first_over_margin(a) is not None:
+                _check_margin(
+                    a, "evolve_split_step", batched, order,
+                    at=lambda r: (step, counts[r], step * dts[r]),
                 )
         while running and counts[order[running - 1]] == last:
             running -= 1

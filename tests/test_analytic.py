@@ -103,6 +103,38 @@ def test_non_finite_start_state_is_refused_by_row_and_node(
         evolve([psi0, bad], params, 1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_apply_global_phase_refuses_a_non_finite_state(psi0, value):
+    # returned the state with nan+nanj at node 100
+    amp = np.array(psi0.amp)
+    amp[100] = value
+    with pytest.raises(NonFiniteState) as info:
+        apply_global_phase(WavePacket(psi0.grid, amp), 0.3)
+    assert str(info.value) == (
+        "apply_global_phase start state: non-finite amplitude at node 100"
+    )
+
+
+@pytest.mark.parametrize(
+    "segments", [(), ((1.0, 0.5), (0.0, 0.5))], ids=["empty", "two-segment"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_evolve_piecewise_refuses_a_non_finite_start_state_under_its_own_name(
+    psi0, params, count_calls, segments, value
+):
+    # the empty schedule returned the packet unchanged, and a non-empty one
+    # named "evolve_exact start state ... in row 0"
+    steps = count_calls(analytic, "evolve_exact")
+    amp = np.array(psi0.amp)
+    amp[100] = value
+    with pytest.raises(NonFiniteState) as info:
+        evolve_piecewise(WavePacket(psi0.grid, amp), params, AccelSchedule(segments))
+    assert str(info.value) == (
+        "evolve_piecewise start state: non-finite amplitude at node 100"
+    )
+    assert steps == []
+
+
 def test_shift_packet_moves_the_center(grid, params):
     psi = make_gaussian(grid, 1.0, 0.5, 1.0, params)
     # amp(x) -> amp(x + a) carries the peak from x0 to x0 - a

@@ -28,13 +28,13 @@ from wavefall import (
     shift_packet,
 )
 from wavefall.core import (
-    MARGIN_AMPLITUDE,
+    _MARGIN_AMPLITUDE,
+    _boundary_amplitude,
+    _check_margin,
     _first_over_margin,
+    _margin_nodes,
     _momentum_amp,
     _require_finite,
-    boundary_amplitude,
-    check_margin,
-    margin_nodes,
 )
 
 
@@ -222,13 +222,13 @@ def test_overlap_of_displaced_gaussians(grid, params):
 
 
 def test_margin_helpers():
-    assert margin_nodes(256) == 12
-    assert margin_nodes(8) == 1
+    assert _margin_nodes(256) == 12
+    assert _margin_nodes(8) == 1
     amp = np.zeros(64, dtype=complex)
     amp[3] = 1e-9  # inside the 3-node guard band
-    assert boundary_amplitude(amp, 64) == 0.0
+    assert _boundary_amplitude(amp, 64) == 0.0
     amp[1] = 1e-9
-    assert boundary_amplitude(amp, 64) == pytest.approx(1e-9)
+    assert _boundary_amplitude(amp, 64) == pytest.approx(1e-9)
 
 
 def test_boundary_amplitude_reduces_the_last_axis():
@@ -236,18 +236,18 @@ def test_boundary_amplitude_reduces_the_last_axis():
     stack[0, 1] = 1e-9
     stack[1, 3] = 1.0  # inside, not on the guard band
     stack[2, -1] = 2e-3
-    worst = boundary_amplitude(stack, 64)
+    worst = _boundary_amplitude(stack, 64)
     assert worst.shape == (3,)
     np.testing.assert_array_equal(worst, [1e-9, 0.0, 2e-3])
-    assert type(boundary_amplitude(stack[2], 64)) is float
+    assert type(_boundary_amplitude(stack[2], 64)) is float
 
 
 def test_nan_on_the_margin_fails_closed(grid):
     amp = np.zeros(grid.n, dtype=complex)
     amp[-1] = np.nan
-    assert np.isnan(boundary_amplitude(amp, grid.n))
+    assert np.isnan(_boundary_amplitude(amp, grid.n))
     with pytest.raises(GridOverflow, match="nan-test"):
-        check_margin(WavePacket(grid, amp), "nan-test")
+        _check_margin(amp[None], "nan-test", False)
 
 
 # Values that must trip the guard on a guarded node, or sit just below it.
@@ -256,9 +256,9 @@ _EDGE_VALUES = [
     complex(0.0, math.nan),
     complex(math.inf, 0.0),
     complex(0.0, -math.inf),
-    complex(MARGIN_AMPLITUDE, 0.0),
-    complex(0.0, -MARGIN_AMPLITUDE),
-    complex(np.nextafter(MARGIN_AMPLITUDE, 0.0), 0.0),
+    complex(_MARGIN_AMPLITUDE, 0.0),
+    complex(0.0, -_MARGIN_AMPLITUDE),
+    complex(np.nextafter(_MARGIN_AMPLITUDE, 0.0), 0.0),
 ]
 
 
@@ -278,19 +278,19 @@ _EDGE_VALUES = [
 )
 def test_first_over_margin_matches_the_per_row_reference(rows, n, seed, injections):
     rng = np.random.default_rng(seed)
-    m = margin_nodes(n)
+    m = _margin_nodes(n)
     # order-one interior amplitudes, guarded nodes below the margin
     stack = np.exp(2j * math.pi * rng.random((rows, n))) * rng.random((rows, n))
-    stack[:, :m] *= 0.9 * MARGIN_AMPLITUDE
-    stack[:, n - m :] *= 0.9 * MARGIN_AMPLITUDE
+    stack[:, :m] *= 0.9 * _MARGIN_AMPLITUDE
+    stack[:, n - m :] *= 0.9 * _MARGIN_AMPLITUDE
     for row, guarded, pick, value in injections:
         if guarded:
             node = [*range(m), *range(n - m, n)][pick % (2 * m)]
         else:
             node = m + pick % (n - 2 * m)
         stack[row % rows, node] = value
-    worst = boundary_amplitude(stack, n)
-    over = np.flatnonzero(~(worst < MARGIN_AMPLITUDE))
+    worst = _boundary_amplitude(stack, n)
+    over = np.flatnonzero(~(worst < _MARGIN_AMPLITUDE))
     hit = _first_over_margin(stack)
     if over.size == 0:
         assert hit is None
@@ -326,6 +326,94 @@ def test_require_finite_names_the_first_non_finite_node(
     assert str(info.value) == f"ctx: non-finite amplitude at node {node}"
 
 
+def _nan_at_100(psi):
+    amp = np.array(psi.amp)
+    amp[100] = math.nan
+    return WavePacket(psi.grid, amp)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        # t = 8 carries the packet 32 units down a 40-unit grid
+        (
+            lambda psi, p: evolve_exact([psi], p, 8.0),
+            GridOverflow,
+            r"^evolve_exact: boundary amplitude \S+ on the outer 12 nodes in row 0 "
+            r"exceeds the 1e-10 margin; enlarge the grid or shorten the evolution$",
+        ),
+        (
+            lambda psi, p: shift_packet([psi], 18.0),
+            GridOverflow,
+            r"^shift_packet: boundary amplitude \S+ on the outer 12 nodes in row 0 "
+            r"exceeds the 1e-10 margin",
+        ),
+        (
+            lambda psi, p: evolve_split_step([psi], p, 8.0, SolverConfig(64)),
+            GridOverflow,
+            r"^evolve_split_step: boundary amplitude \S+ on the outer 12 nodes "
+            r"in row 0 at step \d+/64 \(t=\S+\) exceeds the 1e-10 margin; "
+            r"enlarge the grid or shorten the evolution$",
+        ),
+        (
+            lambda psi, p: evolve_exact([_nan_at_100(psi)], p, 1.0),
+            NonFiniteState,
+            r"^evolve_exact start state: non-finite amplitude in row 0 at node 100$",
+        ),
+        (
+            lambda psi, p: shift_packet([_nan_at_100(psi)], 1.0),
+            NonFiniteState,
+            r"^shift_packet start state: non-finite amplitude in row 0 at node 100$",
+        ),
+        (
+            lambda psi, p: evolve_split_step(
+                [_nan_at_100(psi)], p, 1.0, SolverConfig(8)
+            ),
+            NonFiniteState,
+            r"^evolve_split_step start state: non-finite amplitude in row 0 "
+            r"at node 100$",
+        ),
+        (
+            lambda psi, p: evolve_exact([psi], p, 1e200),
+            NonFiniteState,
+            r"^evolve_exact in row 0: result shift=inf ",
+        ),
+        (
+            lambda psi, p: shift_packet([psi], [1e307]),
+            NonFiniteState,
+            r"^shift_packet in row 0: result shift_angle=inf ",
+        ),
+        (
+            lambda psi, p: evolve_split_step(
+                [psi], replace(p, m=1e-300), 1e10, SolverConfig(1)
+            ),
+            NonFiniteState,
+            r"^evolve_split_step in row 0: result kinetic_angle=inf ",
+        ),
+    ],
+    ids=[
+        "evolve_exact-margin",
+        "shift_packet-margin",
+        "split-step-margin",
+        "evolve_exact-start",
+        "shift_packet-start",
+        "split-step-start",
+        "evolve_exact-angle",
+        "shift_packet-angle",
+        "split-step-angle",
+    ],
+)
+def test_one_row_batched_calls_name_row_0_on_every_refusal(
+    psi0, params, call, error, message
+):
+    # a batched call names its row by being batched, not by its row count;
+    # evolve_exact and shift_packet named no row on a one-row overflow
+    with pytest.raises(error, match=message) as info:
+        call(psi0, params)
+    if error is GridOverflow:
+        assert info.value.row == 0
+
+
 def test_require_finite_accepts_a_finite_stack_whose_sum_overflows():
     # every node is finite, but the sum of the stack overflows to inf (and
     # inf - inf in the imaginary part gives NaN); the stack is still finite
@@ -341,7 +429,7 @@ def test_check_margin_raises_with_context(grid):
     amp = np.zeros(grid.n, dtype=complex)
     amp[0] = 1.0
     with pytest.raises(GridOverflow, match="edge-test"):
-        check_margin(WavePacket(grid, amp), "edge-test")
+        _check_margin(amp[None], "edge-test", False)
 
 
 def test_trajectory_initial_value_form():

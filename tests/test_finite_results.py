@@ -188,8 +188,17 @@ def test_each_phase_angle_is_evaluated_once_per_row(psi0, count_calls):
             ),
             r"^evolve_split_step in row 0: result potential_angle=inf ",
         ),
+        # rows are searched row by row: row 0's kinetic angle overflows and so
+        # does row 1's potential angle.  Every row's potential angle used to
+        # be checked first, which named row 1.
+        (
+            lambda psi: evolve_split_step(
+                [psi, psi], [replace(P, g=0.0), HUGE_G], [1e307, 1e10], SolverConfig(1)
+            ),
+            r"^evolve_split_step in row 0: result kinetic_angle=inf ",
+        ),
     ],
-    ids=["shift_packet", "split-step-kinetic", "split-step-potential"],
+    ids=["shift_packet", "split-step-kinetic", "split-step-potential", "row-major"],
 )
 def test_public_kernels_refuse_a_phase_angle_past_the_float_range(
     psi0, call, message

@@ -22,13 +22,6 @@ LAYERS = (
     "relativistic",
     "splitstep",
 )
-MARGIN_HELPERS = {
-    "MARGIN_AMPLITUDE",
-    "MARGIN_FRACTION",
-    "margin_nodes",
-    "boundary_amplitude",
-    "check_margin",
-}
 REMOVED = {
     "bvp_trajectory",
     "to_position",
@@ -45,19 +38,24 @@ REMOVED = {
     "free_evolve",
     "heisenberg_position",
     "dense_propagator",
+    "MARGIN_AMPLITUDE",
+    "MARGIN_FRACTION",
+    "margin_nodes",
+    "boundary_amplitude",
+    "check_margin",
 }
 
 
 def test_exports_are_the_union_of_the_layer_lists():
     modules = [importlib.import_module(f"wavefall.{name}") for name in LAYERS]
     declared = {name for module in modules for name in module.__all__}
-    assert MARGIN_HELPERS <= declared
+    assert not REMOVED & declared
     assert len(wavefall.__all__) == len(set(wavefall.__all__))
-    assert set(wavefall.__all__) == {"__version__"} | (declared - MARGIN_HELPERS)
+    assert set(wavefall.__all__) == {"__version__"} | declared
     for module in modules:
-        for name in set(module.__all__) - MARGIN_HELPERS:
+        for name in module.__all__:
             assert getattr(wavefall, name) is getattr(module, name), name
-    for name in MARGIN_HELPERS | REMOVED:
+    for name in REMOVED:
         assert name not in wavefall.__all__
         assert not hasattr(wavefall, name), name
 

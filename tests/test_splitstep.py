@@ -29,7 +29,7 @@ from wavefall import (
     moments,
     overlap,
 )
-from wavefall.core import boundary_amplitude
+from wavefall.core import _boundary_amplitude
 
 
 def test_solver_config_validation():
@@ -191,7 +191,7 @@ def _clear_of_band_edges(psi):
     """
     grid = psi.grid
     amp_k = np.fft.fftshift(np.fft.fft(psi.amp)) / np.sqrt(grid.n)
-    edges = boundary_amplitude(np.stack([psi.amp, amp_k]), grid.n)
+    edges = _boundary_amplitude(np.stack([psi.amp, amp_k]), grid.n)
     return bool(np.all(edges * np.sqrt(grid.dx) < 1e-12))
 
 

@@ -41,6 +41,6 @@ psi0 = make_gaussian(grid, 0.0, 0.0, 1.0, params)
 full, base = branch_states(psi0, params, t)
 mask = np.abs(base.amp) > 1e-3
 measured = np.angle(full.amp[mask] / base.amp[mask])
-predicted = np.array([delta_action(x, t, params) for x in grid.x[mask]])
+predicted = np.array(delta_action(grid.x[mask], t, params))  # one row per node
 wrapped = np.angle(np.exp(1j * predicted / params.hbar))
 print(f"max phase mismatch across the packet: {np.abs(measured - wrapped).max():.3e}")

@@ -16,19 +16,40 @@ and their difference is independent of the starting point:
 which is exactly hbar times the phase the factored propagator attaches at
 position xt (momentum-kick phase plus the global cubic phase).
 
+classical_action, shifted_free_action and delta_action take rows, as
+evolve_exact and moments do: each argument, params included, may be one value
+or an equal-length sequence (list, tuple or ndarray), single values broadcast
+against the sequences, and a list is returned when any argument is a
+sequence.  All rows are evaluated at once as float64 arrays, one elementwise
+operation at a time in a fixed order, so every row is bit-identical to its
+single call; t**3 is taken row by row with Python's float pow, because
+numpy's t**3 differs from it in the last bit for some t.
+
 Every closed form here refuses a NaN or infinite argument with
 NonFiniteState naming it, before any other check, and refuses a result that
 overflows to inf (or NaN), or whose float arithmetic raises OverflowError or
-ZeroDivisionError, the same way, naming the function.
+ZeroDivisionError, the same way, naming the function.  A batched call runs
+each check over all its rows in one pass before the next check; only a
+failing pass searches row by row, and the refusal names the first offending
+row, "<function> in row R: ...", carried as .row by NonFiniteState.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
-    PhysicalParams, _RefuseOverflow, _require_finite_scalars, _require_times,
+    PhysicalParams,
+    _as_rows,
+    _in_row,
+    _RefuseOverflow,
+    _require_finite_rows,
+    _require_finite_scalars,
+    _require_times,
 )
 from .errors import BadSigma, DegenerateInterval
 
@@ -51,56 +72,117 @@ class ActionValue:
     potential: float
 
 
+def _rows(context: str, params, positive_t: bool, **args):
+    """batched, then m, g and each argument (t last) as a float64 array of rows.
+
+    Refuses, each check over all rows before the next, an argument that is
+    not finite (NonFiniteState) and, when positive_t, a t that is not
+    positive (DegenerateInterval, "<context>[ in row R]: need t > 0, got t").
+    """
+    batched, (pars, *columns) = _as_rows(context, params, *args.values())
+    values = np.array(columns, dtype=np.float64)
+    if not np.isfinite(values).all():
+        _require_finite_rows(context, batched, result=False, **dict(zip(args, columns)))
+    if positive_t and not (values[-1] > 0).all():
+        row = int(np.argmin(values[-1] > 0))
+        raise DegenerateInterval(
+            f"{context}{_in_row(row, batched)}: need t > 0, got {columns[-1][row]}"
+        )
+    m = np.array([p.m for p in pars], dtype=np.float64)
+    g = np.array([p.g for p in pars], dtype=np.float64)
+    return batched, m, g, *values
+
+
+def _cubes(context: str, batched: bool, t: np.ndarray) -> np.ndarray:
+    """t**3 row by row with Python's float pow, as each single call cubes t.
+
+    Python raises OverflowError for a cube past the float range; the rows
+    are then searched one by one, and NonFiniteState names the first.
+    """
+    ts = t.tolist()
+    try:
+        return np.array([v**3 for v in ts], dtype=np.float64)
+    except OverflowError:
+        for row, v in enumerate(ts):
+            with _RefuseOverflow(f"{context}{_in_row(row, batched)}", row):
+                v**3  # raises at the first row past the range
+        raise
+
+
+def _finite(context: str, batched: bool, value: np.ndarray) -> list[float]:
+    """The rows of a result as floats; NonFiniteState at the first not finite."""
+    values = value.tolist()
+    if not np.isfinite(value).all():
+        _require_finite_rows(context, batched, value=values)
+    return values
+
+
 def classical_action(
-    x0: float, x1: float, t: float, params: PhysicalParams
-) -> ActionValue:
+    x0: float | Sequence[float],
+    x1: float | Sequence[float],
+    t: float | Sequence[float],
+    params: PhysicalParams | Sequence[PhysicalParams],
+):
     """Action of the classical path from (0, x0) to (t, x1), in closed form.
 
     kinetic = (m/2) ((x0-x1)^2/t + g^2 t^3/12) and
     potential = m g (t (x0+x1)/2 + g t^3/12); the value is their difference.
-    Requires t > 0.
+    Requires t > 0.  Returns an ActionValue, or a list of them for a batched
+    call (module docstring).
     """
-    _require_finite_scalars("classical_action", x0=x0, x1=x1, t=t)
-    if not t > 0:
-        raise DegenerateInterval(f"classical_action: need t > 0, got {t}")
-    m, g = params.m, params.g
-    disp = x0 - x1
-    with _RefuseOverflow("classical_action"):
-        kinetic = 0.5 * m * (disp * disp / t + g * g * t**3 / 12.0)
-        potential = m * g * (t * (x0 + x1) / 2.0 + g * t**3 / 12.0)
-    value = kinetic - potential
-    _require_finite_scalars("classical_action", result=True, value=value)
-    return ActionValue(value=value, kinetic=kinetic, potential=potential)
+    name = "classical_action"
+    batched, m, g, x0, x1, t = _rows(name, params, True, x0=x0, x1=x1, t=t)
+    t3 = _cubes(name, batched, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        disp = x0 - x1
+        kinetic = 0.5 * m * (disp * disp / t + g * g * t3 / 12.0)
+        potential = m * g * (t * (x0 + x1) / 2.0 + g * t3 / 12.0)
+        value = kinetic - potential
+    out = [
+        ActionValue(*row)
+        for row in zip(_finite(name, batched, value), kinetic.tolist(), potential.tolist())
+    ]
+    return out if batched else out[0]
 
 
 def shifted_free_action(
-    x0: float, xt: float, t: float, params: PhysicalParams
-) -> ActionValue:
+    x0: float | Sequence[float],
+    xt: float | Sequence[float],
+    t: float | Sequence[float],
+    params: PhysicalParams | Sequence[PhysicalParams],
+):
     """Free (g = 0) action from x0 to the fall-corrected endpoint xt + g t^2/2.
 
     The comparison path is a straight line, so the action is purely kinetic:
-    (m / 2t) (x0 - xt - g t^2/2)^2.  Requires t > 0.
+    (m / 2t) (x0 - xt - g t^2/2)^2.  Requires t > 0.  Returns an
+    ActionValue, or a list of them for a batched call (module docstring).
     """
-    _require_finite_scalars("shifted_free_action", x0=x0, xt=xt, t=t)
-    if not t > 0:
-        raise DegenerateInterval(f"shifted_free_action: need t > 0, got {t}")
-    diff = x0 - xt - 0.5 * params.g * t * t
-    value = 0.5 * params.m * diff * diff / t
-    _require_finite_scalars("shifted_free_action", result=True, value=value)
-    return ActionValue(value=value, kinetic=value, potential=0.0)
+    name = "shifted_free_action"
+    batched, m, g, x0, xt, t = _rows(name, params, True, x0=x0, xt=xt, t=t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = x0 - xt - 0.5 * g * t * t
+        value = 0.5 * m * diff * diff / t
+    out = [ActionValue(v, v, 0.0) for v in _finite(name, batched, value)]
+    return out if batched else out[0]
 
 
-def delta_action(xt: float, t: float, params: PhysicalParams) -> float:
+def delta_action(
+    xt: float | Sequence[float],
+    t: float | Sequence[float],
+    params: PhysicalParams | Sequence[PhysicalParams],
+):
     """classical_action minus shifted_free_action: -m g xt t - m g^2 t^3 / 6.
 
     Independent of the starting point x0; vanishes identically at g = 0.
+    Returns a float, or a list of them for a batched call (module docstring).
     """
-    _require_finite_scalars("delta_action", xt=xt, t=t)
-    m, g = params.m, params.g
-    with _RefuseOverflow("delta_action"):
-        value = -m * g * xt * t - m * g * g * t**3 / 6.0
-    _require_finite_scalars("delta_action", result=True, value=value)
-    return value
+    name = "delta_action"
+    batched, m, g, xt, t = _rows(name, params, False, xt=xt, t=t)
+    t3 = _cubes(name, batched, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = -m * g * xt * t - m * g * g * t3 / 6.0
+    out = _finite(name, batched, value)
+    return out if batched else out[0]
 
 
 def ehrenfest_mean(

@@ -83,7 +83,7 @@ from .core import (
     _shared_hbar_m,
     _stack,
 )
-from .errors import GridOverflow
+from .errors import GridOverflow, NonFiniteState
 
 __all__ = [
     "AccelSchedule",
@@ -396,8 +396,9 @@ def _segment_chain(psi, params, rows, labels, step):
 
     Segment i of every row that has one runs in one batched call
     step(states, params, durations), each row's params taking its g.  A
-    GridOverflow is re-raised naming the row's label and the segment, with
-    the row of step's stack, which means nothing to the caller, dropped.
+    GridOverflow or NonFiniteState is re-raised as the same type naming the
+    row's label and the segment, with the row of step's stack, which means
+    nothing to the caller, dropped.
     """
     states = [psi] * len(rows)
     for i in range(max(map(len, rows), default=0)):
@@ -412,11 +413,11 @@ def _segment_chain(psi, params, rows, labels, step):
                 [pars[_bits(g)] for g in gs],
                 [rows[r][i][1] for r in live],
             )
-        except GridOverflow as exc:
+        except (GridOverflow, NonFiniteState) as exc:
             r = live[exc.row]
             g_i, dt_i = rows[r][i]
             cause = str(exc).replace(_in_row(exc.row, True), "", 1)
-            raise GridOverflow(
+            raise type(exc)(
                 f"{labels[r]}, segment {i} (g={g_i}, duration={dt_i}): {cause}"
             ) from exc
         for r, state in zip(live, out):
@@ -431,8 +432,9 @@ def evolve_piecewise(
 
     hbar and m come from params; each segment overrides g.  A start state
     holding NaN or inf is refused first, with NonFiniteState naming the
-    node, even for the empty schedule.  A margin failure is re-raised as
-    "schedule, segment i (g=..., duration=...): ...".
+    node, even for the empty schedule.  A margin failure, or a segment
+    scalar or angle that is not finite, is re-raised as "schedule, segment
+    i (g=..., duration=...): ...".
     """
     _require_finite(psi.amp[None], "evolve_piecewise start state", False)
     rows, labels = [schedule.segments], ["schedule"]

@@ -47,7 +47,8 @@ _MARGIN_AMPLITUDE = 1.0e-10
 # Fraction of nodes guarded at each end of the grid.
 _MARGIN_FRACTION = 0.05
 
-# Argument types read as one value per row; anything else broadcasts.
+# Argument types read as one value per row; anything else, a 0-d ndarray
+# included, broadcasts.
 _SEQUENCES = (list, tuple, np.ndarray)
 
 
@@ -287,10 +288,10 @@ def _require_finite(
 
     The message reads "<context>: non-finite amplitude[ in row R] at node N",
     the row named only for a batched call.  When stack row i stands for row
-    rows[i] of the caller's stack, R is the caller's row.  A finite sum
-    proves every node finite, since a NaN or inf never sums to a finite
-    value; only a sum that is not finite, which finite nodes near the
-    float limit can also give, pays for the node-by-node search.
+    rows[i] of the caller's stack, R is the caller's row, carried as .row.
+    A finite sum proves every node finite, since a NaN or inf never sums to
+    a finite value; only a sum that is not finite, which finite nodes near
+    the float limit can also give, pays for the node-by-node search.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if cmath.isfinite(stack.sum()):
@@ -301,38 +302,46 @@ def _require_finite(
         if rows is not None:
             row = rows[row]
         raise NonFiniteState(
-            f"{context}: non-finite amplitude{_in_row(row, batched)} at node {node}"
+            f"{context}: non-finite amplitude{_in_row(row, batched)} at node {node}",
+            row=row,
         )
 
 
-def _require_finite_scalars(context: str, result: bool = False, **values: float) -> None:
+def _require_finite_scalars(
+    context: str, result: bool = False, row: int | None = None, **values: float
+) -> None:
     """Raise NonFiniteState naming the first scalar that is NaN or inf.
 
     The message reads "<context>: <name>=<value> is not finite" for an
     argument, and "<context>: result <name>=<value> is not finite" when
-    result is True.
+    result is True; the exception carries row as .row.
     """
     for name, value in values.items():
         if not math.isfinite(value):
             kind = "result " if result else ""
-            raise NonFiniteState(f"{context}: {kind}{name}={value} is not finite")
+            raise NonFiniteState(
+                f"{context}: {kind}{name}={value} is not finite", row=row
+            )
 
 
-def _require_finite_rows(context: str, batched: bool, **columns: list) -> None:
+def _require_finite_rows(
+    context: str, batched: bool, result: bool = True, **columns: list
+) -> None:
     """Raise NonFiniteState at the first value, row by row, that is NaN or inf.
 
     Each column holds one value per row, searched row by row and, within a
     row, in the order given.  The message reads "<context>[ in row R]:
-    result <name>=<value> is not finite", the row named only for a batched
-    call.  Entry points pass each row's largest phase angles formed in the
-    kernel's order, before building any phase: numpy divides a complex
-    array by a real d as a product with 1/d, so a finite angle means the
-    phase is built without overflow.
+    [result ]<name>=<value> is not finite", the row named only for a batched
+    call and carried as .row; result=False, for the arguments of a call,
+    leaves out "result ".  Entry points pass each row's largest phase
+    angles formed in the kernel's order, before building any phase: numpy
+    divides a complex array by a real d as a product with 1/d, so a finite
+    angle means the phase is built without overflow.
     """
     for row, values in enumerate(zip(*columns.values())):
         if not all(map(math.isfinite, values)):
             _require_finite_scalars(
-                f"{context}{_in_row(row, batched)}", result=True,
+                f"{context}{_in_row(row, batched)}", result, row,
                 **dict(zip(columns, values)),
             )
 
@@ -352,13 +361,13 @@ class _RefuseOverflow:
     or ZeroDivisionError (a divisor that underflowed to 0) where numpy would
     give inf or NaN, and numpy raises FloatingPointError under
     np.errstate(..., "raise"); inside the block each is re-raised as
-    NonFiniteState, "<context>: a result overflows the float range (<type>)".
-    A class, not a contextlib generator, which costs three times as much per
-    block: verify runs the action closed forms thousands of times.
+    NonFiniteState, "<context>: a result overflows the float range (<type>)",
+    carrying row as .row.  A class, not a contextlib generator, which costs
+    three times as much per block.
     """
 
-    def __init__(self, context: str) -> None:
-        self.context = context
+    def __init__(self, context: str, row: int | None = None) -> None:
+        self.context, self.row = context, row
 
     def __enter__(self) -> None:
         return None
@@ -368,7 +377,8 @@ class _RefuseOverflow:
             kind, (OverflowError, ZeroDivisionError, FloatingPointError)
         ):
             raise NonFiniteState(
-                f"{self.context}: a result overflows the float range ({kind.__name__})"
+                f"{self.context}: a result overflows the float range ({kind.__name__})",
+                row=self.row,
             ) from exc
 
 
@@ -389,10 +399,13 @@ def _as_rows(context: str, *values) -> tuple[bool, list[list]]:
     """Broadcast single values against equal-length sequences, one entry per row.
 
     Returns (batched, columns): batched is True when any value is a sequence
-    (list, tuple or ndarray), and each column holds its argument's value for
-    every row.
+    (list, tuple or ndarray of at least one dimension), and each column
+    holds its argument's value for every row.
     """
-    columns = [list(v) if isinstance(v, _SEQUENCES) else None for v in values]
+    columns = [
+        list(v) if isinstance(v, _SEQUENCES) and getattr(v, "ndim", 1) else None
+        for v in values
+    ]
     lengths = sorted({len(c) for c in columns if c is not None})
     if len(lengths) > 1:
         raise ValueError(f"{context}: sequence arguments differ in length: {lengths}")
@@ -551,11 +564,13 @@ def _position_moments(amp: np.ndarray, g: Grid, batched: bool):
     bad = np.flatnonzero(~((0 < norm) & (norm < math.inf)))
     if bad.size:
         row = int(bad[0])
-        error = ValueError if norm[row] == 0 else NonFiniteState
-        raise error(
+        message = (
             f"moments: norm {norm[row]}{_in_row(row, batched)} is not positive "
             f"and finite; cannot take moments"
         )
+        if norm[row] == 0:
+            raise ValueError(message)
+        raise NonFiniteState(message, row=row)
     mean_x = np.sum(g.x * prob, axis=-1) * g.dx / norm
     var_x = np.sum((g.x - mean_x[:, None]) ** 2 * prob, axis=-1) * g.dx / norm
     sigma_x = [math.sqrt(max(v, 0.0)) for v in var_x.tolist()]

@@ -40,7 +40,15 @@ class GridOverflow(WavefallError):
 
 
 class NonFiniteState(WavefallError, ValueError):
-    """A state, or a quantity reduced from it, holds NaN or inf."""
+    """A state, or a quantity reduced from it, holds NaN or inf.
+
+    row is the index of the offending row in the producer's rows, or None
+    when the raiser has no rows.
+    """
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class BadSigma(WavefallError):

@@ -1,18 +1,24 @@
 """Two-time actions: closed forms vs quadrature, and the phase they control."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wavefall import (
+    ActionValue,
     BadSigma,
     DegenerateInterval,
     NegativeTime,
     NonFiniteState,
     PhysicalParams,
     Trajectory,
+    WavefallError,
     classical_action,
     delta_action,
     ehrenfest_mean,
@@ -123,6 +129,16 @@ def test_delta_action_independent_of_x0(params):
     assert max(vals) - min(vals) < 1e-12
 
 
+def test_a_zero_dimensional_array_is_one_value(params):
+    # a 0-d ndarray is one row, as a float is, not a sequence to iterate
+    assert delta_action(np.array(-0.5), np.array(1.0), params) == delta_action(
+        -0.5, 1.0, params
+    )
+    assert classical_action(np.array(0.0), 0.0, 2.0, params) == classical_action(
+        0.0, 0.0, 2.0, params
+    )
+
+
 def test_delta_action_vanishes_without_gravity():
     free = PhysicalParams(hbar=1.0, m=1.0, g=0.0, c=10.0)
     assert delta_action(3.0, 2.0, free) == 0.0
@@ -216,3 +232,154 @@ def test_closed_forms_refuse_non_finite_arguments(params, call, message):
     with pytest.raises(NonFiniteState) as info:
         call(params)
     assert str(info.value) == message + " is not finite"
+
+
+# Values drawn on their own: signed zeros, the smallest subnormal, the float
+# limits, and the edge of the range where t**3 overflows (about 5.64e102).
+EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e154, 5.6e102, 5.7e102,
+    1e308, 1.7976931348623157e308,
+]
+EDGES += [-v for v in EDGES if v > 0]
+any_float = st.floats(allow_nan=False, allow_infinity=False)
+real = st.one_of(st.sampled_from(EDGES), any_float)
+mass = st.one_of(
+    st.sampled_from([v for v in EDGES if v > 0]),
+    st.floats(min_value=5e-324, allow_infinity=False),
+)
+EDGE_ROWS = st.lists(st.tuples(mass, real, real, real, real), max_size=8)
+# Ordinary (m, g, t, x0, x1) rows in the ranges verify draws, from a seed:
+# about 5% of such t have a cube that numpy's t**3 rounds differently, where
+# the short decimals Hypothesis favours have cubes that round the same way
+# in every implementation.
+ORDINARY_LOW, ORDINARY_HIGH = (0.5, -2.0, 0.25, -5.0, -5.0), (3.0, 2.0, 3.0, 5.0, 5.0)
+
+
+def _classical_reference(x0, x1, t, m, g):
+    disp = x0 - x1
+    kinetic = 0.5 * m * (disp * disp / t + g * g * t**3 / 12.0)
+    potential = m * g * (t * (x0 + x1) / 2.0 + g * t**3 / 12.0)
+    return (kinetic - potential, kinetic, potential)
+
+
+def _shifted_free_reference(x0, xt, t, m, g):
+    diff = x0 - xt - 0.5 * g * t * t
+    value = 0.5 * m * diff * diff / t
+    return (value, value, 0.0)
+
+
+def _delta_reference(xt, t, m, g):
+    return (-m * g * xt * t - m * g * g * t**3 / 6.0,)
+
+
+# Each closed form, the arguments it takes from a row's (x0, x1, t), and its
+# scalar expression in Python floats, the reference for every row's bits.
+FORMS = {
+    "classical_action": (
+        classical_action, lambda x0, x1, t: (x0, x1, t), _classical_reference
+    ),
+    "shifted_free_action": (
+        shifted_free_action, lambda x0, x1, t: (x0, x1, t), _shifted_free_reference
+    ),
+    "delta_action": (delta_action, lambda x0, x1, t: (x1, t), _delta_reference),
+}
+
+
+def _fields(out):
+    if isinstance(out, ActionValue):
+        return (out.value, out.kinetic, out.potential)
+    return (out,)
+
+
+def _bits(rows):
+    return np.array(rows, dtype=np.float64).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("form", FORMS)
+@given(seed=st.integers(0, 2**32 - 1), edges=EDGE_ROWS)
+def test_batched_rows_are_bit_identical_to_single_calls(form, seed, edges):
+    # every row of one batched call has the bits of its own single call and
+    # of the scalar expression in Python floats, whose t**3 is Python's pow;
+    # a batch is refused exactly when one of its rows is refused alone
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(ORDINARY_LOW, ORDINARY_HIGH, (16, 5)).tolist() + edges
+    call, args, reference = FORMS[form]
+    singles, expected, kept = [], [], []
+    for m, g, t, x0, x1 in rows:
+        params = PhysicalParams(m=m, g=g)
+        try:
+            singles.append(_fields(call(*args(x0, x1, t), params)))
+        except WavefallError:
+            continue
+        expected.append(reference(*args(x0, x1, t), m, g))
+        kept.append((args(x0, x1, t), params))
+    columns = [[a[i] for a, _ in kept] for i in range(len(args(0, 0, 0)))]
+    batched = call(*columns, [p for _, p in kept])
+    assert _bits([_fields(out) for out in batched]) == _bits(singles)
+    assert _bits(singles) == _bits(expected)
+    if len(kept) < len(rows):
+        columns = [list(c) for c in zip(*(args(x0, x1, t) for _, _, t, x0, x1 in rows))]
+        with pytest.raises(WavefallError):
+            call(*columns, [PhysicalParams(m=m, g=g) for m, g, *_ in rows])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda p: classical_action([0.0, 1.0, NAN], 1.0, 1.0, p),
+            NonFiniteState,
+            "classical_action in row 2: x0=nan is not finite",
+        ),
+        (
+            lambda p: shifted_free_action(0.0, [1.0, -INF], 1.0, p),
+            NonFiniteState,
+            "shifted_free_action in row 1: xt=-inf is not finite",
+        ),
+        (
+            lambda p: delta_action(0.0, (1.0, 2.0, 3.0, NAN), p),
+            NonFiniteState,
+            "delta_action in row 3: t=nan is not finite",
+        ),
+        (
+            lambda p: classical_action(0.0, 1.0, np.array([1.0, 0.0]), p),
+            DegenerateInterval,
+            "classical_action in row 1: need t > 0, got 0.0",
+        ),
+        (
+            lambda p: shifted_free_action(0.0, 1.0, [2.0, 1.0, -1.0], p),
+            DegenerateInterval,
+            "shifted_free_action in row 2: need t > 0, got -1.0",
+        ),
+        (
+            lambda p: classical_action(0.0, 1.0, [1.0, 1e200], p),
+            NonFiniteState,
+            "classical_action in row 1: a result overflows the float range "
+            "(OverflowError)",
+        ),
+        (
+            lambda p: shifted_free_action(0.0, 1.0, [1.0, 2.0, 1e200], p),
+            NonFiniteState,
+            "shifted_free_action in row 2: result value=inf is not finite",
+        ),
+        (
+            lambda p: delta_action(0.0, [1e200, 1.0], [p, p]),
+            NonFiniteState,
+            "delta_action in row 0: a result overflows the float range (OverflowError)",
+        ),
+    ],
+    ids=[
+        "classical_action-nan", "shifted_free_action-inf", "delta_action-nan",
+        "classical_action-zero-t", "shifted_free_action-negative-t",
+        "classical_action-t3", "shifted_free_action-result", "delta_action-t3",
+    ],
+)
+def test_batched_refusals_name_the_row_without_a_warning(params, call, error, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error) as info:
+            call(params)
+    assert str(info.value) == message
+    assert not caught
+    if error is NonFiniteState:
+        assert info.value.row == int(re.search(r" in row (\d+):", message)[1])

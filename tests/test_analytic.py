@@ -217,6 +217,21 @@ def test_piecewise_overflow_is_labelled_like_a_scan_overflow(psi0, params):
     )
 
 
+def test_piecewise_non_finite_segment_scalar_is_labelled_like_an_overflow(
+    psi0, params
+):
+    # the second segment's shift g t^2/2 overflows; the message named row 0
+    # of evolve_exact's stack instead of the segment
+    sched = AccelSchedule(((1.0, 0.5), (1.0, 1e200)))
+    with pytest.raises(NonFiniteState) as info:
+        evolve_piecewise(psi0, params, sched)
+    assert str(info.value) == (
+        "schedule, segment 1 (g=1.0, duration=1e+200): evolve_exact: "
+        "result shift=inf is not finite"
+    )
+    assert info.value.row is None
+
+
 def test_schedule_duration_validation():
     with pytest.raises(ValueError):
         AccelSchedule(((1.0, 0.0),))

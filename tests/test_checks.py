@@ -151,31 +151,48 @@ def test_delta_action_draws_equal_five_scalar_uniform_calls_per_draw(
     count_calls, n_random
 ):
     # the block draws must give what five scalar draws per tuple gave, in the
-    # same order, and leave the rng where those left it
+    # same order, and leave the rng where those left it; each block makes one
+    # batched delta_action call and two classical_action calls, at x0 and -x0
     deltas = count_calls(checks, "delta_action")
     actions = count_calls(checks, "classical_action")
     cfg = default_config()
     cfg = replace(cfg, verify=replace(cfg.verify, n_random=n_random))
     rng, ref = np.random.default_rng(7), np.random.default_rng(7)
     assert checks._delta_action_identity(cfg, rng)["passed"]
+    blocks = -(-n_random // checks._DRAW_BLOCK)
+    assert (len(deltas), len(actions)) == (blocks, 2 * blocks)
+
+    def rows(calls):
+        return [list(zip(*args)) for args in calls]
+
+    d_rows = [row for block in rows(deltas) for row in block]
+    plus = [row for block in rows(actions[0::2]) for row in block]
+    minus = [row for block in rows(actions[1::2]) for row in block]
+    assert len(d_rows) == len(plus) == len(minus) == n_random
     lows, highs = (0.5, -2.0, 0.25, -5.0, -5.0), (3.0, 2.0, 3.0, 5.0, 5.0)
     for i in range(n_random):
         m, g, t, x0, xt = (ref.uniform(lo, hi) for lo, hi in zip(lows, highs))
-        d_xt, d_t, pars = deltas[i]
+        d_xt, d_t, pars = d_rows[i]
         assert (pars.m, pars.g, d_t, d_xt) == (m, g, t, xt)
-        assert actions[2 * i][:3] == (x0, xt, t)
-        assert actions[2 * i + 1][:3] == (-x0, xt, t)
+        assert plus[i][:3] == (x0, xt, t)
+        assert minus[i][:3] == (-x0, xt, t)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_verify_calls_each_closed_form_once_per_use(count_calls):
+    # one batched call per use of a closed form per draw block, n rows in all
     names = ("classical_action", "shifted_free_action", "delta_action")
     calls = {name: count_calls(checks, name) for name in names}
     cfg = default_config()
     run_all_checks(cfg)
     n = cfg.verify.n_random
+    blocks = -(-n // checks._DRAW_BLOCK)
+    uses = {"classical_action": 2, "shifted_free_action": 2, "delta_action": 1}
     assert {name: len(c) for name, c in calls.items()} == {
-        "classical_action": 2 * n, "shifted_free_action": 2 * n, "delta_action": n
+        name: use * blocks for name, use in uses.items()
+    }
+    assert {name: sum(len(args[0]) for args in c) for name, c in calls.items()} == {
+        name: use * n for name, use in uses.items()
     }
 
 
@@ -183,15 +200,17 @@ def test_a_nan_at_one_draw_fails_delta_action_identity(monkeypatch):
     # a NaN from a single draw, inside the first block, must reach the result
     real, calls = checks.delta_action, []
 
-    def nan_at_draw_500(*args):
-        calls.append(args)
-        return math.nan if len(calls) == 501 else real(*args)
+    def nan_at_draw_500(xt, t, params):
+        calls.append(xt)
+        out = real(xt, t, params)
+        out[500] = math.nan
+        return out
 
     monkeypatch.setattr(checks, "delta_action", nan_at_draw_500)
     result = next(
         r for r in run_all_checks(default_config()) if r.name == "delta_action_identity"
     )
-    assert len(calls) == 1000
+    assert [len(xt) for xt in calls] == [1000]
     assert not result.passed
     assert "identity nan" in result.measured
 
@@ -218,8 +237,7 @@ def test_delta_action_identity_fails_a_classical_action_off_by_1e_10(monkeypatch
     real = checks.classical_action
 
     def off_by_1e_10(*args):
-        action = real(*args)
-        return replace(action, value=action.value * (1 + 1e-10))
+        return [replace(a, value=a.value * (1 + 1e-10)) for a in real(*args)]
 
     monkeypatch.setattr(checks, "classical_action", off_by_1e_10)
     result = checks._delta_action_identity(default_config(), np.random.default_rng(1))

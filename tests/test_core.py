@@ -407,11 +407,11 @@ def test_one_row_batched_calls_name_row_0_on_every_refusal(
     psi0, params, call, error, message
 ):
     # a batched call names its row by being batched, not by its row count;
-    # evolve_exact and shift_packet named no row on a one-row overflow
+    # evolve_exact and shift_packet named no row on a one-row overflow.  Both
+    # error types carry the row as .row
     with pytest.raises(error, match=message) as info:
         call(psi0, params)
-    if error is GridOverflow:
-        assert info.value.row == 0
+    assert info.value.row == 0
 
 
 def test_require_finite_accepts_a_finite_stack_whose_sum_overflows():

@@ -12,6 +12,7 @@ from wavefall import (
     Colocated,
     GridOverflow,
     NegativeTime,
+    NonFiniteState,
     PhaseAliasing,
     PhysicalParams,
     SchemeMismatch,
@@ -333,6 +334,24 @@ def test_scan_overflow_names_the_readout_time_and_branch(psi0, params, backend):
     )
     # the row of the solver's chunk stack means nothing to the caller
     assert "in row" not in str(info.value)
+    assert info.value.row is None
+
+
+@pytest.mark.parametrize(
+    "t, cause",
+    [(1e200, "result shift=inf"), (1e103, "result cubic_angle=-inf")],
+    ids=["shift", "cubic_angle"],
+)
+def test_analytic_scan_names_the_readout_of_a_non_finite_scalar(
+    psi0, params, t, cause
+):
+    # the message named a row of the chunk stack, "evolve_exact in row 2"
+    with pytest.raises(NonFiniteState) as info:
+        fringe_scan(psi0, params, [0.5, t], backend="analytic")
+    assert str(info.value) == (
+        f"readout t={t}, accelerated branch, segment 0 (g=1.0, duration={t}): "
+        f"evolve_exact: {cause} is not finite"
+    )
     assert info.value.row is None
 
 

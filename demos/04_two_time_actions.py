@@ -24,8 +24,8 @@ t = 1.0
 print("start x0 | S_classical | S_shifted_free | difference | closed form")
 xt = -0.5  # where the canonical packet lands at t = 1
 for x0 in (-3.0, -1.0, 0.0, 2.0):
-    s_cl = classical_action(x0, xt, t, params).value
-    s_fr = shifted_free_action(x0, xt, t, params).value
+    s_cl = classical_action(x0, xt, t, params)
+    s_fr = shifted_free_action(x0, xt, t, params)
     print(
         f"{x0:8.1f} | {s_cl:11.6f} | {s_fr:14.6f} | "
         f"{s_cl - s_fr:10.6f} | {delta_action(xt, t, params):11.6f}"

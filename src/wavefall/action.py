@@ -16,14 +16,15 @@ and their difference is independent of the starting point:
 which is exactly hbar times the phase the factored propagator attaches at
 position xt (momentum-kick phase plus the global cubic phase).
 
-classical_action, shifted_free_action and delta_action take rows, as
-evolve_exact and moments do: each argument, params included, may be one value
-or an equal-length sequence (list, tuple or ndarray), single values broadcast
-against the sequences, and a list is returned when any argument is a
-sequence.  All rows are evaluated at once as float64 arrays, one elementwise
-operation at a time in a fixed order, so every row is bit-identical to its
-single call; t**3 is taken row by row with Python's float pow, because
-numpy's t**3 differs from it in the last bit for some t.
+classical_action, shifted_free_action and delta_action each return the
+action as a float, and take rows, as evolve_exact and moments do: each
+argument, params included, may be one value or an equal-length sequence
+(list, tuple or ndarray), single values broadcast against the sequences, and
+a list of floats is returned when any argument is a sequence.  All rows are
+evaluated at once as float64 arrays, one elementwise operation at a time in
+a fixed order, so every row is bit-identical to its single call; t**3 is
+taken row by row with Python's float pow, because numpy's t**3 differs from
+it in the last bit for some t.
 
 Every closed form here refuses a NaN or infinite argument with
 NonFiniteState naming it, before any other check, and refuses a result that
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,22 +54,12 @@ from .core import (
 from .errors import BadSigma, DegenerateInterval
 
 __all__ = [
-    "ActionValue",
     "classical_action",
     "shifted_free_action",
     "delta_action",
     "ehrenfest_mean",
     "spread_bound",
 ]
-
-
-@dataclass(frozen=True)
-class ActionValue:
-    """An action with its kinetic/potential decomposition, value = kinetic - potential."""
-
-    value: float
-    kinetic: float
-    potential: float
 
 
 def _rows(context: str, params, positive_t: bool, **args):
@@ -126,9 +116,9 @@ def classical_action(
     """Action of the classical path from (0, x0) to (t, x1), in closed form.
 
     kinetic = (m/2) ((x0-x1)^2/t + g^2 t^3/12) and
-    potential = m g (t (x0+x1)/2 + g t^3/12); the value is their difference.
-    Requires t > 0.  Returns an ActionValue, or a list of them for a batched
-    call (module docstring).
+    potential = m g (t (x0+x1)/2 + g t^3/12); the action is their difference.
+    Requires t > 0.  Returns a float, or a list of them for a batched call
+    (module docstring).
     """
     name = "classical_action"
     batched, m, g, x0, x1, t = _rows(name, params, True, x0=x0, x1=x1, t=t)
@@ -138,10 +128,7 @@ def classical_action(
         kinetic = 0.5 * m * (disp * disp / t + g * g * t3 / 12.0)
         potential = m * g * (t * (x0 + x1) / 2.0 + g * t3 / 12.0)
         value = kinetic - potential
-    out = [
-        ActionValue(*row)
-        for row in zip(_finite(name, batched, value), kinetic.tolist(), potential.tolist())
-    ]
+    out = _finite(name, batched, value)
     return out if batched else out[0]
 
 
@@ -154,15 +141,15 @@ def shifted_free_action(
     """Free (g = 0) action from x0 to the fall-corrected endpoint xt + g t^2/2.
 
     The comparison path is a straight line, so the action is purely kinetic:
-    (m / 2t) (x0 - xt - g t^2/2)^2.  Requires t > 0.  Returns an
-    ActionValue, or a list of them for a batched call (module docstring).
+    (m / 2t) (x0 - xt - g t^2/2)^2.  Requires t > 0.  Returns a float, or a
+    list of them for a batched call (module docstring).
     """
     name = "shifted_free_action"
     batched, m, g, x0, xt, t = _rows(name, params, True, x0=x0, xt=xt, t=t)
     with np.errstate(over="ignore", invalid="ignore"):
         diff = x0 - xt - 0.5 * g * t * t
         value = 0.5 * m * diff * diff / t
-    out = [ActionValue(v, v, 0.0) for v in _finite(name, batched, value)]
+    out = _finite(name, batched, value)
     return out if batched else out[0]
 
 

@@ -391,6 +391,12 @@ def _cubic_angle(p: PhysicalParams, t: float) -> float:
         return -math.inf
 
 
+def _segment_label(label: str, i: int, segment) -> str:
+    """Segment i as a refusal names it: "<label>, segment i (g=G, duration=D)"."""
+    g, duration = segment
+    return f"{label}, segment {i} (g={g}, duration={duration})"
+
+
 def _segment_chain(psi, params, rows, labels, step):
     """Final states of rows of (g, duration) segments, all started from psi.
 
@@ -415,11 +421,9 @@ def _segment_chain(psi, params, rows, labels, step):
             )
         except (GridOverflow, NonFiniteState) as exc:
             r = live[exc.row]
-            g_i, dt_i = rows[r][i]
             cause = str(exc).replace(_in_row(exc.row, True), "", 1)
-            raise type(exc)(
-                f"{labels[r]}, segment {i} (g={g_i}, duration={dt_i}): {cause}"
-            ) from exc
+            where = _segment_label(labels[r], i, rows[r][i])
+            raise type(exc)(f"{where}: {cause}") from exc
         for r, state in zip(live, out):
             states[r] = state
     return states

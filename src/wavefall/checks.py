@@ -11,17 +11,29 @@ through `_worst`, which propagates NaN, so a NaN deviation fails its check
 instead of being dropped.  The whole suite is deterministic for a fixed
 config and seed.
 
-Each check is one private function, _<name>(cfg, rng), that returns the
-passed/measured/target/detail fields of its CheckResult; the runner adds
-the name, taken from the function.  Adding a check means writing that one
-function and adding it to the _CHECKS tuple, from which CHECK_NAMES is
-derived.  One rng is passed to every check in order.
+Each check is one private function, _<name>(cfg, rng, hamiltonian), that
+returns the passed/measured/target/detail fields of its CheckResult; the
+runner adds the name, taken from the function.  Adding a check means writing
+that one function and adding it to the _CHECKS tuple, from which CHECK_NAMES
+is derived.  One rng is passed to every check in order.
+
+hamiltonian(grid, params) is the run's memo of the public dense_hamiltonian:
+each (grid, params) is built, and decomposed by eigh, once per run, and the
+memo goes with the run.  Checks use an operator only through evolve_dense
+and commutator_element.  Sharing one operator between checks keeps the
+routes independent: it is built from closed forms alone, its matrix and
+eigenpairs are read-only, so no check can change what another sees, and a
+guard that fails raises again on every use, because the operator caches its
+eigenpairs and never an exception.  Keys compare by value, so g = 0.0 and
+g = -0.0 share one operator; their matrices have the same bytes, each entry
+being c[|j - l|] plus a zero of either sign or m g x.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -68,12 +80,12 @@ def _worst(*values: float) -> float:
 _SWEEP_STEPS = 64
 
 
-def _factorization_vs_dense_oracle(cfg: RunConfig, rng) -> dict:
+def _factorization_vs_dense_oracle(cfg: RunConfig, rng, hamiltonian) -> dict:
     grid = _oracle_grid(cfg)
     psi = _start_packet(cfg, grid)
     t = 1.0
     direct = evolve_exact(psi, cfg.params, t)
-    dense = evolve_dense(dense_hamiltonian(grid, cfg.params), psi, t)
+    dense = evolve_dense(hamiltonian(grid, cfg.params), psi, t)
     dist = l2_distance(direct, dense)
     return dict(
         passed=dist < 1e-6,
@@ -83,7 +95,7 @@ def _factorization_vs_dense_oracle(cfg: RunConfig, rng) -> dict:
     )
 
 
-def _spread_g_independence(cfg: RunConfig, rng) -> dict:
+def _spread_g_independence(cfg: RunConfig, rng, hamiltonian) -> dict:
     """sigma_x at g against g = 0 on both routes; split-step at a rounding bound.
 
     For unit-norm states a and b, |sigma_a^2 - sigma_b^2| <= 6 max|x|^2 |a - b|:
@@ -126,7 +138,7 @@ def _spread_g_independence(cfg: RunConfig, rng) -> dict:
     )
 
 
-def _commutator_identity(cfg: RunConfig, rng) -> dict:
+def _commutator_identity(cfg: RunConfig, rng, hamiltonian) -> dict:
     grid = _oracle_grid(cfg)
     psi = _start_packet(cfg, grid)
     phi = make_gaussian(
@@ -136,7 +148,7 @@ def _commutator_identity(cfg: RunConfig, rng) -> dict:
     worst = 0.0
     for g in (0.0, cfg.params.g):
         pars = replace(cfg.params, g=g)
-        h = dense_hamiltonian(grid, pars)
+        h = hamiltonian(grid, pars)
         for t in (0.5, 1.0):
             for bra, ket in ((psi, psi), (phi, psi)):
                 elem = commutator_element(bra, ket, h, t)
@@ -152,11 +164,6 @@ def _commutator_identity(cfg: RunConfig, rng) -> dict:
     )
 
 
-def _values(actions) -> np.ndarray:
-    """The .value of each ActionValue row, as an array."""
-    return np.array([a.value for a in actions])
-
-
 # Ranges of the (m, g, t, x0, xt) draws of delta_action_identity, and the most
 # draws taken in one block.
 _DRAW_LOW = (0.5, -2.0, 0.25, -5.0, -5.0)
@@ -164,7 +171,7 @@ _DRAW_HIGH = (3.0, 2.0, 3.0, 5.0, 5.0)
 _DRAW_BLOCK = 1024
 
 
-def _delta_action_identity(cfg: RunConfig, rng) -> dict:
+def _delta_action_identity(cfg: RunConfig, rng, hamiltonian) -> dict:
     worst_identity = 0.0
     worst_x0 = 0.0
     # Fail closed: zero samples would pass on the initial zeros.
@@ -179,12 +186,13 @@ def _delta_action_identity(cfg: RunConfig, rng) -> dict:
         m, g, t, x0, xt = rng.uniform(_DRAW_LOW, _DRAW_HIGH, (rows, 5)).T.tolist()
         pars = [replace(cfg.params, m=mi, g=gi) for mi, gi in zip(m, g)]
         expected = np.array(delta_action(xt, t, pars))
-        diff = _values(classical_action(x0, xt, t, pars)) - _values(
-            shifted_free_action(x0, xt, t, pars)
+        diff = np.subtract(
+            classical_action(x0, xt, t, pars), shifted_free_action(x0, xt, t, pars)
         )
         minus_x0 = [-v for v in x0]
-        other = _values(classical_action(minus_x0, xt, t, pars)) - _values(
-            shifted_free_action(minus_x0, xt, t, pars)
+        other = np.subtract(
+            classical_action(minus_x0, xt, t, pars),
+            shifted_free_action(minus_x0, xt, t, pars),
         )
         worst_identity = _worst(worst_identity, np.abs(diff - expected).max())
         worst_x0 = _worst(worst_x0, np.abs(diff - other).max())
@@ -196,7 +204,7 @@ def _delta_action_identity(cfg: RunConfig, rng) -> dict:
     )
 
 
-def _interference_phase_cross_validation(cfg: RunConfig, rng) -> dict:
+def _interference_phase_cross_validation(cfg: RunConfig, rng, hamiltonian) -> dict:
     psi = _start_packet(cfg)
     t, n_steps = 1.0, _SWEEP_STEPS
     rec_a = run_protocol(psi, cfg.params, t)
@@ -221,7 +229,7 @@ def _interference_phase_cross_validation(cfg: RunConfig, rng) -> dict:
     )
 
 
-def _ehrenfest_means(cfg: RunConfig, rng) -> dict:
+def _ehrenfest_means(cfg: RunConfig, rng, hamiltonian) -> dict:
     """Both routes' means against the classical fall, at a rounding bound.
 
     A mean of a unit-norm state a differs from that of b by at most
@@ -259,7 +267,7 @@ def _ehrenfest_means(cfg: RunConfig, rng) -> dict:
     )
 
 
-def _strang_convergence_order(cfg: RunConfig, rng) -> dict:
+def _strang_convergence_order(cfg: RunConfig, rng, hamiltonian) -> dict:
     counts = _verify_setting(cfg, "step_counts")
     psi, t = _start_packet(cfg), 1.0
     exact = evolve_exact(psi, cfg.params, t)
@@ -277,7 +285,7 @@ def _strang_convergence_order(cfg: RunConfig, rng) -> dict:
     )
 
 
-def _relativistic_limit_scaling(cfg: RunConfig, rng) -> dict:
+def _relativistic_limit_scaling(cfg: RunConfig, rng, hamiltonian) -> dict:
     traj = free_fall_trajectory(0.0, 0.0, cfg.params)
     report = nr_limit_check(traj, 1.0, cfg.params, _verify_setting(cfg, "c_values"))
     static = Trajectory(0.0, 0.0, g=0.0)
@@ -297,7 +305,7 @@ def _relativistic_limit_scaling(cfg: RunConfig, rng) -> dict:
     )
 
 
-def _protocol_symmetries(cfg: RunConfig, rng) -> dict:
+def _protocol_symmetries(cfg: RunConfig, rng, hamiltonian) -> dict:
     psi = _start_packet(cfg)
     t = 1.0
     rec = run_protocol(psi, cfg.params, t)
@@ -339,10 +347,13 @@ CHECK_NAMES = tuple(check.__name__[1:] for check in _CHECKS)
 def run_all_checks(cfg: RunConfig, seed: int | None = None) -> list[CheckResult]:
     """Run every check against the configured grid/params/initial state."""
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    # The run's operator memo.  The lambda looks dense_hamiltonian up on each
+    # miss, so a fake or traced one set on this module is the one called.
+    hamiltonian = cache(lambda grid, params: dense_hamiltonian(grid, params))
     results = []
     for name, check in zip(CHECK_NAMES, _CHECKS):
         try:
-            fields = check(cfg, rng)
+            fields = check(cfg, rng, hamiltonian)
         except WavefallError as exc:
             fields = dict(passed=False, measured="error", target="no error",
                           detail=f"{type(exc).__name__}: {exc}")

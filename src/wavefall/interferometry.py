@@ -52,6 +52,7 @@ from .analytic import (
     AccelSchedule,
     _SharedFallPhases,
     _segment_chain,
+    _segment_label,
     evolve_exact,
     shift_packet,
 )
@@ -165,7 +166,8 @@ def _branch_pairs(psi0, params, times, scheme, backend, n_steps):
     ((0.0, t),), a BranchSchedules its two schedules.  Plain tuples, because
     AccelSchedule refuses the zero duration of t = 0.  The start state, the
     backend, the times and the scheme are validated on the call, before any
-    moments or propagation; the chunks run as they are iterated.
+    moments or propagation, and so is every segment's fall shift
+    (_require_finite_shifts); the chunks run as they are iterated.
     """
     _require_finite(psi0.amp[None], "start state psi0", batched=False)
     if backend not in _BACKENDS:
@@ -192,12 +194,31 @@ def _branch_pairs(psi0, params, times, scheme, backend, n_steps):
     labels = [
         f"readout t={t}, {b} branch" for t in times for b in ("accelerated", "reference")
     ]
+    _require_finite_shifts(rows, labels)
     if backend == "analytic":
         step = evolve_exact
     else:
         step = partial(evolve_split_step, config=SolverConfig(n_steps))
     recenter = isinstance(scheme, Colocated)
     return _propagate(psi0, params, times, recenter, rows, labels, step)
+
+
+def _require_finite_shifts(rows, labels) -> None:
+    """NonFiniteState at the first segment whose fall shift g d^2/2 is not finite.
+
+    One pass over the segments before any propagation, so both backends
+    refuse such a segment alike, labelled as _segment_chain labels a refusal
+    from inside the chain; the split-step solver would otherwise build its
+    phases from angles far past any meaningful range.
+    """
+    for label, row in zip(labels, rows):
+        for i, (g, duration) in enumerate(row):
+            shift = 0.5 * g * duration * duration
+            if not math.isfinite(shift):
+                raise NonFiniteState(
+                    f"{_segment_label(label, i, (g, duration))}: "
+                    f"result shift={shift} is not finite"
+                )
 
 
 def _propagate(psi0, params, times, recenter, rows, labels, step):
@@ -355,10 +376,12 @@ def fringe_scan(
     the branches of all times evolve a chunk of rows at a time, in one
     batched call per schedule segment, and each chunk is read out in one
     batched call; a scan holds one chunk of states at a time.  Raises
-    TypeError for any other scheme, NonFiniteState when psi0 holds a
-    non-finite amplitude, GridOverflow naming the readout time, branch and
-    segment that left the grid, and PhaseAliasing when consecutive phase
-    samples are too far apart to continue unambiguously.
+    TypeError for any other scheme; NonFiniteState when psi0 holds a
+    non-finite amplitude, or, before any propagation, naming the readout
+    time, branch and segment whose fall shift g t^2/2 is not finite;
+    GridOverflow naming the readout time, branch and segment that left the
+    grid; and PhaseAliasing when consecutive phase samples are too far apart
+    to continue unambiguously.
     """
     times = [float(t) for t in t_values]
     if len(times) == 0:

@@ -12,8 +12,11 @@ Each DenseOperator decomposes itself at most once, on first use, and every
 guard of that O(n^3) work runs there: size, Hermiticity, and orthogonality
 of V.  U = V E V^dagger is unitary exactly when V is orthogonal, so the last
 is the unitarity guard.  The matrix is read-only, so the cached eigenpairs
-cannot go stale; nothing is cached across objects.  Every guard compares as
-`not defect <= tol`, so a NaN defect fails closed.
+cannot go stale.  This module caches nothing beyond each operator's own
+eigenpairs: one verify run shares each Hamiltonian between its checks, and
+nothing is shared across runs.  A guard that fails stores nothing, so it
+raises again on every use.  Every guard compares as `not defect <= tol`, so
+a NaN defect fails closed.
 """
 
 from __future__ import annotations

@@ -128,14 +128,8 @@ def test_action_difference_identity():
         xt = rng.uniform(-5.0, 5.0)
         pr = PhysicalParams(hbar=1.0, m=m, g=g, c=10.0)
         delta = delta_action(xt, t, pr)
-        diff = (
-            classical_action(x0, xt, t, pr).value
-            - shifted_free_action(x0, xt, t, pr).value
-        )
-        other = (
-            classical_action(-x0, xt, t, pr).value
-            - shifted_free_action(-x0, xt, t, pr).value
-        )
+        diff = classical_action(x0, xt, t, pr) - shifted_free_action(x0, xt, t, pr)
+        other = classical_action(-x0, xt, t, pr) - shifted_free_action(-x0, xt, t, pr)
         worst_id = max(worst_id, abs(delta - diff))
         worst_x0 = max(worst_x0, abs(diff - other))
     report(

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wavefall import (
-    ActionValue,
     BadSigma,
     DegenerateInterval,
     NegativeTime,
@@ -56,17 +55,14 @@ def test_classical_action_matches_quadrature(params, rng):
         traj = Trajectory(x0, (x1 - x0) / t + g * t / 2, g=g)
         k_ref, p_ref = lagrangian_integral(traj, t, pr)
         val = classical_action(x0, x1, t, pr)
-        assert val.kinetic == pytest.approx(k_ref, abs=1e-9)
-        assert val.potential == pytest.approx(p_ref, abs=1e-9)
-        assert val.value == pytest.approx(k_ref - p_ref, abs=1e-9)
+        assert val == pytest.approx(k_ref - p_ref, abs=1e-9)
 
 
 def test_classical_action_frozen_example(params):
-    # stationary endpoints over t = 2: value -1/3 splits as 1/3 - 2/3
+    # stationary endpoints over t = 2: kinetic 1/3 less potential 2/3
     val = classical_action(0.0, 0.0, 2.0, params)
-    assert val.kinetic == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert val.potential == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert val.value == pytest.approx(-1.0 / 3.0, abs=1e-15)
+    assert type(val) is float
+    assert val == pytest.approx(-1.0 / 3.0, abs=1e-15)
 
 
 def test_classical_action_needs_ordered_times(params):
@@ -84,12 +80,11 @@ def test_shifted_free_action_is_straight_line_action(params, rng):
         v = (target - x0) / t
         expected = 0.5 * params.m * v * v * t  # free particle, constant speed
         val = shifted_free_action(x0, xt, t, params)
-        assert val.value == pytest.approx(expected, abs=1e-12)
-        assert val.potential == 0.0
+        assert val == pytest.approx(expected, abs=1e-12)
 
 
 def test_shifted_free_action_frozen_example(params):
-    assert shifted_free_action(0.0, 0.0, 1.0, params).value == pytest.approx(0.125)
+    assert shifted_free_action(0.0, 0.0, 1.0, params) == pytest.approx(0.125)
     with pytest.raises(DegenerateInterval):
         shifted_free_action(0.0, 0.0, 0.0, params)
 
@@ -110,10 +105,7 @@ def test_delta_action_is_the_action_difference(params, rng):
         g = rng.uniform(-2.0, 2.0)
         pr = PhysicalParams(hbar=1.0, m=m, g=g, c=10.0)
         lhs = delta_action(xt, t, pr)
-        rhs = (
-            classical_action(x0, xt, t, pr).value
-            - shifted_free_action(x0, xt, t, pr).value
-        )
+        rhs = classical_action(x0, xt, t, pr) - shifted_free_action(x0, xt, t, pr)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -122,8 +114,7 @@ def test_delta_action_independent_of_x0(params):
     # defines it is flat in x0
     t, xt = 1.3, 0.7
     vals = [
-        classical_action(x0, xt, t, params).value
-        - shifted_free_action(x0, xt, t, params).value
+        classical_action(x0, xt, t, params) - shifted_free_action(x0, xt, t, params)
         for x0 in (-5.0, -1.0, 0.0, 2.0, 5.0)
     ]
     assert max(vals) - min(vals) < 1e-12
@@ -259,17 +250,16 @@ def _classical_reference(x0, x1, t, m, g):
     disp = x0 - x1
     kinetic = 0.5 * m * (disp * disp / t + g * g * t**3 / 12.0)
     potential = m * g * (t * (x0 + x1) / 2.0 + g * t**3 / 12.0)
-    return (kinetic - potential, kinetic, potential)
+    return kinetic - potential
 
 
 def _shifted_free_reference(x0, xt, t, m, g):
     diff = x0 - xt - 0.5 * g * t * t
-    value = 0.5 * m * diff * diff / t
-    return (value, value, 0.0)
+    return 0.5 * m * diff * diff / t
 
 
 def _delta_reference(xt, t, m, g):
-    return (-m * g * xt * t - m * g * g * t**3 / 6.0,)
+    return -m * g * xt * t - m * g * g * t**3 / 6.0
 
 
 # Each closed form, the arguments it takes from a row's (x0, x1, t), and its
@@ -283,12 +273,6 @@ FORMS = {
     ),
     "delta_action": (delta_action, lambda x0, x1, t: (x1, t), _delta_reference),
 }
-
-
-def _fields(out):
-    if isinstance(out, ActionValue):
-        return (out.value, out.kinetic, out.potential)
-    return (out,)
 
 
 def _bits(rows):
@@ -308,14 +292,14 @@ def test_batched_rows_are_bit_identical_to_single_calls(form, seed, edges):
     for m, g, t, x0, x1 in rows:
         params = PhysicalParams(m=m, g=g)
         try:
-            singles.append(_fields(call(*args(x0, x1, t), params)))
+            singles.append(call(*args(x0, x1, t), params))
         except WavefallError:
             continue
         expected.append(reference(*args(x0, x1, t), m, g))
         kept.append((args(x0, x1, t), params))
     columns = [[a[i] for a, _ in kept] for i in range(len(args(0, 0, 0)))]
     batched = call(*columns, [p for _, p in kept])
-    assert _bits([_fields(out) for out in batched]) == _bits(singles)
+    assert _bits(batched) == _bits(singles)
     assert _bits(singles) == _bits(expected)
     if len(kept) < len(rows):
         columns = [list(c) for c in zip(*(args(x0, x1, t) for _, _, t, x0, x1 in rows))]

@@ -6,11 +6,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from wavefall import (
     CHECK_NAMES,
+    DenseOperator,
+    Grid,
+    PhysicalParams,
     VerifySettings,
     checks,
     default_config,
+    dense_hamiltonian,
     interferometry,
     moments,
     run_all_checks,
@@ -36,13 +43,75 @@ def test_one_eigendecomposition_per_hamiltonian_and_none_across_runs(
     eigh_calls, count_calls
 ):
     elements = count_calls(checks, "commutator_element")
+    built = count_calls(checks, "dense_hamiltonian")
     run_all_checks(default_config())
-    # one Hamiltonian for factorization_vs_dense_oracle, one per g for
-    # commutator_identity, each H real; two elements per (g, t)
-    assert [dtype for _, dtype in eigh_calls] == [np.float64] * 3
+    # one Hamiltonian per g, each H real: factorization_vs_dense_oracle's
+    # is commutator_identity's at g = cfg.g; two elements per (g, t)
+    assert [dtype for _, dtype in eigh_calls] == [np.float64] * 2
+    assert len(built) == 2
     assert len(elements) == 8
     run_all_checks(default_config())
-    assert len(eigh_calls) == 6  # a second run reuses nothing from the first
+    assert len(eigh_calls) == 4  # a second run reuses nothing from the first
+    assert len(built) == 4
+
+
+def test_a_shared_operator_that_fails_its_guard_fails_both_oracle_checks(
+    monkeypatch, eigh_calls, count_calls
+):
+    # the g = cfg.g operator, shared by both oracle checks, holds one NaN; its
+    # guard raises on each use, since the operator caches no exception
+    cfg = default_config()
+    clean = run_all_checks(cfg)
+    real = checks.dense_hamiltonian
+
+    def nan_at_g(grid, params):
+        h = real(grid, params)
+        if params.g != cfg.params.g:
+            return h
+        matrix = np.array(h.matrix)
+        matrix[3, 5] = math.nan
+        return DenseOperator(grid, matrix, h.hbar)
+
+    monkeypatch.setattr(checks, "dense_hamiltonian", nan_at_g)
+    built = count_calls(checks, "dense_hamiltonian")
+    poisoned = run_all_checks(cfg)
+    assert len(built) == 2
+    assert len(eigh_calls) == 2 + 1  # the clean run's, then g = 0's only
+    oracle = {"factorization_vs_dense_oracle", "commutator_identity"}
+    for before, after in zip(clean, poisoned):
+        if after.name in oracle:
+            assert not after.passed
+            assert after.detail.startswith("NotHermitian: dense oracle: "), after.detail
+        else:
+            assert after == before
+
+
+@given(
+    hbar=st.floats(1e-200, 1e3),
+    m=st.floats(1e-3, 1e3),
+    x_min=st.floats(-30.0, 0.0),
+    length=st.floats(1.0, 60.0),
+    n=st.sampled_from([8, 64, 256]),
+)
+def test_signed_zero_g_keys_one_operator_of_the_same_bytes(hbar, m, x_min, length, n):
+    # the run's memo compares keys by value, so g = -0.0 finds the g = 0.0
+    # operator; every entry is c[|j - l|] plus a zero of either sign, so the
+    # two matrices must have the same bytes
+    grid = Grid(x_min, x_min + length, n)
+    plus, minus = (PhysicalParams(hbar=hbar, m=m, g=g) for g in (0.0, -0.0))
+    assert (grid, plus) == (grid, minus)
+    assert hash((grid, plus)) == hash((grid, minus))
+    assert (
+        dense_hamiltonian(grid, plus).matrix.tobytes()
+        == dense_hamiltonian(grid, minus).matrix.tobytes()
+    )
+
+
+def test_a_run_at_signed_zero_g_decomposes_one_operator(eigh_calls):
+    cfg = default_config()
+    results = run_all_checks(replace(cfg, params=replace(cfg.params, g=-0.0)))
+    assert len(eigh_calls) == 1
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
 def test_sweeps_make_one_batched_call_per_route(count_calls):
@@ -158,7 +227,7 @@ def test_delta_action_draws_equal_five_scalar_uniform_calls_per_draw(
     cfg = default_config()
     cfg = replace(cfg, verify=replace(cfg.verify, n_random=n_random))
     rng, ref = np.random.default_rng(7), np.random.default_rng(7)
-    assert checks._delta_action_identity(cfg, rng)["passed"]
+    assert checks._delta_action_identity(cfg, rng, None)["passed"]
     blocks = -(-n_random // checks._DRAW_BLOCK)
     assert (len(deltas), len(actions)) == (blocks, 2 * blocks)
 
@@ -228,7 +297,7 @@ def test_spread_check_fails_a_split_step_whose_mass_moves_with_g_by_1e_8(monkeyp
         ]
 
     monkeypatch.setattr(checks, "evolve_split_step", g_dependent_mass)
-    result = checks._spread_g_independence(default_config(), None)
+    result = checks._spread_g_independence(default_config(), None, None)
     assert not result["passed"]
     assert "split-step < 2.6" in result["target"]
 
@@ -237,8 +306,10 @@ def test_delta_action_identity_fails_a_classical_action_off_by_1e_10(monkeypatch
     real = checks.classical_action
 
     def off_by_1e_10(*args):
-        return [replace(a, value=a.value * (1 + 1e-10)) for a in real(*args)]
+        return [a * (1 + 1e-10) for a in real(*args)]
 
     monkeypatch.setattr(checks, "classical_action", off_by_1e_10)
-    result = checks._delta_action_identity(default_config(), np.random.default_rng(1))
+    result = checks._delta_action_identity(
+        default_config(), np.random.default_rng(1), None
+    )
     assert not result["passed"]

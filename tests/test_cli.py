@@ -126,6 +126,13 @@ def test_verify_passes_on_defaults_and_prints_one_line_per_check(tmp_path):
     assert len(summary["checks"]) == len(CHECK_NAMES)
 
 
+def test_verify_makes_one_eigendecomposition_per_hamiltonian(tmp_path, eigh_calls):
+    # g = cfg.g, which the two oracle checks share, and g = 0
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", "--config", str(DEFAULT_CONFIG), "--out", str(out)]) == 0
+    assert len(eigh_calls) == 2
+
+
 def test_verify_fails_honestly_on_an_unusable_grid(tmp_path):
     # sigma0 = 1 cannot be resolved on an n = 8 lattice; the affected checks
     # report structured failures and the command exits 1

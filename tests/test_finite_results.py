@@ -240,8 +240,8 @@ def test_closed_forms_are_finite_or_refused(hbar, m, g, c, a, b, t):
     params = PhysicalParams(hbar=hbar, m=m, g=g, c=c)
     path = Trajectory(a, b, g)
     calls = [
-        lambda: classical_action(a, b, t, params).value,
-        lambda: shifted_free_action(a, b, t, params).value,
+        lambda: classical_action(a, b, t, params),
+        lambda: shifted_free_action(a, b, t, params),
         lambda: delta_action(a, t, params),
         lambda: ehrenfest_mean(a, b, t, params),
         lambda: spread_bound(a, t, params),

@@ -28,7 +28,7 @@ from wavefall import (
     run_protocol,
     unwrap_phases,
 )
-from wavefall import analytic, core
+from wavefall import analytic, core, interferometry, splitstep
 
 # phase(t2) - phase(1) is exactly pi for the canonical fall, the one step
 # size the unwrapper must refuse
@@ -339,20 +339,53 @@ def test_scan_overflow_names_the_readout_time_and_branch(psi0, params, backend):
 
 @pytest.mark.parametrize(
     "t, cause",
-    [(1e200, "result shift=inf"), (1e103, "result cubic_angle=-inf")],
+    [(1e200, "result shift=inf"), (1e103, "evolve_exact: result cubic_angle=-inf")],
     ids=["shift", "cubic_angle"],
 )
 def test_analytic_scan_names_the_readout_of_a_non_finite_scalar(
     psi0, params, t, cause
 ):
-    # the message named a row of the chunk stack, "evolve_exact in row 2"
+    # the message named a row of the chunk stack, "evolve_exact in row 2"; a
+    # shift that overflows is refused before evolve_exact runs
     with pytest.raises(NonFiniteState) as info:
         fringe_scan(psi0, params, [0.5, t], backend="analytic")
     assert str(info.value) == (
         f"readout t={t}, accelerated branch, segment 0 (g=1.0, duration={t}): "
-        f"evolve_exact: {cause} is not finite"
+        f"{cause} is not finite"
     )
     assert info.value.row is None
+
+
+@pytest.mark.parametrize("backend", ["analytic", "split-step"])
+@pytest.mark.parametrize("scheme", ["colocated", "schedules"])
+def test_both_backends_refuse_an_overflowing_fall_shift_before_propagating(
+    psi0, params, count_calls, backend, scheme
+):
+    # the analytic backend refused it inside evolve_exact, the split-step one
+    # with GridOverflow at step 1/2048, after building phases from angles
+    # near 1e198 rad
+    t = 1e200
+    propagators = [
+        count_calls(interferometry, "evolve_exact"),
+        count_calls(interferometry, "evolve_split_step"),
+        count_calls(splitstep, "_first_over_margin"),
+    ]
+    if scheme == "colocated":
+        scan = (psi0, params, [0.5, t])
+    else:
+        branches = BranchSchedules(
+            accelerated=AccelSchedule(((params.g, t),)),
+            reference=AccelSchedule(((0.0, t),)),
+        )
+        scan = (psi0, params, [t], branches)
+    with pytest.raises(NonFiniteState) as info:
+        fringe_scan(*scan, backend=backend)
+    assert str(info.value) == (
+        "readout t=1e+200, accelerated branch, segment 0 (g=1.0, duration=1e+200): "
+        "result shift=inf is not finite"
+    )
+    assert info.value.row is None
+    assert [len(calls) for calls in propagators] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

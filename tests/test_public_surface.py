@@ -43,6 +43,7 @@ REMOVED = {
     "margin_nodes",
     "boundary_amplitude",
     "check_margin",
+    "ActionValue",
 }
 
 

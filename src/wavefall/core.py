@@ -207,47 +207,13 @@ class Trajectory:
         return out if np.ndim(t) else float(out)
 
 
-def _margin_nodes(n: int) -> int:
-    """Number of guarded nodes at each end of an n-node grid."""
-    return max(1, int(n * _MARGIN_FRACTION))
-
-
-def _boundary_amplitude(amp: np.ndarray, n: int):
-    """Largest |amp| over the guarded nodes at both ends of the last axis.
-
-    A 1-D state gives a float; a (rows, n) stack gives one maximum per row.
-    A NaN on the guarded nodes propagates into the result.
-    """
-    m = _margin_nodes(n)
-    worst = np.maximum(
-        np.abs(amp[..., :m]).max(axis=-1), np.abs(amp[..., -m:]).max(axis=-1)
-    )
-    return float(worst) if worst.ndim == 0 else worst
-
-
 @cache
 def _guard_index(n: int) -> np.ndarray:
-    """Indices of the guarded nodes at both ends of an n-node grid."""
-    m = _margin_nodes(n)
+    """Indices of the outer max(1, 5% of n) nodes at each end of an n-node grid."""
+    m = max(1, int(n * _MARGIN_FRACTION))
     index = np.r_[0:m, n - m : n]
     index.setflags(write=False)
     return index
-
-
-def _first_over_margin(stack: np.ndarray) -> tuple[int, float] | None:
-    """(row, amplitude) of the first row of a (rows, n) stack over the margin.
-
-    None when every row is clean.  The common clean case costs one gather of
-    the guarded nodes, one abs and one global max; only a max that is not
-    below _MARGIN_AMPLITUDE (a NaN max included, so the check fails closed)
-    pays for the per-row maxima of _boundary_amplitude to name the row.
-    """
-    n = stack.shape[-1]
-    if np.abs(stack.take(_guard_index(n), axis=-1)).max() < _MARGIN_AMPLITUDE:
-        return None
-    worst = _boundary_amplitude(stack, n)
-    row = int(np.flatnonzero(~(worst < _MARGIN_AMPLITUDE))[0])
-    return row, float(worst[row])
 
 
 def _in_row(row: int, batched: bool) -> str:
@@ -264,17 +230,23 @@ def _check_margin(
     nodes[ in row R][ at step k/N (t=T)] exceeds the 1e-10 margin; enlarge
     the grid or shorten the evolution".  R is named and mapped through rows
     as in _require_finite, and carried as .row; at, when given, maps R to
-    (k, N, T).  The check fails closed on NaN and inf.
+    (k, N, T).  The clean case costs one gather of the guarded nodes of
+    every row, one abs and one global max.  Only a max that is not below
+    _MARGIN_AMPLITUDE, a NaN max included so the check fails closed on NaN
+    and inf, reduces that same gathered array to per-row maxima to find R
+    and its amplitude A.
     """
-    hit = _first_over_margin(stack)
-    if hit is None:
+    index = _guard_index(stack.shape[-1])
+    edges = np.abs(stack.take(index, axis=-1))
+    if edges.max() < _MARGIN_AMPLITUDE:
         return
-    row, worst = hit
-    row = row if rows is None else rows[row]
+    worst = edges.max(axis=-1)
+    first = int(np.flatnonzero(~(worst < _MARGIN_AMPLITUDE))[0])
+    row = first if rows is None else rows[first]
     when = "" if at is None else " at step {}/{} (t={:.6g})".format(*at(row))
     raise GridOverflow(
-        f"{context}: boundary amplitude {worst:.3e} on the outer "
-        f"{_margin_nodes(stack.shape[-1])} nodes{_in_row(row, batched)}{when} "
+        f"{context}: boundary amplitude {worst[first]:.3e} on the outer "
+        f"{len(index) // 2} nodes{_in_row(row, batched)}{when} "
         f"exceeds the {_MARGIN_AMPLITUDE:.0e} margin; enlarge the grid or "
         f"shorten the evolution",
         row=row,

@@ -69,7 +69,13 @@ from .core import (
     moments,
     overlap,
 )
-from .errors import NonFiniteState, PhaseAliasing, SchemeMismatch, WavefallError
+from .errors import (
+    BadSigma,
+    NonFiniteState,
+    PhaseAliasing,
+    SchemeMismatch,
+    WavefallError,
+)
 from .splitstep import SolverConfig, evolve_split_step
 
 __all__ = [
@@ -149,9 +155,15 @@ def gaussian_visibility(sigma_t: float, t: float, params: PhysicalParams) -> flo
 
     sigma_t is the position spread at readout time.  The contrast is the
     magnitude of the Gaussian's characteristic function at the accumulated
-    momentum kick m g t.  A NaN contrast, such as sigma_t = 0 against a kick
-    that overflows, raises NonFiniteState.
+    momentum kick m g t.  A NaN or inf sigma_t or t raises NonFiniteState
+    naming the argument, and sigma_t < 0 raises BadSigma.  A NaN contrast,
+    such as sigma_t = 0 against a kick that overflows, raises NonFiniteState.
     """
+    _require_finite_scalars("gaussian_visibility", sigma_t=sigma_t, t=t)
+    if sigma_t < 0:
+        raise BadSigma(
+            f"gaussian_visibility: sigma_t must be non-negative, got {sigma_t}"
+        )
     kick = params.m * params.g * t * sigma_t / params.hbar
     visibility = math.exp(-0.5 * kick * kick)
     _require_finite_scalars("gaussian_visibility", result=True, visibility=visibility)

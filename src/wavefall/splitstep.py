@@ -23,12 +23,13 @@ same phases, in the same order, for its own number of steps.
 
 The boundary margin is checked after every step, not only at the end, so a
 packet that would wrap around the periodic grid mid-run raises GridOverflow
-even when the final state would look clean.  The check is one gather of the
-guarded nodes of every row at once, then one abs and one max
-(core._first_over_margin); it fails closed on NaN and inf.  Only a step
-that fails it calls core._check_margin, the refusal every route shares,
-to name the row (for a batched call), step and time.  A start state
-holding NaN or inf is refused with NonFiniteState before the first step.
+even when the final state would look clean.  Each step makes one call of
+core._check_margin, the margin refusal every route shares: one gather of
+the guarded nodes of every row at once, then one abs and one max, failing
+closed on NaN and inf.  Only a step that fails it reduces the gathered
+nodes per row, to name the row (for a batched call), step and time.  A
+start state holding NaN or inf is refused with NonFiniteState before the
+first step.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .core import (
     WavePacket,
     _as_rows,
     _check_margin,
-    _first_over_margin,
     _packets,
     _require_count,
     _require_finite,
@@ -136,6 +136,10 @@ def _strang_rows(psi, params, t, n_steps):
 
     _require_finite(amp, "evolve_split_step start state", batched, rows=order)
     step, running = 0, len(order)
+
+    def at(row):  # reads step when a check fires, so it names that step
+        return step, counts[row], step * dts[row]
+
     while running:
         last = counts[order[running - 1]]
         a, v, kin = amp[:running], half_v[:running], kinetic[:running]
@@ -145,11 +149,7 @@ def _strang_rows(psi, params, t, n_steps):
             a *= kin
             np.fft.ifft(a, out=a)
             a *= v
-            if _first_over_margin(a) is not None:
-                _check_margin(
-                    a, "evolve_split_step", batched, order,
-                    at=lambda r: (step, counts[r], step * dts[r]),
-                )
+            _check_margin(a, "evolve_split_step", batched, order, at)
         while running and counts[order[running - 1]] == last:
             running -= 1
 

@@ -177,7 +177,7 @@ def test_verify_runs_704_strang_loop_steps_in_4_runs(count_calls):
     # the three sweeps run _SWEEP_STEPS steps each, and strang_convergence_order
     # one stack of every step count, as long as its largest count; the
     # boundary guard runs once per loop step, on the rows still running
-    guards = count_calls(splitstep, "_first_over_margin")
+    guards = count_calls(splitstep, "_check_margin")
     public = [count_calls(m, "evolve_split_step") for m in (checks, interferometry)]
     kernel = [count_calls(m, "_strang_rows") for m in (splitstep, checks)]
     run_all_checks(default_config())
@@ -185,7 +185,7 @@ def test_verify_runs_704_strang_loop_steps_in_4_runs(count_calls):
     assert len(guards) == 3 * checks._SWEEP_STEPS + max(counts) == 704
     # the row-steps are those of one single-row run per row: 6 + 2 + 9 rows
     # of _SWEEP_STEPS steps, and one row per step count
-    row_steps = sum(len(stack) for stack, in guards)
+    row_steps = sum(len(stack) for stack, *_ in guards)
     assert row_steps == 17 * checks._SWEEP_STEPS + sum(counts) == 2048
     assert sum(map(len, public)) == 3
     assert sum(map(len, kernel)) == 4

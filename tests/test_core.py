@@ -29,10 +29,7 @@ from wavefall import (
 )
 from wavefall.core import (
     _MARGIN_AMPLITUDE,
-    _boundary_amplitude,
     _check_margin,
-    _first_over_margin,
-    _margin_nodes,
     _momentum_amp,
     _require_finite,
 )
@@ -221,32 +218,53 @@ def test_overlap_of_displaced_gaussians(grid, params):
     assert abs(overlap(a, b)) == pytest.approx(math.exp(-2.0), abs=1e-12)
 
 
-def test_margin_helpers():
-    assert _margin_nodes(256) == 12
-    assert _margin_nodes(8) == 1
-    amp = np.zeros(64, dtype=complex)
-    amp[3] = 1e-9  # inside the 3-node guard band
-    assert _boundary_amplitude(amp, 64) == 0.0
-    amp[1] = 1e-9
-    assert _boundary_amplitude(amp, 64) == pytest.approx(1e-9)
+def _margin_refusal(stack, *args):
+    """The text of the GridOverflow _check_margin(stack, ...) raises, and its .row."""
+    with pytest.raises(GridOverflow) as info:
+        _check_margin(stack, *args)
+    return str(info.value), info.value.row
 
 
-def test_boundary_amplitude_reduces_the_last_axis():
+def _over(amplitude, nodes, where=""):
+    return (
+        f"ctx: boundary amplitude {amplitude} on the outer {nodes} nodes{where} "
+        f"exceeds the 1e-10 margin; enlarge the grid or shorten the evolution"
+    )
+
+
+def test_margin_band_is_five_percent_of_the_nodes_at_each_end():
+    for n, nodes in [(256, 12), (8, 1)]:
+        amp = np.zeros((1, n), dtype=complex)
+        amp[0, nodes] = 1.0  # first node inside the band
+        _check_margin(amp, "ctx", False)
+        amp[0, n - nodes] = 2e-9
+        assert _margin_refusal(amp, "ctx", False) == (_over("2.000e-09", nodes), 0)
+    amp = np.zeros((1, 64), dtype=complex)
+    amp[0, 3] = 1e-9  # inside the 3-node guard band
+    _check_margin(amp, "ctx", False)
+    amp[0, 1] = 1e-9
+    assert _margin_refusal(amp, "ctx", False) == (_over("1.000e-09", 3), 0)
+
+
+def test_check_margin_names_the_first_row_over_the_margin():
     stack = np.zeros((3, 64), dtype=complex)
-    stack[0, 1] = 1e-9
-    stack[1, 3] = 1.0  # inside, not on the guard band
+    stack[0, 3] = 1.0  # inside, not on the guard band
+    stack[1, 1] = 1e-9
     stack[2, -1] = 2e-3
-    worst = _boundary_amplitude(stack, 64)
-    assert worst.shape == (3,)
-    np.testing.assert_array_equal(worst, [1e-9, 0.0, 2e-3])
-    assert type(_boundary_amplitude(stack[2], 64)) is float
+    assert _margin_refusal(stack, "ctx", True) == (
+        _over("1.000e-09", 3, " in row 1"), 1
+    )
+    assert _margin_refusal(stack[::2], "ctx", True, [4, 7]) == (
+        _over("2.000e-03", 3, " in row 7"), 7
+    )
+    assert _margin_refusal(stack[2:], "ctx", False) == (_over("2.000e-03", 3), 0)
+    _check_margin(stack[:1], "ctx", False)
 
 
 def test_nan_on_the_margin_fails_closed(grid):
     amp = np.zeros(grid.n, dtype=complex)
     amp[-1] = np.nan
-    assert np.isnan(_boundary_amplitude(amp, grid.n))
-    with pytest.raises(GridOverflow, match="nan-test"):
+    with pytest.raises(GridOverflow, match="nan-test: boundary amplitude nan"):
         _check_margin(amp[None], "nan-test", False)
 
 
@@ -276,9 +294,11 @@ _EDGE_VALUES = [
         max_size=4,
     ),
 )
-def test_first_over_margin_matches_the_per_row_reference(rows, n, seed, injections):
+def test_check_margin_refuses_exactly_the_rows_the_reference_finds(
+    rows, n, seed, injections
+):
     rng = np.random.default_rng(seed)
-    m = _margin_nodes(n)
+    m = max(1, int(0.05 * n))
     # order-one interior amplitudes, guarded nodes below the margin
     stack = np.exp(2j * math.pi * rng.random((rows, n))) * rng.random((rows, n))
     stack[:, :m] *= 0.9 * _MARGIN_AMPLITUDE
@@ -289,15 +309,28 @@ def test_first_over_margin_matches_the_per_row_reference(rows, n, seed, injectio
         else:
             node = m + pick % (n - 2 * m)
         stack[row % rows, node] = value
-    worst = _boundary_amplitude(stack, n)
-    over = np.flatnonzero(~(worst < _MARGIN_AMPLITUDE))
-    hit = _first_over_margin(stack)
+    # per-row maxima over the two end slices; a NaN propagates into its row
+    worst = np.maximum(
+        np.abs(stack[:, :m]).max(axis=-1), np.abs(stack[:, n - m :]).max(axis=-1)
+    )
+    over = np.flatnonzero(~(worst < 1e-10))
+    names = [int(r) for r in rng.permutation(4 * rows)[:rows]]
+
+    def at(row):
+        return row + 1, 2 * row + 3, 0.125 * row
+
     if over.size == 0:
-        assert hit is None
-    else:
-        row, amplitude = hit
-        assert row == over[0]
-        np.testing.assert_array_equal(amplitude, worst[row])
+        _check_margin(stack, "ctx", False)
+        _check_margin(stack, "ctx", True, names, at)
+        return
+    first = int(over[0])
+    amplitude = f"{worst[first]:.3e}"
+    assert _margin_refusal(stack, "ctx", False) == (_over(amplitude, m), first)
+    name = names[first]
+    where = f" in row {name} at step {name + 1}/{2 * name + 3} (t={0.125 * name:g})"
+    assert _margin_refusal(stack, "ctx", True, names, at) == (
+        _over(amplitude, m, where), name
+    )
 
 
 @given(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wavefall import (
+    BadSigma,
     AccelSchedule,
     BranchSchedules,
     Colocated,
@@ -98,6 +99,25 @@ def test_gaussian_visibility_closed_form(params):
     )
     free = type(params)(hbar=1.0, m=1.0, g=0.0, c=10.0)
     assert gaussian_visibility(2.0, 1.0, free) == 1.0
+
+
+@pytest.mark.parametrize(
+    "sigma_t, t, error, text",
+    [
+        (1.0, math.inf, NonFiniteState, "gaussian_visibility: t=inf is not finite"),
+        (1.0, math.nan, NonFiniteState, "gaussian_visibility: t=nan is not finite"),
+        (math.inf, 1.0, NonFiniteState, "gaussian_visibility: sigma_t=inf is not finite"),
+        (-math.inf, 1.0, NonFiniteState, "gaussian_visibility: sigma_t=-inf is not finite"),
+        (-1.0, 1.0, BadSigma, "gaussian_visibility: sigma_t must be non-negative, got -1.0"),
+    ],
+)
+def test_gaussian_visibility_refuses_bad_arguments(params, sigma_t, t, error, text):
+    # an infinite kick would read as a finite contrast of 0.0, and a negative
+    # spread as the contrast of its absolute value, so both are refused
+    with pytest.raises(error) as info:
+        gaussian_visibility(sigma_t, t, params)
+    assert str(info.value) == text
+    assert gaussian_visibility(0.0, 1.0, params) == 1.0
 
 
 def test_negative_time_rejected(psi0, params):
@@ -368,7 +388,7 @@ def test_both_backends_refuse_an_overflowing_fall_shift_before_propagating(
     propagators = [
         count_calls(interferometry, "evolve_exact"),
         count_calls(interferometry, "evolve_split_step"),
-        count_calls(splitstep, "_first_over_margin"),
+        count_calls(splitstep, "_check_margin"),
     ]
     if scheme == "colocated":
         scan = (psi0, params, [0.5, t])

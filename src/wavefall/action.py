@@ -178,9 +178,10 @@ def ehrenfest_mean(
     """Mean position and momentum after time t: the classical fall.
 
     Returns (x0 + p0 t/m - g t^2/2, p0 - m g t); quantum means follow these
-    exactly because the potential is linear.
+    exactly because the potential is linear.  Raises NegativeTime for t < 0.
     """
     _require_finite_scalars("ehrenfest_mean", x0=x0, p0=p0, t=t)
+    _require_times("ehrenfest_mean", [t])
     m, g = params.m, params.g
     x, p = x0 + p0 * t / m - 0.5 * g * t * t, p0 - m * g * t
     _require_finite_scalars("ehrenfest_mean", result=True, x=x, p=p)

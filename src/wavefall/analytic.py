@@ -14,12 +14,14 @@ Each factor is one kernel acting in place on a C-contiguous (rows, n) stack
 of amplitudes.  shift_packet runs factor 1 on a stack of any number of
 rows, and apply_global_phase the kernel of factor 4 on a one-row stack;
 factors 2 and 3 have no public form.  evolve_exact composes all four on
-such a stack, with its own (g, t) per row, and the interference protocol
-propagates its branches that way, a chunk of rows at a time.  The kernels
+such a stack, with its own (g, t) per row: _fall runs factors 1 and 2 and
+their margin checks, and the kick and global phase follow.  The kernels
 check no angle: evolve_exact and shift_packet check each row's phase angles
 once, before they build any phase.
 evolve_piecewise and the protocol share one segment loop, _segment_chain,
-which takes the propagator of a segment as a callable.  Three rules keep
+which takes the propagator of a segment as a callable.  The protocol's
+colocated analytic scans pass _colocated_pairs, which takes each reference
+row from its accelerated row's fall (see interferometry).  Three rules keep
 every row bit-identical to a single-row call, and a fourth halves the cost of
 the k-space phases without changing a bit:
 
@@ -63,7 +65,6 @@ from __future__ import annotations
 import math
 import struct
 from collections.abc import Sequence
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,17 +126,15 @@ def _bits(v: float) -> bytes:
     return struct.pack("<d", v)
 
 
-def _apply_phases(amp: np.ndarray, values, phase, built=None) -> None:
+def _apply_phases(amp: np.ndarray, values, phase) -> None:
     """Multiply each row of amp in place by phase(v), one scalar v per row.
 
     phase is the single-row expression, evaluated on the row's own scalar,
     so each row gets the phase a single-row call builds.  Rows whose
     scalars have equal bits, such as the two branches of one readout time
-    or the rows with g = 0, share one evaluation; built, when given, holds
-    the evaluations by scalar bits across calls.
+    or the rows with g = 0, share one evaluation.
     """
-    if built is None:
-        built = {}
+    built = {}
     for row, v in zip(amp, values):
         key = _bits(v)
         if key not in built:
@@ -179,25 +178,6 @@ def _free_phase(grid: Grid, hbar: float, m: float, t: float) -> np.ndarray:
     return _k_phase(grid, lambda k: -0.5j * hbar * t * k * k / m, odd=False)
 
 
-# Fall-shift phases e^{+i k a} by grid and bits of a, shared by every shift
-# inside a `with _SharedFallPhases():` block; None outside one.
-_FALL_PHASES: ContextVar[dict | None] = ContextVar("_FALL_PHASES", default=None)
-
-
-class _SharedFallPhases:
-    """Reuse each fall-shift phase built inside the block; drop them all on exit.
-
-    The interferometer runs one chunk in a block, so the colocated
-    recentering by g t^2/2 reuses the phase its accelerated branch built.
-    """
-
-    def __enter__(self) -> None:
-        self._token = _FALL_PHASES.set({})
-
-    def __exit__(self, *exc) -> None:
-        _FALL_PHASES.reset(self._token)
-
-
 def _distinct(keys) -> tuple[list[int], list[int]]:
     """Each row's entry among the distinct keys, and each entry's first row.
 
@@ -233,13 +213,7 @@ def _shift(
     np.fft.fft(amp, out=amp)
     pair, pair_rows = _distinct(zip(start, map(_bits, shifts)))
     amp = amp[[start[r] for r in pair_rows]]
-    shared = _FALL_PHASES.get()
-    _apply_phases(
-        amp,
-        [shifts[r] for r in pair_rows],
-        lambda a: _shift_phase(grid, a),
-        None if shared is None else shared.setdefault(grid, {}),
-    )
+    _apply_phases(amp, [shifts[r] for r in pair_rows], lambda a: _shift_phase(grid, a))
     np.fft.ifft(amp, out=amp)
     _check_margin(amp, context, batched, pair_rows)
     return amp, pair
@@ -344,6 +318,19 @@ def evolve_exact(
     batched, (psis, pars, times) = _as_rows("evolve_exact", psi, params, t)
     if not psis:
         return []
+    amp, hbar, slopes, thetas = _fall(psis, pars, times, batched)
+    grid = psis[0].grid
+    _kick(amp, grid, hbar, slopes)
+    _rotate(amp, thetas)
+    return _packets(grid, amp, batched)
+
+
+def _fall(psis, pars, times, batched: bool):
+    """evolve_exact up to its kick: every check, the shift stage, free flight.
+
+    Returns the margin-checked position stack, hbar, and each row's kick
+    slope and cubic angle.
+    """
     _require_times("evolve_exact", times)
     grid = psis[0].grid
     hbar, m = _shared_hbar_m("evolve_exact", pars)
@@ -353,9 +340,23 @@ def evolve_exact(
     amp = amp[pair]
     _free(amp, grid, hbar, m, times)
     _check_margin(amp, "evolve_exact", batched)
-    _kick(amp, grid, hbar, slopes)
-    _rotate(amp, thetas)
-    return _packets(grid, amp, batched)
+    return amp, hbar, slopes, thetas
+
+
+def _colocated_pairs(states, pars, times) -> list[WavePacket]:
+    """evolve_exact on (accelerated, reference) row pairs, each reference its pair's fall.
+
+    T_a and U_0(t) are both diagonal in k, so on the lattice the colocated
+    reference T_a U_0(t) psi equals U_0(t) T_a psi, the accelerated row just
+    before its kick.  Every row runs through _fall, so each refusal, the
+    reference rows' un-fallen margin included, is evolve_exact's.
+    """
+    amp, hbar, slopes, thetas = _fall(states, pars, times, True)
+    amp[1::2] = amp[0::2]
+    grid = states[0].grid
+    _kick(amp[0::2], grid, hbar, slopes[0::2])
+    _rotate(amp[0::2], thetas[0::2])
+    return _packets(grid, amp, True)
 
 
 def _factor_scalars(grid: Grid, pars, times, batched: bool):
@@ -371,7 +372,7 @@ def _factor_scalars(grid: Grid, pars, times, batched: bool):
     k_max, x_max = float(np.abs(grid.k).max()), float(np.abs(grid.x).max())
     shifts = [0.5 * p.g * ti * ti for p, ti in zip(pars, times)]
     slopes = [p.m * p.g * ti for p, ti in zip(pars, times)]
-    thetas = [_cubic_angle(p, ti) for p, ti in zip(pars, times)]
+    thetas = [_cubic_angle(p.m, p.g, p.hbar, ti) for p, ti in zip(pars, times)]
     _require_finite_rows(
         "evolve_exact", batched, shift=shifts, kick_slope=slopes, cubic_angle=thetas,
         free_flight_angle=[
@@ -383,10 +384,10 @@ def _factor_scalars(grid: Grid, pars, times, batched: bool):
     return shifts, slopes, thetas
 
 
-def _cubic_angle(p: PhysicalParams, t: float) -> float:
+def _cubic_angle(m: float, g: float, hbar: float, t: float) -> float:
     """The global phase angle -m g^2 t^3/(6 hbar); -inf when t**3 overflows."""
     try:
-        return -p.m * p.g * p.g * t**3 / (6.0 * p.hbar)
+        return -m * g * g * t**3 / (6.0 * hbar)
     except OverflowError:
         return -math.inf
 

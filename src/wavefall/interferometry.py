@@ -29,12 +29,24 @@ and the rows of a scan run in chunks of whole branch pairs whose (rows, n)
 stack stays within 256 KiB.  Each chunk runs through analytic._segment_chain,
 the segment loop evolve_piecewise uses too: segment i of every row of a chunk
 is one batched call of the backend's propagator, passed in as the step.  On
-the analytic backend the rows of a chunk share what they can: one transform
-of psi0, one shift stage for all the reference rows (they shift by 0), and
-the colocated recentering reuses the fall-shift phase of its accelerated
-row.  Each chunk is read out with one batched overlap and one batched
-position-moment reduction, with no momentum transform; every row is
-bit-identical to a single-row run.
+the analytic backend the rows of a chunk share one transform of psi0 and one
+shift stage for all the reference rows (they shift by 0).  Each chunk is read
+out with one batched overlap and one batched position-moment reduction, with
+no momentum transform; every accelerated row is bit-identical to a
+single-row run.
+
+The analytic backend writes the accelerated evolution as
+U_g(t) = e^{i theta} K U_0(t) T_a, with T_a the translation by a = g t^2/2,
+K = e^{-i m g t x/hbar} the kick and theta = -m g^2 t^3/(6 hbar).  T_a and
+U_0(t) are both diagonal in k, so they commute exactly on the lattice, and
+the colocated reference T_a U_0(t) psi0 is phi = U_0(t) T_a psi0, the
+accelerated branch just before its kick.  A colocated analytic scan
+therefore takes each reference row from its accelerated row's free flight
+(analytic._colocated_pairs), with no recentering, and the fringe is
+z = e^{i theta} <phi|K|phi>.  The reference rows are still flown un-fallen,
+for their margin check only.  The split-step backend propagates both
+branches and recenters the reference with shift_packet, so the two backends
+stay independent routes to the fringe.
 
 For a Gaussian input the visibility obeys gaussian_visibility, a Gaussian in
 (m g t sigma_t / hbar); the packet spread is what erases the fringe contrast.
@@ -50,7 +62,8 @@ import numpy as np
 
 from .analytic import (
     AccelSchedule,
-    _SharedFallPhases,
+    _colocated_pairs,
+    _cubic_angle,
     _segment_chain,
     _segment_label,
     evolve_exact,
@@ -140,9 +153,10 @@ def predicted_phase(xbar: float, t: float, params: PhysicalParams) -> float:
     colocated scheme this matches the measured phase exactly for symmetric
     packets (the translation covers the fall, so only the momentum-kick phase
     at the branch center and the global cubic phase survive).  A non-finite
-    argument or result raises NonFiniteState.
+    argument or result raises NonFiniteState, and t < 0 NegativeTime.
     """
     _require_finite_scalars("predicted_phase", xbar=xbar, t=t)
+    _require_times("predicted_phase", [t])
     m, g = params.m, params.g
     with _RefuseOverflow("predicted_phase"):
         phase = -(m * g * xbar * t + m * g * g * t**3 / 6.0) / params.hbar
@@ -156,10 +170,12 @@ def gaussian_visibility(sigma_t: float, t: float, params: PhysicalParams) -> flo
     sigma_t is the position spread at readout time.  The contrast is the
     magnitude of the Gaussian's characteristic function at the accumulated
     momentum kick m g t.  A NaN or inf sigma_t or t raises NonFiniteState
-    naming the argument, and sigma_t < 0 raises BadSigma.  A NaN contrast,
-    such as sigma_t = 0 against a kick that overflows, raises NonFiniteState.
+    naming the argument, t < 0 raises NegativeTime and sigma_t < 0 BadSigma.
+    A NaN contrast, such as sigma_t = 0 against a kick that overflows, raises
+    NonFiniteState.
     """
     _require_finite_scalars("gaussian_visibility", sigma_t=sigma_t, t=t)
+    _require_times("gaussian_visibility", [t])
     if sigma_t < 0:
         raise BadSigma(
             f"gaussian_visibility: sigma_t must be non-negative, got {sigma_t}"
@@ -206,31 +222,38 @@ def _branch_pairs(psi0, params, times, scheme, backend, n_steps):
     labels = [
         f"readout t={t}, {b} branch" for t in times for b in ("accelerated", "reference")
     ]
-    _require_finite_shifts(rows, labels)
+    _require_finite_shifts(rows, labels, params)
     if backend == "analytic":
-        step = evolve_exact
+        step = _colocated_pairs if isinstance(scheme, Colocated) else evolve_exact
     else:
         step = partial(evolve_split_step, config=SolverConfig(n_steps))
-    recenter = isinstance(scheme, Colocated)
+    recenter = isinstance(scheme, Colocated) and backend == "split-step"
     return _propagate(psi0, params, times, recenter, rows, labels, step)
 
 
-def _require_finite_shifts(rows, labels) -> None:
-    """NonFiniteState at the first segment whose fall shift g d^2/2 is not finite.
+def _require_finite_shifts(rows, labels, params) -> None:
+    """NonFiniteState at the first segment whose fall shift or cubic angle is not finite.
 
-    One pass over the segments before any propagation, so both backends
-    refuse such a segment alike, labelled as _segment_chain labels a refusal
-    from inside the chain; the split-step solver would otherwise build its
-    phases from angles far past any meaningful range.
+    The fall shift is g d^2/2 and the cubic angle analytic._cubic_angle's
+    -m g^2 d^3/(6 hbar), -inf once d**3 overflows.  One pass over the
+    segments before any propagation, so both backends refuse such a segment
+    alike, labelled as _segment_chain labels a refusal from inside the
+    chain; the split-step solver would otherwise build its phases from
+    angles far past any meaningful range.
     """
+    m, hbar = params.m, params.hbar
     for label, row in zip(labels, rows):
         for i, (g, duration) in enumerate(row):
             shift = 0.5 * g * duration * duration
-            if not math.isfinite(shift):
-                raise NonFiniteState(
-                    f"{_segment_label(label, i, (g, duration))}: "
-                    f"result shift={shift} is not finite"
-                )
+            for name, value in (
+                ("shift", shift),
+                ("cubic_angle", _cubic_angle(m, g, hbar, duration)),
+            ):
+                if not math.isfinite(value):
+                    raise NonFiniteState(
+                        f"{_segment_label(label, i, (g, duration))}: "
+                        f"result {name}={value} is not finite"
+                    )
 
 
 def _propagate(psi0, params, times, recenter, rows, labels, step):
@@ -238,22 +261,18 @@ def _propagate(psi0, params, times, recenter, rows, labels, step):
 
     Rows run in chunks of whole (accelerated, reference) pairs whose stack
     stays within _CHUNK_BYTES, each through analytic._segment_chain with
-    step, the backend's batched propagator.  With recenter, the colocated
-    scheme, every free branch is then translated onto its fallen one:
-    amp(x + g t^2/2) recenters the peak at center_free - g t^2/2.  A chunk
-    runs inside analytic._SharedFallPhases, so on the analytic backend that
-    recentering reuses the e^{+i k g t^2/2} phase its accelerated branch
-    built; the shared phases are dropped before the chunk is yielded.
+    step, the backend's batched propagator.  With recenter, the split-step
+    colocated scheme, every free branch is then translated onto its fallen
+    one: amp(x + g t^2/2) recenters the peak at center_free - g t^2/2.
     """
     per_chunk = max(1, _CHUNK_BYTES // (2 * psi0.amp.nbytes))
     for first in range(0, len(times), per_chunk):
         ts = times[first : first + per_chunk]
         chunk = slice(2 * first, 2 * (first + len(ts)))
-        with _SharedFallPhases():
-            states = _segment_chain(psi0, params, rows[chunk], labels[chunk], step)
-            accelerated, reference = states[0::2], states[1::2]
-            if recenter:
-                reference = shift_packet(reference, [0.5 * params.g * t * t for t in ts])
+        states = _segment_chain(psi0, params, rows[chunk], labels[chunk], step)
+        accelerated, reference = states[0::2], states[1::2]
+        if recenter:
+            reference = shift_packet(reference, [0.5 * params.g * t * t for t in ts])
         yield ts, accelerated, reference
 
 
@@ -390,7 +409,8 @@ def fringe_scan(
     batched call; a scan holds one chunk of states at a time.  Raises
     TypeError for any other scheme; NonFiniteState when psi0 holds a
     non-finite amplitude, or, before any propagation, naming the readout
-    time, branch and segment whose fall shift g t^2/2 is not finite;
+    time, branch and segment whose fall shift g t^2/2 or cubic angle
+    -m g^2 t^3/(6 hbar) is not finite;
     GridOverflow naming the readout time, branch and segment that left the
     grid; and PhaseAliasing when consecutive phase samples are too far apart
     to continue unambiguously.

@@ -22,11 +22,14 @@ from wavefall import (
     delta_action,
     ehrenfest_mean,
     evolve_exact,
+    gaussian_visibility,
     make_gaussian,
     moments,
+    predicted_phase,
     shift_packet,
     shifted_free_action,
     spread_bound,
+    static_proper_time,
 )
 
 
@@ -189,6 +192,31 @@ def test_spread_bound_refuses_negative_time(params, t):
     # not a negative bound from a negative duration
     with pytest.raises(NegativeTime, match="spread_bound: t must be finite and >= 0"):
         spread_bound(1.0, t, params)
+
+
+# The closed forms of an elapsed time t, each at fixed other arguments, with
+# the error a NaN t raises: static_proper_time checks t's sign and finiteness
+# in one step, the others check finiteness first.
+CLOSED_FORMS_OF_T = {
+    "predicted_phase": (lambda t, p: predicted_phase(0.0, t, p), NonFiniteState),
+    "gaussian_visibility": (lambda t, p: gaussian_visibility(1.0, t, p), NonFiniteState),
+    "ehrenfest_mean": (lambda t, p: ehrenfest_mean(0.0, 0.0, t, p), NonFiniteState),
+    "spread_bound": (lambda t, p: spread_bound(1.0, t, p), NonFiniteState),
+    "static_proper_time": (lambda t, p: static_proper_time(0.0, t, p), NegativeTime),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS_OF_T))
+def test_closed_forms_refuse_a_negative_time(params, name):
+    # each formula reads t as an elapsed time: at t = -1 predicted_phase gave
+    # 0.1667, gaussian_visibility 0.6065 and ehrenfest_mean (-0.5, 1.0)
+    call, nan_error = CLOSED_FORMS_OF_T[name]
+    with pytest.raises(NegativeTime) as info:
+        call(-1.0, params)
+    assert str(info.value) == f"{name}: t must be finite and >= 0, got -1.0"
+    with pytest.raises(nan_error):
+        call(math.nan, params)
+    call(-0.0, params)
 
 
 NAN, INF = math.nan, math.inf

@@ -14,7 +14,8 @@ must say why, and regenerates the files with
 
 The script reports on stderr what moved in each file: every changed field
 of every verify check, old -> new, and for each CSV "unchanged" or the
-number of rows that differ.  It takes no arguments; given any (`--help`
+number of rows that differ with the largest absolute change of each column
+that moved.  It takes no arguments; given any (`--help`
 included) it prints its usage, writes nothing and exits 2.
 """
 
@@ -85,7 +86,8 @@ def test_default_config_output_is_byte_identical(name, tmp_path):
 
 def test_multi_chunk_analytic_scan_is_byte_identical(tmp_path):
     # five chunks of 8 readouts and one of 5; the two branches of the t = 0
-    # readout share one shift stage
+    # readout share one shift stage, and every reference row is its
+    # accelerated row's free flight, taken before the kick
     got = run_golden(DENSE, tmp_path)
     assert compared_bytes(got) == compared_bytes(GOLDEN / DENSE)
 
@@ -94,7 +96,8 @@ def what_moved(name: str, old: bytes | None, new: bytes) -> list[str]:
     """The compared content of one golden file, old against new, in words.
 
     For the verify JSON, one line per check field that changed, old -> new;
-    for a CSV, "unchanged" or the number of rows that differ.
+    for a CSV, "unchanged" or the number of rows that differ, followed by
+    the largest absolute change of each column that moved (_largest_changes).
     """
     if old is None:
         return [f"{name}: new file"]
@@ -102,7 +105,8 @@ def what_moved(name: str, old: bytes | None, new: bytes) -> list[str]:
         return [f"{name}: unchanged"]
     if not name.endswith(".json"):
         rows = list(zip_longest(old.splitlines(), new.splitlines()))
-        return [f"{name}: {sum(a != b for a, b in rows)} of {len(rows)} rows differ"]
+        differ = f"{sum(a != b for a, b in rows)} of {len(rows)} rows differ"
+        return [f"{name}: {differ}{_largest_changes(rows)}"]
     before = {c["name"]: c for c in json.loads(old)}
     after = {c["name"]: c for c in json.loads(new)}
     lines = []
@@ -119,6 +123,30 @@ def what_moved(name: str, old: bytes | None, new: bytes) -> list[str]:
                 if before[check].get(field) != after[check][field]
             )
     return sorted(lines)
+
+
+def _largest_changes(rows: list[tuple]) -> str:
+    """"; largest change <column> <max |new - old|>, ..." over the CSV's rows.
+
+    rows pairs the old and new lines, the header first.  Only rows in both
+    files and cells that parse as numbers on both sides count; columns are
+    named by the new header, in its order, and those that did not move are
+    left out.  Empty when no counted cell moved.
+    """
+    (_, header), *body = rows
+    columns = header.decode().split(",")
+    largest: dict[str, float] = {}
+    for a, b in body:
+        if a is None or b is None:
+            continue
+        for column, x, y in zip(columns, a.split(b","), b.split(b",")):
+            try:
+                change = abs(float(y) - float(x))
+            except ValueError:
+                continue
+            largest[column] = max(largest.get(column, 0.0), change)
+    moved = [f"{c} {largest[c]:.2g}" for c in columns if largest.get(c, 0.0) > 0]
+    return f"; largest change {', '.join(moved)}" if moved else ""
 
 
 def regenerate(argv: list[str]) -> int:
@@ -166,7 +194,20 @@ def test_what_moved_names_each_changed_check_field_and_counts_csv_rows():
     edited = b"".join(lines[:2] + [b"0,0\n"] + lines[3:] + [b"1,1\n"])
     assert what_moved("evolve.csv", csv, csv) == ["evolve.csv: unchanged"]
     assert what_moved("evolve.csv", csv, edited) == [
-        f"evolve.csv: 2 of {len(lines) + 1} rows differ"
+        f"evolve.csv: 2 of {len(lines) + 1} rows differ;"
+        " largest change t 0.5, mean_x_exact 0.13"
+    ]
+    # a cell that moves by one rounding step is reported with its column;
+    # a row of cells that are not numbers counts as differing, with no change
+    cells = lines[1].rstrip(b"\n").split(b",")
+    cells[6] = repr(float(cells[6]) + 2.2e-16).encode()
+    nudged = b"".join(
+        lines[:1] + [b",".join(cells) + b"\n"] + lines[2:-1] + [b"a,b\n"]
+    )
+    norm_error = float(cells[6]) - float(lines[1].split(b",")[6])
+    assert what_moved("evolve.csv", csv, nudged) == [
+        f"evolve.csv: 2 of {len(lines)} rows differ;"
+        f" largest change norm_error {norm_error:.2g}"
     ]
     assert what_moved("evolve.csv", None, csv) == ["evolve.csv: new file"]
 

@@ -5,12 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wavefall import (
     BadSigma,
     AccelSchedule,
     BranchSchedules,
     Colocated,
+    Grid,
     GridOverflow,
     NegativeTime,
     NonFiniteState,
@@ -20,6 +23,7 @@ from wavefall import (
     WavefallError,
     WavePacket,
     branch_states,
+    evolve_exact,
     fringe_scan,
     gaussian_visibility,
     make_gaussian,
@@ -27,9 +31,10 @@ from wavefall import (
     overlap,
     predicted_phase,
     run_protocol,
+    shift_packet,
     unwrap_phases,
 )
-from wavefall import analytic, core, interferometry, splitstep
+from wavefall import core, interferometry, splitstep
 
 # phase(t2) - phase(1) is exactly pi for the canonical fall, the one step
 # size the unwrapper must refuse
@@ -209,9 +214,10 @@ def test_one_chunk_analytic_scan_shares_its_transforms(
     psi0, params, monkeypatch, count_calls
 ):
     # N colocated readouts fit one chunk at n = 256.  Forward rows: psi0 once,
-    # N + 1 shift-stage rows (N fall shifts and one shared zero shift), N for
-    # the recentering and one for psi0's moments (the Gaussian test).  Inverse
-    # rows: N + 1 shift-stage rows, 2N after free flight, N for the recentering.
+    # N + 1 shift-stage rows (N fall shifts and one shared zero shift) and one
+    # for psi0's moments (the Gaussian test).  Inverse rows: N + 1 shift-stage
+    # rows and 2N after free flight.  Each reference row is its accelerated
+    # row's fall, so nothing is recentered.
     rows = {"fft": 0, "ifft": 0}
     for name in rows:
         real = getattr(np.fft, name)
@@ -226,23 +232,21 @@ def test_one_chunk_analytic_scan_shares_its_transforms(
     n = 8
     scan = fringe_scan(psi0, params, [0.1 * (i + 1) for i in range(n)])
     assert len(scan) == n
-    assert rows == {"fft": 2 * n + 3, "ifft": 4 * n + 1}
+    assert rows == {"fft": n + 3, "ifft": 3 * n + 1}
     # the one momentum transform is psi0's, for the Gaussian test; the
     # readout takes position moments only
     assert len(momentum) == 1
-    # N + 1 shift, N free-flight, N + 1 kick and N + 1 global phases, and two
-    # for the Gaussian test; the recentering builds none of its own
-    assert len(exps) == 4 * n + 5
+    # N + 1 shift, N free-flight, N kick and N global phases, and two for the
+    # Gaussian test; the reference rows take no kick and no global phase
+    assert len(exps) == 4 * n + 3
     # np.exp runs on k_0 .. k_{n/2} for each k-space phase (shift and free
     # flight), on every node for each kick and for the Gaussian test, and on
     # one value for each global phase
     half = psi0.grid.n // 2 + 1
     sizes = sorted(np.size(args[0]) for args in exps)
     assert sizes == sorted(
-        [half] * (2 * n + 1) + [psi0.grid.n] * (n + 3) + [1] * (n + 1)
+        [half] * (2 * n + 1) + [psi0.grid.n] * (n + 2) + [1] * n
     )
-    # the shared fall-shift phases went with the chunk
-    assert analytic._FALL_PHASES.get() is None
 
 
 @pytest.mark.parametrize("backend", ["analytic", "split-step"])
@@ -357,16 +361,58 @@ def test_scan_overflow_names_the_readout_time_and_branch(psi0, params, backend):
     assert info.value.row is None
 
 
+@pytest.mark.parametrize("backend", ["analytic", "split-step"])
+def test_a_reference_only_overflow_stays_refused(backend):
+    # launched at p0 = 9 against g = 9, the accelerated branch turns around
+    # at x = 4.5 and both fallen states are clean, but the un-fallen
+    # reference drifts to x = 9 and reaches the margin band by t = 1
+    params = PhysicalParams(g=9.0)
+    psi = make_gaussian(Grid(-20.0, 20.0, 256), 0.0, 9.0, 1.0, params)
+    with pytest.raises(GridOverflow) as info:
+        fringe_scan(psi, params, [1.0], backend=backend)
+    assert str(info.value).startswith(
+        "readout t=1.0, reference branch, segment 0 (g=0.0, duration=1.0): "
+    )
+
+
+# Colocated scans on lattices of 64 to 1024 nodes: the start packet (spread 2)
+# and both branches stay at least 21 from the margin band at |x| > 27.
+@given(
+    m=st.floats(0.5, 4.0),
+    g=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0)),
+    t=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+    x0=st.floats(-1.0, 1.0),
+    p0=st.floats(-1.0, 1.0),
+    n=st.sampled_from([64, 128, 256, 1024]),
+)
+def test_analytic_colocated_branches_match_their_definitions(m, g, t, x0, p0, n):
+    # the accelerated branch is evolve_exact's to the bit; the reference is
+    # the free packet translated onto it, which the backend takes from the
+    # accelerated branch's free flight, U_0 T_a psi0 = T_a U_0 psi0 on the
+    # lattice.  The two routes round differently, by a few FFT round-offs:
+    # within 4 eps log2(n) of each other in L2
+    params = PhysicalParams(m=m, g=g)
+    grid = Grid(-30.0, 30.0, n)
+    psi = make_gaussian(grid, x0, p0, 2.0, params)
+    accelerated, reference = branch_states(psi, params, t, backend="analytic")
+    exact = evolve_exact(psi, params, t)
+    assert np.array_equal(accelerated.amp.view(np.uint64), exact.amp.view(np.uint64))
+    free = evolve_exact(psi, replace(params, g=0.0), t)
+    recentered = shift_packet(free, g * t * t / 2)
+    gap = math.sqrt(np.sum(np.abs(reference.amp - recentered.amp) ** 2) * grid.dx)
+    assert gap <= 4 * np.finfo(float).eps * math.log2(n)
+
+
 @pytest.mark.parametrize(
     "t, cause",
-    [(1e200, "result shift=inf"), (1e103, "evolve_exact: result cubic_angle=-inf")],
+    [(1e200, "result shift=inf"), (1e103, "result cubic_angle=-inf")],
     ids=["shift", "cubic_angle"],
 )
 def test_analytic_scan_names_the_readout_of_a_non_finite_scalar(
     psi0, params, t, cause
 ):
     # the message named a row of the chunk stack, "evolve_exact in row 2"; a
-    # shift that overflows is refused before evolve_exact runs
+    # shift or cubic angle that overflows is refused before any propagation
     with pytest.raises(NonFiniteState) as info:
         fringe_scan(psi0, params, [0.5, t], backend="analytic")
     assert str(info.value) == (
@@ -378,15 +424,26 @@ def test_analytic_scan_names_the_readout_of_a_non_finite_scalar(
 
 @pytest.mark.parametrize("backend", ["analytic", "split-step"])
 @pytest.mark.parametrize("scheme", ["colocated", "schedules"])
+@pytest.mark.parametrize(
+    "t, cause",
+    [
+        (1e200, "result shift=inf"),
+        (1e103, "result cubic_angle=-inf"),
+        (1e150, "result cubic_angle=-inf"),
+        (1e154, "result cubic_angle=-inf"),
+    ],
+    ids=["shift", "cube-1e103", "cube-1e150", "cube-1e154"],
+)
 def test_both_backends_refuse_an_overflowing_fall_shift_before_propagating(
-    psi0, params, count_calls, backend, scheme
+    psi0, params, count_calls, backend, scheme, t, cause
 ):
     # the analytic backend refused it inside evolve_exact, the split-step one
-    # with GridOverflow at step 1/2048, after building phases from angles
-    # near 1e198 rad
-    t = 1e200
+    # with GridOverflow at step 1/2048, after building phases from angles far
+    # past any meaningful range.  From about t = 6e102 the cube overflows,
+    # and from about 1.3e154 the shift too, which is then named first
     propagators = [
         count_calls(interferometry, "evolve_exact"),
+        count_calls(interferometry, "_colocated_pairs"),
         count_calls(interferometry, "evolve_split_step"),
         count_calls(splitstep, "_check_margin"),
     ]
@@ -401,11 +458,11 @@ def test_both_backends_refuse_an_overflowing_fall_shift_before_propagating(
     with pytest.raises(NonFiniteState) as info:
         fringe_scan(*scan, backend=backend)
     assert str(info.value) == (
-        "readout t=1e+200, accelerated branch, segment 0 (g=1.0, duration=1e+200): "
-        "result shift=inf is not finite"
+        f"readout t={t}, accelerated branch, segment 0 (g=1.0, duration={t}): "
+        f"{cause} is not finite"
     )
     assert info.value.row is None
-    assert [len(calls) for calls in propagators] == [0, 0, 0]
+    assert [len(calls) for calls in propagators] == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

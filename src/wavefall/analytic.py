@@ -23,16 +23,17 @@ which takes the propagator of a segment as a callable.  The protocol's
 colocated analytic scans pass _colocated_pairs, which takes each reference
 row from its accelerated row's fall (see interferometry).  Three rules keep
 every row bit-identical to a single-row call, and a fourth halves the cost of
-the k-space phases without changing a bit:
+the k-space phases and of the kick without changing a bit:
 
 - each row's phase is built from that row's scalar with the single-row
   expression; rows whose scalars have equal bits share one evaluation;
 - rows that share a start state (the same object) and the bits of their
   shift g t^2/2 share the shift stage: the start state is checked finite
   and transformed once, and each distinct (start state, shift) pair is
-  phased, transformed back, margin-checked and transformed forward once.
-  The stack is expanded to one row per input only for free flight, and
-  every error names the caller's row;
+  phased once, its margin checked on a copy transformed back to x.  The
+  fall stays in k-space: free flight starts from the phased stack,
+  expanded to one row per input, so evolve_exact makes one transform pair
+  per row.  Every error names the caller's row;
 - every complex multiply is written ``amp *= phase``, the state on the left.
   ``amp = amp * np.exp(...)`` is not safe: once the stack reaches 256 KiB
   numpy reuses the temporary on the right as the output, which swaps the
@@ -46,18 +47,21 @@ the k-space phases without changing a bit:
   (free flight) or its negation (the shift) to the bit, and the real part
   of each exponent is a zero of either sign; e^{+-0 + i theta} has the
   same bits for either zero, cos is even and sin odd.  An angle that is
-  zero takes its sign from its own node (_k_phase).  The kick's
-  e^{-i slope x/hbar} is built on every node, since the nodes of x carry
-  no such symmetry.
+  zero takes its sign from its own node (_mirrored).  The kick's
+  e^{-i slope x/hbar} is odd in x and is mirrored the same way about
+  x_{n/2}, np.exp running on x_{n/2} .. x_{n-1} and x_0, when grid.x is
+  antisymmetric about x_{n/2} to the bit (_x_fft), as the symmetric
+  bounds of every shipped config make it.  Any other grid builds the
+  kick on every node; its bits are the same either way.
 
-The boundary margin is re-checked over every distinct shift-stage row and
-over every row after free flight.  Every refusal (margin, start state,
-scalar or angle) is decided in core, fails closed on NaN and names the
-caller's first offending row when the call is batched, one-row lists
-included.  Note that a single long step whose packet wraps around the
-periodic grid and re-enters with a clean final margin cannot be detected
-here, so bound long falls with evolve_piecewise (per-segment checks) or
-cross-check with the split-step solver, which guards every step.
+The boundary margin is re-checked over every distinct shift-stage row, on
+its copy in x, and over every row after free flight.  Every refusal
+(margin, start state, scalar or angle) is decided in core, fails closed on
+NaN and names the caller's first offending row when the call is batched,
+one-row lists included.  Note that a single long step whose packet wraps
+around the periodic grid and re-enters with a clean final margin cannot be
+detected here, so bound long falls with evolve_piecewise (per-segment
+checks) or cross-check with the split-step solver, which guards every step.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -142,19 +147,22 @@ def _apply_phases(amp: np.ndarray, values, phase) -> None:
         row *= built[key]
 
 
-def _k_phase(grid: Grid, exponent, odd: bool) -> np.ndarray:
-    """e^{exponent(grid.k)}, with np.exp run on the nodes k_0 .. k_{n/2} only.
+def _mirrored(nodes: np.ndarray, exponent, odd: bool) -> np.ndarray:
+    """e^{exponent(nodes)} in FFT layout, with np.exp run on nodes 0 .. n/2 only.
 
-    Node n - j takes node j's phase for an even exponent and its conjugate
-    for an odd one; see the module docstring for why this is exact.  A zero
-    angle is the exception: its sign comes from its own node's arithmetic,
-    which neither rule predicts, so each mirrored node whose angle at j is
-    +-0 takes the imaginary part of its own exponent, e^{+-0 + i(+-0)} being
-    1 with that zero.  Each exponent's |angle| grows with |k|, rounding
-    included, so only when node 1's angle is zero can another node's be.
+    nodes must be in FFT layout, node n - j the negation of node j to the
+    bit for 0 < j < n/2 and |node j| non-decreasing there, as grid.k is and
+    as _x_fft gives grid.x.  Node n - j takes node j's phase for an even
+    exponent and its conjugate for an odd one; see the module docstring for
+    why this is exact.  A zero angle is the exception: its sign comes from
+    its own node's arithmetic, which neither rule predicts, so each mirrored
+    node whose angle at j is +-0 takes the imaginary part of its own
+    exponent, e^{+-0 + i(+-0)} being 1 with that zero.  Each exponent's
+    |angle| grows with |node|, rounding included, so only when node 1's
+    angle is zero can another node's be.
     """
-    n, h = grid.n, grid.n // 2 + 1
-    half = exponent(grid.k[:h])
+    n, h = len(nodes), len(nodes) // 2 + 1
+    half = exponent(nodes[:h])
     full = np.empty(n, dtype=np.complex128)
     np.exp(half, out=full[:h])
     mirror = full[h - 2 : 0 : -1]
@@ -163,19 +171,35 @@ def _k_phase(grid: Grid, exponent, odd: bool) -> np.ndarray:
     else:
         full[h:] = mirror
     if half[1].imag == 0:
-        nodes = n - 1 - np.flatnonzero(half.imag[1 : h - 1] == 0)
-        full.imag[nodes] = exponent(grid.k[nodes]).imag
+        fix = n - 1 - np.flatnonzero(half.imag[1 : h - 1] == 0)
+        full.imag[fix] = exponent(nodes[fix]).imag
     return full
+
+
+@lru_cache(maxsize=8)
+def _x_fft(grid: Grid) -> np.ndarray | None:
+    """grid.x rolled into FFT layout, x_{n/2} first, if it is antisymmetric.
+
+    Antisymmetric means x_{n/2 - j} == -x_{n/2 + j} to the bit for
+    0 < j < n/2, which the symmetric bounds of every shipped config meet;
+    any other grid gives None.  The x nodes increase, so |node j| does too.
+    """
+    nodes = np.roll(grid.x, -(grid.n // 2))
+    mirror = -nodes[: grid.n // 2 : -1]
+    if nodes[1 : grid.n // 2].tobytes() != mirror.tobytes():
+        return None
+    nodes.setflags(write=False)
+    return nodes
 
 
 def _shift_phase(grid: Grid, a: float) -> np.ndarray:
     """The fall shift's k-space phase e^{+i k a}, odd in k."""
-    return _k_phase(grid, lambda k: 1j * k * a, odd=True)
+    return _mirrored(grid.k, lambda k: 1j * k * a, odd=True)
 
 
 def _free_phase(grid: Grid, hbar: float, m: float, t: float) -> np.ndarray:
     """Free flight's k-space phase e^{-i hbar t k^2/(2 m)}, even in k."""
-    return _k_phase(grid, lambda k: -0.5j * hbar * t * k * k / m, odd=False)
+    return _mirrored(grid.k, lambda k: -0.5j * hbar * t * k * k / m, odd=False)
 
 
 def _distinct(keys) -> tuple[list[int], list[int]]:
@@ -196,15 +220,15 @@ def _distinct(keys) -> tuple[list[int], list[int]]:
 
 def _shift(
     psis: list[WavePacket], shifts: list[float], context: str, batched: bool
-) -> tuple[np.ndarray, list[int]]:
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """amp(x + a) per row, run once per distinct (start state, bits of a) pair.
 
     Each distinct start state (by identity) is checked finite and
     transformed once; each distinct pair then takes the k-space phase
-    e^{+i k a}, one inverse FFT and the margin check.  Returns the position
-    stack of the pairs and each row's pair.  Both checks name the caller
-    (context) and its first offending row; the caller has checked every
-    shift angle.
+    e^{+i k a}, and a copy transformed back to x takes the margin check.
+    Returns the k-space stack of the pairs, its position copy, and each
+    row's pair.  Both checks name the caller (context) and its first
+    offending row; the caller has checked every shift angle.
     """
     grid = psis[0].grid
     start, start_rows = _distinct(map(id, psis))
@@ -214,9 +238,9 @@ def _shift(
     pair, pair_rows = _distinct(zip(start, map(_bits, shifts)))
     amp = amp[[start[r] for r in pair_rows]]
     _apply_phases(amp, [shifts[r] for r in pair_rows], lambda a: _shift_phase(grid, a))
-    np.fft.ifft(amp, out=amp)
-    _check_margin(amp, context, batched, pair_rows)
-    return amp, pair
+    moved = np.fft.ifft(amp)
+    _check_margin(moved, context, batched, pair_rows)
+    return amp, moved, pair
 
 
 def _shift_angle(a: float, k_max: float) -> float:
@@ -242,9 +266,26 @@ def _free(
     np.fft.ifft(amp, out=amp)
 
 
+def _kick_phase(grid: Grid, hbar: float, slope: float) -> np.ndarray:
+    """The kick's position-space phase e^{-i slope x / hbar}, odd in x.
+
+    Mirrored about x_{n/2} (_mirrored) when grid.x is antisymmetric about
+    it (_x_fft), else built on every node; both give the same bits.
+    """
+    nodes = _x_fft(grid)
+    if nodes is None:
+        return np.exp(-1j * slope * grid.x / hbar)
+    phase = _mirrored(nodes, lambda x: -1j * slope * x / hbar, odd=True)
+    return np.concatenate((phase[grid.n // 2 :], phase[: grid.n // 2]))
+
+
 def _kick(amp: np.ndarray, grid: Grid, hbar: float, slopes: list[float]) -> None:
-    """Momentum kick per row: the position-space phase e^{-i slope x / hbar}."""
-    _apply_phases(amp, slopes, lambda slope: np.exp(-1j * slope * grid.x / hbar))
+    """Momentum kick per row: the position-space phase e^{-i slope x / hbar}.
+
+    Each phase has the bits of np.exp(-1j * slope * grid.x / hbar); it is
+    mirrored about x_{n/2} when grid.x allows (_kick_phase).
+    """
+    _apply_phases(amp, slopes, lambda slope: _kick_phase(grid, hbar, slope))
 
 
 def _rotate(amp: np.ndarray, thetas: list[float]) -> None:
@@ -270,8 +311,8 @@ def shift_packet(
     _require_finite_rows(
         "shift_packet", batched, shift_angle=[_shift_angle(s, k_max) for s in shifts]
     )
-    amp, pair = _shift(psis, shifts, "shift_packet", batched)
-    return _packets(psis[0].grid, amp[pair], batched)
+    _, moved, pair = _shift(psis, shifts, "shift_packet", batched)
+    return _packets(psis[0].grid, moved[pair], batched)
 
 
 def apply_global_phase(psi: WavePacket, theta: float) -> WavePacket:
@@ -328,15 +369,15 @@ def evolve_exact(
 def _fall(psis, pars, times, batched: bool):
     """evolve_exact up to its kick: every check, the shift stage, free flight.
 
-    Returns the margin-checked position stack, hbar, and each row's kick
-    slope and cubic angle.
+    Free flight starts from the shift stage's k-space stack, so each row
+    makes one transform pair.  Returns the margin-checked position stack,
+    hbar, and each row's kick slope and cubic angle.
     """
     _require_times("evolve_exact", times)
     grid = psis[0].grid
     hbar, m = _shared_hbar_m("evolve_exact", pars)
     shifts, slopes, thetas = _factor_scalars(grid, pars, times, batched)
-    amp, pair = _shift(psis, shifts, "evolve_exact", batched)
-    np.fft.fft(amp, out=amp)
+    amp, _, pair = _shift(psis, shifts, "evolve_exact", batched)
     amp = amp[pair]
     _free(amp, grid, hbar, m, times)
     _check_margin(amp, "evolve_exact", batched)

@@ -30,9 +30,12 @@ stack stays within 256 KiB.  Each chunk runs through analytic._segment_chain,
 the segment loop evolve_piecewise uses too: segment i of every row of a chunk
 is one batched call of the backend's propagator, passed in as the step.  On
 the analytic backend the rows of a chunk share one transform of psi0 and one
-shift stage for all the reference rows (they shift by 0).  Each chunk is read
-out with one batched overlap and one batched position-moment reduction, with
-no momentum transform; every accelerated row is bit-identical to a
+shift stage for all the reference rows (they shift by 0), and each row's
+fall stays in k-space from its shift to its free flight; only the shift
+stage's margin check takes a copy back to x.  A colocated chunk of N
+readouts thus makes one forward-transform row, psi0's.  Each chunk is read
+out with one batched overlap and one batched position-moment reduction,
+with no momentum transform; every accelerated row is bit-identical to a
 single-row run.
 
 The analytic backend writes the accelerated evolution as

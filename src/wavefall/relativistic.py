@@ -233,8 +233,10 @@ def nr_limit_check(
 def static_proper_time(x0: float, t: float, params: PhysicalParams) -> float:
     """Closed form for a clock held at x0: t sqrt(1 - 2 g x0 / c^2).
 
-    A radicand or result that is not finite raises NonFiniteState.
+    A NaN or inf x0 or t, or a radicand or result that is not finite,
+    raises NonFiniteState.
     """
+    _require_finite_scalars("static_proper_time", x0=x0, t=t)
     _require_times("static_proper_time", [t])
     with _RefuseOverflow("static_proper_time"):
         c2 = params.c**2

@@ -178,10 +178,10 @@ def _strang_tolerance(params: PhysicalParams, t: float, n_steps: int, n: int) ->
     A step makes three multiplies by computed unit phases, O(eps) each, and
     one FFT pair, O(eps log2 n) (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, section 24.1); the same arrays act at every step, so
-    the errors add: N eps log2 n, and one step more for evolve_exact.  A
-    computed angle theta is off by eps |theta|, and the largest angles at the
-    packet (kick, cubic phase, summed potential) are fractions of
-    m g^2 t^3/hbar.  Start and end states must be below about 1e-12 on the
+    the errors add: N eps log2 n, and one step more for evolve_exact, whose
+    one FFT pair per row is that step's.  A computed angle theta is off by
+    eps |theta|, and the largest angles at the packet (kick, cubic phase,
+    summed potential) are fractions of m g^2 t^3/hbar.  Start and end states must be below about 1e-12 on the
     outer 5% of nodes in x and in k: the margin guard allows 1e-10 in x, and
     such a tail wraps around by more than the bound.  Over 1130 random draws
     of that domain the worst distance was 0.125 of the bound; an hbar/m off

@@ -66,6 +66,24 @@ def count_calls(monkeypatch):
 
 
 @pytest.fixture
+def fft_rows(monkeypatch):
+    """Rows transformed by np.fft.fft and np.fft.ifft during the test, by name.
+
+    A (rows, n) stack counts its rows, a single state one.
+    """
+    rows = {"fft": 0, "ifft": 0}
+    for name in rows:
+        real = getattr(np.fft, name)
+
+        def counting(a, *args, _real=real, _name=name, **kwargs):
+            rows[_name] += len(a) if np.ndim(a) == 2 else 1
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return rows
+
+
+@pytest.fixture
 def free_flight():
     """free_flight(psi, params, t): the amplitudes of e^{-i hbar t k^2/(2m)} psi.
 

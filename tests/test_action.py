@@ -194,15 +194,15 @@ def test_spread_bound_refuses_negative_time(params, t):
         spread_bound(1.0, t, params)
 
 
-# The closed forms of an elapsed time t, each at fixed other arguments, with
-# the error a NaN t raises: static_proper_time checks t's sign and finiteness
-# in one step, the others check finiteness first.
+# The closed forms of an elapsed time t, each at fixed other arguments.  Each
+# checks t's finiteness before its sign, so a NaN or inf t raises
+# NonFiniteState naming t, and only a finite negative t raises NegativeTime.
 CLOSED_FORMS_OF_T = {
-    "predicted_phase": (lambda t, p: predicted_phase(0.0, t, p), NonFiniteState),
-    "gaussian_visibility": (lambda t, p: gaussian_visibility(1.0, t, p), NonFiniteState),
-    "ehrenfest_mean": (lambda t, p: ehrenfest_mean(0.0, 0.0, t, p), NonFiniteState),
-    "spread_bound": (lambda t, p: spread_bound(1.0, t, p), NonFiniteState),
-    "static_proper_time": (lambda t, p: static_proper_time(0.0, t, p), NegativeTime),
+    "predicted_phase": lambda t, p: predicted_phase(0.0, t, p),
+    "gaussian_visibility": lambda t, p: gaussian_visibility(1.0, t, p),
+    "ehrenfest_mean": lambda t, p: ehrenfest_mean(0.0, 0.0, t, p),
+    "spread_bound": lambda t, p: spread_bound(1.0, t, p),
+    "static_proper_time": lambda t, p: static_proper_time(0.0, t, p),
 }
 
 
@@ -210,12 +210,13 @@ CLOSED_FORMS_OF_T = {
 def test_closed_forms_refuse_a_negative_time(params, name):
     # each formula reads t as an elapsed time: at t = -1 predicted_phase gave
     # 0.1667, gaussian_visibility 0.6065 and ehrenfest_mean (-0.5, 1.0)
-    call, nan_error = CLOSED_FORMS_OF_T[name]
+    call = CLOSED_FORMS_OF_T[name]
     with pytest.raises(NegativeTime) as info:
         call(-1.0, params)
     assert str(info.value) == f"{name}: t must be finite and >= 0, got -1.0"
-    with pytest.raises(nan_error):
-        call(math.nan, params)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteState, match=f"^{name}: t={t} is not finite$"):
+            call(t, params)
     call(-0.0, params)
 
 

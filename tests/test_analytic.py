@@ -346,6 +346,48 @@ def test_half_spectrum_phases_equal_the_full_spectrum_bit_for_bit(
     assert np.array_equal(_bits(analytic._shift_phase(grid, a)), _bits(shift))
 
 
+# The kick runs np.exp on x_{n/2} .. x_{n-1} and x_0 only, and mirrors the
+# rest, when grid.x is antisymmetric about x_{n/2} to the bit.  Bounds
+# +-k 2^e are, so they must take the mirror; drawn finite bounds mostly are
+# not, and take the full-node path.  Slopes of 0.0, -0.0 and +-5e-324, whose
+# angles are or underflow to zeros of either sign, and large slopes are
+# drawn on their own.  The row is 1 - 0j, which keeps the sign of a zero
+# imaginary part through the kick's multiply, so it ends up with the
+# phase's bits.
+MIRRORED_BOUNDS = st.builds(
+    lambda k, e: ((-k * 2.0**e, k * 2.0**e), True),
+    st.integers(1, 2**20),
+    st.integers(-30, 30),
+)
+OTHER_BOUNDS = st.tuples(st.tuples(FINITE, FINITE), st.just(False))
+EDGE_SLOPES = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300)
+
+
+@given(
+    n=st.sampled_from([2**p for p in range(3, 13)]),
+    bounds=st.one_of(MIRRORED_BOUNDS, OTHER_BOUNDS),
+    hbar=POSITIVE,
+    slope=st.one_of(*map(st.just, EDGE_SLOPES), FINITE),
+)
+@example(n=64, bounds=((-20.0, 20.0), True), hbar=1.0, slope=0.0)
+@example(n=64, bounds=((-20.0, 20.0), True), hbar=1.0, slope=-0.0)
+@example(n=64, bounds=((-20.0, 20.0), True), hbar=1.0, slope=-5e-324)
+@example(n=1024, bounds=((-20.0, 20.0), True), hbar=1.0, slope=-1.25)
+def test_mirrored_kick_equals_the_full_node_kick_bit_for_bit(n, bounds, hbar, slope):
+    (x_min, x_max), mirrored = bounds
+    try:
+        grid = Grid(x_min, x_max, n)
+    except ValueError:
+        assume(False)
+    if mirrored:
+        assert analytic._x_fft(grid) is not None
+    # the entry points refuse a kick whose largest angle is not finite
+    assume(math.isfinite(analytic._kick_angle(hbar, slope, float(np.abs(grid.x).max()))))
+    amp = np.full((1, n), complex(1.0, -0.0))
+    analytic._kick(amp, grid, hbar, [slope])
+    assert np.array_equal(_bits(amp[0]), _bits(np.exp(-1j * slope * grid.x / hbar)))
+
+
 def test_rows_of_a_stack_above_256_kib_equal_single_calls():
     # 40 rows at n = 1024 make a 640 KiB stack, past the size at which numpy
     # reuses a temporary operand; a multiply written with the phase on the
@@ -361,6 +403,23 @@ def test_rows_of_a_stack_above_256_kib_equal_single_calls():
         single = evolve_exact(psi, p, t)
         assert row.amp.tobytes() == single.amp.tobytes()
         assert moved.amp.tobytes() == shift_packet(single, g).amp.tobytes()
+
+
+def test_batched_exact_rows_share_their_transforms(fft_rows):
+    # Two distinct start states and four distinct (start, shift) pairs over
+    # five rows; g = -0.0 shifts by -0.0, whose bits are not 0.0's.  Forward
+    # rows: one per start state, the fall staying in k-space.  Inverse rows:
+    # one per pair for the shift-stage margin check, and one per row after
+    # free flight.
+    a, b = STARTS[:2]
+    rows = [(a, 1.0, 0.5), (a, 0.0, 0.5), (b, 1.0, 0.5), (a, 1.0, 0.5), (b, -0.0, 0.7)]
+    out = evolve_exact(
+        [psi for psi, _, _ in rows],
+        [replace(CANONICAL, g=g) for _, g, _ in rows],
+        [t for _, _, t in rows],
+    )
+    assert len(out) == len(rows)
+    assert fft_rows == {"fft": 2, "ifft": 4 + len(rows)}
 
 
 def test_batch_broadcasts_single_values_and_returns_a_list(psi0, params):

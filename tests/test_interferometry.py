@@ -211,42 +211,33 @@ def test_scan_equals_per_time_protocol(psi0, params, backend):
 
 
 def test_one_chunk_analytic_scan_shares_its_transforms(
-    psi0, params, monkeypatch, count_calls
+    psi0, params, count_calls, fft_rows
 ):
-    # N colocated readouts fit one chunk at n = 256.  Forward rows: psi0 once,
-    # N + 1 shift-stage rows (N fall shifts and one shared zero shift) and one
-    # for psi0's moments (the Gaussian test).  Inverse rows: N + 1 shift-stage
-    # rows and 2N after free flight.  Each reference row is its accelerated
-    # row's fall, so nothing is recentered.
-    rows = {"fft": 0, "ifft": 0}
-    for name in rows:
-        real = getattr(np.fft, name)
-
-        def counting(a, *args, _real=real, _name=name, **kwargs):
-            rows[_name] += len(a) if np.ndim(a) == 2 else 1
-            return _real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counting)
+    # N colocated readouts fit one chunk at n = 256.  Forward rows: psi0 once
+    # and once for its moments (the Gaussian test); the fall stays in k-space
+    # from the shift stage to free flight.  Inverse rows: N + 1 shift-stage
+    # rows (N fall shifts and one shared zero shift) for the margin check,
+    # and 2N after free flight.  Each reference row is its accelerated row's
+    # fall, so nothing is recentered.
     momentum = count_calls(core, "_momentum_amp")
     exps = count_calls(np, "exp")
     n = 8
     scan = fringe_scan(psi0, params, [0.1 * (i + 1) for i in range(n)])
     assert len(scan) == n
-    assert rows == {"fft": n + 3, "ifft": 3 * n + 1}
+    assert fft_rows == {"fft": 2, "ifft": 3 * n + 1}
     # the one momentum transform is psi0's, for the Gaussian test; the
     # readout takes position moments only
     assert len(momentum) == 1
     # N + 1 shift, N free-flight, N kick and N global phases, and two for the
     # Gaussian test; the reference rows take no kick and no global phase
     assert len(exps) == 4 * n + 3
-    # np.exp runs on k_0 .. k_{n/2} for each k-space phase (shift and free
-    # flight), on every node for each kick and for the Gaussian test, and on
-    # one value for each global phase
+    # np.exp runs on half the nodes for each k-space phase (k_0 .. k_{n/2})
+    # and for each kick (x_{n/2} .. x_{n-1} and x_0, the grid being
+    # symmetric), on every node for the Gaussian test, and on one value for
+    # each global phase
     half = psi0.grid.n // 2 + 1
     sizes = sorted(np.size(args[0]) for args in exps)
-    assert sizes == sorted(
-        [half] * (2 * n + 1) + [psi0.grid.n] * (n + 2) + [1] * n
-    )
+    assert sizes == sorted([half] * (3 * n + 1) + [psi0.grid.n] * 2 + [1] * n)
 
 
 @pytest.mark.parametrize("backend", ["analytic", "split-step"])

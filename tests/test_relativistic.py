@@ -123,18 +123,32 @@ def test_leading_error_coefficient(params):
     assert report.rows[-1].abs_error == pytest.approx(est, rel=0.05)
 
 
+NEGATIVE_TIME = (NegativeTime, "t must be finite and >= 0")
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -0.5], ids=["nan", "inf", "negative"])
 @pytest.mark.parametrize(
-    "clock",
+    "clock, non_finite",
     [
-        lambda t, p: proper_time(free_fall_trajectory(0.0, 0.0, p), t, p),
-        lambda t, p: rel_action(free_fall_trajectory(0.0, 0.0, p), t, p),
-        lambda t, p: static_proper_time(0.0, t, p),
+        (
+            lambda t, p: proper_time(free_fall_trajectory(0.0, 0.0, p), t, p),
+            NEGATIVE_TIME,
+        ),
+        (
+            lambda t, p: rel_action(free_fall_trajectory(0.0, 0.0, p), t, p),
+            NEGATIVE_TIME,
+        ),
+        # a closed form of t, which names a NaN or inf t as the others do
+        (
+            lambda t, p: static_proper_time(0.0, t, p),
+            (NonFiniteState, "static_proper_time: t=(nan|inf) is not finite"),
+        ),
     ],
     ids=["proper_time", "rel_action", "static_proper_time"],
 )
-def test_proper_time_rejects_bad_durations(params, clock, t):
-    with pytest.raises(NegativeTime, match="t must be finite and >= 0"):
+def test_proper_time_rejects_bad_durations(params, clock, non_finite, t):
+    error, message = NEGATIVE_TIME if math.isfinite(t) else non_finite
+    with pytest.raises(error, match=message):
         clock(t, params)
 
 

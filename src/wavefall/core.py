@@ -360,10 +360,18 @@ def _require_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _require_times(context: str, times) -> None:
-    """Raise NegativeTime naming the first time that is negative, NaN or infinite."""
+def _require_times(context: str, times, batched: bool = False) -> None:
+    """Raise NonFiniteState at a NaN or inf time, else NegativeTime at a negative one.
+
+    Finiteness comes first over every time, as _require_finite_rows decides
+    it: "<context>[ in row R]: t=<value> is not finite", the row named only
+    for a batched call and carried as .row.  Then the first negative time
+    raises NegativeTime, "<context>: t must be finite and >= 0, got <t>";
+    -0.0 is accepted.
+    """
     for t in times:
         if not 0 <= t < math.inf:
+            _require_finite_rows(context, batched, result=False, t=list(times))
             raise NegativeTime(f"{context}: t must be finite and >= 0, got {t}")
 
 
@@ -571,11 +579,19 @@ def overlap(
     if not bras:
         return []
     _require_same_grid(bras[0], kets[0])
-    prod = np.conj(_stack(bras))
-    prod *= _stack(kets)
-    dx = bras[0].grid.dx
-    out = [complex(s * dx) for s in np.sum(prod, axis=-1)]
+    out = _inner(_stack(bras), _stack(kets), bras[0].grid.dx)
     return out if batched else out[0]
+
+
+def _inner(bras: np.ndarray, kets: np.ndarray, dx: float) -> list[complex]:
+    """<bra|ket> = sum conj(bra) ket dx, one complex per row of two (rows, n) stacks.
+
+    overlap's reduction; neither stack is modified.  The product is formed
+    as conj(bra) times ket, in that operand order, which fixes its bits.
+    """
+    prod = np.conj(bras)
+    prod *= kets
+    return [complex(s * dx) for s in np.sum(prod, axis=-1)]
 
 
 def l2_distance(a: WavePacket, b: WavePacket) -> float:

@@ -129,8 +129,9 @@ def _evolve(hamiltonian: DenseOperator, amps: np.ndarray, t: float) -> np.ndarra
 def evolve_dense(hamiltonian: DenseOperator, psi: WavePacket, t: float) -> WavePacket:
     """U(t) psi in the energy basis of `hamiltonian`, with its own hbar; four
     real matrix-vector products for a real H.  GridMismatch off the operator's
-    grid, NegativeTime for a t that is negative or not finite, NonFiniteState
-    naming the node for a start state holding NaN or inf.
+    grid, NonFiniteState naming t for a t that is NaN or inf, NegativeTime for
+    a negative t, NonFiniteState naming the node for a start state holding
+    NaN or inf.
     """
     if psi.grid != hamiltonian.grid:
         raise GridMismatch("evolve_dense: operator and state grids differ")

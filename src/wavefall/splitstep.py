@@ -110,7 +110,7 @@ def _strang_rows(psi, params, t, n_steps):
     )
     if not psis:
         return []
-    _require_times("evolve_split_step", times)
+    _require_times("evolve_split_step", times, batched)
     grid = psis[0].grid
     hbar, m = _shared_hbar_m("evolve_split_step", pars)
 

@@ -33,17 +33,30 @@ from wavefall import (
 
 @pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize(
-    "evolve",
+    "evolve, where, row",
     [
-        evolve_exact,
-        lambda psi, params, t: evolve_split_step(psi, params, t, SolverConfig(8)),
-        branch_states,
+        (evolve_exact, "evolve_exact", 0),
+        (
+            lambda psi, params, t: evolve_split_step(psi, params, t, SolverConfig(8)),
+            "evolve_split_step",
+            0,
+        ),
+        (branch_states, "readout time", 0),
+        (
+            lambda psi, params, t: evolve_exact([psi, psi], params, [1.0, t]),
+            "evolve_exact in row 1",
+            1,
+        ),
     ],
-    ids=["evolve_exact", "evolve_split_step", "branch_states"],
+    ids=["evolve_exact", "evolve_split_step", "branch_states", "evolve_exact-row"],
 )
-def test_non_finite_time_is_rejected(psi0, params, evolve, t):
-    with pytest.raises(NegativeTime, match="finite"):
+def test_non_finite_time_is_rejected(psi0, params, evolve, where, row, t):
+    # named as the closed forms of t name it; only a finite negative t raises
+    # NegativeTime
+    with pytest.raises(NonFiniteState) as info:
         evolve(psi0, params, t)
+    assert str(info.value) == f"{where}: t={t} is not finite"
+    assert info.value.row == row
 
 
 @pytest.mark.parametrize(

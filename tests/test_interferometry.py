@@ -240,6 +240,68 @@ def test_one_chunk_analytic_scan_shares_its_transforms(
     assert sizes == sorted([half] * (3 * n + 1) + [psi0.grid.n] * 2 + [1] * n)
 
 
+def test_multi_chunk_analytic_scan_shares_its_transforms_across_chunks(
+    psi0, params, count_calls, fft_rows
+):
+    # N = 70 readouts at n = 256 run in chunks of 32, 32 and 6.  psi0's
+    # transform and the reference rows' shift by 0 are the same in every
+    # chunk, so only the first chunk makes them: 2 forward-transform rows
+    # (psi0 and the Gaussian test's), 3N + 1 inverse rows and 4N + 3 np.exp
+    # calls, as one chunk makes; made per chunk, they were 4, 213 and 285
+    exps = count_calls(np, "exp")
+    steps = count_calls(interferometry, "_colocated_pairs")
+    n = 70
+    scan = fringe_scan(psi0, params, [0.02 * (i + 1) for i in range(n)])
+    assert len(scan) == n
+    assert [len(states) for states, _, _ in steps] == [64, 64, 12]
+    assert fft_rows == {"fft": 2, "ifft": 3 * n + 1}
+    assert len(exps) == 4 * n + 3
+
+
+def _scan_refusal(scan):
+    with pytest.raises(WavefallError) as info:
+        scan()
+    return type(info.value), str(info.value), info.value.row
+
+
+MARGIN = "exceeds the 1e-10 margin; enlarge the grid or shorten the evolution"
+
+
+def test_multi_chunk_analytic_scan_refuses_each_readout_by_name(psi0, params):
+    # three scans of 70 readouts at n = 256, in chunks of 32, 32 and 6.  Each
+    # expected refusal is the one a scan made when every chunk transformed
+    # psi0 and shifted its reference rows by 0 itself
+    times = [0.01 * (i + 1) for i in range(70)]
+    # psi0 above the margin, refused in the first chunk's shift stage
+    amp = np.array(psi0.amp)
+    amp[0] = 1e-3
+    edge = WavePacket(psi0.grid, amp)
+    assert _scan_refusal(lambda: fringe_scan(edge, params, times)) == (
+        GridOverflow,
+        "readout t=0.01, accelerated branch, segment 0 (g=1.0, duration=0.01): "
+        f"evolve_exact: boundary amplitude 1.000e-03 on the outer 12 nodes {MARGIN}",
+        None,
+    )
+    # the third readout of the third chunk leaves the grid in its shift stage
+    far = times[:66] + [5.0, 6.0, 7.0, 8.0]
+    assert _scan_refusal(lambda: fringe_scan(psi0, params, far)) == (
+        GridOverflow,
+        "readout t=5.0, accelerated branch, segment 0 (g=1.0, duration=5.0): "
+        f"evolve_exact: boundary amplitude 1.485e-04 on the outer 12 nodes {MARGIN}",
+        None,
+    )
+    # m g t max|x| overflows from t = 0.09, first reached in the third chunk
+    heavy = replace(params, m=1e308)
+    psi = make_gaussian(psi0.grid, 0.0, 0.0, 1.0, heavy)
+    kicks = [0.001 * (i + 1) for i in range(66)] + [0.1, 0.2, 0.3, 0.4]
+    assert _scan_refusal(lambda: fringe_scan(psi, heavy, kicks)) == (
+        NonFiniteState,
+        "readout t=0.1, accelerated branch, segment 0 (g=1.0, duration=0.1): "
+        "evolve_exact: result kick_angle=inf is not finite",
+        None,
+    )
+
+
 @pytest.mark.parametrize("backend", ["analytic", "split-step"])
 def test_colocated_readout_at_time_zero(psi0, params, backend):
     rec = run_protocol(psi0, params, 0.0, backend=backend, n_steps=64)

@@ -273,9 +273,15 @@ def test_commutator_guards(small_grid, params, psi0):
 @pytest.mark.parametrize("t", [-0.5, math.nan, math.inf], ids=["negative", "nan", "inf"])
 def test_bad_durations_are_refused(small_grid, small_psi, params, eigh_calls, t):
     h = dense_hamiltonian(small_grid, params)
-    with pytest.raises(NegativeTime, match="t must be finite and >= 0"):
+    # a NaN or inf t is named as not finite, a negative one as negative
+    error, text = (
+        (NegativeTime, "t must be finite and >= 0, got -0.5")
+        if math.isfinite(t)
+        else (NonFiniteState, f"t={t} is not finite")
+    )
+    with pytest.raises(error, match=f"^evolve_dense: {text}$"):
         evolve_dense(h, small_psi, t)
-    with pytest.raises(NegativeTime, match="t must be finite and >= 0"):
+    with pytest.raises(error, match=f"^commutator_element: {text}$"):
         commutator_element(small_psi, small_psi, h, t)
     assert eigh_calls == []
 

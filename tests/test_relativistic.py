@@ -124,21 +124,25 @@ def test_leading_error_coefficient(params):
 
 
 NEGATIVE_TIME = (NegativeTime, "t must be finite and >= 0")
+QUADRATURE_NON_FINITE = (
+    NonFiniteState, "^proper-time quadrature: t=(nan|inf) is not finite$"
+)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -0.5], ids=["nan", "inf", "negative"])
 @pytest.mark.parametrize(
     "clock, non_finite",
     [
+        # every clock names a NaN or inf t with NonFiniteState, as the closed
+        # forms of t do
         (
             lambda t, p: proper_time(free_fall_trajectory(0.0, 0.0, p), t, p),
-            NEGATIVE_TIME,
+            QUADRATURE_NON_FINITE,
         ),
         (
             lambda t, p: rel_action(free_fall_trajectory(0.0, 0.0, p), t, p),
-            NEGATIVE_TIME,
+            QUADRATURE_NON_FINITE,
         ),
-        # a closed form of t, which names a NaN or inf t as the others do
         (
             lambda t, p: static_proper_time(0.0, t, p),
             (NonFiniteState, "static_proper_time: t=(nan|inf) is not finite"),

@@ -20,11 +20,10 @@ check no angle: evolve_exact and shift_packet check each row's phase angles
 once, before they build any phase.
 evolve_piecewise and the protocol share one segment loop, _segment_chain,
 which takes the propagator of a segment as a callable.  The protocol's
-colocated analytic scans pass _colocated_pairs, which takes each reference
-row from its accelerated row's fall (see interferometry) and runs psi0's
-start stage and the reference rows' shift by 0 once per scan.  Three rules keep
-every row bit-identical to a single-row call, and a fourth halves the cost of
-the k-space phases and of the kick without changing a bit:
+colocated analytic scans pass a step that runs _fall alone, and read each
+fringe from the density of the fallen row (see interferometry).  Three rules
+keep every row bit-identical to a single-row call, and a fourth halves the
+cost of the k-space phases and of the kick without changing a bit:
 
 - each row's phase is built from that row's scalar with the single-row
   expression; rows whose scalars have equal bits share one evaluation;
@@ -81,6 +80,7 @@ from .core import (
     WavePacket,
     _as_rows,
     _check_margin,
+    _extremes,
     _in_row,
     _packets,
     _require_finite,
@@ -219,42 +219,27 @@ def _distinct(keys) -> tuple[list[int], list[int]]:
     return of, first
 
 
-def _start(
-    psis: list[WavePacket], context: str, batched: bool
-) -> tuple[np.ndarray, list[int]]:
-    """The shift's start stage: each distinct start state, by identity, once.
+def _shift(
+    psis: list[WavePacket], shifts: list[float], context: str, batched: bool
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """amp(x + a) per row, run once per distinct (start state, bits of a) pair.
 
-    Each is checked finite, naming the caller (context) and its first
-    offending row, and transformed to k-space.  Returns their k-space stack
-    and each row's start, _shift's started.
+    Each distinct start state (by identity) is checked finite and
+    transformed once; each distinct pair then takes the k-space phase
+    e^{+i k a}, and a copy transformed back to x takes the margin check.
+    Returns the k-space stack of the pairs, its position copy, and each
+    row's pair.  Both checks name the caller (context) and its first
+    offending row; the caller has checked every shift angle.
     """
+    grid = psis[0].grid
     start, start_rows = _distinct(map(id, psis))
     amp = _stack([psis[r] for r in start_rows])
     _require_finite(amp, f"{context} start state", batched, start_rows)
     np.fft.fft(amp, out=amp)
-    return amp, start
-
-
-def _shift(
-    grid: Grid, started, shifts: list[float], context: str, batched: bool, rows=None
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The shift's pair stage: amp(x + a) once per distinct (start, bits of a) pair.
-
-    started is _start's (k-space stack, each row's start).  Each distinct
-    pair takes the k-space phase e^{+i k a} on a copy of its start's row,
-    and a copy transformed back to x takes the margin check.  Returns the
-    k-space stack of the pairs, its position copy, and each row's pair.
-    The check names the caller (context) and its first offending row, row
-    i standing for the caller's row rows[i] when rows is given; the caller
-    has checked every shift angle.
-    """
-    starts, start = started
     pair, pair_rows = _distinct(zip(start, map(_bits, shifts)))
-    amp = starts[[start[r] for r in pair_rows]]
+    amp = amp[[start[r] for r in pair_rows]]
     _apply_phases(amp, [shifts[r] for r in pair_rows], lambda a: _shift_phase(grid, a))
     moved = np.fft.ifft(amp)
-    if rows is not None:
-        pair_rows = [rows[r] for r in pair_rows]
     _check_margin(moved, context, batched, pair_rows)
     return amp, moved, pair
 
@@ -323,14 +308,12 @@ def shift_packet(
     batched, (psis, shifts) = _as_rows("shift_packet", psi, a)
     if not psis:
         return []
-    k_max = float(np.abs(psis[0].grid.k).max())
+    k_max = _extremes(psis[0].grid)[0]
     _require_finite_rows(
         "shift_packet", batched, shift_angle=[_shift_angle(s, k_max) for s in shifts]
     )
-    grid = psis[0].grid
-    started = _start(psis, "shift_packet", batched)
-    _, moved, pair = _shift(grid, started, shifts, "shift_packet", batched)
-    return _packets(grid, moved[pair], batched)
+    _, moved, pair = _shift(psis, shifts, "shift_packet", batched)
+    return _packets(psis[0].grid, moved[pair], batched)
 
 
 def apply_global_phase(psi: WavePacket, theta: float) -> WavePacket:
@@ -384,76 +367,23 @@ def evolve_exact(
     return _packets(grid, amp, batched)
 
 
-def _fall(psis, pars, times, batched: bool, shift=None):
+def _fall(psis, pars, times, batched: bool):
     """evolve_exact up to its kick: every check, the shift stage, free flight.
 
-    shift(psis, shifts), when given, stands in for the shift stage and
-    returns its k-space stack, one row per row; by default the stage is
-    _start and then _shift, whose pairs are expanded to one row per row.
-    Free flight starts from that stack, so each row makes one transform
-    pair.  Returns the
-    margin-checked position stack, hbar, and each row's kick slope and cubic
-    angle.
+    Free flight starts from the shift stage's k-space stack, so each row
+    makes one transform pair.  Returns the margin-checked position stack,
+    hbar, and each row's kick slope and cubic angle.
     """
     _require_times("evolve_exact", times, batched)
     grid = psis[0].grid
     hbar, m = _shared_hbar_m("evolve_exact", pars)
     shifts, slopes, thetas = _factor_scalars(grid, pars, times, batched)
-    if shift is None:
-        started = _start(psis, "evolve_exact", batched)
-        amp, _, pair = _shift(grid, started, shifts, "evolve_exact", batched)
-        amp = amp[pair]
-    else:
-        amp = shift(psis, shifts)
+    amp, moved, pair = _shift(psis, shifts, "evolve_exact", batched)
+    del moved  # read by the margin check only; freed to bound peak memory
+    amp = amp[pair]
     _free(amp, grid, hbar, m, times)
     _check_margin(amp, "evolve_exact", batched)
     return amp, hbar, slopes, thetas
-
-
-def _colocated_pairs(states, pars, times, kept: list) -> list[WavePacket]:
-    """evolve_exact on (accelerated, reference) row pairs, each reference its pair's fall.
-
-    T_a and U_0(t) are both diagonal in k, so on the lattice the colocated
-    reference T_a U_0(t) psi equals U_0(t) T_a psi, the accelerated row just
-    before its kick.  Every row runs through _fall, so each refusal, the
-    reference rows' un-fallen margin included, is evolve_exact's.
-
-    One scan passes the same kept, empty at first, to each of its chunks,
-    whose rows all start from psi0.  psi0's start stage and the reference
-    rows' shift by 0 give the same result in every chunk: the first chunk
-    runs the shift stage as evolve_exact does and keeps psi0's k-space row
-    and the reference rows' k-space row in kept, and each later chunk runs
-    the pair stage on its accelerated rows only, from psi0's kept row.  A
-    later chunk thus skips only work whose outcome the first chunk fixed,
-    its refusals included, and every row keeps its bits.
-    """
-
-    def shift(psis, shifts):
-        grid = psis[0].grid
-        if not kept:
-            started = _start(psis, "evolve_exact", True)
-            pairs, _, pair = _shift(grid, started, shifts, "evolve_exact", True)
-            # row 1, the first reference row, is psi0 shifted by 0
-            kept.extend((started[0], pairs[pair[1:2]]))
-            return pairs[pair]
-        k0, reference = kept
-        rows = range(0, len(psis), 2)
-        started = (k0, [0] * len(rows))
-        accelerated, moved, pair = _shift(
-            grid, started, shifts[0::2], "evolve_exact", True, rows
-        )
-        del moved  # read by the margin check only; freed to bound peak memory
-        amp = np.empty((len(psis), grid.n), dtype=np.complex128)
-        amp[0::2] = accelerated[pair]
-        amp[1::2] = reference
-        return amp
-
-    amp, hbar, slopes, thetas = _fall(states, pars, times, True, shift)
-    amp[1::2] = amp[0::2]
-    grid = states[0].grid
-    _kick(amp[0::2], grid, hbar, slopes[0::2])
-    _rotate(amp[0::2], thetas[0::2])
-    return _packets(grid, amp, True)
 
 
 def _factor_scalars(grid: Grid, pars, times, batched: bool):
@@ -466,7 +396,7 @@ def _factor_scalars(grid: Grid, pars, times, batched: bool):
     _free_angle and _kick_angle, so that every row is refused before any
     phase is built; the kernels check no angle themselves.
     """
-    k_max, x_max = float(np.abs(grid.k).max()), float(np.abs(grid.x).max())
+    k_max, x_max = _extremes(grid)
     shifts = [0.5 * p.g * ti * ti for p, ti in zip(pars, times)]
     slopes = [p.m * p.g * ti for p, ti in zip(pars, times)]
     thetas = [_cubic_angle(p.m, p.g, p.hbar, ti) for p, ti in zip(pars, times)]

@@ -16,7 +16,7 @@ import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -214,6 +214,12 @@ def _guard_index(n: int) -> np.ndarray:
     index = np.r_[0:m, n - m : n]
     index.setflags(write=False)
     return index
+
+
+@lru_cache(maxsize=8)
+def _extremes(grid: Grid) -> tuple[float, float]:
+    """k_max and x_max, the grid's largest |k| and |x|, which bound phase angles."""
+    return float(np.abs(grid.k).max()), float(np.abs(grid.x).max())
 
 
 def _in_row(row: int, batched: bool) -> str:
@@ -509,7 +515,7 @@ def moments(
     if any(p.hbar != hbar for p in pars):
         raise ValueError("moments: rows must share hbar")
     amp = _stack(psis)
-    norm, mean_x, sigma_x = _position_moments(amp, g, batched)
+    norm, mean_x, sigma_x = _position_moments(np.abs(amp) ** 2, g, batched)
 
     prob_k = np.abs(_momentum_amp(amp, g)) ** 2
     norm_k = np.sum(prob_k, axis=-1) * g.dk
@@ -530,15 +536,14 @@ def moments(
     return out if batched else out[0]
 
 
-def _position_moments(amp: np.ndarray, g: Grid, batched: bool):
-    """The position half of moments: norm, mean_x and sigma_x lists of a stack.
+def _position_moments(prob: np.ndarray, g: Grid, batched: bool):
+    """The position half of moments: norm, mean_x and sigma_x lists of a density.
 
-    One float per row of the (rows, n) stack, from the lattice quadrature of
-    |amp|^2; amp is not modified.  Raises like moments: NonFiniteState when a
-    row's norm is NaN or infinite, ValueError when it is zero, naming the
-    first such row for a batched call.
+    One float per row of the (rows, n) stack of densities |amp|^2, from its
+    lattice quadrature; prob is not modified.  Raises like moments:
+    NonFiniteState when a row's norm is NaN or infinite, ValueError when it
+    is zero, naming the first such row for a batched call.
     """
-    prob = np.abs(amp) ** 2
     norm = np.sum(prob, axis=-1) * g.dx
     # Fail closed: a NaN norm is not inside the interval either.
     bad = np.flatnonzero(~((0 < norm) & (norm < math.inf)))
@@ -579,19 +584,11 @@ def overlap(
     if not bras:
         return []
     _require_same_grid(bras[0], kets[0])
-    out = _inner(_stack(bras), _stack(kets), bras[0].grid.dx)
+    prod = np.conj(_stack(bras))
+    prod *= _stack(kets)
+    dx = bras[0].grid.dx
+    out = [complex(s * dx) for s in np.sum(prod, axis=-1)]
     return out if batched else out[0]
-
-
-def _inner(bras: np.ndarray, kets: np.ndarray, dx: float) -> list[complex]:
-    """<bra|ket> = sum conj(bra) ket dx, one complex per row of two (rows, n) stacks.
-
-    overlap's reduction; neither stack is modified.  The product is formed
-    as conj(bra) times ket, in that operand order, which fixes its bits.
-    """
-    prod = np.conj(bras)
-    prod *= kets
-    return [complex(s * dx) for s in np.sum(prod, axis=-1)]
 
 
 def l2_distance(a: WavePacket, b: WavePacket) -> float:

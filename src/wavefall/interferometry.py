@@ -17,47 +17,49 @@ One scheme serves every readout of a scan.
 colocated : the reference branch is the freely evolved packet translated onto
     the fallen branch's center, so the two probability clouds coincide and
     the overlap isolates the evolution phases.  The measured phase then obeys
-    the closed form predicted_phase(mean_x of the reference branch, t).  A
-    colocated scan may read out at any times.
+    the closed form predicted_phase(mean_x of the reference branch, t), and
+    for a Gaussian input the visibility gaussian_visibility, a Gaussian in
+    (m g t sigma_t / hbar): the packet spread is what erases the fringe
+    contrast.  A colocated scan may read out at any times.
 per-branch schedules : each branch evolves under its own piecewise-constant
     acceleration schedule (equal totals, no recentering); the caller controls
-    recombination.  The schedules fix the one readout time, their total.
+    recombination.  The schedules fix the one readout time, their total, and
+    the fringe obeys the per-branch closed form _branch_prediction.
 
 Both backends, the factored exact propagator ("analytic") and the split-step
 solver, take the same path: every branch is a row of (g, duration) segments,
 and the rows of a scan run in chunks of whole branch pairs whose (rows, n)
 stack stays within 256 KiB.  Each chunk runs through analytic._segment_chain,
 the segment loop evolve_piecewise uses too: segment i of every row of a chunk
-is one batched call of the backend's propagator, passed in as the step.  On
-the analytic backend the rows of a colocated scan share one transform of
-psi0 and one shift stage for all the reference rows (they shift by 0), both
-made with the first chunk and reused by the later ones, and each row's fall
-stays in k-space from its shift to its free flight; only the shift stage's
-margin check takes a copy back to x.  A colocated scan thus makes one
-forward-transform row, psi0's.  Each chunk is read out with one stack of
-each branch, one batched inner product and one batched position-moment
-reduction, with no momentum transform; every accelerated row is
-bit-identical to a single-row run.
+is one batched call of the backend's propagator, passed in as the step, so
+every refusal names its readout, branch and segment.  branch_states and
+every scan but the colocated analytic one propagate both branches,
+recenter a colocated reference with shift_packet, and read each chunk out
+with one batched overlap and one batched position-moment reduction of the
+reference, with no momentum transform.
 
 The analytic backend writes the accelerated evolution as
 U_g(t) = e^{i theta} K U_0(t) T_a, with T_a the translation by a = g t^2/2,
 K = e^{-i m g t x/hbar} the kick and theta = -m g^2 t^3/(6 hbar).  T_a and
 U_0(t) are both diagonal in k, so they commute exactly on the lattice, and
 the colocated reference T_a U_0(t) psi0 is phi = U_0(t) T_a psi0, the
-accelerated branch just before its kick.  A colocated analytic scan
-therefore takes each reference row from its accelerated row's free flight
-(analytic._colocated_pairs), with no recentering, and the fringe is
-z = e^{i theta} <phi|K|phi>.  The reference rows are still flown un-fallen,
-for their margin check only.  The split-step backend propagates both
-branches and recenters the reference with shift_packet, so the two backends
-stay independent routes to the fringe.
+accelerated branch just before its kick.  The fringe is therefore
 
-For a Gaussian input the visibility obeys gaussian_visibility, a Gaussian in
-(m g t sigma_t / hbar); the packet spread is what erases the fringe contrast.
+    z = e^{i theta} <phi|K|phi> = e^{i theta} dx sum_x |phi(x)|^2 K(x),
+
+and the reference's moments are those of the same density |phi|^2.  A
+colocated analytic scan reads each readout from that one density: its step
+(_fallen) runs analytic._fall, evolve_exact up to its kick, on each chunk's
+rows, and _density_readings kicks the density in place of a state, with
+no recentering and no second branch state.  The reference rows are still
+flown un-fallen, for their margin check only.  The split-step backend
+propagates both branches and recenters the reference with shift_packet, so
+the two backends stay independent routes to the fringe.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -66,17 +68,18 @@ import numpy as np
 
 from .analytic import (
     AccelSchedule,
-    _colocated_pairs,
     _cubic_angle,
+    _fall,
+    _kick,
     _segment_chain,
     _segment_label,
     evolve_exact,
     shift_packet,
 )
 from .core import (
+    Moments,
     PhysicalParams,
     WavePacket,
-    _inner,
     _position_moments,
     _RefuseOverflow,
     _require_finite,
@@ -115,9 +118,7 @@ ALIASING_GUARD = 1e-3
 _BACKENDS = ("analytic", "split-step")
 
 # Cap on the amplitudes of one propagation chunk: 16 rows at n = 1024, 64 at
-# n = 256.  It bounds peak memory: with psi0's transform and the reference
-# shift made once per scan, chunks of 50 pairs ran a 400-readout scan at
-# n = 1024 about 3-5% faster, for about 4.5 MB more peak RSS.
+# n = 256.  It bounds peak memory, which a scan holds one chunk of.
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -139,7 +140,11 @@ class InterferenceRecord:
     """One protocol readout at time t.
 
     phase is the principal value in (-pi, pi]; phase_unwrapped equals phase
-    for single runs and carries the continued value inside scans.
+    for single runs and carries the continued value inside scans.  The
+    predicted columns are closed forms of the scheme's fringe: for
+    Colocated, predicted_phase and gaussian_visibility at the reference
+    branch's measured mean_x and sigma_x; for BranchSchedules, the
+    per-branch closed form of the two schedules from psi0's moments.
     predicted_visibility is None when the input packet is not Gaussian.
     """
 
@@ -170,6 +175,67 @@ def predicted_phase(xbar: float, t: float, params: PhysicalParams) -> float:
     return phase
 
 
+def _branch_prediction(
+    scheme: BranchSchedules, start: Moments, params: PhysicalParams, gaussian: bool
+) -> tuple[float, float | None]:
+    """Closed-form (phase, visibility) of a per-branch fringe at the schedules' total t.
+
+    With K(q) = e^{i q x/hbar}, T(a) psi(x) = psi(x + a) and U_0 free
+    flight, a schedule composes to e^{i beta} K(q) T(a) U_0(t): from
+    beta = q = a = 0, each segment (g, d) in order adds
+    theta + q (g d^2/2)/hbar - q^2 d/(2 m hbar) to beta, with
+    theta = -m g^2 d^3/(6 hbar), then g d^2/2 - q d/m to a and -m g d to q.
+    With dq = q_A - q_B and da = a_A - a_B over the accelerated (A) and
+    reference (B) branches, and the moments of U_0(t) psi0 (xbar, pbar,
+    sigma_x, sigma_p and C = <{dX, dP}>/2),
+
+        phase = beta_A - beta_B - dq a_B/hbar - dq da/(2 hbar)
+                + (dq xbar + da pbar)/hbar,
+        visibility = exp(-(dq^2 sigma_x^2 + da^2 sigma_p^2 + 2 dq da C)/(2 hbar^2)),
+
+    the visibility being a Gaussian's characteristic function and None
+    unless gaussian (Storey and Cohen-Tannoudji, J. Phys. II France 4, 1999,
+    1994).  The moments are start's, psi0's, carried through free flight:
+    pbar and sigma_p stay, xbar drifts by pbar t/m, and for the
+    uncorrelated Gaussian that _looks_gaussian refits, sigma_x^2 gains
+    (sigma_p t/m)^2 and C is sigma_p^2 t/m.  A result that is not finite
+    raises NonFiniteState.  Shares no code with analytic, so it stays an
+    independent route to the fringe.
+    """
+    hbar, m = params.hbar, params.m
+
+    def composed(segments):
+        beta = q = a = 0.0
+        for g, d in segments:
+            shift = 0.5 * g * d * d
+            beta += -m * g * g * d**3 / (6.0 * hbar) + q * shift / hbar
+            beta -= q * q * d / (2.0 * m * hbar)
+            a += shift - q * d / m
+            q -= m * g * d
+        return beta, q, a
+
+    with _RefuseOverflow("predicted_phase"):
+        beta_a, q_a, a_a = composed(scheme.accelerated.segments)
+        beta_b, q_b, a_b = composed(scheme.reference.segments)
+        t = scheme.reference.total_duration
+        dq, da = q_a - q_b, a_a - a_b
+        xbar, pbar = start.mean_x + start.mean_p * t / m, start.mean_p
+        phase = (
+            beta_a - beta_b - dq * a_b / hbar - dq * da / (2.0 * hbar)
+            + (dq * xbar + da * pbar) / hbar
+        )
+        _require_finite_scalars("predicted_phase", result=True, phase=phase)
+        if not gaussian:
+            return phase, None
+        sigma_p = start.sigma_p
+        drift = sigma_p * t / m
+        var_x = start.sigma_x**2 + drift * drift
+        spread = dq * dq * var_x + da * (da * sigma_p + 2.0 * dq * drift) * sigma_p
+        visibility = math.exp(-spread / (2.0 * hbar * hbar))
+    _require_finite_scalars("gaussian_visibility", result=True, visibility=visibility)
+    return phase, visibility
+
+
 def gaussian_visibility(sigma_t: float, t: float, params: PhysicalParams) -> float:
     """Fringe contrast exp(-(m g t sigma_t / hbar)^2 / 2) for a Gaussian packet.
 
@@ -193,15 +259,16 @@ def gaussian_visibility(sigma_t: float, t: float, params: PhysicalParams) -> flo
 
 
 def _branch_pairs(psi0, params, times, scheme, backend, n_steps):
-    """Lazy (times, accelerated states, reference states) lists, chunk by chunk.
+    """The (rows, labels, step) of a scan: its branch rows, as refusals name them.
 
-    The one place that picks a backend.  Each branch becomes a row of
+    The one place that picks a backend: step is its batched propagator,
+    evolve_exact or evolve_split_step.  Each branch becomes a row of
     (g, duration) segments: a colocated readout at t gives ((g, t),) and
     ((0.0, t),), a BranchSchedules its two schedules.  Plain tuples, because
     AccelSchedule refuses the zero duration of t = 0.  The start state, the
-    backend, the times and the scheme are validated on the call, before any
+    backend, the times and the scheme are validated here, before any
     moments or propagation, and so is every segment's fall shift
-    (_require_finite_shifts); the chunks run as they are iterated.
+    (_require_finite_shifts).
     """
     _require_finite(psi0.amp[None], "start state psi0", batched=False)
     if backend not in _BACKENDS:
@@ -230,12 +297,10 @@ def _branch_pairs(psi0, params, times, scheme, backend, n_steps):
     ]
     _require_finite_shifts(rows, labels, params)
     if backend == "analytic":
-        colocated = isinstance(scheme, Colocated)
-        step = partial(_colocated_pairs, kept=[]) if colocated else evolve_exact
+        step = evolve_exact
     else:
         step = partial(evolve_split_step, config=SolverConfig(n_steps))
-    recenter = isinstance(scheme, Colocated) and backend == "split-step"
-    return _propagate(psi0, params, times, recenter, rows, labels, step)
+    return rows, labels, step
 
 
 def _require_finite_shifts(rows, labels, params) -> None:
@@ -264,16 +329,14 @@ def _require_finite_shifts(rows, labels, params) -> None:
 
 
 def _propagate(psi0, params, times, recenter, rows, labels, step):
-    """The (times, accelerated, reference) lists of each chunk of branch rows.
+    """The (times, accelerated, reference) results of each chunk of branch rows.
 
     Rows run in chunks of whole (accelerated, reference) pairs whose stack
     stays within _CHUNK_BYTES, each through analytic._segment_chain with
-    step, the backend's batched propagator, made once per scan: the
-    colocated analytic step keeps psi0's transform and the reference rows'
-    shift stage from the first chunk for the rest of the scan, so they run
-    once per scan, not once per chunk.  With recenter, the split-step
-    colocated scheme, every free branch is then translated onto its fallen
-    one: amp(x + g t^2/2) recenters the peak at center_free - g t^2/2.
+    step, which labels every refusal with its readout, branch and segment.
+    With recenter, for the states of the colocated scheme, every free
+    branch is then translated onto its fallen one: amp(x + g t^2/2)
+    recenters the peak at center_free - g t^2/2.
     """
     per_chunk = max(1, _CHUNK_BYTES // (2 * psi0.amp.nbytes))
     for first in range(0, len(times), per_chunk):
@@ -294,56 +357,96 @@ def branch_states(
     backend: str = "analytic",
     n_steps: int = 2048,
 ) -> tuple[WavePacket, WavePacket]:
-    """The (accelerated, reference) external states at readout time t."""
+    """The (accelerated, reference) external states at readout time t.
+
+    Either backend propagates both branches; a colocated reference is then
+    recentered onto the fallen branch with shift_packet.
+    """
+    rows, labels, step = _branch_pairs(psi0, params, [t], scheme, backend, n_steps)
+    recenter = isinstance(scheme, Colocated)
     _, (accelerated,), (reference,) = next(
-        _branch_pairs(psi0, params, [t], scheme, backend, n_steps)
+        _propagate(psi0, params, [t], recenter, rows, labels, step)
     )
     return accelerated, reference
 
 
-def _looks_gaussian(psi0: WavePacket, params: PhysicalParams) -> bool:
-    """True when refitting a Gaussian to the measured moments recovers psi0."""
-    m = moments(psi0, params)
+def _state_readings(accelerated, reference) -> list[tuple]:
+    """Each readout's (fringe, mean_x, sigma_x) from a chunk of branch states.
+
+    The fringe is overlap(reference, accelerated), and mean_x and sigma_x
+    are the reference's position moments (core._position_moments), taken
+    with no momentum transform.
+    """
+    prob = np.abs(_stack(reference)) ** 2
+    _, mean_x, sigma_x = _position_moments(prob, reference[0].grid, batched=True)
+    return list(zip(overlap(reference, accelerated), mean_x, sigma_x))
+
+
+def _fallen(states, pars, durations) -> np.ndarray:
+    """The colocated analytic step: analytic._fall's rows, one per branch row.
+
+    _fall is evolve_exact up to its kick, so every check and refusal is
+    evolve_exact's, the reference rows' un-fallen margin included.  Each
+    accelerated row comes back as phi = U_0(t) T_a psi0, the colocated
+    reference, before its kick (module docstring).
+    """
+    return _fall(states, pars, durations, True)[0]
+
+
+def _density_readings(times, phis, grid, params) -> list[tuple]:
+    """Each readout's (fringe, mean_x, sigma_x) from one density, |phi|^2.
+
+    phis are the accelerated rows _fallen gives, read out at times.  The
+    density gives the reference's mean_x and sigma_x and, written over a
+    copy of phi and kicked in place, the fringe
+    z = e^{i theta} dx sum |phi|^2 K, with evolve_exact's kick slope m g t
+    and cubic angle theta.
+    """
+    m, g, hbar = params.m, params.g, params.hbar
+    density = np.stack(phis)
+    prob = np.abs(density) ** 2
+    _, mean_x, sigma_x = _position_moments(prob, grid, batched=True)
+    density[...] = prob
+    del prob
+    _kick(density, grid, hbar, [m * g * t for t in times])
+    sums = np.sum(density, axis=-1) * grid.dx
+    thetas = [_cubic_angle(m, g, hbar, t) for t in times]
+    fringes = [cmath.exp(1j * theta) * complex(s) for theta, s in zip(thetas, sums)]
+    return list(zip(fringes, mean_x, sigma_x))
+
+
+def _looks_gaussian(psi0: WavePacket, start: Moments, params: PhysicalParams) -> bool:
+    """True when refitting a Gaussian to psi0's moments, start, recovers psi0."""
     try:
-        fit = make_gaussian(psi0.grid, m.mean_x, m.mean_p, m.sigma_x, params)
+        fit = make_gaussian(
+            psi0.grid, start.mean_x, start.mean_p, start.sigma_x, params
+        )
     except WavefallError:
         return False
     return abs(abs(overlap(fit, psi0)) - 1.0) < 1e-9
 
 
-def _readout(
-    times: list[float],
-    accelerated: list[WavePacket],
-    reference: list[WavePacket],
-    params: PhysicalParams,
-    gaussian: bool,
-) -> list[dict]:
-    """The fringe record fields of a chunk of branch-state pairs read out at times.
+def _readout(times, readings, params, gaussian, predicted) -> list[dict]:
+    """The fringe record fields of a chunk's (fringe, mean_x, sigma_x) readings.
 
-    Every field but phase_unwrapped, which needs the whole scan.  Each
-    branch is stacked once.  core._inner, overlap's reduction, gives the
-    fringes <reference|accelerated>.  predicted_phase and
-    predicted_visibility need only the reference branch's mean_x and
-    sigma_x, which core._position_moments, the position half of moments,
-    gives from the same stack without a momentum transform.
+    Every field but phase_unwrapped, which needs the whole scan.  predicted
+    is a BranchSchedules scan's (phase, visibility) from
+    _branch_prediction, the same at its one readout time.  For a colocated
+    scan it is None, and the predicted columns are predicted_phase and
+    gaussian_visibility at the reference's mean_x and sigma_x, the
+    visibility None unless the start is gaussian.
     """
-    grid = reference[0].grid
-    bras = _stack(reference)
-    _, mean_x, sigma_x = _position_moments(bras, grid, batched=True)
-    fringes = _inner(bras, _stack(accelerated), grid.dx)
-    return [
-        dict(
-            t=t,
-            overlap=z,
-            visibility=abs(z),
-            phase=math.atan2(z.imag, z.real),
-            predicted_phase=predicted_phase(xbar, t, params),
-            predicted_visibility=(
-                gaussian_visibility(sigma, t, params) if gaussian else None
-            ),
+    fields = []
+    for t, (z, xbar, sigma) in zip(times, readings):
+        phase, visibility = predicted or (
+            predicted_phase(xbar, t, params),
+            gaussian_visibility(sigma, t, params) if gaussian else None,
         )
-        for t, z, xbar, sigma in zip(times, fringes, mean_x, sigma_x)
-    ]
+        fields.append(dict(
+            t=t, overlap=z, visibility=abs(z), phase=math.atan2(z.imag, z.real),
+            predicted_phase=phase, predicted_visibility=visibility,
+        ))
+    return fields
 
 
 def run_protocol(
@@ -356,10 +459,10 @@ def run_protocol(
 ) -> InterferenceRecord:
     """Run the two-branch protocol once and read out the fringe at time t.
 
-    The overlap is <reference|accelerated>.  predicted_phase uses the
-    measured mean position of the reference branch; predicted_visibility uses
-    its measured spread and is populated only for Gaussian inputs (detected
-    by refitting a Gaussian to the input's moments).
+    The overlap is <reference|accelerated>.  The predicted columns are the
+    scheme's closed form (InterferenceRecord); predicted_visibility is
+    populated only for Gaussian inputs (detected by refitting a Gaussian to
+    the input's moments).
     """
     return fringe_scan(psi0, params, [t], scheme, backend, n_steps)[0]
 
@@ -416,7 +519,11 @@ def fringe_scan(
     at its one total duration (SchemeMismatch otherwise).  On either backend
     the branches of all times evolve a chunk of rows at a time, in one
     batched call per schedule segment, and each chunk is read out in one
-    batched call; a scan holds one chunk of states at a time.  Raises
+    batched reduction; a scan holds one chunk of rows at a time.  A
+    colocated analytic scan reads each fringe and the reference's moments
+    from one density per readout, that of the fallen branch before its
+    kick (module docstring); every other scan reads them from the branch
+    states that branch_states gives.  Raises
     TypeError for any other scheme; NonFiniteState when psi0 holds a
     non-finite amplitude, or, before any propagation, naming the readout
     time, branch and segment whose fall shift g t^2/2 or cubic angle
@@ -430,9 +537,23 @@ def fringe_scan(
         return []
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"t_values must be strictly increasing, got {times}")
-    chunks = _branch_pairs(psi0, params, times, scheme, backend, n_steps)
-    gaussian = _looks_gaussian(psi0, params)
-    fields = [f for chunk in chunks for f in _readout(*chunk, params, gaussian)]
+    rows, labels, step = _branch_pairs(psi0, params, times, scheme, backend, n_steps)
+    start = moments(psi0, params)
+    gaussian = _looks_gaussian(psi0, start, params)
+    colocated = isinstance(scheme, Colocated)
+    branch = None if colocated else _branch_prediction(scheme, start, params, gaussian)
+    density = colocated and backend == "analytic"
+    chunks = _propagate(
+        psi0, params, times, colocated and not density, rows, labels,
+        _fallen if density else step,
+    )
+    fields = []
+    for ts, accelerated, reference in chunks:
+        if density:
+            readings = _density_readings(ts, accelerated, psi0.grid, params)
+        else:
+            readings = _state_readings(accelerated, reference)
+        fields += _readout(ts, readings, params, gaussian, branch)
     unwrapped = unwrap_phases([f["phase"] for f in fields], times)
     return [
         InterferenceRecord(**f, phase_unwrapped=float(u))

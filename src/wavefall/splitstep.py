@@ -44,6 +44,7 @@ from .core import (
     WavePacket,
     _as_rows,
     _check_margin,
+    _extremes,
     _packets,
     _require_count,
     _require_finite,
@@ -117,7 +118,7 @@ def _strang_rows(psi, params, t, n_steps):
     # Per-row (rows, 1) columns, combined in the single-row operation order so
     # that every row's phases, and hence its bits, match a single-row call.
     dts = [ti / ni for ti, ni in zip(times, counts)]
-    k_max, x_max = float(np.abs(grid.k).max()), float(np.abs(grid.x).max())
+    k_max, x_max = _extremes(grid)
     _require_finite_rows(
         "evolve_split_step", batched,
         potential_angle=[

@@ -5,9 +5,12 @@ evolve CSV, the interfere CSV for each backend and the verify JSON, of which
 the `checks` array is compared.  It also holds the analytic interfere CSV for
 configs/interfere_dense.json, whose 45 irregular readouts at n = 1024 run in
 six chunks of rows, so a defect in how rows are chunked or share work shows
-there.  The CLI is byte-deterministic for a given BLAS thread count, and
-every file is written by the CLI in a child process with one BLAS thread,
-so the comparison holds on any host.  A change that moves any byte here
+there, and the analytic interfere CSV for configs/interfere_branches.json, a
+per-branch scan of an inertial against an accelerated branch, whose
+predicted columns come from the per-branch closed form.  The CLI is
+byte-deterministic for a given BLAS thread count, and every file is written
+by the CLI in a child process with one BLAS thread, so the comparison holds
+on any host.  A change that moves any byte here
 must say why, and regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -35,6 +38,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 DEFAULT_CONFIG = ROOT / "configs" / "default.json"
 DENSE_CONFIG = ROOT / "configs" / "interfere_dense.json"
 DENSE = "interfere_analytic_dense.csv"
+BRANCHES_CONFIG = ROOT / "configs" / "interfere_branches.json"
+BRANCHES = "interfere_analytic_branches.csv"
 # The dense oracle's eigh rounds differently with the number of BLAS threads,
 # which moves the last digits of two verify measurements.
 ONE_BLAS_THREAD = {
@@ -48,6 +53,7 @@ RUNS = {
     "interfere_split_step.csv": ("interfere", DEFAULT_CONFIG, "split-step"),
     "verify.json": ("verify", DEFAULT_CONFIG, None),
     DENSE: ("interfere", DENSE_CONFIG, None),
+    BRANCHES: ("interfere", BRANCHES_CONFIG, None),
 }
 
 
@@ -78,7 +84,7 @@ def compared_bytes(path: Path) -> bytes:
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(set(RUNS) - {DENSE}))
+@pytest.mark.parametrize("name", sorted(set(RUNS) - {DENSE, BRANCHES}))
 def test_default_config_output_is_byte_identical(name, tmp_path):
     got = run_golden(name, tmp_path)
     assert compared_bytes(got) == compared_bytes(GOLDEN / name)
@@ -86,10 +92,17 @@ def test_default_config_output_is_byte_identical(name, tmp_path):
 
 def test_multi_chunk_analytic_scan_is_byte_identical(tmp_path):
     # five chunks of 8 readouts and one of 5; the two branches of the t = 0
-    # readout share one shift stage, and every reference row is its
-    # accelerated row's free flight, taken before the kick
+    # readout share one shift stage, and each fringe is read from the
+    # density of its accelerated row's free flight, taken before the kick
     got = run_golden(DENSE, tmp_path)
     assert compared_bytes(got) == compared_bytes(GOLDEN / DENSE)
+
+
+def test_per_branch_scan_is_byte_identical(tmp_path):
+    # the inertial-against-accelerated pair at t = 1: both branches are
+    # propagated, and the predicted columns are the per-branch closed form's
+    got = run_golden(BRANCHES, tmp_path)
+    assert compared_bytes(got) == compared_bytes(GOLDEN / BRANCHES)
 
 
 def what_moved(name: str, old: bytes | None, new: bytes) -> list[str]:

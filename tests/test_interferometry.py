@@ -217,8 +217,8 @@ def test_one_chunk_analytic_scan_shares_its_transforms(
     # and once for its moments (the Gaussian test); the fall stays in k-space
     # from the shift stage to free flight.  Inverse rows: N + 1 shift-stage
     # rows (N fall shifts and one shared zero shift) for the margin check,
-    # and 2N after free flight.  Each reference row is its accelerated row's
-    # fall, so nothing is recentered.
+    # and 2N after free flight.  The fringe is read from the density of the
+    # accelerated rows, so nothing is recentered.
     momentum = count_calls(core, "_momentum_amp")
     exps = count_calls(np, "exp")
     n = 8
@@ -228,34 +228,32 @@ def test_one_chunk_analytic_scan_shares_its_transforms(
     # the one momentum transform is psi0's, for the Gaussian test; the
     # readout takes position moments only
     assert len(momentum) == 1
-    # N + 1 shift, N free-flight, N kick and N global phases, and two for the
-    # Gaussian test; the reference rows take no kick and no global phase
-    assert len(exps) == 4 * n + 3
+    # N + 1 shift and N free-flight phases, N kicks of the densities and two
+    # for the Gaussian test; each global phase multiplies a scalar sum
+    assert len(exps) == 3 * n + 3
     # np.exp runs on half the nodes for each k-space phase (k_0 .. k_{n/2})
     # and for each kick (x_{n/2} .. x_{n-1} and x_0, the grid being
-    # symmetric), on every node for the Gaussian test, and on one value for
-    # each global phase
+    # symmetric), and on every node for the Gaussian test
     half = psi0.grid.n // 2 + 1
     sizes = sorted(np.size(args[0]) for args in exps)
-    assert sizes == sorted([half] * (3 * n + 1) + [psi0.grid.n] * 2 + [1] * n)
+    assert sizes == sorted([half] * (3 * n + 1) + [psi0.grid.n] * 2)
 
 
-def test_multi_chunk_analytic_scan_shares_its_transforms_across_chunks(
+def test_multi_chunk_analytic_scan_reads_each_chunk_from_psi0(
     psi0, params, count_calls, fft_rows
 ):
-    # N = 70 readouts at n = 256 run in chunks of 32, 32 and 6.  psi0's
-    # transform and the reference rows' shift by 0 are the same in every
-    # chunk, so only the first chunk makes them: 2 forward-transform rows
-    # (psi0 and the Gaussian test's), 3N + 1 inverse rows and 4N + 3 np.exp
-    # calls, as one chunk makes; made per chunk, they were 4, 213 and 285
+    # N = 70 readouts at n = 256 run in chunks of 32, 32 and 6.  Each chunk
+    # is one plain fall from psi0: psi0's transform and the reference rows'
+    # shift by 0 are made once per chunk, so 3 + 1 forward-transform rows
+    # (the Gaussian test's), 3N + 3 inverse rows and 3N + 5 np.exp calls
     exps = count_calls(np, "exp")
-    steps = count_calls(interferometry, "_colocated_pairs")
+    steps = count_calls(interferometry, "_fallen")
     n = 70
     scan = fringe_scan(psi0, params, [0.02 * (i + 1) for i in range(n)])
     assert len(scan) == n
     assert [len(states) for states, _, _ in steps] == [64, 64, 12]
-    assert fft_rows == {"fft": 2, "ifft": 3 * n + 1}
-    assert len(exps) == 4 * n + 3
+    assert fft_rows == {"fft": 4, "ifft": 3 * n + 3}
+    assert len(exps) == 3 * n + 5
 
 
 def _scan_refusal(scan):
@@ -440,10 +438,8 @@ def test_a_reference_only_overflow_stays_refused(backend):
 )
 def test_analytic_colocated_branches_match_their_definitions(m, g, t, x0, p0, n):
     # the accelerated branch is evolve_exact's to the bit; the reference is
-    # the free packet translated onto it, which the backend takes from the
-    # accelerated branch's free flight, U_0 T_a psi0 = T_a U_0 psi0 on the
-    # lattice.  The two routes round differently, by a few FFT round-offs:
-    # within 4 eps log2(n) of each other in L2
+    # the free packet translated onto it, which branch_states recenters with
+    # shift_packet as the definition does; within 4 eps log2(n) in L2
     params = PhysicalParams(m=m, g=g)
     grid = Grid(-30.0, 30.0, n)
     psi = make_gaussian(grid, x0, p0, 2.0, params)
@@ -454,6 +450,68 @@ def test_analytic_colocated_branches_match_their_definitions(m, g, t, x0, p0, n)
     recentered = shift_packet(free, g * t * t / 2)
     gap = math.sqrt(np.sum(np.abs(reference.amp - recentered.amp) ** 2) * grid.dx)
     assert gap <= 4 * np.finfo(float).eps * math.log2(n)
+
+
+# Colocated scans of one to three chunks: a chunk holds 128, 32 and 8
+# readouts at n = 64, 256 and 1024.  The readouts span 0 to 1.46, inside the
+# bounds of the property above.
+@given(
+    m=st.floats(0.5, 4.0),
+    g=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0)),
+    t=st.one_of(st.just(0.0), st.floats(0.0, 1.2)),
+    x0=st.floats(-1.0, 1.0),
+    p0=st.floats(-1.0, 1.0),
+    n=st.sampled_from([64, 256, 1024]),
+    chunks=st.integers(1, 3),
+    extra=st.integers(1, 8),
+)
+def test_density_fringes_match_the_branch_states(m, g, t, x0, p0, n, chunks, extra):
+    # the analytic scan reads each fringe from the density of the fallen
+    # branch before its kick; branch_states propagates both branches and
+    # recenters the reference.  The two routes round differently, by a few
+    # FFT round-offs: within 4 eps log2(n) of each other
+    params = PhysicalParams(m=m, g=g)
+    grid = Grid(-30.0, 30.0, n)
+    psi = make_gaussian(grid, x0, p0, 2.0, params)
+    readouts = 8192 // n * (chunks - 1) + extra
+    scan = fringe_scan(psi, params, [t + 1e-3 * i for i in range(readouts)])
+    for rec in scan:
+        accelerated, reference = branch_states(psi, params, rec.t)
+        gap = abs(rec.overlap - overlap(reference, accelerated))
+        assert gap <= 4 * np.finfo(float).eps * math.log2(n)
+
+
+@pytest.mark.parametrize("backend", ["analytic", "split-step"])
+@pytest.mark.parametrize(
+    "accelerated, reference, phase, visibility",
+    [
+        (((1.0, 1.0),), ((0.0, 1.0),), 1 / 12, math.exp(-17 / 32)),
+        (((1.0, 0.5), (-1.0, 0.5)), ((0.0, 1.0),), -1 / 24, math.exp(-1 / 128)),
+        (
+            ((2.0, 0.5), (0.0, 0.5)), ((0.0, 0.5), (2.0, 0.5)),
+            -1 / 4, math.exp(-1 / 32),
+        ),
+        (((1.0, 1.0),), ((1.0, 1.0),), 0.0, 1.0),
+    ],
+    ids=["inertial", "turnaround", "swapped", "equal"],
+)
+def test_per_branch_predictions_are_the_per_branch_closed_form(
+    psi0, params, backend, accelerated, reference, phase, visibility
+):
+    # the colocated closed forms predicted -1/6, -1/6, 1/12 and 1/3 with
+    # visibility 0.5353 on every row; the per-branch closed form gives the
+    # measured fringe, to the split-step solver's Strang error
+    scheme = BranchSchedules(AccelSchedule(accelerated), AccelSchedule(reference))
+    (rec,) = fringe_scan(psi0, params, [1.0], scheme, backend=backend)
+    assert rec.predicted_phase == pytest.approx(phase, abs=1e-14)
+    assert rec.predicted_visibility == pytest.approx(visibility, abs=1e-14)
+    assert rec.phase == pytest.approx(phase, abs=1e-7)
+    assert rec.visibility == pytest.approx(visibility, abs=1e-12)
+    # a start that is not Gaussian has no visibility prediction
+    other = make_gaussian(psi0.grid, 2.0, 0.0, 1.0, params)
+    cat = WavePacket(psi0.grid, (psi0.amp + other.amp) / math.sqrt(2.0))
+    (rec,) = fringe_scan(cat, params, [1.0], scheme, backend=backend)
+    assert rec.predicted_visibility is None
 
 
 @pytest.mark.parametrize(
@@ -496,7 +554,7 @@ def test_both_backends_refuse_an_overflowing_fall_shift_before_propagating(
     # and from about 1.3e154 the shift too, which is then named first
     propagators = [
         count_calls(interferometry, "evolve_exact"),
-        count_calls(interferometry, "_colocated_pairs"),
+        count_calls(interferometry, "_fallen"),
         count_calls(interferometry, "evolve_split_step"),
         count_calls(splitstep, "_check_margin"),
     ]

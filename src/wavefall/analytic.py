@@ -20,8 +20,9 @@ check no angle: evolve_exact and shift_packet check each row's phase angles
 once, before they build any phase.
 evolve_piecewise and the protocol share one segment loop, _segment_chain,
 which takes the propagator of a segment as a callable.  The protocol's
-colocated analytic scans pass a step that runs _fall alone, and read each
-fringe from the density of the fallen row (see interferometry).  Three rules
+colocated analytic scans pass a step that runs _fall alone, on the fallen
+rows only, and read each fringe and the un-fallen reference's margin from
+the density of the fallen row (see interferometry).  Three rules
 keep every row bit-identical to a single-row call, and a fourth halves the
 cost of the k-space phases and of the kick without changing a bit:
 
@@ -32,8 +33,9 @@ cost of the k-space phases and of the kick without changing a bit:
   and transformed once, and each distinct (start state, shift) pair is
   phased once, its margin checked on a copy transformed back to x.  The
   fall stays in k-space: free flight starts from the phased stack,
-  expanded to one row per input, so evolve_exact makes one transform pair
-  per row.  Every error names the caller's row;
+  expanded to one row per input when rows share a pair (else taken as it
+  is), so evolve_exact makes one transform pair per row.  Every error
+  names the caller's row;
 - every complex multiply is written ``amp *= phase``, the state on the left.
   ``amp = amp * np.exp(...)`` is not safe: once the stack reaches 256 KiB
   numpy reuses the temporary on the right as the output, which swaps the
@@ -370,9 +372,11 @@ def evolve_exact(
 def _fall(psis, pars, times, batched: bool):
     """evolve_exact up to its kick: every check, the shift stage, free flight.
 
-    Free flight starts from the shift stage's k-space stack, so each row
-    makes one transform pair.  Returns the margin-checked position stack,
-    hbar, and each row's kick slope and cubic angle.
+    Free flight starts from the shift stage's k-space stack, expanded to
+    one row per input unless every row is its own (start state, shift)
+    pair, so each row makes one transform pair.  Returns the fresh,
+    margin-checked position stack, hbar, and each row's kick slope and
+    cubic angle.
     """
     _require_times("evolve_exact", times, batched)
     grid = psis[0].grid
@@ -380,7 +384,8 @@ def _fall(psis, pars, times, batched: bool):
     shifts, slopes, thetas = _factor_scalars(grid, pars, times, batched)
     amp, moved, pair = _shift(psis, shifts, "evolve_exact", batched)
     del moved  # read by the margin check only; freed to bound peak memory
-    amp = amp[pair]
+    if len(amp) < len(pair):
+        amp = amp[pair]
     _free(amp, grid, hbar, m, times)
     _check_margin(amp, "evolve_exact", batched)
     return amp, hbar, slopes, thetas

@@ -28,7 +28,7 @@ per-branch schedules : each branch evolves under its own piecewise-constant
 
 Both backends, the factored exact propagator ("analytic") and the split-step
 solver, take the same path: every branch is a row of (g, duration) segments,
-and the rows of a scan run in chunks of whole branch pairs whose (rows, n)
+and the rows of a scan run in chunks of whole readouts whose (rows, n)
 stack stays within 256 KiB.  Each chunk runs through analytic._segment_chain,
 the segment loop evolve_piecewise uses too: segment i of every row of a chunk
 is one batched call of the backend's propagator, passed in as the step, so
@@ -49,12 +49,13 @@ accelerated branch just before its kick.  The fringe is therefore
 
 and the reference's moments are those of the same density |phi|^2.  A
 colocated analytic scan reads each readout from that one density: its step
-(_fallen) runs analytic._fall, evolve_exact up to its kick, on each chunk's
-rows, and _density_readings kicks the density in place of a state, with
-no recentering and no second branch state.  The reference rows are still
-flown un-fallen, for their margin check only.  The split-step backend
-propagates both branches and recenters the reference with shift_packet, so
-the two backends stay independent routes to the fringe.
+(_fallen) runs analytic._fall, evolve_exact up to its kick, on the
+accelerated rows alone, one per readout, and _density_readings kicks the
+density in place of a state, with no recentering and no second branch
+state.  No reference row is flown: U_0(t) psi0 is phi displaced by a, so
+its margin is read from |phi|^2 (_reference_margin).  The split-step
+backend propagates both branches and recenters the reference with
+shift_packet, so the two backends stay independent routes to the fringe.
 """
 
 from __future__ import annotations
@@ -77,9 +78,12 @@ from .analytic import (
     shift_packet,
 )
 from .core import (
+    _MARGIN_AMPLITUDE,
     Moments,
     PhysicalParams,
     WavePacket,
+    _check_margin,
+    _guard_index,
     _position_moments,
     _RefuseOverflow,
     _require_finite,
@@ -92,6 +96,7 @@ from .core import (
 )
 from .errors import (
     BadSigma,
+    GridOverflow,
     NonFiniteState,
     PhaseAliasing,
     SchemeMismatch,
@@ -118,7 +123,8 @@ ALIASING_GUARD = 1e-3
 _BACKENDS = ("analytic", "split-step")
 
 # Cap on the amplitudes of one propagation chunk: 16 rows at n = 1024, 64 at
-# n = 256.  It bounds peak memory, which a scan holds one chunk of.
+# n = 256, as many readouts of a colocated analytic scan and half as many of
+# any other.  It bounds peak memory, which a scan holds one chunk of.
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -292,15 +298,18 @@ def _branch_pairs(psi0, params, times, scheme, backend, n_steps):
         rows = [scheme.accelerated.segments, scheme.reference.segments] * len(times)
     else:
         raise TypeError(f"scheme must be Colocated or BranchSchedules, got {scheme!r}")
-    labels = [
-        f"readout t={t}, {b} branch" for t in times for b in ("accelerated", "reference")
-    ]
+    labels = [_label(t, b) for t in times for b in ("accelerated", "reference")]
     _require_finite_shifts(rows, labels, params)
     if backend == "analytic":
         step = evolve_exact
     else:
         step = partial(evolve_split_step, config=SolverConfig(n_steps))
     return rows, labels, step
+
+
+def _label(t: float, branch: str) -> str:
+    """How a refusal names a branch of a scan: "readout t=T, <branch> branch"."""
+    return f"readout t={t}, {branch} branch"
 
 
 def _require_finite_shifts(rows, labels, params) -> None:
@@ -328,25 +337,33 @@ def _require_finite_shifts(rows, labels, params) -> None:
                     )
 
 
-def _propagate(psi0, params, times, recenter, rows, labels, step):
-    """The (times, accelerated, reference) results of each chunk of branch rows.
+def _propagate(psi0, params, times, rows, labels, step):
+    """The (times, final states) of each chunk of a scan's branch rows.
 
-    Rows run in chunks of whole (accelerated, reference) pairs whose stack
-    stays within _CHUNK_BYTES, each through analytic._segment_chain with
-    step, which labels every refusal with its readout, branch and segment.
-    With recenter, for the states of the colocated scheme, every free
-    branch is then translated onto its fallen one: amp(x + g t^2/2)
-    recenters the peak at center_free - g t^2/2.
+    rows hold an (accelerated, reference) pair per readout, or the
+    accelerated row alone for a colocated analytic scan.  They run in
+    chunks of whole readouts whose stack stays within _CHUNK_BYTES, each
+    through analytic._segment_chain with step, which labels every refusal
+    with its readout, branch and segment.
     """
-    per_chunk = max(1, _CHUNK_BYTES // (2 * psi0.amp.nbytes))
+    width = len(rows) // len(times)
+    per_chunk = max(1, _CHUNK_BYTES // (width * psi0.amp.nbytes))
     for first in range(0, len(times), per_chunk):
         ts = times[first : first + per_chunk]
-        chunk = slice(2 * first, 2 * (first + len(ts)))
-        states = _segment_chain(psi0, params, rows[chunk], labels[chunk], step)
-        accelerated, reference = states[0::2], states[1::2]
-        if recenter:
-            reference = shift_packet(reference, [0.5 * params.g * t * t for t in ts])
-        yield ts, accelerated, reference
+        chunk = slice(width * first, width * (first + len(ts)))
+        yield ts, _segment_chain(psi0, params, rows[chunk], labels[chunk], step)
+
+
+def _branches(times, states, params, recenter):
+    """A chunk's (accelerated, reference) states from its branch pairs.
+
+    With recenter, for the colocated scheme, every free branch is
+    translated onto its fallen one, amp(x + g t^2/2).
+    """
+    accelerated, reference = states[0::2], states[1::2]
+    if recenter:
+        reference = shift_packet(reference, [0.5 * params.g * t * t for t in times])
+    return accelerated, reference
 
 
 def branch_states(
@@ -363,9 +380,9 @@ def branch_states(
     recentered onto the fallen branch with shift_packet.
     """
     rows, labels, step = _branch_pairs(psi0, params, [t], scheme, backend, n_steps)
-    recenter = isinstance(scheme, Colocated)
-    _, (accelerated,), (reference,) = next(
-        _propagate(psi0, params, [t], recenter, rows, labels, step)
+    _, states = next(_propagate(psi0, params, [t], rows, labels, step))
+    (accelerated,), (reference,) = _branches(
+        [t], states, params, isinstance(scheme, Colocated)
     )
     return accelerated, reference
 
@@ -383,28 +400,70 @@ def _state_readings(accelerated, reference) -> list[tuple]:
 
 
 def _fallen(states, pars, durations) -> np.ndarray:
-    """The colocated analytic step: analytic._fall's rows, one per branch row.
+    """The colocated analytic step: analytic._fall on the accelerated rows.
 
     _fall is evolve_exact up to its kick, so every check and refusal is
-    evolve_exact's, the reference rows' un-fallen margin included.  Each
-    accelerated row comes back as phi = U_0(t) T_a psi0, the colocated
-    reference, before its kick (module docstring).
+    evolve_exact's.  Each row is phi = U_0(t) T_a psi0 (module docstring),
+    a row of one fresh stack, which _density_readings overwrites.
     """
     return _fall(states, pars, durations, True)[0]
 
 
-def _density_readings(times, phis, grid, params) -> list[tuple]:
+def _refuse_as_reference(times, check) -> None:
+    """Run check, an evolve_exact margin check of readouts at times.
+
+    A refusal names its readout's reference branch, as _segment_chain does.
+    """
+    try:
+        check()
+    except GridOverflow as exc:
+        t = times[exc.row]
+        where = _segment_label(_label(t, "reference"), 0, (0.0, t))
+        raise GridOverflow(f"{where}: {exc}") from exc
+
+
+def _reference_margin(times, prob, grid, params) -> None:
+    """Refuse the first readout whose reference, U_0(t) psi0, reaches the margin.
+
+    That packet is phi(x - a), with a = g t^2/2 (module docstring), so its
+    density on a guarded node j is prob = |phi|^2 at node j - a/dx (mod n):
+    both neighbours for a fractional fall, the one node for a whole-node
+    fall.  A maximum not below the margin squared, NaN included, raises.
+    """
+    n = grid.n
+    index = _guard_index(n)
+    falls = np.array([0.5 * params.g * t * t for t in times]) / grid.dx
+    # node j - a/dx lies between nodes j + floor(-a/dx) and j + ceil(-a/dx)
+    shifts = np.stack((np.floor(-falls), np.ceil(-falls))) % n
+    nodes = (index + shifts.astype(np.intp)[..., None]) % n
+    band = prob.take(nodes + n * np.arange(len(times))[:, None])
+    if band.max() < _MARGIN_AMPLITUDE * _MARGIN_AMPLITUDE:
+        return
+    # the larger neighbour on the reference's own guarded nodes, for the refusal
+    edges = np.zeros_like(prob)
+    edges[:, index] = np.sqrt(band.max(axis=0))
+    _refuse_as_reference(times, lambda: _check_margin(edges, "evolve_exact", False))
+
+
+def _density_readings(times, phis, psi0, params, first: bool) -> list[tuple]:
     """Each readout's (fringe, mean_x, sigma_x) from one density, |phi|^2.
 
-    phis are the accelerated rows _fallen gives, read out at times.  The
-    density gives the reference's mean_x and sigma_x and, written over a
-    copy of phi and kicked in place, the fringe
-    z = e^{i theta} dx sum |phi|^2 K, with evolve_exact's kick slope m g t
-    and cubic angle theta.
+    phis are the rows of _fallen's stack, read out at times.  The first
+    chunk of a scan checks psi0's margin, and every chunk the reference's
+    (_reference_margin).  The density gives the reference's moments and,
+    written over phi's stack and kicked in place, the fringe
+    z = e^{i theta} dx sum |phi|^2 K, with evolve_exact's kick and theta.
     """
     m, g, hbar = params.m, params.g, params.hbar
-    density = np.stack(phis)
-    prob = np.abs(density) ** 2
+    grid = psi0.grid
+    if first:
+        _refuse_as_reference(
+            times, lambda: _check_margin(psi0.amp[None], "evolve_exact", False)
+        )
+    density = phis[0].base
+    prob = np.abs(density)
+    prob *= prob
+    _reference_margin(times, prob, grid, params)
     _, mean_x, sigma_x = _position_moments(prob, grid, batched=True)
     density[...] = prob
     del prob
@@ -520,10 +579,11 @@ def fringe_scan(
     the branches of all times evolve a chunk of rows at a time, in one
     batched call per schedule segment, and each chunk is read out in one
     batched reduction; a scan holds one chunk of rows at a time.  A
-    colocated analytic scan reads each fringe and the reference's moments
-    from one density per readout, that of the fallen branch before its
-    kick (module docstring); every other scan reads them from the branch
-    states that branch_states gives.  Raises
+    colocated analytic scan propagates the fallen branch alone and reads
+    each fringe, the reference's moments and the reference's margin from
+    one density per readout, that of the fallen branch before its kick
+    (module docstring); every other scan reads them from the branch states
+    that branch_states gives.  Raises
     TypeError for any other scheme; NonFiniteState when psi0 holds a
     non-finite amplitude, or, before any propagation, naming the readout
     time, branch and segment whose fall shift g t^2/2 or cubic angle
@@ -543,16 +603,15 @@ def fringe_scan(
     colocated = isinstance(scheme, Colocated)
     branch = None if colocated else _branch_prediction(scheme, start, params, gaussian)
     density = colocated and backend == "analytic"
-    chunks = _propagate(
-        psi0, params, times, colocated and not density, rows, labels,
-        _fallen if density else step,
-    )
+    if density:
+        rows, labels, step = rows[0::2], labels[0::2], _fallen
     fields = []
-    for ts, accelerated, reference in chunks:
+    for ts, states in _propagate(psi0, params, times, rows, labels, step):
         if density:
-            readings = _density_readings(ts, accelerated, psi0.grid, params)
+            readings = _density_readings(ts, states, psi0, params, not fields)
         else:
-            readings = _state_readings(accelerated, reference)
+            readings = _state_readings(*_branches(ts, states, params, colocated))
+        del states  # freed before the next chunk is propagated: peak memory
         fields += _readout(ts, readings, params, gaussian, branch)
     unwrapped = unwrap_phases([f["phase"] for f in fields], times)
     return [

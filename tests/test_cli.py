@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wavefall import cli
+from wavefall import cli, interferometry
 from wavefall.interferometry import _CHUNK_BYTES
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
@@ -277,20 +277,23 @@ def test_grid_overflow_exits_3(tmp_path):
     assert "grid overflow" in res.stderr
 
 
-def test_overflow_in_a_later_chunk_writes_no_partial_csv(tmp_path):
-    # readouts per propagation chunk at n = 256; the last readout, t = 8,
-    # overflows in the chunk after the first
-    per_chunk = _CHUNK_BYTES // (2 * 16 * BASE["grid"]["n"])
+def test_overflow_in_a_later_chunk_writes_no_partial_csv(
+    tmp_path, capsys, count_calls
+):
+    # readouts per propagation chunk at n = 256, one fallen row each on the
+    # analytic backend; the last readout, t = 8, overflows in the second chunk
+    per_chunk = _CHUNK_BYTES // (16 * BASE["grid"]["n"])
     times = [0.02 * (i + 1) for i in range(per_chunk + 3)] + [8.0]
     cfg = write_cfg(
         tmp_path / "c.json",
         {"interfere": {"t_values": times, "scheme": "colocated", "backend": "analytic"}},
     )
     out = tmp_path / "o.csv"
-    res = run_cli("interfere", "--config", cfg, "--out", str(out))
-    assert res.returncode == 3
-    assert "readout t=8.0, accelerated branch" in res.stderr
+    steps = count_calls(interferometry, "_fallen")
+    assert cli.main(["interfere", "--config", cfg, "--out", str(out)]) == 3
+    assert "readout t=8.0, accelerated branch" in capsys.readouterr().err
     assert not out.exists()
+    assert [len(states) for states, _, _ in steps] == [per_chunk, 4]
 
 
 def test_phase_aliasing_exits_4_with_denser_suggestion(tmp_path):

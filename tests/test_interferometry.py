@@ -2,10 +2,11 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavefall import (
@@ -187,12 +188,21 @@ def test_split_step_backend_on_unequal_length_schedules(psi0, params):
 
 
 @pytest.mark.parametrize("backend", ["analytic", "split-step"])
-def test_scan_equals_per_time_protocol(psi0, params, backend):
-    # 37 colocated readouts: more than one chunk of rows at n = 256, and not a
-    # multiple of the chunk size
-    times = list(np.linspace(0.05, 0.95, 37))
+def test_scan_equals_per_time_protocol(psi0, params, count_calls, backend):
+    # colocated readouts in two chunks, the second not full: a chunk holds
+    # one row per readout on the analytic backend, a branch pair on the
+    # split-step one
+    width = 1 if backend == "analytic" else 2
+    per_chunk = interferometry._CHUNK_BYTES // (width * psi0.amp.nbytes)
+    steps = count_calls(
+        interferometry, "_fallen" if backend == "analytic" else "evolve_split_step"
+    )
+    times = list(np.linspace(0.05, 0.95, per_chunk + 5))
     scan = fringe_scan(psi0, params, times, Colocated(), backend=backend, n_steps=128)
     assert len(scan) == len(times)
+    assert [len(states) for states, _, _ in steps] == [
+        width * per_chunk, width * 5
+    ]
     for rec in scan:
         one = run_protocol(psi0, params, rec.t, backend=backend, n_steps=128)
         assert replace(rec, phase_unwrapped=one.phase) == one
@@ -213,47 +223,48 @@ def test_scan_equals_per_time_protocol(psi0, params, backend):
 def test_one_chunk_analytic_scan_shares_its_transforms(
     psi0, params, count_calls, fft_rows
 ):
-    # N colocated readouts fit one chunk at n = 256.  Forward rows: psi0 once
-    # and once for its moments (the Gaussian test); the fall stays in k-space
-    # from the shift stage to free flight.  Inverse rows: N + 1 shift-stage
-    # rows (N fall shifts and one shared zero shift) for the margin check,
-    # and 2N after free flight.  The fringe is read from the density of the
-    # accelerated rows, so nothing is recentered.
+    # N colocated readouts fit one chunk at n = 256, one fallen row each;
+    # no reference row is flown.  Forward rows: psi0 once and once for its
+    # moments (the Gaussian test); the fall stays in k-space from the shift
+    # stage to free flight.  Inverse rows: N shift-stage rows for the margin
+    # check and N after free flight.  The fringe and the reference's margin
+    # are read from the density of the fallen rows, so nothing is recentered.
     momentum = count_calls(core, "_momentum_amp")
     exps = count_calls(np, "exp")
     n = 8
     scan = fringe_scan(psi0, params, [0.1 * (i + 1) for i in range(n)])
     assert len(scan) == n
-    assert fft_rows == {"fft": 2, "ifft": 3 * n + 1}
+    assert fft_rows == {"fft": 2, "ifft": 2 * n}
     # the one momentum transform is psi0's, for the Gaussian test; the
     # readout takes position moments only
     assert len(momentum) == 1
-    # N + 1 shift and N free-flight phases, N kicks of the densities and two
-    # for the Gaussian test; each global phase multiplies a scalar sum
-    assert len(exps) == 3 * n + 3
+    # N shift and N free-flight phases, N kicks of the densities and two
+    # for the Gaussian test; each global phase multiplies a scalar sum, and
+    # no zero-shift phase is built
+    assert len(exps) == 3 * n + 2
     # np.exp runs on half the nodes for each k-space phase (k_0 .. k_{n/2})
     # and for each kick (x_{n/2} .. x_{n-1} and x_0, the grid being
     # symmetric), and on every node for the Gaussian test
     half = psi0.grid.n // 2 + 1
     sizes = sorted(np.size(args[0]) for args in exps)
-    assert sizes == sorted([half] * (3 * n + 1) + [psi0.grid.n] * 2)
+    assert sizes == sorted([half] * (3 * n) + [psi0.grid.n] * 2)
 
 
 def test_multi_chunk_analytic_scan_reads_each_chunk_from_psi0(
     psi0, params, count_calls, fft_rows
 ):
-    # N = 70 readouts at n = 256 run in chunks of 32, 32 and 6.  Each chunk
-    # is one plain fall from psi0: psi0's transform and the reference rows'
-    # shift by 0 are made once per chunk, so 3 + 1 forward-transform rows
-    # (the Gaussian test's), 3N + 3 inverse rows and 3N + 5 np.exp calls
+    # N = 70 readouts at n = 256 run in chunks of 64 and 6, one fallen row
+    # per readout.  Each chunk is one plain fall from psi0, whose transform
+    # is made once per chunk, so 2 + 1 forward-transform rows (the Gaussian
+    # test's), 2N inverse rows and 3N + 2 np.exp calls
     exps = count_calls(np, "exp")
     steps = count_calls(interferometry, "_fallen")
     n = 70
     scan = fringe_scan(psi0, params, [0.02 * (i + 1) for i in range(n)])
     assert len(scan) == n
-    assert [len(states) for states, _, _ in steps] == [64, 64, 12]
-    assert fft_rows == {"fft": 4, "ifft": 3 * n + 3}
-    assert len(exps) == 3 * n + 5
+    assert [len(states) for states, _, _ in steps] == [64, 6]
+    assert fft_rows == {"fft": 3, "ifft": 2 * n}
+    assert len(exps) == 3 * n + 2
 
 
 def _scan_refusal(scan):
@@ -265,11 +276,16 @@ def _scan_refusal(scan):
 MARGIN = "exceeds the 1e-10 margin; enlarge the grid or shorten the evolution"
 
 
-def test_multi_chunk_analytic_scan_refuses_each_readout_by_name(psi0, params):
-    # three scans of 70 readouts at n = 256, in chunks of 32, 32 and 6.  Each
-    # expected refusal is the one a scan made when every chunk transformed
-    # psi0 and shifted its reference rows by 0 itself
-    times = [0.01 * (i + 1) for i in range(70)]
+def test_multi_chunk_analytic_scan_refuses_each_readout_by_name(
+    psi0, params, count_calls
+):
+    # three scans of 70 readouts at n = 256, in chunks of 64 and 6, one
+    # fallen row per readout.  Each expected refusal is the one a scan made
+    # when every chunk transformed psi0 and shifted its reference rows by 0
+    # itself
+    per_chunk = interferometry._CHUNK_BYTES // psi0.amp.nbytes
+    steps = count_calls(interferometry, "_fallen")
+    times = [0.01 * (i + 1) for i in range(per_chunk + 6)]
     # psi0 above the margin, refused in the first chunk's shift stage
     amp = np.array(psi0.amp)
     amp[0] = 1e-3
@@ -280,24 +296,27 @@ def test_multi_chunk_analytic_scan_refuses_each_readout_by_name(psi0, params):
         f"evolve_exact: boundary amplitude 1.000e-03 on the outer 12 nodes {MARGIN}",
         None,
     )
-    # the third readout of the third chunk leaves the grid in its shift stage
-    far = times[:66] + [5.0, 6.0, 7.0, 8.0]
+    assert len(steps) == 1
+    # the third readout of the second chunk leaves the grid in its shift stage
+    far = times[: per_chunk + 2] + [5.0, 6.0, 7.0, 8.0]
     assert _scan_refusal(lambda: fringe_scan(psi0, params, far)) == (
         GridOverflow,
         "readout t=5.0, accelerated branch, segment 0 (g=1.0, duration=5.0): "
         f"evolve_exact: boundary amplitude 1.485e-04 on the outer 12 nodes {MARGIN}",
         None,
     )
-    # m g t max|x| overflows from t = 0.09, first reached in the third chunk
+    assert len(steps) == 1 + 2
+    # m g t max|x| overflows from t = 0.09, first reached in the second chunk
     heavy = replace(params, m=1e308)
     psi = make_gaussian(psi0.grid, 0.0, 0.0, 1.0, heavy)
-    kicks = [0.001 * (i + 1) for i in range(66)] + [0.1, 0.2, 0.3, 0.4]
+    kicks = [0.001 * (i + 1) for i in range(per_chunk + 2)] + [0.1, 0.2, 0.3, 0.4]
     assert _scan_refusal(lambda: fringe_scan(psi, heavy, kicks)) == (
         NonFiniteState,
         "readout t=0.1, accelerated branch, segment 0 (g=1.0, duration=0.1): "
         "evolve_exact: result kick_angle=inf is not finite",
         None,
     )
+    assert len(steps) == 1 + 2 + 2
 
 
 @pytest.mark.parametrize("backend", ["analytic", "split-step"])
@@ -426,6 +445,64 @@ def test_a_reference_only_overflow_stays_refused(backend):
     )
 
 
+def test_a_whole_node_reference_refusal_reads_evolve_exacts_amplitude():
+    # the fall g t^2/2 = 5 is 32 nodes, so the reference's guarded nodes are
+    # read on exactly the nodes of the fallen density they moved to; the
+    # fallen branch turns around at x = 7.45 and stays clean
+    params = PhysicalParams(g=10.0)
+    psi = make_gaussian(Grid(-20.0, 20.0, 256), 5.0, 7.0, 1.0, params)
+    with pytest.raises(GridOverflow) as exact:
+        evolve_exact(psi, replace(params, g=0.0), 1.0)
+    with pytest.raises(GridOverflow) as info:
+        fringe_scan(psi, params, [1.0])
+    assert str(info.value) == (
+        "readout t=1.0, reference branch, segment 0 (g=0.0, duration=1.0): "
+        f"{exact.value}"
+    )
+    assert "boundary amplitude 3.294e-04 on the outer 12 nodes" in str(info.value)
+
+
+# Starts of spread 1.25 at 3 to 6 from the center of a [-20, 20] grid, on the
+# side g pulls them from and mostly launched outward, so that the fall often
+# carries the accelerated branch inward while the un-fallen reference drifts
+# into the margin band.  Whole-node falls take t a power of two, which makes
+# g t^2/2 = k dx exact.
+@settings(max_examples=100)
+@given(
+    data=st.data(),
+    n=st.sampled_from([64, 128, 256, 1024]),
+    whole=st.booleans(),
+    offset=st.floats(3.0, 6.0),
+    p0=st.floats(-1.0, 2.4),
+    two=st.booleans(),
+)
+def test_a_scan_refuses_every_reference_that_evolve_exact_refuses(
+    data, n, whole, offset, p0, two
+):
+    # the scan reads the reference's margin from the fallen density, on a
+    # band up to one node wider than the reference's own, so it refuses at
+    # least what evolve_exact refuses of the un-fallen packet
+    grid = Grid(-20.0, 20.0, n)
+    if whole:
+        t = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+        most = int(1.5 * t * t / grid.dx)
+        g = 2 * data.draw(st.integers(-most, most)) * grid.dx / (t * t)
+    else:
+        t = data.draw(st.floats(0.0, 2.0))
+        g = data.draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)))
+    params = PhysicalParams(g=g)
+    side = math.copysign(1.0, g)
+    psi = make_gaussian(grid, side * offset, side * p0, 1.25, params)
+    if two:
+        other = make_gaussian(grid, -side * offset, -side * p0, 1.25, params)
+        psi = WavePacket(grid, (psi.amp + other.amp) / math.sqrt(2.0))
+    try:
+        evolve_exact(psi, replace(params, g=0.0), t)
+    except GridOverflow:
+        with pytest.raises(GridOverflow):
+            fringe_scan(psi, params, [t])
+
+
 # Colocated scans on lattices of 64 to 1024 nodes: the start packet (spread 2)
 # and both branches stay at least 21 from the margin band at |x| > 27.
 @given(
@@ -452,9 +529,9 @@ def test_analytic_colocated_branches_match_their_definitions(m, g, t, x0, p0, n)
     assert gap <= 4 * np.finfo(float).eps * math.log2(n)
 
 
-# Colocated scans of one to three chunks: a chunk holds 128, 32 and 8
-# readouts at n = 64, 256 and 1024.  The readouts span 0 to 1.46, inside the
-# bounds of the property above.
+# Colocated scans of one to three chunks: a chunk holds one fallen row per
+# readout, 256, 64 and 16 readouts at n = 64, 256 and 1024.  The readouts
+# span 0 to 1.46, inside the bounds of the property above.
 @given(
     m=st.floats(0.5, 4.0),
     g=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0)),
@@ -473,8 +550,13 @@ def test_density_fringes_match_the_branch_states(m, g, t, x0, p0, n, chunks, ext
     params = PhysicalParams(m=m, g=g)
     grid = Grid(-30.0, 30.0, n)
     psi = make_gaussian(grid, x0, p0, 2.0, params)
-    readouts = 8192 // n * (chunks - 1) + extra
-    scan = fringe_scan(psi, params, [t + 1e-3 * i for i in range(readouts)])
+    per_chunk = interferometry._CHUNK_BYTES // psi.amp.nbytes
+    readouts = per_chunk * (chunks - 1) + extra
+    with mock.patch.object(
+        interferometry, "_fallen", wraps=interferometry._fallen
+    ) as steps:
+        scan = fringe_scan(psi, params, [t + 5e-4 * i for i in range(readouts)])
+    assert steps.call_count == chunks
     for rec in scan:
         accelerated, reference = branch_states(psi, params, rec.t)
         gap = abs(rec.overlap - overlap(reference, accelerated))

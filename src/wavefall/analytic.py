@@ -18,24 +18,22 @@ such a stack, with its own (g, t) per row: _fall runs factors 1 and 2 and
 their margin checks, and the kick and global phase follow.  The kernels
 check no angle: evolve_exact and shift_packet check each row's phase angles
 once, before they build any phase.
-evolve_piecewise and the protocol share one segment loop, _segment_chain,
-which takes the propagator of a segment as a callable.  The protocol's
-colocated analytic scans pass a step that runs _fall alone, on the fallen
-rows only, and read each fringe and the un-fallen reference's margin from
-the density of the fallen row (see interferometry).  Three rules
+evolve_piecewise and the protocol's state scans share one segment loop,
+_segment_chain, which takes the propagator of a segment as a callable.
+The protocol's colocated analytic scans call _fall directly, once per
+chunk of fallen rows, and read each fringe and the un-fallen reference's
+margin from the density of the fallen row (see interferometry).  Both
+name a refusal's segment with _relabelled.  Three rules
 keep every row bit-identical to a single-row call, and a fourth halves the
 cost of the k-space phases and of the kick without changing a bit:
 
 - each row's phase is built from that row's scalar with the single-row
   expression; rows whose scalars have equal bits share one evaluation;
-- rows that share a start state (the same object) and the bits of their
-  shift g t^2/2 share the shift stage: the start state is checked finite
-  and transformed once, and each distinct (start state, shift) pair is
-  phased once, its margin checked on a copy transformed back to x.  The
-  fall stays in k-space: free flight starts from the phased stack,
-  expanded to one row per input when rows share a pair (else taken as it
-  is), so evolve_exact makes one transform pair per row.  Every error
-  names the caller's row;
+- rows that share a start state (the same object) share its finite
+  check and forward transform; every row is then phased on its own, its
+  margin checked on a copy transformed back to x.  The fall stays in
+  k-space: free flight starts from the phased stack, so evolve_exact
+  makes one transform pair per row.  Every error names the caller's row;
 - every complex multiply is written ``amp *= phase``, the state on the left.
   ``amp = amp * np.exp(...)`` is not safe: once the stack reaches 256 KiB
   numpy reuses the temporary on the right as the output, which swaps the
@@ -56,14 +54,14 @@ cost of the k-space phases and of the kick without changing a bit:
   bounds of every shipped config make it.  Any other grid builds the
   kick on every node; its bits are the same either way.
 
-The boundary margin is re-checked over every distinct shift-stage row, on
-its copy in x, and over every row after free flight.  Every refusal
-(margin, start state, scalar or angle) is decided in core, fails closed on
-NaN and names the caller's first offending row when the call is batched,
-one-row lists included.  Note that a single long step whose packet wraps
-around the periodic grid and re-enters with a clean final margin cannot be
-detected here, so bound long falls with evolve_piecewise (per-segment
-checks) or cross-check with the split-step solver, which guards every step.
+The boundary margin is re-checked over every shift-stage row, on its copy
+in x, and over every row after free flight.  Every refusal (margin, start
+state, scalar or angle) is decided in core, fails closed on NaN and names
+the caller's first offending row when the call is batched, one-row lists
+included.  Note that a single long step whose packet wraps around the
+periodic grid and re-enters with a clean final margin cannot be detected
+here, so bound long falls with evolve_piecewise (per-segment checks) or
+cross-check with the split-step solver, which guards every step.
 """
 
 from __future__ import annotations
@@ -223,27 +221,26 @@ def _distinct(keys) -> tuple[list[int], list[int]]:
 
 def _shift(
     psis: list[WavePacket], shifts: list[float], context: str, batched: bool
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """amp(x + a) per row, run once per distinct (start state, bits of a) pair.
+) -> tuple[np.ndarray, np.ndarray]:
+    """amp(x + a) per row, each distinct start state transformed once.
 
     Each distinct start state (by identity) is checked finite and
-    transformed once; each distinct pair then takes the k-space phase
-    e^{+i k a}, and a copy transformed back to x takes the margin check.
-    Returns the k-space stack of the pairs, its position copy, and each
-    row's pair.  Both checks name the caller (context) and its first
-    offending row; the caller has checked every shift angle.
+    transformed once; each row then takes the k-space phase e^{+i k a},
+    and a copy transformed back to x takes the margin check.  Returns the
+    k-space stack and its position copy, one row per input.  Both checks
+    name the caller (context) and its first offending row; the caller has
+    checked every shift angle.
     """
     grid = psis[0].grid
     start, start_rows = _distinct(map(id, psis))
     amp = _stack([psis[r] for r in start_rows])
     _require_finite(amp, f"{context} start state", batched, start_rows)
     np.fft.fft(amp, out=amp)
-    pair, pair_rows = _distinct(zip(start, map(_bits, shifts)))
-    amp = amp[[start[r] for r in pair_rows]]
-    _apply_phases(amp, [shifts[r] for r in pair_rows], lambda a: _shift_phase(grid, a))
+    amp = amp[start]
+    _apply_phases(amp, shifts, lambda a: _shift_phase(grid, a))
     moved = np.fft.ifft(amp)
-    _check_margin(moved, context, batched, pair_rows)
-    return amp, moved, pair
+    _check_margin(moved, context, batched)
+    return amp, moved
 
 
 def _shift_angle(a: float, k_max: float) -> float:
@@ -314,8 +311,8 @@ def shift_packet(
     _require_finite_rows(
         "shift_packet", batched, shift_angle=[_shift_angle(s, k_max) for s in shifts]
     )
-    _, moved, pair = _shift(psis, shifts, "shift_packet", batched)
-    return _packets(psis[0].grid, moved[pair], batched)
+    _, moved = _shift(psis, shifts, "shift_packet", batched)
+    return _packets(psis[0].grid, moved, batched)
 
 
 def apply_global_phase(psi: WavePacket, theta: float) -> WavePacket:
@@ -349,15 +346,14 @@ def evolve_exact(
     share the grid (GridMismatch otherwise), hbar and m (ValueError); g, t
     and the start state may differ per row, and each row's result is
     bit-identical to a single-row call.  Rows given the same start-state
-    object with equal shift bits share one shift stage (see the module
-    docstring).  Returns the final WavePacket, or a list of them when any
-    argument is a sequence.  Raises GridOverflow when
-    any row touches the guarded boundary nodes after the shift or after free
-    flight, naming the first such row of a stack and carrying its index as
-    .row, and NonFiniteState, naming the row and node, when a start state
-    holds NaN or inf, or naming the row, before any phase is built, when its
-    shift, kick slope or cubic angle, or the largest angle of a phase, is not
-    finite.
+    object share its transform (see the module docstring).  Returns the
+    final WavePacket, or a list of them when any argument is a sequence.
+    Raises GridOverflow when any row touches the guarded boundary nodes
+    after the shift or after free flight, naming the first such row of a
+    stack and carrying its index as .row, and NonFiniteState, naming the row
+    and node, when a start state holds NaN or inf, or naming the row, before
+    any phase is built, when its shift, kick slope or cubic angle, or the
+    largest angle of a phase, is not finite.
     """
     batched, (psis, pars, times) = _as_rows("evolve_exact", psi, params, t)
     if not psis:
@@ -372,9 +368,8 @@ def evolve_exact(
 def _fall(psis, pars, times, batched: bool):
     """evolve_exact up to its kick: every check, the shift stage, free flight.
 
-    Free flight starts from the shift stage's k-space stack, expanded to
-    one row per input unless every row is its own (start state, shift)
-    pair, so each row makes one transform pair.  Returns the fresh,
+    Free flight starts from the shift stage's k-space stack, one row per
+    input, so each row makes one transform pair.  Returns the fresh,
     margin-checked position stack, hbar, and each row's kick slope and
     cubic angle.
     """
@@ -382,10 +377,8 @@ def _fall(psis, pars, times, batched: bool):
     grid = psis[0].grid
     hbar, m = _shared_hbar_m("evolve_exact", pars)
     shifts, slopes, thetas = _factor_scalars(grid, pars, times, batched)
-    amp, moved, pair = _shift(psis, shifts, "evolve_exact", batched)
+    amp, moved = _shift(psis, shifts, "evolve_exact", batched)
     del moved  # read by the margin check only; freed to bound peak memory
-    if len(amp) < len(pair):
-        amp = amp[pair]
     _free(amp, grid, hbar, m, times)
     _check_margin(amp, "evolve_exact", batched)
     return amp, hbar, slopes, thetas
@@ -430,14 +423,24 @@ def _segment_label(label: str, i: int, segment) -> str:
     return f"{label}, segment {i} (g={g}, duration={duration})"
 
 
+def _relabelled(exc, label: str, i: int, segment):
+    """A refusal retold as the same type naming label's segment i.
+
+    The message reads "<label>, segment i (g=G, duration=D): <cause>", the
+    cause being exc's message with the row of the raiser's stack, which
+    means nothing to the caller, dropped; the new refusal carries no row.
+    """
+    cause = str(exc).replace(_in_row(exc.row, True), "", 1)
+    return type(exc)(f"{_segment_label(label, i, segment)}: {cause}")
+
+
 def _segment_chain(psi, params, rows, labels, step):
     """Final states of rows of (g, duration) segments, all started from psi.
 
     Segment i of every row that has one runs in one batched call
     step(states, params, durations), each row's params taking its g.  A
     GridOverflow or NonFiniteState is re-raised as the same type naming the
-    row's label and the segment, with the row of step's stack, which means
-    nothing to the caller, dropped.
+    row's label and the segment (_relabelled).
     """
     states = [psi] * len(rows)
     for i in range(max(map(len, rows), default=0)):
@@ -454,9 +457,7 @@ def _segment_chain(psi, params, rows, labels, step):
             )
         except (GridOverflow, NonFiniteState) as exc:
             r = live[exc.row]
-            cause = str(exc).replace(_in_row(exc.row, True), "", 1)
-            where = _segment_label(labels[r], i, rows[r][i])
-            raise type(exc)(f"{where}: {cause}") from exc
+            raise _relabelled(exc, labels[r], i, rows[r][i]) from exc
         for r, state in zip(live, out):
             states[r] = state
     return states

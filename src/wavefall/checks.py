@@ -40,7 +40,7 @@ import numpy as np
 from .action import classical_action, delta_action, ehrenfest_mean, shifted_free_action
 from .analytic import AccelSchedule, evolve_exact, evolve_piecewise, apply_global_phase
 from .config import RunConfig, _oracle_grid, _start_packet, _verify_setting
-from .core import Trajectory, l2_distance, make_gaussian, moments, overlap
+from .core import Trajectory, _extremes, l2_distance, make_gaussian, moments, overlap
 from .errors import WavefallError
 from .interferometry import branch_states, run_protocol
 from .oracle import commutator_element, dense_hamiltonian, evolve_dense
@@ -115,7 +115,7 @@ def _spread_g_independence(cfg: RunConfig, rng, hamiltonian) -> dict:
     tol = max(
         _strang_tolerance(p, t, _SWEEP_STEPS, grid.n) for p, t in zip(pars, times)
     )
-    rounding = 6.0 * float(np.abs(grid.x).max()) ** 2 * tol
+    rounding = 6.0 * _extremes(grid)[1] ** 2 * tol
 
     def gaps(s):
         return [abs(s_g - s_0) / s_0 for s_g, s_0 in zip(s[:3], s[3:])]
@@ -249,8 +249,9 @@ def _ehrenfest_means(cfg: RunConfig, rng, hamiltonian) -> dict:
     tol = max(
         _strang_tolerance(p, t, _SWEEP_STEPS, grid.n) for p, t in zip(pars, times)
     )
-    tol_x = 2.0 * float(np.abs(grid.x).max()) * tol
-    tol_p = 2.0 * cfg.params.hbar * float(np.abs(grid.k).max()) * tol
+    k_max, x_max = _extremes(grid)
+    tol_x = 2.0 * x_max * tol
+    tol_p = 2.0 * cfg.params.hbar * k_max * tol
     worst_x = worst_p = 0.0
     for states in (
         evolve_exact(psi, pars, times),

@@ -29,14 +29,14 @@ per-branch schedules : each branch evolves under its own piecewise-constant
 Both backends, the factored exact propagator ("analytic") and the split-step
 solver, take the same path: every branch is a row of (g, duration) segments,
 and the rows of a scan run in chunks of whole readouts whose (rows, n)
-stack stays within 256 KiB.  Each chunk runs through analytic._segment_chain,
-the segment loop evolve_piecewise uses too: segment i of every row of a chunk
+stack stays within 256 KiB (_chunks).  branch_states and every scan but the
+colocated analytic one run each chunk through analytic._segment_chain, the
+segment loop evolve_piecewise uses too: segment i of every row of a chunk
 is one batched call of the backend's propagator, passed in as the step, so
-every refusal names its readout, branch and segment.  branch_states and
-every scan but the colocated analytic one propagate both branches,
-recenter a colocated reference with shift_packet, and read each chunk out
-with one batched overlap and one batched position-moment reduction of the
-reference, with no momentum transform.
+every refusal names its readout, branch and segment.  They propagate both
+branches, recenter a colocated reference with shift_packet, and read each
+chunk out with one batched overlap and one batched position-moment
+reduction of the reference, with no momentum transform.
 
 The analytic backend writes the accelerated evolution as
 U_g(t) = e^{i theta} K U_0(t) T_a, with T_a the translation by a = g t^2/2,
@@ -48,14 +48,16 @@ accelerated branch just before its kick.  The fringe is therefore
     z = e^{i theta} <phi|K|phi> = e^{i theta} dx sum_x |phi(x)|^2 K(x),
 
 and the reference's moments are those of the same density |phi|^2.  A
-colocated analytic scan reads each readout from that one density: its step
-(_fallen) runs analytic._fall, evolve_exact up to its kick, on the
+colocated analytic scan reads each readout from that one density: each
+chunk is one call of analytic._fall, evolve_exact up to its kick, on the
 accelerated rows alone, one per readout, and _density_readings kicks the
 density in place of a state, with no recentering and no second branch
-state.  No reference row is flown: U_0(t) psi0 is phi displaced by a, so
-its margin is read from |phi|^2 (_reference_margin).  The split-step
-backend propagates both branches and recenters the reference with
-shift_packet, so the two backends stay independent routes to the fringe.
+state.  A refusal is labelled with its readout, branch and segment as
+_segment_chain labels it (analytic._relabelled).  No reference row is
+flown: U_0(t) psi0 is phi displaced by a, so its margin is read from
+|phi|^2 (_reference_margin).  The split-step backend propagates both
+branches and recenters the reference with shift_packet, so the two
+backends stay independent routes to the fringe.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ from .analytic import (
     _cubic_angle,
     _fall,
     _kick,
+    _relabelled,
     _segment_chain,
     _segment_label,
     evolve_exact,
@@ -337,21 +340,17 @@ def _require_finite_shifts(rows, labels, params) -> None:
                     )
 
 
-def _propagate(psi0, params, times, rows, labels, step):
-    """The (times, final states) of each chunk of a scan's branch rows.
+def _chunks(times, width: int, nbytes: int):
+    """Each chunk's (times, slice of branch rows): whole readouts within _CHUNK_BYTES.
 
-    rows hold an (accelerated, reference) pair per readout, or the
-    accelerated row alone for a colocated analytic scan.  They run in
-    chunks of whole readouts whose stack stays within _CHUNK_BYTES, each
-    through analytic._segment_chain with step, which labels every refusal
-    with its readout, branch and segment.
+    A readout holds width rows of nbytes each: its (accelerated,
+    reference) pair, or the accelerated row alone for a colocated analytic
+    scan.
     """
-    width = len(rows) // len(times)
-    per_chunk = max(1, _CHUNK_BYTES // (width * psi0.amp.nbytes))
+    per_chunk = max(1, _CHUNK_BYTES // (width * nbytes))
     for first in range(0, len(times), per_chunk):
         ts = times[first : first + per_chunk]
-        chunk = slice(width * first, width * (first + len(ts)))
-        yield ts, _segment_chain(psi0, params, rows[chunk], labels[chunk], step)
+        yield ts, slice(width * first, width * (first + len(ts)))
 
 
 def _branches(times, states, params, recenter):
@@ -380,7 +379,7 @@ def branch_states(
     recentered onto the fallen branch with shift_packet.
     """
     rows, labels, step = _branch_pairs(psi0, params, [t], scheme, backend, n_steps)
-    _, states = next(_propagate(psi0, params, [t], rows, labels, step))
+    states = _segment_chain(psi0, params, rows, labels, step)
     (accelerated,), (reference,) = _branches(
         [t], states, params, isinstance(scheme, Colocated)
     )
@@ -399,36 +398,15 @@ def _state_readings(accelerated, reference) -> list[tuple]:
     return list(zip(overlap(reference, accelerated), mean_x, sigma_x))
 
 
-def _fallen(states, pars, durations) -> np.ndarray:
-    """The colocated analytic step: analytic._fall on the accelerated rows.
-
-    _fall is evolve_exact up to its kick, so every check and refusal is
-    evolve_exact's.  Each row is phi = U_0(t) T_a psi0 (module docstring),
-    a row of one fresh stack, which _density_readings overwrites.
-    """
-    return _fall(states, pars, durations, True)[0]
-
-
-def _refuse_as_reference(times, check) -> None:
-    """Run check, an evolve_exact margin check of readouts at times.
-
-    A refusal names its readout's reference branch, as _segment_chain does.
-    """
-    try:
-        check()
-    except GridOverflow as exc:
-        t = times[exc.row]
-        where = _segment_label(_label(t, "reference"), 0, (0.0, t))
-        raise GridOverflow(f"{where}: {exc}") from exc
-
-
 def _reference_margin(times, prob, grid, params) -> None:
     """Refuse the first readout whose reference, U_0(t) psi0, reaches the margin.
 
     That packet is phi(x - a), with a = g t^2/2 (module docstring), so its
     density on a guarded node j is prob = |phi|^2 at node j - a/dx (mod n):
     both neighbours for a fractional fall, the one node for a whole-node
-    fall.  A maximum not below the margin squared, NaN included, raises.
+    fall.  A maximum not below the margin squared, NaN included, raises
+    core._check_margin's GridOverflow, its .row the readout's index in
+    times, for the caller to label.
     """
     n = grid.n
     index = _guard_index(n)
@@ -442,34 +420,40 @@ def _reference_margin(times, prob, grid, params) -> None:
     # the larger neighbour on the reference's own guarded nodes, for the refusal
     edges = np.zeros_like(prob)
     edges[:, index] = np.sqrt(band.max(axis=0))
-    _refuse_as_reference(times, lambda: _check_margin(edges, "evolve_exact", False))
+    _check_margin(edges, "evolve_exact", False)
 
 
-def _density_readings(times, phis, psi0, params, first: bool) -> list[tuple]:
+def _density_readings(times, psi0, params, first: bool) -> list[tuple]:
     """Each readout's (fringe, mean_x, sigma_x) from one density, |phi|^2.
 
-    phis are the rows of _fallen's stack, read out at times.  The first
-    chunk of a scan checks psi0's margin, and every chunk the reference's
-    (_reference_margin).  The density gives the reference's moments and,
-    written over phi's stack and kicked in place, the fringe
-    z = e^{i theta} dx sum |phi|^2 K, with evolve_exact's kick and theta.
+    One _fall of psi0 per readout at times gives phi, evolve_exact up to
+    its kick, with its kick slopes and cubic angles; a refusal names its
+    readout's accelerated branch, as _segment_chain does.  The first chunk
+    of a scan checks psi0's margin, and every chunk the reference's
+    (_reference_margin), a refusal naming the readout's reference branch.
+    The density gives the reference's moments and, written over phi's
+    stack and kicked in place, the fringe z = e^{i theta} dx sum |phi|^2 K.
     """
-    m, g, hbar = params.m, params.g, params.hbar
-    grid = psi0.grid
-    if first:
-        _refuse_as_reference(
-            times, lambda: _check_margin(psi0.amp[None], "evolve_exact", False)
-        )
-    density = phis[0].base
+    grid, k = psi0.grid, len(times)
+    try:
+        density, hbar, slopes, thetas = _fall([psi0] * k, [params] * k, times, True)
+    except (GridOverflow, NonFiniteState) as exc:
+        t = times[exc.row]
+        raise _relabelled(exc, _label(t, "accelerated"), 0, (params.g, t)) from exc
     prob = np.abs(density)
     prob *= prob
-    _reference_margin(times, prob, grid, params)
+    try:
+        if first:
+            _check_margin(psi0.amp[None], "evolve_exact", False)
+        _reference_margin(times, prob, grid, params)
+    except GridOverflow as exc:
+        t = times[exc.row]
+        raise _relabelled(exc, _label(t, "reference"), 0, (0.0, t)) from exc
     _, mean_x, sigma_x = _position_moments(prob, grid, batched=True)
     density[...] = prob
     del prob
-    _kick(density, grid, hbar, [m * g * t for t in times])
+    _kick(density, grid, hbar, slopes)
     sums = np.sum(density, axis=-1) * grid.dx
-    thetas = [_cubic_angle(m, g, hbar, t) for t in times]
     fringes = [cmath.exp(1j * theta) * complex(s) for theta, s in zip(thetas, sums)]
     return list(zip(fringes, mean_x, sigma_x))
 
@@ -603,15 +587,14 @@ def fringe_scan(
     colocated = isinstance(scheme, Colocated)
     branch = None if colocated else _branch_prediction(scheme, start, params, gaussian)
     density = colocated and backend == "analytic"
-    if density:
-        rows, labels, step = rows[0::2], labels[0::2], _fallen
     fields = []
-    for ts, states in _propagate(psi0, params, times, rows, labels, step):
+    for ts, chunk in _chunks(times, 1 if density else 2, psi0.amp.nbytes):
         if density:
-            readings = _density_readings(ts, states, psi0, params, not fields)
+            readings = _density_readings(ts, psi0, params, not fields)
         else:
+            states = _segment_chain(psi0, params, rows[chunk], labels[chunk], step)
             readings = _state_readings(*_branches(ts, states, params, colocated))
-        del states  # freed before the next chunk is propagated: peak memory
+            del states  # freed before the next chunk is propagated: peak memory
         fields += _readout(ts, readings, params, gaussian, branch)
     unwrapped = unwrap_phases([f["phase"] for f in fields], times)
     return [

@@ -314,6 +314,13 @@ def test_batched_exact_rows_equal_single_calls(rows):
     assert len(batch) == len(rows)
     for psi, p, t, row in zip(starts, pars, times, batch):
         assert row.amp.tobytes() == evolve_exact(psi, p, t).amp.tobytes()
+    # the shift stage alone, over the same rows: repeated (start, shift)
+    # rows are each phased on their own, with the single call's bits
+    shifts = [0.5 * g * t * t for _, g, t in rows]
+    moved = shift_packet(starts, shifts)
+    assert len(moved) == len(rows)
+    for psi, a, row in zip(starts, shifts, moved):
+        assert row.amp.tobytes() == shift_packet(psi, a).amp.tobytes()
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -419,11 +426,10 @@ def test_rows_of_a_stack_above_256_kib_equal_single_calls():
 
 
 def test_batched_exact_rows_share_their_transforms(fft_rows):
-    # Two distinct start states and four distinct (start, shift) pairs over
-    # five rows; g = -0.0 shifts by -0.0, whose bits are not 0.0's.  Forward
-    # rows: one per start state, the fall staying in k-space.  Inverse rows:
-    # one per pair for the shift-stage margin check, and one per row after
-    # free flight.
+    # Two distinct start states over five rows, rows 0 and 3 alike.
+    # Forward rows: one per start state, the fall staying in k-space.
+    # Inverse rows: one per row for the shift-stage margin check, and one
+    # per row after free flight.
     a, b = STARTS[:2]
     rows = [(a, 1.0, 0.5), (a, 0.0, 0.5), (b, 1.0, 0.5), (a, 1.0, 0.5), (b, -0.0, 0.7)]
     out = evolve_exact(
@@ -432,7 +438,7 @@ def test_batched_exact_rows_share_their_transforms(fft_rows):
         [t for _, _, t in rows],
     )
     assert len(out) == len(rows)
-    assert fft_rows == {"fft": 2, "ifft": 4 + len(rows)}
+    assert fft_rows == {"fft": 2, "ifft": 2 * len(rows)}
 
 
 def test_batch_broadcasts_single_values_and_returns_a_list(psi0, params):
@@ -463,14 +469,14 @@ def test_evolve_exact_margin_failures_name_evolve_exact(psi0, params, g, t):
 
 def test_shift_overflow_names_the_callers_row_after_sharing(psi0, params):
     # t = 6 shifts the packet 18 units down, onto the guard band, in the shift
-    # stage.  Rows 0 and 1 share one shift-stage row, so the shared stack's
-    # offending row is 1, while the caller's first offending row is 2.
+    # stage.  The rows share one transform of psi0, and the refusal names the
+    # caller's first offending row, 2.
     with pytest.raises(GridOverflow) as info:
         evolve_exact(psi0, params, [1.0, 1.0, 6.0, 6.0])
     assert str(info.value).startswith("evolve_exact: ")
     assert " in row 2 exceeds" in str(info.value)
     assert info.value.row == 2
-    # two rows share one shift-stage row: the caller's row 0 is still named
+    # two alike rows: the caller's first, row 0, is named
     with pytest.raises(GridOverflow, match="in row 0 exceeds") as info:
         evolve_exact(psi0, params, [6.0, 6.0])
     assert info.value.row == 0

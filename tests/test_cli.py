@@ -289,11 +289,11 @@ def test_overflow_in_a_later_chunk_writes_no_partial_csv(
         {"interfere": {"t_values": times, "scheme": "colocated", "backend": "analytic"}},
     )
     out = tmp_path / "o.csv"
-    steps = count_calls(interferometry, "_fallen")
+    steps = count_calls(interferometry, "_fall")
     assert cli.main(["interfere", "--config", cfg, "--out", str(out)]) == 3
     assert "readout t=8.0, accelerated branch" in capsys.readouterr().err
     assert not out.exists()
-    assert [len(states) for states, _, _ in steps] == [per_chunk, 4]
+    assert [len(args[0]) for args in steps] == [per_chunk, 4]
 
 
 def test_phase_aliasing_exits_4_with_denser_suggestion(tmp_path):

@@ -195,14 +195,12 @@ def test_scan_equals_per_time_protocol(psi0, params, count_calls, backend):
     width = 1 if backend == "analytic" else 2
     per_chunk = interferometry._CHUNK_BYTES // (width * psi0.amp.nbytes)
     steps = count_calls(
-        interferometry, "_fallen" if backend == "analytic" else "evolve_split_step"
+        interferometry, "_fall" if backend == "analytic" else "evolve_split_step"
     )
     times = list(np.linspace(0.05, 0.95, per_chunk + 5))
     scan = fringe_scan(psi0, params, times, Colocated(), backend=backend, n_steps=128)
     assert len(scan) == len(times)
-    assert [len(states) for states, _, _ in steps] == [
-        width * per_chunk, width * 5
-    ]
+    assert [len(args[0]) for args in steps] == [width * per_chunk, width * 5]
     for rec in scan:
         one = run_protocol(psi0, params, rec.t, backend=backend, n_steps=128)
         assert replace(rec, phase_unwrapped=one.phase) == one
@@ -258,11 +256,11 @@ def test_multi_chunk_analytic_scan_reads_each_chunk_from_psi0(
     # is made once per chunk, so 2 + 1 forward-transform rows (the Gaussian
     # test's), 2N inverse rows and 3N + 2 np.exp calls
     exps = count_calls(np, "exp")
-    steps = count_calls(interferometry, "_fallen")
+    steps = count_calls(interferometry, "_fall")
     n = 70
     scan = fringe_scan(psi0, params, [0.02 * (i + 1) for i in range(n)])
     assert len(scan) == n
-    assert [len(states) for states, _, _ in steps] == [64, 6]
+    assert [len(args[0]) for args in steps] == [64, 6]
     assert fft_rows == {"fft": 3, "ifft": 2 * n}
     assert len(exps) == 3 * n + 2
 
@@ -284,7 +282,7 @@ def test_multi_chunk_analytic_scan_refuses_each_readout_by_name(
     # when every chunk transformed psi0 and shifted its reference rows by 0
     # itself
     per_chunk = interferometry._CHUNK_BYTES // psi0.amp.nbytes
-    steps = count_calls(interferometry, "_fallen")
+    steps = count_calls(interferometry, "_fall")
     times = [0.01 * (i + 1) for i in range(per_chunk + 6)]
     # psi0 above the margin, refused in the first chunk's shift stage
     amp = np.array(psi0.amp)
@@ -552,9 +550,7 @@ def test_density_fringes_match_the_branch_states(m, g, t, x0, p0, n, chunks, ext
     psi = make_gaussian(grid, x0, p0, 2.0, params)
     per_chunk = interferometry._CHUNK_BYTES // psi.amp.nbytes
     readouts = per_chunk * (chunks - 1) + extra
-    with mock.patch.object(
-        interferometry, "_fallen", wraps=interferometry._fallen
-    ) as steps:
+    with mock.patch.object(interferometry, "_fall", wraps=interferometry._fall) as steps:
         scan = fringe_scan(psi, params, [t + 5e-4 * i for i in range(readouts)])
     assert steps.call_count == chunks
     for rec in scan:
@@ -636,7 +632,7 @@ def test_both_backends_refuse_an_overflowing_fall_shift_before_propagating(
     # and from about 1.3e154 the shift too, which is then named first
     propagators = [
         count_calls(interferometry, "evolve_exact"),
-        count_calls(interferometry, "_fallen"),
+        count_calls(interferometry, "_fall"),
         count_calls(interferometry, "evolve_split_step"),
         count_calls(splitstep, "_check_margin"),
     ]

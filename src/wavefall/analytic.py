@@ -434,13 +434,13 @@ def _relabelled(exc, label: str, i: int, segment):
     return type(exc)(f"{_segment_label(label, i, segment)}: {cause}")
 
 
-def _segment_chain(psi, params, rows, labels, step):
+def _segment_chain(psi, params, rows, label, step):
     """Final states of rows of (g, duration) segments, all started from psi.
 
     Segment i of every row that has one runs in one batched call
     step(states, params, durations), each row's params taking its g.  A
-    GridOverflow or NonFiniteState is re-raised as the same type naming the
-    row's label and the segment (_relabelled).
+    GridOverflow or NonFiniteState is re-raised as the same type naming
+    row r's label(r) and the segment (_relabelled).
     """
     states = [psi] * len(rows)
     for i in range(max(map(len, rows), default=0)):
@@ -457,7 +457,7 @@ def _segment_chain(psi, params, rows, labels, step):
             )
         except (GridOverflow, NonFiniteState) as exc:
             r = live[exc.row]
-            raise _relabelled(exc, labels[r], i, rows[r][i]) from exc
+            raise _relabelled(exc, label(r), i, rows[r][i]) from exc
         for r, state in zip(live, out):
             states[r] = state
     return states
@@ -475,6 +475,6 @@ def evolve_piecewise(
     i (g=..., duration=...): ...".
     """
     _require_finite(psi.amp[None], "evolve_piecewise start state", False)
-    rows, labels = [schedule.segments], ["schedule"]
-    (out,) = _segment_chain(psi, params, rows, labels, evolve_exact)
+    rows = [schedule.segments]
+    (out,) = _segment_chain(psi, params, rows, lambda r: "schedule", evolve_exact)
     return out

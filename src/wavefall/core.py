@@ -515,35 +515,7 @@ def moments(
     if any(p.hbar != hbar for p in pars):
         raise ValueError("moments: rows must share hbar")
     amp = _stack(psis)
-    norm, mean_x, sigma_x = _position_moments(np.abs(amp) ** 2, g, batched)
-
-    prob_k = np.abs(_momentum_amp(amp, g)) ** 2
-    norm_k = np.sum(prob_k, axis=-1) * g.dk
-    p = hbar * g.k
-    mean_p = np.sum(p * prob_k, axis=-1) * g.dk / norm_k
-    var_p = np.sum((p - mean_p[:, None]) ** 2 * prob_k, axis=-1) * g.dk / norm_k
-
-    out = [
-        Moments(
-            norm=n,
-            mean_x=mx,
-            mean_p=float(mp),
-            sigma_x=sx,
-            sigma_p=math.sqrt(max(float(vp), 0.0)),
-        )
-        for n, mx, sx, mp, vp in zip(norm, mean_x, sigma_x, mean_p, var_p)
-    ]
-    return out if batched else out[0]
-
-
-def _position_moments(prob: np.ndarray, g: Grid, batched: bool):
-    """The position half of moments: norm, mean_x and sigma_x lists of a density.
-
-    One float per row of the (rows, n) stack of densities |amp|^2, from its
-    lattice quadrature; prob is not modified.  Raises like moments:
-    NonFiniteState when a row's norm is NaN or infinite, ValueError when it
-    is zero, naming the first such row for a batched call.
-    """
+    prob = np.abs(amp) ** 2
     norm = np.sum(prob, axis=-1) * g.dx
     # Fail closed: a NaN norm is not inside the interval either.
     bad = np.flatnonzero(~((0 < norm) & (norm < math.inf)))
@@ -558,8 +530,25 @@ def _position_moments(prob: np.ndarray, g: Grid, batched: bool):
         raise NonFiniteState(message, row=row)
     mean_x = np.sum(g.x * prob, axis=-1) * g.dx / norm
     var_x = np.sum((g.x - mean_x[:, None]) ** 2 * prob, axis=-1) * g.dx / norm
-    sigma_x = [math.sqrt(max(v, 0.0)) for v in var_x.tolist()]
-    return norm.tolist(), mean_x.tolist(), sigma_x
+    del prob  # freed before the momentum transform: peak memory
+
+    prob_k = np.abs(_momentum_amp(amp, g)) ** 2
+    norm_k = np.sum(prob_k, axis=-1) * g.dk
+    p = hbar * g.k
+    mean_p = np.sum(p * prob_k, axis=-1) * g.dk / norm_k
+    var_p = np.sum((p - mean_p[:, None]) ** 2 * prob_k, axis=-1) * g.dk / norm_k
+
+    out = [
+        Moments(
+            norm=float(n),
+            mean_x=float(mx),
+            mean_p=float(mp),
+            sigma_x=math.sqrt(max(float(vx), 0.0)),
+            sigma_p=math.sqrt(max(float(vp), 0.0)),
+        )
+        for n, mx, vx, mp, vp in zip(norm, mean_x, var_x, mean_p, var_p)
+    ]
+    return out if batched else out[0]
 
 
 def _require_same_grid(a, b) -> None:

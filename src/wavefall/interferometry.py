@@ -20,11 +20,14 @@ colocated : the reference branch is the freely evolved packet translated onto
     the closed form predicted_phase(mean_x of the reference branch, t), and
     for a Gaussian input the visibility gaussian_visibility, a Gaussian in
     (m g t sigma_t / hbar): the packet spread is what erases the fringe
-    contrast.  A colocated scan may read out at any times.
+    contrast.  The potential being linear, the reference's mean and spread
+    are psi0's carried through free flight (Heisenberg picture), the mean
+    then translated by -g t^2/2.  A colocated scan reads out at any times.
 per-branch schedules : each branch evolves under its own piecewise-constant
     acceleration schedule (equal totals, no recentering); the caller controls
     recombination.  The schedules fix the one readout time, their total, and
     the fringe obeys the per-branch closed form _branch_prediction.
+Both closed forms take psi0's moments, so a readout measures the fringe alone.
 
 Both backends, the factored exact propagator ("analytic") and the split-step
 solver, take the same path: every branch is a row of (g, duration) segments,
@@ -35,8 +38,7 @@ segment loop evolve_piecewise uses too: segment i of every row of a chunk
 is one batched call of the backend's propagator, passed in as the step, so
 every refusal names its readout, branch and segment.  They propagate both
 branches, recenter a colocated reference with shift_packet, and read each
-chunk out with one batched overlap and one batched position-moment
-reduction of the reference, with no momentum transform.
+chunk out with one batched overlap.
 
 The analytic backend writes the accelerated evolution as
 U_g(t) = e^{i theta} K U_0(t) T_a, with T_a the translation by a = g t^2/2,
@@ -45,10 +47,9 @@ U_0(t) are both diagonal in k, so they commute exactly on the lattice, and
 the colocated reference T_a U_0(t) psi0 is phi = U_0(t) T_a psi0, the
 accelerated branch just before its kick.  The fringe is therefore
 
-    z = e^{i theta} <phi|K|phi> = e^{i theta} dx sum_x |phi(x)|^2 K(x),
+    z = e^{i theta} <phi|K|phi> = e^{i theta} dx sum_x |phi(x)|^2 K(x).
 
-and the reference's moments are those of the same density |phi|^2.  A
-colocated analytic scan reads each readout from that one density: each
+A colocated analytic scan reads each fringe from that one density: each
 chunk is one call of analytic._fall, evolve_exact up to its kick, on the
 accelerated rows alone, one per readout, and _density_readings kicks the
 density in place of a state, with no recentering and no second branch
@@ -87,12 +88,10 @@ from .core import (
     WavePacket,
     _check_margin,
     _guard_index,
-    _position_moments,
     _RefuseOverflow,
     _require_finite,
     _require_finite_scalars,
     _require_times,
-    _stack,
     make_gaussian,
     moments,
     overlap,
@@ -150,11 +149,12 @@ class InterferenceRecord:
 
     phase is the principal value in (-pi, pi]; phase_unwrapped equals phase
     for single runs and carries the continued value inside scans.  The
-    predicted columns are closed forms of the scheme's fringe: for
-    Colocated, predicted_phase and gaussian_visibility at the reference
-    branch's measured mean_x and sigma_x; for BranchSchedules, the
-    per-branch closed form of the two schedules from psi0's moments.
-    predicted_visibility is None when the input packet is not Gaussian.
+    predicted columns are closed forms of the scheme's fringe from psi0's
+    moments: for Colocated, predicted_phase and gaussian_visibility at the
+    reference branch's mean and spread carried from psi0's through free
+    flight; for BranchSchedules, the per-branch closed form of the two
+    schedules.  predicted_visibility is None when the input packet is not
+    Gaussian.
     """
 
     t: float
@@ -204,11 +204,10 @@ def _branch_prediction(
 
     the visibility being a Gaussian's characteristic function and None
     unless gaussian (Storey and Cohen-Tannoudji, J. Phys. II France 4, 1999,
-    1994).  The moments are start's, psi0's, carried through free flight:
-    pbar and sigma_p stay, xbar drifts by pbar t/m, and for the
-    uncorrelated Gaussian that _looks_gaussian refits, sigma_x^2 gains
-    (sigma_p t/m)^2 and C is sigma_p^2 t/m.  A result that is not finite
-    raises NonFiniteState.  Shares no code with analytic, so it stays an
+    1994).  The moments are start's, psi0's, carried through free flight
+    (_free_flight), and C is sigma_p^2 t/m for the uncorrelated Gaussian
+    that _looks_gaussian refits.  A result that is not finite raises
+    NonFiniteState.  Shares no code with analytic, so it stays an
     independent route to the fringe.
     """
     hbar, m = params.hbar, params.m
@@ -228,7 +227,8 @@ def _branch_prediction(
         beta_b, q_b, a_b = composed(scheme.reference.segments)
         t = scheme.reference.total_duration
         dq, da = q_a - q_b, a_a - a_b
-        xbar, pbar = start.mean_x + start.mean_p * t / m, start.mean_p
+        xbar, drift, var_x = _free_flight(start, t, m)
+        pbar = start.mean_p
         phase = (
             beta_a - beta_b - dq * a_b / hbar - dq * da / (2.0 * hbar)
             + (dq * xbar + da * pbar) / hbar
@@ -237,12 +237,38 @@ def _branch_prediction(
         if not gaussian:
             return phase, None
         sigma_p = start.sigma_p
-        drift = sigma_p * t / m
-        var_x = start.sigma_x**2 + drift * drift
         spread = dq * dq * var_x + da * (da * sigma_p + 2.0 * dq * drift) * sigma_p
         visibility = math.exp(-spread / (2.0 * hbar * hbar))
     _require_finite_scalars("gaussian_visibility", result=True, visibility=visibility)
     return phase, visibility
+
+
+def _free_flight(start: Moments, t: float, m: float) -> tuple[float, float, float]:
+    """(xbar, sigma_p t/m, sigma_x^2) of psi0's moments, start, after free flight t.
+
+    xbar drifts by pbar t/m for any state, and sigma_x^2 gains (sigma_p t/m)^2
+    for the uncorrelated Gaussian that _looks_gaussian refits.
+    """
+    drift = start.sigma_p * t / m
+    return start.mean_x + start.mean_p * t / m, drift, start.sigma_x**2 + drift * drift
+
+
+def _colocated_prediction(
+    start: Moments, t: float, params: PhysicalParams, gaussian: bool
+) -> tuple[float, float | None]:
+    """Closed-form (phase, visibility) of a colocated fringe at readout t.
+
+    predicted_phase and gaussian_visibility at the reference branch's mean
+    and spread, which are psi0's moments, start, carried through free
+    flight (_free_flight), the mean then translated by -g t^2/2 onto the
+    fallen branch.  The potential is linear, so the reference's mean is
+    exact for any state; the visibility is None unless gaussian.
+    """
+    xbar, _, var_x = _free_flight(start, t, params.m)
+    phase = predicted_phase(xbar - 0.5 * params.g * t * t, t, params)
+    if not gaussian:
+        return phase, None
+    return phase, gaussian_visibility(math.sqrt(var_x), t, params)
 
 
 def gaussian_visibility(sigma_t: float, t: float, params: PhysicalParams) -> float:
@@ -267,25 +293,19 @@ def gaussian_visibility(sigma_t: float, t: float, params: PhysicalParams) -> flo
     return visibility
 
 
-def _branch_pairs(psi0, params, times, scheme, backend, n_steps):
-    """The (rows, labels, step) of a scan: its branch rows, as refusals name them.
+def _scan_step(psi0, params, times, scheme, backend, n_steps):
+    """The step of a scan, its backend's batched propagator, once the scan is valid.
 
-    The one place that picks a backend: step is its batched propagator,
-    evolve_exact or evolve_split_step.  Each branch becomes a row of
-    (g, duration) segments: a colocated readout at t gives ((g, t),) and
-    ((0.0, t),), a BranchSchedules its two schedules.  Plain tuples, because
-    AccelSchedule refuses the zero duration of t = 0.  The start state, the
-    backend, the times and the scheme are validated here, before any
-    moments or propagation, and so is every segment's fall shift
-    (_require_finite_shifts).
+    The one place that picks a backend: step is evolve_exact or
+    evolve_split_step.  The start state, the backend, the times and the
+    scheme are validated here, before any moments or propagation, and so is
+    every segment's fall shift (_require_finite_shifts).
     """
     _require_finite(psi0.amp[None], "start state psi0", batched=False)
     if backend not in _BACKENDS:
         raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
     _require_times("readout time", times)
-    if isinstance(scheme, Colocated):
-        rows = [row for t in times for row in (((params.g, t),), ((0.0, t),))]
-    elif isinstance(scheme, BranchSchedules):
+    if isinstance(scheme, BranchSchedules):
         total_a = scheme.accelerated.total_duration
         total_b = scheme.reference.total_duration
         if not math.isclose(total_a, total_b, rel_tol=1e-12, abs_tol=1e-12):
@@ -298,16 +318,12 @@ def _branch_pairs(psi0, params, times, scheme, backend, n_steps):
                 raise SchemeMismatch(
                     f"schedule total {total_a} does not match requested t={t}"
                 )
-        rows = [scheme.accelerated.segments, scheme.reference.segments] * len(times)
-    else:
+    elif not isinstance(scheme, Colocated):
         raise TypeError(f"scheme must be Colocated or BranchSchedules, got {scheme!r}")
-    labels = [_label(t, b) for t in times for b in ("accelerated", "reference")]
-    _require_finite_shifts(rows, labels, params)
+    _require_finite_shifts(times, scheme, params)
     if backend == "analytic":
-        step = evolve_exact
-    else:
-        step = partial(evolve_split_step, config=SolverConfig(n_steps))
-    return rows, labels, step
+        return evolve_exact
+    return partial(evolve_split_step, config=SolverConfig(n_steps))
 
 
 def _label(t: float, branch: str) -> str:
@@ -315,18 +331,29 @@ def _label(t: float, branch: str) -> str:
     return f"readout t={t}, {branch} branch"
 
 
-def _require_finite_shifts(rows, labels, params) -> None:
+def _require_finite_shifts(times, scheme, params) -> None:
     """NonFiniteState at the first segment whose fall shift or cubic angle is not finite.
 
     The fall shift is g d^2/2 and the cubic angle analytic._cubic_angle's
     -m g^2 d^3/(6 hbar), -inf once d**3 overflows.  One pass over the
-    segments before any propagation, so both backends refuse such a segment
-    alike, labelled as _segment_chain labels a refusal from inside the
-    chain; the split-step solver would otherwise build its phases from
-    angles far past any meaningful range.
+    segments of the scan's rows (_branches), in order, before any
+    propagation, so both backends refuse such a segment alike, labelled as
+    _segment_chain labels a refusal from inside the chain; the split-step
+    solver would otherwise build its phases from angles far past any
+    meaningful range.  A BranchSchedules scan's readouts share their rows,
+    so the first readout's are read.  A colocated reference row (0.0, t) is
+    skipped: its shift is 0, and its angle overflows only with t**3, as the
+    accelerated row's at the same t, read first, does.
     """
     m, hbar = params.m, params.hbar
-    for label, row in zip(labels, rows):
+    if isinstance(scheme, Colocated):
+        branches = ((t, "accelerated", ((params.g, t),)) for t in times)
+    else:
+        branches = (
+            (times[0], "accelerated", scheme.accelerated.segments),
+            (times[0], "reference", scheme.reference.segments),
+        )
+    for t, branch, row in branches:
         for i, (g, duration) in enumerate(row):
             shift = 0.5 * g * duration * duration
             for name, value in (
@@ -335,13 +362,13 @@ def _require_finite_shifts(rows, labels, params) -> None:
             ):
                 if not math.isfinite(value):
                     raise NonFiniteState(
-                        f"{_segment_label(label, i, (g, duration))}: "
+                        f"{_segment_label(_label(t, branch), i, (g, duration))}: "
                         f"result {name}={value} is not finite"
                     )
 
 
 def _chunks(times, width: int, nbytes: int):
-    """Each chunk's (times, slice of branch rows): whole readouts within _CHUNK_BYTES.
+    """Each chunk's times: whole readouts whose rows stay within _CHUNK_BYTES.
 
     A readout holds width rows of nbytes each: its (accelerated,
     reference) pair, or the accelerated row alone for a colocated analytic
@@ -349,18 +376,30 @@ def _chunks(times, width: int, nbytes: int):
     """
     per_chunk = max(1, _CHUNK_BYTES // (width * nbytes))
     for first in range(0, len(times), per_chunk):
-        ts = times[first : first + per_chunk]
-        yield ts, slice(width * first, width * (first + len(ts)))
+        yield times[first : first + per_chunk]
 
 
-def _branches(times, states, params, recenter):
-    """A chunk's (accelerated, reference) states from its branch pairs.
+def _branches(times, psi0, params, scheme, step):
+    """The (accelerated, reference) states of readouts at times, by _segment_chain.
 
-    With recenter, for the colocated scheme, every free branch is
-    translated onto its fallen one, amp(x + g t^2/2).
+    Each readout gives an accelerated and a reference row of (g, duration)
+    segments: ((g, t),) and ((0.0, t),) at a colocated readout t, whose
+    free branch is then translated onto its fallen one, amp(x + g t^2/2);
+    a BranchSchedules its two schedules.  Plain tuples, because
+    AccelSchedule refuses the zero duration of t = 0.
     """
+    colocated = isinstance(scheme, Colocated)
+    if colocated:
+        rows = [row for t in times for row in (((params.g, t),), ((0.0, t),))]
+    else:
+        rows = [scheme.accelerated.segments, scheme.reference.segments] * len(times)
+
+    def label(r):
+        return _label(times[r // 2], ("accelerated", "reference")[r % 2])
+
+    states = _segment_chain(psi0, params, rows, label, step)
     accelerated, reference = states[0::2], states[1::2]
-    if recenter:
+    if colocated:
         reference = shift_packet(reference, [0.5 * params.g * t * t for t in times])
     return accelerated, reference
 
@@ -378,24 +417,9 @@ def branch_states(
     Either backend propagates both branches; a colocated reference is then
     recentered onto the fallen branch with shift_packet.
     """
-    rows, labels, step = _branch_pairs(psi0, params, [t], scheme, backend, n_steps)
-    states = _segment_chain(psi0, params, rows, labels, step)
-    (accelerated,), (reference,) = _branches(
-        [t], states, params, isinstance(scheme, Colocated)
-    )
+    step = _scan_step(psi0, params, [t], scheme, backend, n_steps)
+    (accelerated,), (reference,) = _branches([t], psi0, params, scheme, step)
     return accelerated, reference
-
-
-def _state_readings(accelerated, reference) -> list[tuple]:
-    """Each readout's (fringe, mean_x, sigma_x) from a chunk of branch states.
-
-    The fringe is overlap(reference, accelerated), and mean_x and sigma_x
-    are the reference's position moments (core._position_moments), taken
-    with no momentum transform.
-    """
-    prob = np.abs(_stack(reference)) ** 2
-    _, mean_x, sigma_x = _position_moments(prob, reference[0].grid, batched=True)
-    return list(zip(overlap(reference, accelerated), mean_x, sigma_x))
 
 
 def _reference_margin(times, prob, grid, params) -> None:
@@ -423,16 +447,16 @@ def _reference_margin(times, prob, grid, params) -> None:
     _check_margin(edges, "evolve_exact", False)
 
 
-def _density_readings(times, psi0, params, first: bool) -> list[tuple]:
-    """Each readout's (fringe, mean_x, sigma_x) from one density, |phi|^2.
+def _density_readings(times, psi0, params, first: bool) -> list[complex]:
+    """Each readout's fringe from one density, |phi|^2.
 
     One _fall of psi0 per readout at times gives phi, evolve_exact up to
     its kick, with its kick slopes and cubic angles; a refusal names its
     readout's accelerated branch, as _segment_chain does.  The first chunk
     of a scan checks psi0's margin, and every chunk the reference's
     (_reference_margin), a refusal naming the readout's reference branch.
-    The density gives the reference's moments and, written over phi's
-    stack and kicked in place, the fringe z = e^{i theta} dx sum |phi|^2 K.
+    The density, written over phi's stack and kicked in place, gives the
+    fringe z = e^{i theta} dx sum |phi|^2 K.
     """
     grid, k = psi0.grid, len(times)
     try:
@@ -449,13 +473,11 @@ def _density_readings(times, psi0, params, first: bool) -> list[tuple]:
     except GridOverflow as exc:
         t = times[exc.row]
         raise _relabelled(exc, _label(t, "reference"), 0, (0.0, t)) from exc
-    _, mean_x, sigma_x = _position_moments(prob, grid, batched=True)
     density[...] = prob
     del prob
     _kick(density, grid, hbar, slopes)
     sums = np.sum(density, axis=-1) * grid.dx
-    fringes = [cmath.exp(1j * theta) * complex(s) for theta, s in zip(thetas, sums)]
-    return list(zip(fringes, mean_x, sigma_x))
+    return [cmath.exp(1j * theta) * complex(s) for theta, s in zip(thetas, sums)]
 
 
 def _looks_gaussian(psi0: WavePacket, start: Moments, params: PhysicalParams) -> bool:
@@ -467,29 +489,6 @@ def _looks_gaussian(psi0: WavePacket, start: Moments, params: PhysicalParams) ->
     except WavefallError:
         return False
     return abs(abs(overlap(fit, psi0)) - 1.0) < 1e-9
-
-
-def _readout(times, readings, params, gaussian, predicted) -> list[dict]:
-    """The fringe record fields of a chunk's (fringe, mean_x, sigma_x) readings.
-
-    Every field but phase_unwrapped, which needs the whole scan.  predicted
-    is a BranchSchedules scan's (phase, visibility) from
-    _branch_prediction, the same at its one readout time.  For a colocated
-    scan it is None, and the predicted columns are predicted_phase and
-    gaussian_visibility at the reference's mean_x and sigma_x, the
-    visibility None unless the start is gaussian.
-    """
-    fields = []
-    for t, (z, xbar, sigma) in zip(times, readings):
-        phase, visibility = predicted or (
-            predicted_phase(xbar, t, params),
-            gaussian_visibility(sigma, t, params) if gaussian else None,
-        )
-        fields.append(dict(
-            t=t, overlap=z, visibility=abs(z), phase=math.atan2(z.imag, z.real),
-            predicted_phase=phase, predicted_visibility=visibility,
-        ))
-    return fields
 
 
 def run_protocol(
@@ -564,10 +563,12 @@ def fringe_scan(
     batched call per schedule segment, and each chunk is read out in one
     batched reduction; a scan holds one chunk of rows at a time.  A
     colocated analytic scan propagates the fallen branch alone and reads
-    each fringe, the reference's moments and the reference's margin from
-    one density per readout, that of the fallen branch before its kick
-    (module docstring); every other scan reads them from the branch states
-    that branch_states gives.  Raises
+    each fringe and the reference's margin from one density per readout,
+    that of the fallen branch before its kick (module docstring); every
+    other scan reads its fringes from the branch states that branch_states
+    gives.  The predicted columns come from psi0's moments, taken once:
+    a BranchSchedules scan's before any propagation, a colocated scan's
+    after each chunk's fringes.  Raises
     TypeError for any other scheme; NonFiniteState when psi0 holds a
     non-finite amplitude, or, before any propagation, naming the readout
     time, branch and segment whose fall shift g t^2/2 or cubic angle
@@ -581,23 +582,31 @@ def fringe_scan(
         return []
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"t_values must be strictly increasing, got {times}")
-    rows, labels, step = _branch_pairs(psi0, params, times, scheme, backend, n_steps)
+    step = _scan_step(psi0, params, times, scheme, backend, n_steps)
     start = moments(psi0, params)
     gaussian = _looks_gaussian(psi0, start, params)
     colocated = isinstance(scheme, Colocated)
-    branch = None if colocated else _branch_prediction(scheme, start, params, gaussian)
+    if colocated:
+        predict = partial(
+            _colocated_prediction, start, params=params, gaussian=gaussian
+        )
+    else:
+        branch = _branch_prediction(scheme, start, params, gaussian)
+        predict = lambda t: branch  # the schedules' one readout time
     density = colocated and backend == "analytic"
-    fields = []
-    for ts, chunk in _chunks(times, 1 if density else 2, psi0.amp.nbytes):
+    fringes, predictions = [], []
+    for ts in _chunks(times, 1 if density else 2, psi0.amp.nbytes):
         if density:
-            readings = _density_readings(ts, psi0, params, not fields)
+            fringes += _density_readings(ts, psi0, params, not fringes)
         else:
-            states = _segment_chain(psi0, params, rows[chunk], labels[chunk], step)
-            readings = _state_readings(*_branches(ts, states, params, colocated))
-            del states  # freed before the next chunk is propagated: peak memory
-        fields += _readout(ts, readings, params, gaussian, branch)
-    unwrapped = unwrap_phases([f["phase"] for f in fields], times)
+            accelerated, reference = _branches(ts, psi0, params, scheme, step)
+            fringes += overlap(reference, accelerated)
+            del accelerated, reference  # freed before the next chunk runs: peak memory
+        predictions += map(predict, ts)
+    phases = [math.atan2(z.imag, z.real) for z in fringes]
     return [
-        InterferenceRecord(**f, phase_unwrapped=float(u))
-        for f, u in zip(fields, unwrapped)
+        InterferenceRecord(t, z, abs(z), phase, float(u), *predicted)
+        for t, z, phase, u, predicted in zip(
+            times, fringes, phases, unwrap_phases(phases, times), predictions
+        )
     ]

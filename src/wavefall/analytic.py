@@ -22,13 +22,17 @@ evolve_piecewise and the protocol's state scans share one segment loop,
 _segment_chain, which takes the propagator of a segment as a callable.
 The protocol's colocated analytic scans call _fall directly, once per
 chunk of fallen rows, and read each fringe and the un-fallen reference's
-margin from the density of the fallen row (see interferometry).  Both
-name a refusal's segment with _relabelled.  Three rules
-keep every row bit-identical to a single-row call, and a fourth halves the
-cost of the k-space phases and of the kick without changing a bit:
+margin from the density of the fallen row (see interferometry).  Such a
+scan passes _fall a workspace: psi0's spectrum, transformed once per
+scan, and one chunk's k-space stack and x-space copy, allocated once and
+written into (_shift).  Both name a refusal's segment with _relabelled.
+Three rules keep every row bit-identical to a single-row call, and a
+fourth halves the cost of the k-space phases and of the kick without
+changing a bit:
 
 - each row's phase is built from that row's scalar with the single-row
-  expression; rows whose scalars have equal bits share one evaluation;
+  expression; rows whose scalars have equal bits share one evaluation,
+  and one phase is built and applied at a time (_apply_phases);
 - rows that share a start state (the same object) share its finite
   check and forward transform; every row is then phased on its own, its
   margin checked on a copy transformed back to x.  The fall stays in
@@ -136,16 +140,20 @@ def _apply_phases(amp: np.ndarray, values, phase) -> None:
     """Multiply each row of amp in place by phase(v), one scalar v per row.
 
     phase is the single-row expression, evaluated on the row's own scalar,
-    so each row gets the phase a single-row call builds.  Rows whose
-    scalars have equal bits, such as the two branches of one readout time
-    or the rows with g = 0, share one evaluation.
+    so each row gets the phase a single-row call builds.  Rows are grouped
+    by the bits of their scalar, such as the two branches of one readout
+    time or the rows with g = 0, and each group shares one evaluation,
+    built and applied to its rows before the next group's is built, so
+    one phase is alive at a time.
     """
-    built = {}
-    for row, v in zip(amp, values):
-        key = _bits(v)
-        if key not in built:
-            built[key] = phase(v)
-        row *= built[key]
+    groups: dict[bytes, list[int]] = {}
+    for r, v in enumerate(values):
+        groups.setdefault(_bits(v), []).append(r)
+    for rows in groups.values():
+        built = phase(values[rows[0]])
+        for r in rows:
+            row = amp[r]
+            row *= built
 
 
 def _mirrored(nodes: np.ndarray, exponent, odd: bool) -> np.ndarray:
@@ -220,7 +228,11 @@ def _distinct(keys) -> tuple[list[int], list[int]]:
 
 
 def _shift(
-    psis: list[WavePacket], shifts: list[float], context: str, batched: bool
+    psis: list[WavePacket],
+    shifts: list[float],
+    context: str,
+    batched: bool,
+    space=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """amp(x + a) per row, each distinct start state transformed once.
 
@@ -230,15 +242,26 @@ def _shift(
     k-space stack and its position copy, one row per input.  Both checks
     name the caller (context) and its first offending row; the caller has
     checked every shift angle.
+
+    space, when given, is (spectra, work, copy): the distinct start states
+    in order of first appearance, already checked finite and transformed,
+    and two (rows, n) complex arrays that the k-space stack and the copy
+    are written into.  Without it, as for evolve_exact and shift_packet,
+    the start states are checked and transformed here and both arrays are
+    allocated; the gather and the copy run the same lines either way.
     """
     grid = psis[0].grid
     start, start_rows = _distinct(map(id, psis))
-    amp = _stack([psis[r] for r in start_rows])
-    _require_finite(amp, f"{context} start state", batched, start_rows)
-    np.fft.fft(amp, out=amp)
-    amp = amp[start]
+    if space is None:
+        spectra = _stack([psis[r] for r in start_rows])
+        _require_finite(spectra, f"{context} start state", batched, start_rows)
+        np.fft.fft(spectra, out=spectra)
+        space = spectra, None, None
+    spectra, work, copy = space
+    # mode="raise" with out= would buffer a full copy of the gathered stack
+    amp = np.take(spectra, start, axis=0, out=work, mode="clip")
     _apply_phases(amp, shifts, lambda a: _shift_phase(grid, a))
-    moved = np.fft.ifft(amp)
+    moved = np.fft.ifft(amp, out=copy)
     _check_margin(moved, context, batched)
     return amp, moved
 
@@ -365,19 +388,20 @@ def evolve_exact(
     return _packets(grid, amp, batched)
 
 
-def _fall(psis, pars, times, batched: bool):
+def _fall(psis, pars, times, batched: bool, space=None):
     """evolve_exact up to its kick: every check, the shift stage, free flight.
 
     Free flight starts from the shift stage's k-space stack, one row per
-    input, so each row makes one transform pair.  Returns the fresh,
+    input, so each row makes one transform pair.  Returns the
     margin-checked position stack, hbar, and each row's kick slope and
-    cubic angle.
+    cubic angle.  The stack is fresh, or, when space is given (see _shift),
+    its work array, which a caller reuses from call to call.
     """
     _require_times("evolve_exact", times, batched)
     grid = psis[0].grid
     hbar, m = _shared_hbar_m("evolve_exact", pars)
     shifts, slopes, thetas = _factor_scalars(grid, pars, times, batched)
-    amp, moved = _shift(psis, shifts, "evolve_exact", batched)
+    amp, moved = _shift(psis, shifts, "evolve_exact", batched, space)
     del moved  # read by the margin check only; freed to bound peak memory
     _free(amp, grid, hbar, m, times)
     _check_margin(amp, "evolve_exact", batched)

@@ -506,7 +506,9 @@ def moments(
     (rows, n) stack, each bit-identical to a single call, and a list is
     returned when either argument is a sequence.  Raises NonFiniteState,
     itself a ValueError, when a row's norm is NaN or infinite, and ValueError
-    when it is zero, naming the first such row.
+    when it is zero or subnormal (below np.finfo(float).tiny), naming the
+    first such row: a subnormal norm has lost its precision to underflow,
+    and so would every density taken from the state.
     """
     batched, (psis, pars) = _as_rows("moments", psi, params)
     if not psis:
@@ -517,15 +519,17 @@ def moments(
     amp = _stack(psis)
     prob = np.abs(amp) ** 2
     norm = np.sum(prob, axis=-1) * g.dx
+    tiny = np.finfo(float).tiny
     # Fail closed: a NaN norm is not inside the interval either.
-    bad = np.flatnonzero(~((0 < norm) & (norm < math.inf)))
+    bad = np.flatnonzero(~((tiny <= norm) & (norm < math.inf)))
     if bad.size:
         row = int(bad[0])
+        what = "subnormal" if 0 < norm[row] < tiny else "not positive and finite"
         message = (
-            f"moments: norm {norm[row]}{_in_row(row, batched)} is not positive "
-            f"and finite; cannot take moments"
+            f"moments: norm {norm[row]}{_in_row(row, batched)} is {what}; "
+            f"cannot take moments"
         )
-        if norm[row] == 0:
+        if norm[row] < tiny:
             raise ValueError(message)
         raise NonFiniteState(message, row=row)
     mean_x = np.sum(g.x * prob, axis=-1) * g.dx / norm

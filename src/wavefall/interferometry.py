@@ -53,12 +53,15 @@ A colocated analytic scan reads each fringe from that one density: each
 chunk is one call of analytic._fall, evolve_exact up to its kick, on the
 accelerated rows alone, one per readout, and _density_readings kicks the
 density in place of a state, with no recentering and no second branch
-state.  A refusal is labelled with its readout, branch and segment as
-_segment_chain labels it (analytic._relabelled).  No reference row is
-flown: U_0(t) psi0 is phi displaced by a, so its margin is read from
-|phi|^2 (_reference_margin).  The split-step backend propagates both
-branches and recenters the reference with shift_packet, so the two
-backends stay independent routes to the fringe.
+state.  The scan allocates one chunk's arrays once, a k-space stack and
+the shift stage's x-space copy, and transforms psi0 once; every chunk's
+_fall writes into their leading rows.  A refusal is labelled with its
+readout, branch and segment as _segment_chain labels it
+(analytic._relabelled).  No reference row is flown: U_0(t) psi0 is phi
+displaced by a, so its margin is read from |phi|^2 (_reference_margin).
+The split-step backend propagates both branches and recenters the
+reference with shift_packet, so the two backends stay independent routes
+to the fringe.
 """
 
 from __future__ import annotations
@@ -126,7 +129,8 @@ _BACKENDS = ("analytic", "split-step")
 
 # Cap on the amplitudes of one propagation chunk: 16 rows at n = 1024, 64 at
 # n = 256, as many readouts of a colocated analytic scan and half as many of
-# any other.  It bounds peak memory, which a scan holds one chunk of.
+# any other.  It bounds peak memory, which a scan holds one chunk of; a
+# colocated analytic scan allocates that chunk's arrays once, for all chunks.
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -431,6 +435,14 @@ def _reference_margin(times, prob, grid, params) -> None:
     fall.  A maximum not below the margin squared, NaN included, raises
     core._check_margin's GridOverflow, its .row the readout's index in
     times, for the caller to label.
+
+    Blind spot: the read takes the neighbours' densities, not the
+    translate's value between them, which for an under-resolved state can
+    exceed both, its sinc tails reaching the guarded nodes.  So it can
+    accept a reference that evolve_exact refuses: on [-20, 20] at n = 64,
+    a Gaussian of spread 0.93 (below the 2 dx that make_gaussian allows)
+    at x0 = 3.63 with k0 = -0.73, read at g = -1.80 and t = 0.0696, whose
+    reference evolve_exact and the split-step backend refuse at 1.344e-10.
     """
     n = grid.n
     index = _guard_index(n)
@@ -447,24 +459,32 @@ def _reference_margin(times, prob, grid, params) -> None:
     _check_margin(edges, "evolve_exact", False)
 
 
-def _density_readings(times, psi0, params, first: bool) -> list[complex]:
+def _density_readings(times, psi0, params, space, first: bool) -> list[complex]:
     """Each readout's fringe from one density, |phi|^2.
 
     One _fall of psi0 per readout at times gives phi, evolve_exact up to
     its kick, with its kick slopes and cubic angles; a refusal names its
-    readout's accelerated branch, as _segment_chain does.  The first chunk
-    of a scan checks psi0's margin, and every chunk the reference's
-    (_reference_margin), a refusal naming the readout's reference branch.
-    The density, written over phi's stack and kicked in place, gives the
-    fringe z = e^{i theta} dx sum |phi|^2 K.
+    readout's accelerated branch, as _segment_chain does.  space is the
+    scan's workspace, (psi0's spectrum, work, copy), the two arrays of
+    one full chunk: _fall writes phi's stack and its shift-stage copy into
+    their leading rows.  The first chunk of a scan checks psi0's margin,
+    and every chunk the reference's (_reference_margin), a refusal naming
+    the readout's reference branch.  The density is written into the
+    copy's buffer, whose margin is checked by then, and then over phi's
+    stack, where it is kicked in place to give the fringe
+    z = e^{i theta} dx sum |phi|^2 K.
     """
     grid, k = psi0.grid, len(times)
+    spectrum, work, copy = space
     try:
-        density, hbar, slopes, thetas = _fall([psi0] * k, [params] * k, times, True)
+        density, hbar, slopes, thetas = _fall(
+            [psi0] * k, [params] * k, times, True, (spectrum, work[:k], copy[:k])
+        )
     except (GridOverflow, NonFiniteState) as exc:
         t = times[exc.row]
         raise _relabelled(exc, _label(t, "accelerated"), 0, (params.g, t)) from exc
-    prob = np.abs(density)
+    prob = copy.reshape(-1).view(np.float64)[: density.size].reshape(density.shape)
+    np.abs(density, out=prob)
     prob *= prob
     try:
         if first:
@@ -564,15 +584,19 @@ def fringe_scan(
     batched reduction; a scan holds one chunk of rows at a time.  A
     colocated analytic scan propagates the fallen branch alone and reads
     each fringe and the reference's margin from one density per readout,
-    that of the fallen branch before its kick (module docstring); every
-    other scan reads its fringes from the branch states that branch_states
+    that of the fallen branch before its kick (module docstring); it
+    allocates one chunk's arrays and transforms psi0 once for all its
+    chunks, and drops them before the records are built.  Every other
+    scan reads its fringes from the branch states that branch_states
     gives.  The predicted columns come from psi0's moments, taken once:
     a BranchSchedules scan's before any propagation, a colocated scan's
     after each chunk's fringes.  Raises
     TypeError for any other scheme; NonFiniteState when psi0 holds a
     non-finite amplitude, or, before any propagation, naming the readout
     time, branch and segment whose fall shift g t^2/2 or cubic angle
-    -m g^2 t^3/(6 hbar) is not finite;
+    -m g^2 t^3/(6 hbar) is not finite; ValueError, from moments and before
+    any propagation, when psi0's norm is zero or subnormal, so that its
+    fringes would have underflowed;
     GridOverflow naming the readout time, branch and segment that left the
     grid; and PhaseAliasing when consecutive phase samples are too far apart
     to continue unambiguously.
@@ -594,15 +618,21 @@ def fringe_scan(
         branch = _branch_prediction(scheme, start, params, gaussian)
         predict = lambda t: branch  # the schedules' one readout time
     density = colocated and backend == "analytic"
+    chunks = list(_chunks(times, 1 if density else 2, psi0.amp.nbytes))
+    if density:
+        # one chunk's arrays for the whole scan, and psi0 transformed once
+        rows = len(chunks[0])
+        space = (np.fft.fft(psi0.amp[None]), *np.empty((2, rows, psi0.grid.n), complex))
     fringes, predictions = [], []
-    for ts in _chunks(times, 1 if density else 2, psi0.amp.nbytes):
+    for ts in chunks:
         if density:
-            fringes += _density_readings(ts, psi0, params, not fringes)
+            fringes += _density_readings(ts, psi0, params, space, not fringes)
         else:
             accelerated, reference = _branches(ts, psi0, params, scheme, step)
             fringes += overlap(reference, accelerated)
             del accelerated, reference  # freed before the next chunk runs: peak memory
         predictions += map(predict, ts)
+    space = None  # dropped before the records are built: peak memory
     phases = [math.atan2(z.imag, z.real) for z in fringes]
     return [
         InterferenceRecord(t, z, abs(z), phase, float(u), *predicted)

@@ -548,3 +548,19 @@ def test_moments_of_a_non_finite_state_raise_a_wavefall_error(psi0, params):
     with pytest.raises(ValueError, match="norm 0.0") as info:
         moments(WavePacket(psi0.grid, np.zeros(psi0.grid.n)), params)
     assert not isinstance(info.value, NonFiniteState)
+
+
+def test_moments_refuse_a_subnormal_norm_as_a_zero_one(psi0, params):
+    # a norm below the smallest normal float has lost its precision to
+    # underflow; it is refused like a zero norm, a plain ValueError
+    tiny = WavePacket(psi0.grid, psi0.amp * 1e-160)
+    with pytest.raises(ValueError) as info:
+        moments([psi0, tiny], params)
+    assert str(info.value) == (
+        "moments: norm 9.995e-321 in row 1 is subnormal; cannot take moments"
+    )
+    assert not isinstance(info.value, NonFiniteState)
+    # a normal norm of 1e-300 is taken; the means are scale-free
+    small = moments(WavePacket(psi0.grid, psi0.amp * 1e-150), params)
+    assert small.norm == pytest.approx(1e-300, rel=1e-9)
+    assert small.mean_x == pytest.approx(moments(psi0, params).mean_x, abs=1e-12)

@@ -19,13 +19,25 @@ their margin checks, and the kick and global phase follow.  The kernels
 check no angle: evolve_exact and shift_packet check each row's phase angles
 once, before they build any phase.
 evolve_piecewise and the protocol's state scans share one segment loop,
-_segment_chain, which takes the propagator of a segment as a callable.
-The protocol's colocated analytic scans call _fall directly, once per
-chunk of fallen rows, and read each fringe and the un-fallen reference's
-margin from the density of the fallen row (see interferometry).  Such a
-scan passes _fall a workspace: psi0's spectrum, transformed once per
-scan, and one chunk's k-space stack and x-space copy, allocated once and
-written into (_shift).  Both name a refusal's segment with _relabelled.
+_segment_chain, which takes the propagator of a segment as a callable,
+and one check of their segments' scalars, _require_finite_segments.
+
+The protocol's colocated fringe has its own kernel, _colocated_fringes.
+The factors above give U_g(t) = e^{i theta} K U_0(t) T_a, with T_a the
+translation by a = g t^2/2, K = e^{-i m g t x/hbar} the kick and theta
+the cubic angle.  T_a and U_0(t) are both diagonal in k, so they commute
+exactly on the lattice, and the colocated reference T_a U_0(t) psi0 is
+phi = U_0(t) T_a psi0, the accelerated branch just before its kick:
+
+    z = e^{i theta} <phi|K|phi> = e^{i theta} dx sum_x |phi(x)|^2 K(x).
+
+So the kernel calls _fall once per chunk of fallen rows and kicks their
+densities; no reference row is flown, its margin being read from the
+same density (_reference_margin).  It passes _fall a workspace (_shift):
+psi0's spectrum, transformed once per scan, and one chunk's k-space
+stack and x-space copy, allocated once.  The kernel and _segment_chain
+name a refusal's segment with _relabelled.
+
 Three rules keep every row bit-identical to a single-row call, and a
 fourth halves the cost of the k-space phases and of the kick without
 changing a bit:
@@ -70,6 +82,7 @@ cross-check with the split-step solver, which guards every step.
 
 from __future__ import annotations
 
+import cmath
 import math
 import struct
 from collections.abc import Sequence
@@ -79,12 +92,14 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
+    _MARGIN_AMPLITUDE,
     Grid,
     PhysicalParams,
     WavePacket,
     _as_rows,
     _check_margin,
     _extremes,
+    _guard_index,
     _in_row,
     _packets,
     _require_finite,
@@ -246,9 +261,10 @@ def _shift(
     space, when given, is (spectra, work, copy): the distinct start states
     in order of first appearance, already checked finite and transformed,
     and two (rows, n) complex arrays that the k-space stack and the copy
-    are written into.  Without it, as for evolve_exact and shift_packet,
-    the start states are checked and transformed here and both arrays are
-    allocated; the gather and the copy run the same lines either way.
+    are written into (_colocated_fringes).  Without it, as for evolve_exact
+    and shift_packet, the start states are checked and transformed here and
+    both arrays are allocated; the gather and the copy run the same lines
+    either way.
     """
     grid = psis[0].grid
     start, start_rows = _distinct(map(id, psis))
@@ -395,7 +411,7 @@ def _fall(psis, pars, times, batched: bool, space=None):
     input, so each row makes one transform pair.  Returns the
     margin-checked position stack, hbar, and each row's kick slope and
     cubic angle.  The stack is fresh, or, when space is given (see _shift),
-    its work array, which a caller reuses from call to call.
+    its work array, which _colocated_fringes reuses from chunk to chunk.
     """
     _require_times("evolve_exact", times, batched)
     grid = psis[0].grid
@@ -487,6 +503,33 @@ def _segment_chain(psi, params, rows, label, step):
     return states
 
 
+def _require_finite_segments(params, rows, label) -> None:
+    """NonFiniteState at the first segment whose fall shift or cubic angle is not finite.
+
+    rows are _segment_chain's rows of (g, duration) segments, read in
+    order, and label(r) names row r; both may be lazy.  The fall shift is
+    g d^2/2 and the cubic angle _cubic_angle's -m g^2 d^3/(6 hbar), -inf
+    once d**3 overflows.  A refusal is labelled as _segment_chain labels
+    one from inside the chain.  The protocol checks a scan's rows here
+    before any propagation, so both its backends refuse such a segment
+    alike; the split-step solver would otherwise build its phases from
+    angles far past any meaningful range.
+    """
+    m, hbar = params.m, params.hbar
+    for r, row in enumerate(rows):
+        for i, (g, duration) in enumerate(row):
+            shift = 0.5 * g * duration * duration
+            for name, value in (
+                ("shift", shift),
+                ("cubic_angle", _cubic_angle(m, g, hbar, duration)),
+            ):
+                if not math.isfinite(value):
+                    raise NonFiniteState(
+                        f"{_segment_label(label(r), i, (g, duration))}: "
+                        f"result {name}={value} is not finite"
+                    )
+
+
 def evolve_piecewise(
     psi: WavePacket, params: PhysicalParams, schedule: AccelSchedule
 ) -> WavePacket:
@@ -502,3 +545,79 @@ def evolve_piecewise(
     rows = [schedule.segments]
     (out,) = _segment_chain(psi, params, rows, lambda r: "schedule", evolve_exact)
     return out
+
+
+def _reference_margin(times, prob, grid, params) -> None:
+    """Refuse the first readout whose reference, U_0(t) psi0, reaches the margin.
+
+    That packet is phi(x - a), with a = g t^2/2 (module docstring), so its
+    density on a guarded node j is prob = |phi|^2 at node j - a/dx (mod n):
+    both neighbours for a fractional fall, the one node for a whole-node
+    fall.  A maximum not below the margin squared, NaN included, raises
+    core._check_margin's GridOverflow, its .row the readout's index in
+    times, for the caller to label.
+
+    Blind spot: the read takes the neighbours' densities, not the
+    translate's value between them, which for an under-resolved state can
+    exceed both, its sinc tails reaching the guarded nodes.  So it can
+    accept a reference that evolve_exact refuses: on [-20, 20] at n = 64,
+    a Gaussian of spread 0.93 (below the 2 dx that make_gaussian allows)
+    at x0 = 3.63 with k0 = -0.73, read at g = -1.80 and t = 0.0696, whose
+    reference evolve_exact and the split-step backend refuse at 1.344e-10.
+    """
+    n = grid.n
+    index = _guard_index(n)
+    falls = np.array([0.5 * params.g * t * t for t in times]) / grid.dx
+    # node j - a/dx lies between nodes j + floor(-a/dx) and j + ceil(-a/dx)
+    shifts = np.stack((np.floor(-falls), np.ceil(-falls))) % n
+    nodes = (index + shifts.astype(np.intp)[..., None]) % n
+    band = prob.take(nodes + n * np.arange(len(times))[:, None])
+    if band.max() < _MARGIN_AMPLITUDE * _MARGIN_AMPLITUDE:
+        return
+    # the larger neighbour on the reference's own guarded nodes, for the refusal
+    edges = np.zeros_like(prob)
+    edges[:, index] = np.sqrt(band.max(axis=0))
+    _check_margin(edges, "evolve_exact", False)
+
+
+def _colocated_fringes(psi0, params, chunks, label):
+    """Yield each chunk's colocated fringes, read from one density per readout.
+
+    chunks holds each chunk's readout times, the first the longest.  Each
+    chunk is one _fall of psi0's accelerated rows, giving phi in the
+    leading rows of the workspace, made once; a refusal names label(t,
+    "accelerated") and its segment, as _segment_chain does.  The first
+    chunk then checks psi0's margin, and every chunk the reference's
+    (_reference_margin), a refusal naming label(t, "reference").  The
+    density is written into the copy's buffer, margin-checked by then, and
+    then over phi's stack, where it is kicked in place to give
+    z = e^{i theta} dx sum |phi|^2 K.  A generator, so its caller reads
+    chunk c's fringes before chunk c + 1 falls; the workspace is freed
+    once it is exhausted.
+    """
+    grid = psi0.grid
+    spectrum = np.fft.fft(psi0.amp[None])
+    work, copy = np.empty((2, len(chunks[0]), grid.n), complex)
+    for c, times in enumerate(chunks):
+        k = len(times)
+        try:
+            density, hbar, slopes, thetas = _fall(
+                [psi0] * k, [params] * k, times, True, (spectrum, work[:k], copy[:k])
+            )
+        except (GridOverflow, NonFiniteState) as exc:
+            t = times[exc.row]
+            raise _relabelled(exc, label(t, "accelerated"), 0, (params.g, t)) from exc
+        prob = copy.reshape(-1).view(np.float64)[: density.size].reshape(density.shape)
+        np.abs(density, out=prob)
+        prob *= prob
+        try:
+            if c == 0:
+                _check_margin(psi0.amp[None], "evolve_exact", False)
+            _reference_margin(times, prob, grid, params)
+        except GridOverflow as exc:
+            t = times[exc.row]
+            raise _relabelled(exc, label(t, "reference"), 0, (0.0, t)) from exc
+        density[...] = prob
+        _kick(density, grid, hbar, slopes)
+        sums = np.sum(density, axis=-1) * grid.dx
+        yield [cmath.exp(1j * theta) * complex(s) for theta, s in zip(thetas, sums)]

@@ -40,25 +40,10 @@ every refusal names its readout, branch and segment.  They propagate both
 branches, recenter a colocated reference with shift_packet, and read each
 chunk out with one batched overlap.
 
-The analytic backend writes the accelerated evolution as
-U_g(t) = e^{i theta} K U_0(t) T_a, with T_a the translation by a = g t^2/2,
-K = e^{-i m g t x/hbar} the kick and theta = -m g^2 t^3/(6 hbar).  T_a and
-U_0(t) are both diagonal in k, so they commute exactly on the lattice, and
-the colocated reference T_a U_0(t) psi0 is phi = U_0(t) T_a psi0, the
-accelerated branch just before its kick.  The fringe is therefore
-
-    z = e^{i theta} <phi|K|phi> = e^{i theta} dx sum_x |phi(x)|^2 K(x).
-
-A colocated analytic scan reads each fringe from that one density: each
-chunk is one call of analytic._fall, evolve_exact up to its kick, on the
-accelerated rows alone, one per readout, and _density_readings kicks the
-density in place of a state, with no recentering and no second branch
-state.  The scan allocates one chunk's arrays once, a k-space stack and
-the shift stage's x-space copy, and transforms psi0 once; every chunk's
-_fall writes into their leading rows.  A refusal is labelled with its
-readout, branch and segment as _segment_chain labels it
-(analytic._relabelled).  No reference row is flown: U_0(t) psi0 is phi
-displaced by a, so its margin is read from |phi|^2 (_reference_margin).
+A colocated analytic scan instead reads its fringes from the analytic
+route's own kernel, analytic._colocated_fringes: one fall of the
+accelerated rows per chunk, up to their kick, and each fringe read from
+that fallen row's density, with no recentering and no reference row.
 The split-step backend propagates both branches and recenters the
 reference with shift_packet, so the two backends stay independent routes
 to the fringe.
@@ -66,7 +51,6 @@ to the fringe.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -75,22 +59,16 @@ import numpy as np
 
 from .analytic import (
     AccelSchedule,
-    _cubic_angle,
-    _fall,
-    _kick,
-    _relabelled,
+    _colocated_fringes,
+    _require_finite_segments,
     _segment_chain,
-    _segment_label,
     evolve_exact,
     shift_packet,
 )
 from .core import (
-    _MARGIN_AMPLITUDE,
     Moments,
     PhysicalParams,
     WavePacket,
-    _check_margin,
-    _guard_index,
     _RefuseOverflow,
     _require_finite,
     _require_finite_scalars,
@@ -101,7 +79,6 @@ from .core import (
 )
 from .errors import (
     BadSigma,
-    GridOverflow,
     NonFiniteState,
     PhaseAliasing,
     SchemeMismatch,
@@ -130,7 +107,8 @@ _BACKENDS = ("analytic", "split-step")
 # Cap on the amplitudes of one propagation chunk: 16 rows at n = 1024, 64 at
 # n = 256, as many readouts of a colocated analytic scan and half as many of
 # any other.  It bounds peak memory, which a scan holds one chunk of; a
-# colocated analytic scan allocates that chunk's arrays once, for all chunks.
+# colocated analytic scan's kernel, analytic._colocated_fringes, allocates
+# that chunk's arrays once, for all chunks.
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -158,7 +136,10 @@ class InterferenceRecord:
     reference branch's mean and spread carried from psi0's through free
     flight; for BranchSchedules, the per-branch closed form of the two
     schedules.  predicted_visibility is None when the input packet is not
-    Gaussian.
+    Gaussian.  The measured columns scale with psi0's norm, while the
+    predicted ones describe the normalized state: a start off unit norm
+    reads a visibility scaled by its norm, and, once |<fit|psi0>| is off 1
+    by more than 1e-9, predicted_visibility None.
     """
 
     t: float
@@ -302,8 +283,12 @@ def _scan_step(psi0, params, times, scheme, backend, n_steps):
 
     The one place that picks a backend: step is evolve_exact or
     evolve_split_step.  The start state, the backend, the times and the
-    scheme are validated here, before any moments or propagation, and so is
-    every segment's fall shift (_require_finite_shifts).
+    scheme are validated here, before any moments or propagation, and so
+    are the segments' scalars (analytic._require_finite_segments), on rows
+    and labels made lazily: a BranchSchedules scan's two, which all its
+    readouts share, and a colocated scan's accelerated rows alone, since a
+    reference row (0.0, t) has shift 0 and an angle that overflows only
+    when the accelerated row's at the same t, read first, does.
     """
     _require_finite(psi0.amp[None], "start state psi0", batched=False)
     if backend not in _BACKENDS:
@@ -322,9 +307,14 @@ def _scan_step(psi0, params, times, scheme, backend, n_steps):
                 raise SchemeMismatch(
                     f"schedule total {total_a} does not match requested t={t}"
                 )
-    elif not isinstance(scheme, Colocated):
+        rows = (scheme.accelerated.segments, scheme.reference.segments)
+        label = lambda r: _label(times[0], ("accelerated", "reference")[r])
+    elif isinstance(scheme, Colocated):
+        rows = (((params.g, t),) for t in times)
+        label = lambda r: _label(times[r], "accelerated")
+    else:
         raise TypeError(f"scheme must be Colocated or BranchSchedules, got {scheme!r}")
-    _require_finite_shifts(times, scheme, params)
+    _require_finite_segments(params, rows, label)
     if backend == "analytic":
         return evolve_exact
     return partial(evolve_split_step, config=SolverConfig(n_steps))
@@ -333,42 +323,6 @@ def _scan_step(psi0, params, times, scheme, backend, n_steps):
 def _label(t: float, branch: str) -> str:
     """How a refusal names a branch of a scan: "readout t=T, <branch> branch"."""
     return f"readout t={t}, {branch} branch"
-
-
-def _require_finite_shifts(times, scheme, params) -> None:
-    """NonFiniteState at the first segment whose fall shift or cubic angle is not finite.
-
-    The fall shift is g d^2/2 and the cubic angle analytic._cubic_angle's
-    -m g^2 d^3/(6 hbar), -inf once d**3 overflows.  One pass over the
-    segments of the scan's rows (_branches), in order, before any
-    propagation, so both backends refuse such a segment alike, labelled as
-    _segment_chain labels a refusal from inside the chain; the split-step
-    solver would otherwise build its phases from angles far past any
-    meaningful range.  A BranchSchedules scan's readouts share their rows,
-    so the first readout's are read.  A colocated reference row (0.0, t) is
-    skipped: its shift is 0, and its angle overflows only with t**3, as the
-    accelerated row's at the same t, read first, does.
-    """
-    m, hbar = params.m, params.hbar
-    if isinstance(scheme, Colocated):
-        branches = ((t, "accelerated", ((params.g, t),)) for t in times)
-    else:
-        branches = (
-            (times[0], "accelerated", scheme.accelerated.segments),
-            (times[0], "reference", scheme.reference.segments),
-        )
-    for t, branch, row in branches:
-        for i, (g, duration) in enumerate(row):
-            shift = 0.5 * g * duration * duration
-            for name, value in (
-                ("shift", shift),
-                ("cubic_angle", _cubic_angle(m, g, hbar, duration)),
-            ):
-                if not math.isfinite(value):
-                    raise NonFiniteState(
-                        f"{_segment_label(_label(t, branch), i, (g, duration))}: "
-                        f"result {name}={value} is not finite"
-                    )
 
 
 def _chunks(times, width: int, nbytes: int):
@@ -424,80 +378,6 @@ def branch_states(
     step = _scan_step(psi0, params, [t], scheme, backend, n_steps)
     (accelerated,), (reference,) = _branches([t], psi0, params, scheme, step)
     return accelerated, reference
-
-
-def _reference_margin(times, prob, grid, params) -> None:
-    """Refuse the first readout whose reference, U_0(t) psi0, reaches the margin.
-
-    That packet is phi(x - a), with a = g t^2/2 (module docstring), so its
-    density on a guarded node j is prob = |phi|^2 at node j - a/dx (mod n):
-    both neighbours for a fractional fall, the one node for a whole-node
-    fall.  A maximum not below the margin squared, NaN included, raises
-    core._check_margin's GridOverflow, its .row the readout's index in
-    times, for the caller to label.
-
-    Blind spot: the read takes the neighbours' densities, not the
-    translate's value between them, which for an under-resolved state can
-    exceed both, its sinc tails reaching the guarded nodes.  So it can
-    accept a reference that evolve_exact refuses: on [-20, 20] at n = 64,
-    a Gaussian of spread 0.93 (below the 2 dx that make_gaussian allows)
-    at x0 = 3.63 with k0 = -0.73, read at g = -1.80 and t = 0.0696, whose
-    reference evolve_exact and the split-step backend refuse at 1.344e-10.
-    """
-    n = grid.n
-    index = _guard_index(n)
-    falls = np.array([0.5 * params.g * t * t for t in times]) / grid.dx
-    # node j - a/dx lies between nodes j + floor(-a/dx) and j + ceil(-a/dx)
-    shifts = np.stack((np.floor(-falls), np.ceil(-falls))) % n
-    nodes = (index + shifts.astype(np.intp)[..., None]) % n
-    band = prob.take(nodes + n * np.arange(len(times))[:, None])
-    if band.max() < _MARGIN_AMPLITUDE * _MARGIN_AMPLITUDE:
-        return
-    # the larger neighbour on the reference's own guarded nodes, for the refusal
-    edges = np.zeros_like(prob)
-    edges[:, index] = np.sqrt(band.max(axis=0))
-    _check_margin(edges, "evolve_exact", False)
-
-
-def _density_readings(times, psi0, params, space, first: bool) -> list[complex]:
-    """Each readout's fringe from one density, |phi|^2.
-
-    One _fall of psi0 per readout at times gives phi, evolve_exact up to
-    its kick, with its kick slopes and cubic angles; a refusal names its
-    readout's accelerated branch, as _segment_chain does.  space is the
-    scan's workspace, (psi0's spectrum, work, copy), the two arrays of
-    one full chunk: _fall writes phi's stack and its shift-stage copy into
-    their leading rows.  The first chunk of a scan checks psi0's margin,
-    and every chunk the reference's (_reference_margin), a refusal naming
-    the readout's reference branch.  The density is written into the
-    copy's buffer, whose margin is checked by then, and then over phi's
-    stack, where it is kicked in place to give the fringe
-    z = e^{i theta} dx sum |phi|^2 K.
-    """
-    grid, k = psi0.grid, len(times)
-    spectrum, work, copy = space
-    try:
-        density, hbar, slopes, thetas = _fall(
-            [psi0] * k, [params] * k, times, True, (spectrum, work[:k], copy[:k])
-        )
-    except (GridOverflow, NonFiniteState) as exc:
-        t = times[exc.row]
-        raise _relabelled(exc, _label(t, "accelerated"), 0, (params.g, t)) from exc
-    prob = copy.reshape(-1).view(np.float64)[: density.size].reshape(density.shape)
-    np.abs(density, out=prob)
-    prob *= prob
-    try:
-        if first:
-            _check_margin(psi0.amp[None], "evolve_exact", False)
-        _reference_margin(times, prob, grid, params)
-    except GridOverflow as exc:
-        t = times[exc.row]
-        raise _relabelled(exc, _label(t, "reference"), 0, (0.0, t)) from exc
-    density[...] = prob
-    del prob
-    _kick(density, grid, hbar, slopes)
-    sums = np.sum(density, axis=-1) * grid.dx
-    return [cmath.exp(1j * theta) * complex(s) for theta, s in zip(thetas, sums)]
 
 
 def _looks_gaussian(psi0: WavePacket, start: Moments, params: PhysicalParams) -> bool:
@@ -582,24 +462,26 @@ def fringe_scan(
     the branches of all times evolve a chunk of rows at a time, in one
     batched call per schedule segment, and each chunk is read out in one
     batched reduction; a scan holds one chunk of rows at a time.  A
-    colocated analytic scan propagates the fallen branch alone and reads
-    each fringe and the reference's margin from one density per readout,
-    that of the fallen branch before its kick (module docstring); it
-    allocates one chunk's arrays and transforms psi0 once for all its
-    chunks, and drops them before the records are built.  Every other
-    scan reads its fringes from the branch states that branch_states
+    colocated analytic scan reads its fringes from
+    analytic._colocated_fringes, which flies the fallen branch alone and
+    reads each fringe and the reference's margin from one density per
+    readout; it allocates one chunk's arrays and transforms psi0 once for
+    all its chunks, and frees them before the records are built.  Every
+    other scan reads its fringes from the branch states that branch_states
     gives.  The predicted columns come from psi0's moments, taken once:
     a BranchSchedules scan's before any propagation, a colocated scan's
-    after each chunk's fringes.  Raises
-    TypeError for any other scheme; NonFiniteState when psi0 holds a
-    non-finite amplitude, or, before any propagation, naming the readout
-    time, branch and segment whose fall shift g t^2/2 or cubic angle
-    -m g^2 t^3/(6 hbar) is not finite; ValueError, from moments and before
-    any propagation, when psi0's norm is zero or subnormal, so that its
-    fringes would have underflowed;
+    after each chunk's fringes.  No fringe is divided by psi0's norm, so a
+    start off unit norm reads scaled fringes against predictions for the
+    normalized state, and loses its predicted visibility
+    (InterferenceRecord).  Raises TypeError for any other scheme;
+    NonFiniteState when psi0 holds a non-finite amplitude, or, before any
+    propagation, naming the readout time, branch and segment whose fall
+    shift g t^2/2 or cubic angle -m g^2 t^3/(6 hbar) is not finite;
+    ValueError, from moments and before any propagation, when psi0's norm
+    is zero or subnormal, so that its fringes would have underflowed;
     GridOverflow naming the readout time, branch and segment that left the
-    grid; and PhaseAliasing when consecutive phase samples are too far apart
-    to continue unambiguously.
+    grid; and PhaseAliasing when consecutive phase samples are too far
+    apart to continue unambiguously.
     """
     times = [float(t) for t in t_values]
     if len(times) == 0:
@@ -620,19 +502,17 @@ def fringe_scan(
     density = colocated and backend == "analytic"
     chunks = list(_chunks(times, 1 if density else 2, psi0.amp.nbytes))
     if density:
-        # one chunk's arrays for the whole scan, and psi0 transformed once
-        rows = len(chunks[0])
-        space = (np.fft.fft(psi0.amp[None]), *np.empty((2, rows, psi0.grid.n), complex))
+        readings = _colocated_fringes(psi0, params, chunks, _label)
+    else:  # <reference|accelerated>, each chunk's states freed once read
+        readings = (
+            overlap(*_branches(ts, psi0, params, scheme, step)[::-1]) for ts in chunks
+        )
     fringes, predictions = [], []
-    for ts in chunks:
-        if density:
-            fringes += _density_readings(ts, psi0, params, space, not fringes)
-        else:
-            accelerated, reference = _branches(ts, psi0, params, scheme, step)
-            fringes += overlap(reference, accelerated)
-            del accelerated, reference  # freed before the next chunk runs: peak memory
+    # readings first, so that the kernel runs to its end, freeing its
+    # workspace, before the records are built: peak memory
+    for zs, ts in zip(readings, chunks):
+        fringes += zs
         predictions += map(predict, ts)
-    space = None  # dropped before the records are built: peak memory
     phases = [math.atan2(z.imag, z.real) for z in fringes]
     return [
         InterferenceRecord(t, z, abs(z), phase, float(u), *predicted)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wavefall import cli, interferometry
+from wavefall import analytic, cli
 from wavefall.interferometry import _CHUNK_BYTES
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
@@ -289,7 +289,7 @@ def test_overflow_in_a_later_chunk_writes_no_partial_csv(
         {"interfere": {"t_values": times, "scheme": "colocated", "backend": "analytic"}},
     )
     out = tmp_path / "o.csv"
-    steps = count_calls(interferometry, "_fall")
+    steps = count_calls(analytic, "_fall")
     assert cli.main(["interfere", "--config", cfg, "--out", str(out)]) == 3
     assert "readout t=8.0, accelerated branch" in capsys.readouterr().err
     assert not out.exists()

@@ -37,7 +37,7 @@ from wavefall import (
     shift_packet,
     unwrap_phases,
 )
-from wavefall import core, interferometry, splitstep
+from wavefall import analytic, core, interferometry, splitstep
 from wavefall.config import load_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -272,7 +272,8 @@ def test_scan_equals_per_time_protocol(psi0, params, count_calls, backend):
     width = 1 if backend == "analytic" else 2
     per_chunk = interferometry._CHUNK_BYTES // (width * psi0.amp.nbytes)
     steps = count_calls(
-        interferometry, "_fall" if backend == "analytic" else "evolve_split_step"
+        analytic if backend == "analytic" else interferometry,
+        "_fall" if backend == "analytic" else "evolve_split_step",
     )
     times = list(np.linspace(0.05, 0.95, per_chunk + 5))
     scan = fringe_scan(psi0, params, times, Colocated(), backend=backend, n_steps=128)
@@ -333,7 +334,7 @@ def test_multi_chunk_analytic_scan_reads_each_chunk_from_psi0(
     # is made once per scan, so 1 + 1 forward-transform rows (the Gaussian
     # test's), 2N inverse rows and 3N + 2 np.exp calls
     exps = count_calls(np, "exp")
-    steps = count_calls(interferometry, "_fall")
+    steps = count_calls(analytic, "_fall")
     n = 70
     scan = fringe_scan(psi0, params, [0.02 * (i + 1) for i in range(n)])
     assert len(scan) == n
@@ -349,14 +350,14 @@ def test_multi_chunk_analytic_scan_writes_every_chunk_into_one_workspace(
     # allocates one chunk's arrays once, so every chunk's fallen stack is a
     # view of the first's, and the short last chunk writes the leading rows;
     # every fringe keeps the bits of a single-readout call
-    stacks, real = [], interferometry._fall
+    stacks, real = [], analytic._fall
 
     def fall(*args):
         out = real(*args)
         stacks.append(out[0])
         return out
 
-    monkeypatch.setattr(interferometry, "_fall", fall)
+    monkeypatch.setattr(analytic, "_fall", fall)
     times = [0.02 * (i + 1) for i in range(70)]
     scan = fringe_scan(psi0, params, times)
     monkeypatch.undo()
@@ -399,7 +400,7 @@ def test_multi_chunk_analytic_scan_refuses_each_readout_by_name(
     # when every chunk transformed psi0 and shifted its reference rows by 0
     # itself
     per_chunk = interferometry._CHUNK_BYTES // psi0.amp.nbytes
-    steps = count_calls(interferometry, "_fall")
+    steps = count_calls(analytic, "_fall")
     times = [0.01 * (i + 1) for i in range(per_chunk + 6)]
     # psi0 above the margin, refused in the first chunk's shift stage
     amp = np.array(psi0.amp)
@@ -691,7 +692,7 @@ def test_density_fringes_match_the_branch_states(m, g, t, x0, p0, n, chunks, ext
     psi = make_gaussian(grid, x0, p0, 2.0, params)
     per_chunk = interferometry._CHUNK_BYTES // psi.amp.nbytes
     readouts = per_chunk * (chunks - 1) + extra
-    with mock.patch.object(interferometry, "_fall", wraps=interferometry._fall) as steps:
+    with mock.patch.object(analytic, "_fall", wraps=analytic._fall) as steps:
         scan = fringe_scan(psi, params, [t + 5e-4 * i for i in range(readouts)])
     assert steps.call_count == chunks
     for rec in scan:
@@ -773,7 +774,7 @@ def test_both_backends_refuse_an_overflowing_fall_shift_before_propagating(
     # and from about 1.3e154 the shift too, which is then named first
     propagators = [
         count_calls(interferometry, "evolve_exact"),
-        count_calls(interferometry, "_fall"),
+        count_calls(analytic, "_fall"),
         count_calls(interferometry, "evolve_split_step"),
         count_calls(splitstep, "_check_margin"),
     ]
@@ -814,6 +815,26 @@ def test_non_finite_start_state_is_refused_by_name(psi0, params, run, value):
 
 
 @pytest.mark.parametrize("backend", ["analytic", "split-step"])
+def test_a_start_off_unit_norm_scales_its_fringe_and_loses_its_prediction(
+    psi0, params, backend
+):
+    # pinned as it stands (ROADMAP, open findings): no fringe is divided by
+    # psi0's norm, so the visibility scales with the square of psi0's scale,
+    # while the Gaussian test compares |<fit|psi0>| with 1 to within 1e-9,
+    # the refitted Gaussian being normalized
+    (unit,) = fringe_scan(psi0, params, [1.0], backend=backend)
+    assert unit.visibility == pytest.approx(0.53526, abs=1e-5)
+    off = WavePacket(psi0.grid, psi0.amp * 1.001)
+    (rec,) = fringe_scan(off, params, [1.0], backend=backend)
+    assert rec.visibility == pytest.approx(0.53633, abs=1e-5)
+    assert rec.visibility == pytest.approx(1.002001 * unit.visibility, rel=1e-12)
+    assert rec.predicted_visibility is None
+    near = WavePacket(psi0.grid, psi0.amp * (1.0 + 1e-12))
+    (rec,) = fringe_scan(near, params, [1.0], backend=backend)
+    assert rec.predicted_visibility == pytest.approx(0.53526, abs=1e-5)
+
+
+@pytest.mark.parametrize("backend", ["analytic", "split-step"])
 def test_a_start_of_subnormal_norm_is_refused_before_propagating(
     psi0, params, count_calls, backend
 ):
@@ -822,7 +843,7 @@ def test_a_start_of_subnormal_norm_is_refused_before_propagating(
     # at t = 3 with no refusal.  moments(psi0) refuses it as it refuses a
     # zero norm, before any propagation
     propagators = [
-        count_calls(interferometry, "_fall"),
+        count_calls(analytic, "_fall"),
         count_calls(interferometry, "_segment_chain"),
     ]
     tiny = WavePacket(psi0.grid, psi0.amp * 1e-160)

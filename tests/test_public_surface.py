@@ -110,3 +110,25 @@ def test_no_quadrature_size_or_start_time_comes_back():
     fields = {f.name for f in dataclasses.fields(wavefall.Trajectory)}
     assert not {"n_quad", "t0"} & fields
     assert not hasattr(wavefall.Trajectory, "from_initial")
+
+
+def test_interferometry_reaches_the_colocated_kernel_through_analytic_alone():
+    # the colocated fringe kernel, its workspace and its margin read live in
+    # analytic; interferometry keeps the protocol and imports only the
+    # kernel, the segment check and the segment loop among analytic's
+    # private names, and no margin internal of core
+    tree = ast.parse((ROOT / "src/wavefall/interferometry.py").read_text("utf-8"))
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    from_analytic = {name for module, name in imported if module == "analytic"}
+    assert {name for name in from_analytic if name.startswith("_")} == {
+        "_colocated_fringes",
+        "_require_finite_segments",
+        "_segment_chain",
+    }
+    names = {name for _, name in imported}
+    assert not {"_MARGIN_AMPLITUDE", "_check_margin", "_guard_index", "_fall"} & names

@@ -16,18 +16,15 @@ One scheme serves every readout of a scan.
 
 colocated : the reference branch is the freely evolved packet translated onto
     the fallen branch's center, so the two probability clouds coincide and
-    the overlap isolates the evolution phases.  The measured phase then obeys
-    the closed form predicted_phase(mean_x of the reference branch, t), and
-    for a Gaussian input the visibility gaussian_visibility, a Gaussian in
-    (m g t sigma_t / hbar): the packet spread is what erases the fringe
-    contrast.  The potential being linear, the reference's mean and spread
-    are psi0's carried through free flight (Heisenberg picture), the mean
-    then translated by -g t^2/2.  A colocated scan reads out at any times.
+    the overlap isolates the evolution phases, which obey predicted_phase
+    at the reference's mean, and for a Gaussian input gaussian_visibility:
+    the packet spread erases the contrast.  It reads out at any times.
 per-branch schedules : each branch evolves under its own piecewise-constant
     acceleration schedule (equal totals, no recentering); the caller controls
-    recombination.  The schedules fix the one readout time, their total, and
-    the fringe obeys the per-branch closed form _branch_prediction.
-Both closed forms take psi0's moments, so a readout measures the fringe alone.
+    recombination.  The schedules fix the one readout time, their total.
+The predicted columns come from the fringe closed forms in action
+(_colocated_prediction, _branch_prediction), which take psi0's moments, so
+a readout measures the fringe alone.
 
 Both backends, the factored exact propagator ("analytic") and the split-step
 solver, take the same path: every branch is a row of (g, duration) segments,
@@ -43,10 +40,8 @@ chunk out with one batched overlap.
 A colocated analytic scan instead reads its fringes from the analytic
 route's own kernel, analytic._colocated_fringes: one fall of the
 accelerated rows per chunk, up to their kick, and each fringe read from
-that fallen row's density, with no recentering and no reference row.
-The split-step backend propagates both branches and recenters the
-reference with shift_packet, so the two backends stay independent routes
-to the fringe.
+that fallen row's density, with no recentering and no reference row, so
+the two backends stay independent routes to the fringe.
 """
 
 from __future__ import annotations
@@ -57,6 +52,7 @@ from functools import partial
 
 import numpy as np
 
+from .action import _branch_prediction, _colocated_prediction
 from .analytic import (
     AccelSchedule,
     _colocated_fringes,
@@ -69,21 +65,13 @@ from .core import (
     Moments,
     PhysicalParams,
     WavePacket,
-    _RefuseOverflow,
     _require_finite,
-    _require_finite_scalars,
     _require_times,
     make_gaussian,
     moments,
     overlap,
 )
-from .errors import (
-    BadSigma,
-    NonFiniteState,
-    PhaseAliasing,
-    SchemeMismatch,
-    WavefallError,
-)
+from .errors import NonFiniteState, PhaseAliasing, SchemeMismatch, WavefallError
 from .splitstep import SolverConfig, evolve_split_step
 
 __all__ = [
@@ -92,8 +80,6 @@ __all__ = [
     "InterferenceRecord",
     "branch_states",
     "run_protocol",
-    "predicted_phase",
-    "gaussian_visibility",
     "unwrap_phases",
     "fringe_scan",
 ]
@@ -131,12 +117,11 @@ class InterferenceRecord:
 
     phase is the principal value in (-pi, pi]; phase_unwrapped equals phase
     for single runs and carries the continued value inside scans.  The
-    predicted columns are closed forms of the scheme's fringe from psi0's
-    moments: for Colocated, predicted_phase and gaussian_visibility at the
-    reference branch's mean and spread carried from psi0's through free
-    flight; for BranchSchedules, the per-branch closed form of the two
-    schedules.  predicted_visibility is None when the input packet is not
-    Gaussian.  The measured columns scale with psi0's norm, while the
+    predicted columns are the scheme's fringe closed form in action, at
+    psi0's moments: _colocated_prediction (predicted_phase and
+    gaussian_visibility) for Colocated, _branch_prediction for
+    BranchSchedules.  predicted_visibility is None when the input packet is
+    not Gaussian.  The measured columns scale with psi0's norm, while the
     predicted ones describe the normalized state: a start off unit norm
     reads a visibility scaled by its norm, and, once |<fit|psi0>| is off 1
     by more than 1e-9, predicted_visibility None.
@@ -149,133 +134,6 @@ class InterferenceRecord:
     phase_unwrapped: float
     predicted_phase: float
     predicted_visibility: float | None
-
-
-def predicted_phase(xbar: float, t: float, params: PhysicalParams) -> float:
-    """Closed-form fringe phase -(m g xbar t + m g^2 t^3/6)/hbar.
-
-    xbar is the mean position of the reference branch at readout.  For the
-    colocated scheme this matches the measured phase exactly for symmetric
-    packets (the translation covers the fall, so only the momentum-kick phase
-    at the branch center and the global cubic phase survive).  A non-finite
-    argument or result raises NonFiniteState, and t < 0 NegativeTime.
-    """
-    _require_finite_scalars("predicted_phase", xbar=xbar, t=t)
-    _require_times("predicted_phase", [t])
-    m, g = params.m, params.g
-    with _RefuseOverflow("predicted_phase"):
-        phase = -(m * g * xbar * t + m * g * g * t**3 / 6.0) / params.hbar
-    _require_finite_scalars("predicted_phase", result=True, phase=phase)
-    return phase
-
-
-def _branch_prediction(
-    scheme: BranchSchedules, start: Moments, params: PhysicalParams, gaussian: bool
-) -> tuple[float, float | None]:
-    """Closed-form (phase, visibility) of a per-branch fringe at the schedules' total t.
-
-    With K(q) = e^{i q x/hbar}, T(a) psi(x) = psi(x + a) and U_0 free
-    flight, a schedule composes to e^{i beta} K(q) T(a) U_0(t): from
-    beta = q = a = 0, each segment (g, d) in order adds
-    theta + q (g d^2/2)/hbar - q^2 d/(2 m hbar) to beta, with
-    theta = -m g^2 d^3/(6 hbar), then g d^2/2 - q d/m to a and -m g d to q.
-    With dq = q_A - q_B and da = a_A - a_B over the accelerated (A) and
-    reference (B) branches, and the moments of U_0(t) psi0 (xbar, pbar,
-    sigma_x, sigma_p and C = <{dX, dP}>/2),
-
-        phase = beta_A - beta_B - dq a_B/hbar - dq da/(2 hbar)
-                + (dq xbar + da pbar)/hbar,
-        visibility = exp(-(dq^2 sigma_x^2 + da^2 sigma_p^2 + 2 dq da C)/(2 hbar^2)),
-
-    the visibility being a Gaussian's characteristic function and None
-    unless gaussian (Storey and Cohen-Tannoudji, J. Phys. II France 4, 1999,
-    1994).  The moments are start's, psi0's, carried through free flight
-    (_free_flight), and C is sigma_p^2 t/m for the uncorrelated Gaussian
-    that _looks_gaussian refits.  A result that is not finite raises
-    NonFiniteState.  Shares no code with analytic, so it stays an
-    independent route to the fringe.
-    """
-    hbar, m = params.hbar, params.m
-
-    def composed(segments):
-        beta = q = a = 0.0
-        for g, d in segments:
-            shift = 0.5 * g * d * d
-            beta += -m * g * g * d**3 / (6.0 * hbar) + q * shift / hbar
-            beta -= q * q * d / (2.0 * m * hbar)
-            a += shift - q * d / m
-            q -= m * g * d
-        return beta, q, a
-
-    with _RefuseOverflow("predicted_phase"):
-        beta_a, q_a, a_a = composed(scheme.accelerated.segments)
-        beta_b, q_b, a_b = composed(scheme.reference.segments)
-        t = scheme.reference.total_duration
-        dq, da = q_a - q_b, a_a - a_b
-        xbar, drift, var_x = _free_flight(start, t, m)
-        pbar = start.mean_p
-        phase = (
-            beta_a - beta_b - dq * a_b / hbar - dq * da / (2.0 * hbar)
-            + (dq * xbar + da * pbar) / hbar
-        )
-        _require_finite_scalars("predicted_phase", result=True, phase=phase)
-        if not gaussian:
-            return phase, None
-        sigma_p = start.sigma_p
-        spread = dq * dq * var_x + da * (da * sigma_p + 2.0 * dq * drift) * sigma_p
-        visibility = math.exp(-spread / (2.0 * hbar * hbar))
-    _require_finite_scalars("gaussian_visibility", result=True, visibility=visibility)
-    return phase, visibility
-
-
-def _free_flight(start: Moments, t: float, m: float) -> tuple[float, float, float]:
-    """(xbar, sigma_p t/m, sigma_x^2) of psi0's moments, start, after free flight t.
-
-    xbar drifts by pbar t/m for any state, and sigma_x^2 gains (sigma_p t/m)^2
-    for the uncorrelated Gaussian that _looks_gaussian refits.
-    """
-    drift = start.sigma_p * t / m
-    return start.mean_x + start.mean_p * t / m, drift, start.sigma_x**2 + drift * drift
-
-
-def _colocated_prediction(
-    start: Moments, t: float, params: PhysicalParams, gaussian: bool
-) -> tuple[float, float | None]:
-    """Closed-form (phase, visibility) of a colocated fringe at readout t.
-
-    predicted_phase and gaussian_visibility at the reference branch's mean
-    and spread, which are psi0's moments, start, carried through free
-    flight (_free_flight), the mean then translated by -g t^2/2 onto the
-    fallen branch.  The potential is linear, so the reference's mean is
-    exact for any state; the visibility is None unless gaussian.
-    """
-    xbar, _, var_x = _free_flight(start, t, params.m)
-    phase = predicted_phase(xbar - 0.5 * params.g * t * t, t, params)
-    if not gaussian:
-        return phase, None
-    return phase, gaussian_visibility(math.sqrt(var_x), t, params)
-
-
-def gaussian_visibility(sigma_t: float, t: float, params: PhysicalParams) -> float:
-    """Fringe contrast exp(-(m g t sigma_t / hbar)^2 / 2) for a Gaussian packet.
-
-    sigma_t is the position spread at readout time.  The contrast is the
-    magnitude of the Gaussian's characteristic function at the accumulated
-    momentum kick m g t.  A NaN or inf sigma_t or t raises NonFiniteState
-    naming the argument, t < 0 raises NegativeTime and sigma_t < 0 BadSigma.
-    A NaN contrast, such as sigma_t = 0 against a kick that overflows, raises
-    NonFiniteState.
-    """
-    _require_finite_scalars("gaussian_visibility", sigma_t=sigma_t, t=t)
-    _require_times("gaussian_visibility", [t])
-    if sigma_t < 0:
-        raise BadSigma(
-            f"gaussian_visibility: sigma_t must be non-negative, got {sigma_t}"
-        )
-    kick = params.m * params.g * t * sigma_t / params.hbar
-    visibility = math.exp(-0.5 * kick * kick)
-    _require_finite_scalars("gaussian_visibility", result=True, visibility=visibility)
-    return visibility
 
 
 def _scan_step(psi0, params, times, scheme, backend, n_steps):
@@ -468,12 +326,12 @@ def fringe_scan(
     readout; it allocates one chunk's arrays and transforms psi0 once for
     all its chunks, and frees them before the records are built.  Every
     other scan reads its fringes from the branch states that branch_states
-    gives.  The predicted columns come from psi0's moments, taken once:
-    a BranchSchedules scan's before any propagation, a colocated scan's
-    after each chunk's fringes.  No fringe is divided by psi0's norm, so a
-    start off unit norm reads scaled fringes against predictions for the
-    normalized state, and loses its predicted visibility
-    (InterferenceRecord).  Raises TypeError for any other scheme;
+    gives.  The predicted columns are action's closed forms at psi0's
+    moments, taken once: a BranchSchedules scan's before any propagation, a
+    colocated scan's after each chunk's fringes.  No fringe is divided by
+    psi0's norm, so a start off unit norm reads scaled fringes against
+    predictions for the normalized state, and loses its predicted
+    visibility (InterferenceRecord).  Raises TypeError for any other scheme;
     NonFiniteState when psi0 holds a non-finite amplitude, or, before any
     propagation, naming the readout time, branch and segment whose fall
     shift g t^2/2 or cubic angle -m g^2 t^3/(6 hbar) is not finite;
@@ -497,7 +355,10 @@ def fringe_scan(
             _colocated_prediction, start, params=params, gaussian=gaussian
         )
     else:
-        branch = _branch_prediction(scheme, start, params, gaussian)
+        a, b = scheme.accelerated, scheme.reference
+        branch = _branch_prediction(
+            a.segments, b.segments, b.total_duration, start, params, gaussian
+        )
         predict = lambda t: branch  # the schedules' one readout time
     density = colocated and backend == "analytic"
     chunks = list(_chunks(times, 1 if density else 2, psi0.amp.nbytes))

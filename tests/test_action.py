@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -136,6 +136,23 @@ def test_a_zero_dimensional_array_is_one_value(params):
 def test_delta_action_vanishes_without_gravity():
     free = PhysicalParams(hbar=1.0, m=1.0, g=0.0, c=10.0)
     assert delta_action(3.0, 2.0, free) == 0.0
+
+
+@given(
+    m=st.floats(1e-3, 1e3),
+    hbar=st.floats(1e-3, 1e3),
+    g=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)),
+    t=st.one_of(st.just(0.0), st.floats(0.0, 1e2)),
+    xbar=st.floats(-1e3, 1e3),
+)
+@example(m=1.0, hbar=1.0, g=0.0, t=1.0, xbar=-0.4)
+def test_predicted_phase_is_delta_action_over_hbar(m, hbar, g, t, xbar):
+    # the paper's observable: the fringe phase is the action difference over
+    # hbar.  Compared by value, since a zero's sign may differ: at g = 0 and
+    # xbar = -0.4 predicted_phase gives -0.0 and delta_action / hbar 0.0,
+    # and the interfere CSV prints each phase's own sign
+    params = PhysicalParams(hbar=hbar, m=m, g=g, c=10.0)
+    assert predicted_phase(xbar, t, params) == delta_action(xbar, t, params) / hbar
 
 
 def test_phase_factor_is_exp_of_delta_action(grid, params, free_flight):

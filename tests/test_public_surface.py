@@ -116,7 +116,8 @@ def test_interferometry_reaches_the_colocated_kernel_through_analytic_alone():
     # the colocated fringe kernel, its workspace and its margin read live in
     # analytic; interferometry keeps the protocol and imports only the
     # kernel, the segment check and the segment loop among analytic's
-    # private names, and no margin internal of core
+    # private names, no margin internal of core, and from action only the
+    # two closed forms its predicted columns read
     tree = ast.parse((ROOT / "src/wavefall/interferometry.py").read_text("utf-8"))
     imported = {
         (node.module, alias.name)
@@ -132,3 +133,53 @@ def test_interferometry_reaches_the_colocated_kernel_through_analytic_alone():
     }
     names = {name for _, name in imported}
     assert not {"_MARGIN_AMPLITUDE", "_check_margin", "_guard_index", "_fall"} & names
+    from_action = {name for module, name in imported if module == "action"}
+    assert from_action == {"_branch_prediction", "_colocated_prediction"}
+
+
+# The fringe closed forms that the predicted columns read
+CLOSED_FORMS = {
+    "predicted_phase",
+    "gaussian_visibility",
+    "_branch_prediction",
+    "_colocated_prediction",
+    "_free_flight",
+}
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((ROOT / f"src/wavefall/{module}.py").read_text("utf-8"))
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The wavefall modules a module imports, relatively or by absolute name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("wavefall"):
+            found.add(node.module.removeprefix("wavefall.") or "wavefall")
+        elif isinstance(node, ast.Import):
+            found |= {
+                alias.name.removeprefix("wavefall.")
+                for alias in node.names
+                if alias.name.split(".")[0] == "wavefall"
+            }
+    return found
+
+
+def test_the_routes_and_the_closed_forms_import_only_core_and_errors():
+    # the three routes stay independent of each other, and the closed forms
+    # that check their fringes live in action, which can reach no propagator
+    for module in ("analytic", "splitstep", "oracle", "action"):
+        assert _package_imports(_tree(module)) <= {"core", "errors"}, module
+    defined = {
+        module: {
+            node.name
+            for node in ast.walk(_tree(module))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        for module in ("action", "interferometry")
+    }
+    assert CLOSED_FORMS <= defined["action"]
+    assert not CLOSED_FORMS & defined["interferometry"]

@@ -38,18 +38,18 @@ psi0's spectrum, transformed once per scan, and one chunk's k-space
 stack and x-space copy, allocated once.  The kernel and _segment_chain
 name a refusal's segment with _relabelled.
 
-Three rules keep every row bit-identical to a single-row call, and a
-fourth halves the cost of the k-space phases and of the kick without
-changing a bit:
+Two rules keep every row bit-identical to a single-row call, and a third
+halves the cost of the k-space phases and of the kick without changing a
+bit:
 
-- each row's phase is built from that row's scalar with the single-row
-  expression; rows whose scalars have equal bits share one evaluation,
-  and one phase is built and applied at a time (_apply_phases);
-- rows that share a start state (the same object) share its finite
-  check and forward transform; every row is then phased on its own, its
-  margin checked on a copy transformed back to x.  The fall stays in
-  k-space: free flight starts from the phased stack, so evolve_exact
-  makes one transform pair per row.  Every error names the caller's row;
+- every row is the single-row computation: its start state is checked
+  finite and transformed (a colocated scan's rows copy psi0's one
+  spectrum, which has those bits), each of its phases is built from its
+  own scalar with the single-row expression, one phase built and applied
+  at a time (_apply_phases), and its shift-stage margin is checked on a
+  copy transformed back to x.  The fall stays in k-space: free flight
+  starts from the phased stack, so evolve_exact makes one transform pair
+  per row.  Every error names the caller's row;
 - every complex multiply is written ``amp *= phase``, the state on the left.
   ``amp = amp * np.exp(...)`` is not safe: once the stack reaches 256 KiB
   numpy reuses the temporary on the right as the output, which swaps the
@@ -84,7 +84,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -146,29 +145,16 @@ class AccelSchedule:
         return float(sum(dt for _, dt in self.segments))
 
 
-def _bits(v: float) -> bytes:
-    """The bits of a real scalar, the key of every shared evaluation; -0.0 != 0.0."""
-    return struct.pack("<d", v)
-
-
 def _apply_phases(amp: np.ndarray, values, phase) -> None:
     """Multiply each row of amp in place by phase(v), one scalar v per row.
 
     phase is the single-row expression, evaluated on the row's own scalar,
-    so each row gets the phase a single-row call builds.  Rows are grouped
-    by the bits of their scalar, such as the two branches of one readout
-    time or the rows with g = 0, and each group shares one evaluation,
-    built and applied to its rows before the next group's is built, so
-    one phase is alive at a time.
+    so each row gets the phase a single-row call builds.  Each phase is
+    built and applied to its row before the next is built, so one phase is
+    alive at a time.
     """
-    groups: dict[bytes, list[int]] = {}
-    for r, v in enumerate(values):
-        groups.setdefault(_bits(v), []).append(r)
-    for rows in groups.values():
-        built = phase(values[rows[0]])
-        for r in rows:
-            row = amp[r]
-            row *= built
+    for row, v in zip(amp, values):
+        row *= phase(v)
 
 
 def _mirrored(nodes: np.ndarray, exponent, odd: bool) -> np.ndarray:
@@ -226,56 +212,33 @@ def _free_phase(grid: Grid, hbar: float, m: float, t: float) -> np.ndarray:
     return _mirrored(grid.k, lambda k: -0.5j * hbar * t * k * k / m, odd=False)
 
 
-def _distinct(keys) -> tuple[list[int], list[int]]:
-    """Each row's entry among the distinct keys, and each entry's first row.
-
-    Entries are numbered in order of first appearance, so the first
-    offending entry of a check stands for the first offending row.
-    """
-    entry: dict = {}
-    of, first = [], []
-    for row, key in enumerate(keys):
-        if key not in entry:
-            entry[key] = len(first)
-            first.append(row)
-        of.append(entry[key])
-    return of, first
-
-
 def _shift(
-    psis: list[WavePacket],
-    shifts: list[float],
-    context: str,
-    batched: bool,
-    space=None,
+    psis: list[WavePacket], shifts: list[float], context: str, batched: bool, space=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """amp(x + a) per row, each distinct start state transformed once.
+    """amp(x + a) per row, each row's start state transformed on its own.
 
-    Each distinct start state (by identity) is checked finite and
-    transformed once; each row then takes the k-space phase e^{+i k a},
-    and a copy transformed back to x takes the margin check.  Returns the
-    k-space stack and its position copy, one row per input.  Both checks
-    name the caller (context) and its first offending row; the caller has
-    checked every shift angle.
+    Each row's start state is checked finite and transformed, then takes
+    the k-space phase e^{+i k a}, and a copy transformed back to x takes
+    the margin check.  Returns the k-space stack and its position copy, one
+    row per input.  Both checks name the caller (context) and its first
+    offending row; the caller has checked every shift angle.
 
-    space, when given, is (spectra, work, copy): the distinct start states
-    in order of first appearance, already checked finite and transformed,
-    and two (rows, n) complex arrays that the k-space stack and the copy
-    are written into (_colocated_fringes).  Without it, as for evolve_exact
-    and shift_packet, the start states are checked and transformed here and
-    both arrays are allocated; the gather and the copy run the same lines
-    either way.
+    space, when given, is (spectrum, work, copy): the one start state's
+    (1, n) spectrum, already checked finite and transformed, and two
+    (rows, n) complex arrays that the k-space stack and the copy are
+    written into (_colocated_fringes).  Every row of work starts as a copy
+    of the spectrum.  Without it, as for evolve_exact and shift_packet, the
+    start states are checked and transformed here and both arrays are
+    allocated.
     """
     grid = psis[0].grid
-    start, start_rows = _distinct(map(id, psis))
     if space is None:
-        spectra = _stack([psis[r] for r in start_rows])
-        _require_finite(spectra, f"{context} start state", batched, start_rows)
-        np.fft.fft(spectra, out=spectra)
-        space = spectra, None, None
-    spectra, work, copy = space
-    # mode="raise" with out= would buffer a full copy of the gathered stack
-    amp = np.take(spectra, start, axis=0, out=work, mode="clip")
+        amp, copy = _stack(psis), None
+        _require_finite(amp, f"{context} start state", batched)
+        np.fft.fft(amp, out=amp)
+    else:
+        spectrum, amp, copy = space
+        amp[...] = spectrum
     _apply_phases(amp, shifts, lambda a: _shift_phase(grid, a))
     moved = np.fft.ifft(amp, out=copy)
     _check_margin(moved, context, batched)
@@ -383,10 +346,9 @@ def evolve_exact(
     (list, tuple or ndarray of times); single values broadcast against the
     sequences, and every row is evolved in one (rows, n) stack.  Rows must
     share the grid (GridMismatch otherwise), hbar and m (ValueError); g, t
-    and the start state may differ per row, and each row's result is
-    bit-identical to a single-row call.  Rows given the same start-state
-    object share its transform (see the module docstring).  Returns the
-    final WavePacket, or a list of them when any argument is a sequence.
+    and the start state may differ per row, and each row is computed on its
+    own, bit-identical to a single-row call.  Returns the final WavePacket,
+    or a list of them when any argument is a sequence.
     Raises GridOverflow when any row touches the guarded boundary nodes
     after the shift or after free flight, naming the first such row of a
     stack and carrying its index as .row, and NonFiniteState, naming the row
@@ -411,7 +373,8 @@ def _fall(psis, pars, times, batched: bool, space=None):
     input, so each row makes one transform pair.  Returns the
     margin-checked position stack, hbar, and each row's kick slope and
     cubic angle.  The stack is fresh, or, when space is given (see _shift),
-    its work array, which _colocated_fringes reuses from chunk to chunk.
+    its work array, each row started from the one spectrum, which
+    _colocated_fringes reuses from chunk to chunk.
     """
     _require_times("evolve_exact", times, batched)
     grid = psis[0].grid
@@ -478,21 +441,18 @@ def _segment_chain(psi, params, rows, label, step):
     """Final states of rows of (g, duration) segments, all started from psi.
 
     Segment i of every row that has one runs in one batched call
-    step(states, params, durations), each row's params taking its g.  A
-    GridOverflow or NonFiniteState is re-raised as the same type naming
-    row r's label(r) and the segment (_relabelled).
+    step(states, params, durations), each row's params being
+    replace(params, g=g) with its own segment's g.  A GridOverflow or
+    NonFiniteState is re-raised as the same type naming row r's label(r)
+    and the segment (_relabelled).
     """
     states = [psi] * len(rows)
     for i in range(max(map(len, rows), default=0)):
         live = [r for r, row in enumerate(rows) if i < len(row)]
-        gs = [rows[r][i][0] for r in live]
-        # One params per distinct g, keyed by bits so 0.0 and -0.0 stay apart.
-        distinct = {_bits(g): g for g in gs}
-        pars = {key: replace(params, g=g) for key, g in distinct.items()}
         try:
             out = step(
                 [states[r] for r in live],
-                [pars[_bits(g)] for g in gs],
+                [replace(params, g=rows[r][i][0]) for r in live],
                 [rows[r][i][1] for r in live],
             )
         except (GridOverflow, NonFiniteState) as exc:

@@ -56,6 +56,7 @@ from .core import (
 
 __all__ = ["SolverConfig", "evolve_split_step"]
 
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Number of Strang steps for one split-step run, an integer of at least 1."""
@@ -182,11 +183,11 @@ def _strang_tolerance(params: PhysicalParams, t: float, n_steps: int, n: int) ->
     the errors add: N eps log2 n, and one step more for evolve_exact, whose
     one FFT pair per row is that step's.  A computed angle theta is off by
     eps |theta|, and the largest angles at the packet (kick, cubic phase,
-    summed potential) are fractions of m g^2 t^3/hbar.  Start and end states must be below about 1e-12 on the
-    outer 5% of nodes in x and in k: the margin guard allows 1e-10 in x, and
-    such a tail wraps around by more than the bound.  Over 1130 random draws
-    of that domain the worst distance was 0.125 of the bound; an hbar/m off
-    by 1e-8 gives 4.2e-9.
+    summed potential) are fractions of m g^2 t^3/hbar.  Start and end
+    states must be below about 1e-12 on the outer 5% of nodes in x and in
+    k: the margin guard allows 1e-10 in x, and such a tail wraps around by
+    more than the bound.  Over 1130 random draws of that domain the worst
+    distance was 0.125 of the bound; an hbar/m off by 1e-8 gives 4.2e-9.
     """
     angle = params.m * params.g**2 * t**3 / params.hbar
     return float(np.finfo(float).eps * ((n_steps + 1) * np.log2(n) + angle))

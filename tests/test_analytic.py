@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from wavefall import (
     AccelSchedule,
+    BranchSchedules,
     Grid,
     GridOverflow,
     NegativeTime,
@@ -295,7 +296,7 @@ STARTS = [
     for x0, p0, sigma0 in ((0.0, 0.0, 1.0), (-1.0, 0.5, 1.3), (0.7, -0.3, 0.9))
 ]
 # g = 0, g = -0.0 and t = 0 are drawn on their own: they make factors of
-# unit phase, and 0.0 and -0.0 have different bits, so must not share.
+# unit phase, and 0.0 and -0.0 have different bits, so both are drawn.
 G_VALUES = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-2.0, 2.0))
 T_VALUES = st.one_of(st.just(0.0), st.floats(0.0, 1.5))
 # Rows are drawn from a small pool, so (start, g, t) rows repeat.
@@ -321,6 +322,46 @@ def test_batched_exact_rows_equal_single_calls(rows):
     assert len(moved) == len(rows)
     for psi, a, row in zip(starts, shifts, moved):
         assert row.amp.tobytes() == shift_packet(psi, a).amp.tobytes()
+
+
+# Schedules of 1 to 4 segments short enough to stay clear of the guard band;
+# g = 0.0 and g = -0.0 are drawn on their own, as in G_VALUES.
+SCHEDULES = st.lists(
+    st.tuples(G_VALUES, st.floats(0.05, 0.5)), min_size=1, max_size=4
+).map(AccelSchedule)
+
+
+def _chain(psi, schedule):
+    """The schedule as single evolve_exact calls, each with its segment's g."""
+    for g, duration in schedule.segments:
+        psi = evolve_exact(psi, replace(CANONICAL, g=g), duration)
+    return psi
+
+
+@given(st.sampled_from(STARTS), SCHEDULES)
+@example(STARTS[1], AccelSchedule(((0.0, 0.3), (-0.0, 0.2), (1.0, 0.4))))
+def test_piecewise_equals_a_chain_of_single_exact_calls(psi, schedule):
+    # bytes, not np.array_equal, which takes -0.0 for 0.0
+    out = evolve_piecewise(psi, CANONICAL, schedule)
+    assert out.amp.tobytes() == _chain(psi, schedule).amp.tobytes()
+
+
+@given(st.sampled_from(STARTS), SCHEDULES, SCHEDULES)
+@example(
+    STARTS[0],
+    AccelSchedule(((0.0, 0.5), (1.0, 0.25))),
+    AccelSchedule(((-0.0, 0.5), (-0.0, 0.25))),
+)
+def test_branch_states_of_schedules_equal_their_chains(psi, accelerated, reference):
+    # the two branches run through one batched call per segment index, and
+    # each must get its own segment's g, a 0.0 and a -0.0 included
+    total = accelerated.total_duration
+    scale = total / reference.total_duration
+    reference = AccelSchedule(tuple((g, d * scale) for g, d in reference.segments))
+    scheme = BranchSchedules(accelerated, reference)
+    acc, ref = branch_states(psi, CANONICAL, total, scheme)
+    assert acc.amp.tobytes() == _chain(psi, accelerated).amp.tobytes()
+    assert ref.amp.tobytes() == _chain(psi, reference).amp.tobytes()
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -425,11 +466,11 @@ def test_rows_of_a_stack_above_256_kib_equal_single_calls():
         assert moved.amp.tobytes() == shift_packet(single, g).amp.tobytes()
 
 
-def test_batched_exact_rows_share_their_transforms(fft_rows):
-    # Two distinct start states over five rows, rows 0 and 3 alike.
-    # Forward rows: one per start state, the fall staying in k-space.
-    # Inverse rows: one per row for the shift-stage margin check, and one
-    # per row after free flight.
+def test_batched_exact_rows_make_one_forward_transform_each(fft_rows):
+    # Two start states over five rows, rows 0 and 3 alike: every row is
+    # computed on its own, alike rows included.  Forward rows: one per row,
+    # the fall staying in k-space.  Inverse rows: one per row for the
+    # shift-stage margin check, and one per row after free flight.
     a, b = STARTS[:2]
     rows = [(a, 1.0, 0.5), (a, 0.0, 0.5), (b, 1.0, 0.5), (a, 1.0, 0.5), (b, -0.0, 0.7)]
     out = evolve_exact(
@@ -438,7 +479,7 @@ def test_batched_exact_rows_share_their_transforms(fft_rows):
         [t for _, _, t in rows],
     )
     assert len(out) == len(rows)
-    assert fft_rows == {"fft": 2, "ifft": 2 * len(rows)}
+    assert fft_rows == {"fft": len(rows), "ifft": 2 * len(rows)}
 
 
 def test_batch_broadcasts_single_values_and_returns_a_list(psi0, params):
@@ -462,15 +503,14 @@ def test_batched_overflow_names_the_offending_row(psi0, params):
 
 @pytest.mark.parametrize("g, t", [(0.0, 1e8), (1.0, 7.0)], ids=["free-flight", "shift"])
 def test_evolve_exact_margin_failures_name_evolve_exact(psi0, params, g, t):
-    # the free-flight and shift stages used to name free_evolve and shift_packet
     with pytest.raises(GridOverflow, match="^evolve_exact: boundary amplitude"):
         evolve_exact(psi0, replace(params, g=g), t)
 
 
 def test_shift_overflow_names_the_callers_row_after_sharing(psi0, params):
     # t = 6 shifts the packet 18 units down, onto the guard band, in the shift
-    # stage.  The rows share one transform of psi0, and the refusal names the
-    # caller's first offending row, 2.
+    # stage.  Every row starts from the same psi0 object, and the refusal
+    # names the caller's first offending row, 2.
     with pytest.raises(GridOverflow) as info:
         evolve_exact(psi0, params, [1.0, 1.0, 6.0, 6.0])
     assert str(info.value).startswith("evolve_exact: ")
@@ -492,8 +532,8 @@ def test_non_finite_start_state_names_the_callers_row_after_sharing(psi0, params
     amp = np.array(psi0.amp)
     amp[100] = math.nan
     bad = WavePacket(psi0.grid, amp)
-    # distinct start states are [psi0, other, bad]: bad is shared row 2, but
-    # the caller's first row holding it is 4
+    # bad is the third distinct start state, but the caller's first row
+    # holding it is 4, the row the refusal names
     stack = [psi0, other, psi0, other, bad, bad]
     for call, name in [
         (lambda: evolve_exact(stack, params, 1.0), "evolve_exact"),

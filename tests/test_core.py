@@ -21,7 +21,6 @@ from wavefall import (
     apply_global_phase,
     evolve_exact,
     evolve_split_step,
-    l2_distance,
     make_gaussian,
     moments,
     overlap,

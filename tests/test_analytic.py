@@ -507,7 +507,7 @@ def test_evolve_exact_margin_failures_name_evolve_exact(psi0, params, g, t):
         evolve_exact(psi0, replace(params, g=g), t)
 
 
-def test_shift_overflow_names_the_callers_row_after_sharing(psi0, params):
+def test_shift_overflow_names_the_callers_first_row(psi0, params):
     # t = 6 shifts the packet 18 units down, onto the guard band, in the shift
     # stage.  Every row starts from the same psi0 object, and the refusal
     # names the caller's first offending row, 2.
@@ -527,13 +527,12 @@ def test_shift_overflow_names_the_callers_row_after_sharing(psi0, params):
     assert info.value.row == 2
 
 
-def test_non_finite_start_state_names_the_callers_row_after_sharing(psi0, params):
+def test_non_finite_start_state_names_the_callers_first_row(psi0, params):
     other = make_gaussian(psi0.grid, 0.5, 0.0, 1.0, params)
     amp = np.array(psi0.amp)
     amp[100] = math.nan
     bad = WavePacket(psi0.grid, amp)
-    # bad is the third distinct start state, but the caller's first row
-    # holding it is 4, the row the refusal names
+    # the caller's first row holding bad is 4, the row the refusal names
     stack = [psi0, other, psi0, other, bad, bad]
     for call, name in [
         (lambda: evolve_exact(stack, params, 1.0), "evolve_exact"),

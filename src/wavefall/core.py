@@ -405,7 +405,7 @@ def _stack(psis: list[WavePacket]) -> np.ndarray:
     """The amplitudes of packets on one grid as a fresh C-contiguous (rows, n) stack."""
     for psi in psis[1:]:
         _require_same_grid(psis[0], psi)
-    return np.stack([psi.amp for psi in psis])
+    return np.array([psi.amp for psi in psis])
 
 
 def _packets(grid: Grid, amp: np.ndarray, batched: bool):

@@ -21,6 +21,24 @@ prefix and of its phase rows.  The bits do not change: the FFT transforms
 each row on its own, every multiply is elementwise, and a row sees the
 same phases, in the same order, for its own number of steps.
 
+The inverse FFT is taken unscaled (norm="forward"), and its 1/n is folded
+into the kinetic phase, so a step pays neither numpy's per-call reciprocal
+nor pocketfft's separate scaling pass.  Grid makes n a power of two, so 1/n
+is exact and scaling by it commutes with every rounded multiply and add
+whose result is not subnormal: the bits are those of numpy's
+default-normalized inverse.  Two edges move.
+- Overflow: the spectrum is scaled before the inverse sums it, so a single
+  1e308 spike no longer overflows the inverse to NaN; it reads a finite
+  7.991e+304 at the boundary and is still refused at step 1/8.  Two
+  adjacent 1e308 nodes still overflow the forward FFT to NaN.
+- Subnormals: a value of the scaled spectrum below about n 2^-1022 loses
+  low bits.  The default start scaled by 1e-300 keeps its bits for 8 steps
+  but not for 1024, and one scaled by 1e-302 loses them within 8; a tiny
+  but nonzero Gaussian tail, momentum or phase angle reaches that range at
+  any scale.  Once one bit moves, later steps round differently, so such a
+  state differs from the old normalization at the rounding level of its
+  largest amplitude.
+
 The boundary margin is checked after every step, not only at the end, so a
 packet that would wrap around the periodic grid mid-run raises GridOverflow
 even when the final state would look clean.  Each step makes one call of
@@ -105,7 +123,9 @@ def _strang_rows(psi, params, t, n_steps):
     run.  Results come back in the caller's order, and errors name the
     caller's row with that row's own step and count.  Counts that are
     already longest-first (all equal, say) keep the caller's order, and the
-    loop then runs over one view of the whole stack.
+    loop then runs over one view of the whole stack.  Each kinetic phase
+    row carries the inverse FFT's exact 1/n, and the inverse runs unscaled
+    (module docstring, with the overflow and subnormal edges this moves).
     """
     batched, (psis, pars, times, counts) = _as_rows(
         "evolve_split_step", psi, params, t, n_steps
@@ -134,7 +154,8 @@ def _strang_rows(psi, params, t, n_steps):
     dt = np.array([dts[i] for i in order])[:, None]
     kick = np.array([-0.5j * pars[i].m * pars[i].g for i in order])[:, None]
     half_v = np.exp(kick * grid.x * dt / hbar)
-    kinetic = np.exp(-0.5j * hbar * grid.k**2 * dt / m)
+    # The inverse FFT runs unscaled (norm="forward"); its 1/n rides here.
+    kinetic = np.exp(-0.5j * hbar * grid.k**2 * dt / m) * (1.0 / grid.n)
 
     _require_finite(amp, "evolve_split_step start state", batched, rows=order)
     step, running = 0, len(order)
@@ -149,7 +170,7 @@ def _strang_rows(psi, params, t, n_steps):
             a *= v
             np.fft.fft(a, out=a)
             a *= kin
-            np.fft.ifft(a, out=a)
+            np.fft.ifft(a, norm="forward", out=a)
             a *= v
             _check_margin(a, "evolve_split_step", batched, order, at)
         while running and counts[order[running - 1]] == last:

@@ -1,7 +1,9 @@
 """The verification suite as a library call."""
 
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +21,10 @@ from wavefall import (
     default_config,
     dense_hamiltonian,
     interferometry,
+    load_config,
     moments,
     run_all_checks,
+    run_protocol,
     splitstep,
 )
 
@@ -313,3 +317,61 @@ def test_delta_action_identity_fails_a_classical_action_off_by_1e_10(monkeypatch
         default_config(), np.random.default_rng(1), None
     )
     assert not result["passed"]
+
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+
+
+def test_a_fringe_phase_a_turn_from_its_closed_form_verifies():
+    # at x0 = 3.5 the principal phase sits a turn above the unwrapped closed
+    # form; taken modulo 2 pi, the gap is rounding
+    shipped = load_config(str(DEFAULT_CONFIG))
+    cfg = replace(shipped, initial=replace(shipped.initial, x0=3.5))
+    rec = run_protocol(checks._start_packet(cfg), cfg.params, 1.0)
+    assert abs(rec.phase - rec.predicted_phase - 2.0 * math.pi) < 1e-5
+    results = run_all_checks(cfg)
+    failures = [f"{r.name}: {r.measured}" for r in results if not r.passed]
+    assert not failures and len(results) == 9
+    phase = next(r for r in results if r.name == "interference_phase_cross_validation")
+    assert float(re.search(r"phase gap (\S+),", phase.measured).group(1)) < 1e-5
+
+
+@pytest.mark.parametrize(
+    "shift, passed",
+    [(2.0 * math.pi, True), (-2.0 * math.pi, True), (2.0 * math.pi + 1e-3, False)],
+)
+def test_the_fringe_phase_gap_forgives_whole_turns_only(monkeypatch, shift, passed):
+    real = checks.run_protocol
+
+    def shifted(*args, **kwargs):
+        rec = real(*args, **kwargs)
+        return replace(rec, predicted_phase=rec.predicted_phase + shift)
+
+    monkeypatch.setattr(checks, "run_protocol", shifted)
+    result = checks._interference_phase_cross_validation(default_config(), None, None)
+    assert result["passed"] is passed
+
+
+@pytest.mark.parametrize(
+    "shift, passed", [(2.0 * math.pi, True), (2.0 * math.pi + 1e-3, False)]
+)
+def test_the_gauge_phase_gap_forgives_whole_turns_only(monkeypatch, shift, passed):
+    # two principal values near +-pi can sit a turn apart; the gauged run's
+    # phase is moved here as they would be
+    real_gauge, real_protocol = checks.apply_global_phase, checks.run_protocol
+    gauged = []
+
+    def gauge(psi, angle):
+        gauged.append(real_gauge(psi, angle))
+        return gauged[-1]
+
+    def protocol(psi, *args, **kwargs):
+        rec = real_protocol(psi, *args, **kwargs)
+        if any(psi is g for g in gauged):
+            return replace(rec, phase=rec.phase + shift)
+        return rec
+
+    monkeypatch.setattr(checks, "apply_global_phase", gauge)
+    monkeypatch.setattr(checks, "run_protocol", protocol)
+    result = checks._protocol_symmetries(default_config(), None, None)
+    assert gauged and result["passed"] is passed

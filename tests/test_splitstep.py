@@ -95,16 +95,29 @@ def test_guard_fires_mid_run_not_at_the_end(grid, params):
 def test_nan_amplitude_trips_the_guard(psi0, params):
     # NaN compares False against the margin, so the guard must fail closed.
     # A non-finite start state is refused before the first step, so the NaN
-    # is made mid-run: a finite 1e308 spike overflows the first inverse FFT
-    # and leaves every node NaN.
+    # is made mid-run: 1e308 on two adjacent nodes overflows the first
+    # forward FFT, and the inverse then leaves every node NaN.
     amp = np.array(psi0.amp)
-    amp[psi0.grid.n // 2] = 1e308
+    amp[psi0.grid.n // 2 : psi0.grid.n // 2 + 2] = 1e308
     bad = WavePacket(psi0.grid, amp)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(GridOverflow, match=r"amplitude nan .* step 1/8"):
             evolve_split_step(bad, params, 1.0, SolverConfig(8))
         with pytest.raises(GridOverflow, match=r"row 1 at step 1/8"):
             evolve_split_step([psi0, bad], params, 1.0, SolverConfig(8))
+
+
+def test_a_single_huge_spike_is_refused_with_a_finite_amplitude(psi0, params):
+    # One 1e308 node transforms to 1e308-sized modes without overflow, and
+    # the unscaled inverse's 1/n, folded into the kinetic phase, is applied
+    # before the sum, so the spread-out spike stays finite on every node.
+    amp = np.array(psi0.amp)
+    amp[psi0.grid.n // 2] = 1e308
+    bad = WavePacket(psi0.grid, amp)
+    with pytest.raises(GridOverflow, match=r"step 1/8") as info:
+        evolve_split_step(bad, params, 1.0, SolverConfig(8))
+    found = re.search(r"boundary amplitude (\S+) ", str(info.value)).group(1)
+    assert math.isfinite(float(found))
 
 
 def test_guard_runs_at_every_step(grid, psi0, params, count_calls):
@@ -325,3 +338,104 @@ def test_mixed_count_non_finite_start_names_the_callers_row(psi0, params):
         NonFiniteState, match=r"start state: non-finite amplitude in row 2 at node 100"
     ):
         splitstep._strang_rows([psi0, psi0, bad], params, 1.0, [8, 16, 32])
+
+
+def _reference_strang_rows(psis, pars, times, counts, batched):
+    """The Strang loop with numpy's own inverse normalization, rows in caller order.
+
+    This is _strang_rows' loop with an unscaled kinetic phase and the
+    default-normalized np.fft.ifft, which applies 1/n itself.  It stacks the
+    rows longest-first and checks the margin after every step as the kernel
+    does, so a refusal carries the kernel's message.
+    """
+    grid, hbar, m = psis[0].grid, pars[0].hbar, pars[0].m
+    dts = [ti / ni for ti, ni in zip(times, counts)]
+    order = sorted(range(len(counts)), key=lambda i: -counts[i])
+    amp = np.array([psis[i].amp for i in order])
+    dt = np.array([dts[i] for i in order])[:, None]
+    kick = np.array([-0.5j * pars[i].m * pars[i].g for i in order])[:, None]
+    half_v = np.exp(kick * grid.x * dt / hbar)
+    kinetic = np.exp(-0.5j * hbar * grid.k**2 * dt / m)
+    step, running = 0, len(order)
+
+    def at(row):
+        return step, counts[row], step * dts[row]
+
+    while running:
+        last = counts[order[running - 1]]
+        a, v, kin = amp[:running], half_v[:running], kinetic[:running]
+        for step in range(step + 1, last + 1):
+            a *= v
+            np.fft.fft(a, out=a)
+            a *= kin
+            np.fft.ifft(a, out=a)
+            a *= v
+            splitstep._check_margin(a, "evolve_split_step", batched, order, at)
+        while running and counts[order[running - 1]] == last:
+            running -= 1
+    return [amp[j] for j in np.argsort(order)]
+
+
+def _outcome(run):
+    """The amplitude bytes of each row a run returns, or its refusal's message."""
+    try:
+        return [row.tobytes() for row in run()]
+    except GridOverflow as err:
+        return str(err)
+
+
+def _zero_or_at_least(low, high):
+    """0.0, or a float of either sign whose magnitude is in [low, high]."""
+    return st.one_of(st.just(0.0), st.floats(low, high), st.floats(-high, -low))
+
+
+# One row: (x0, p0, sigma0, g, t, count).  The start is a Gaussian sampled on
+# the nodes, so n = 8 is allowed; make_gaussian would refuse it unresolved.
+# p0, g and t are zero or at least 1e-3 in magnitude: a tiny nonzero one
+# leaves a real or imaginary part of the state tiny at any scale, where the
+# subnormal edge of the module docstring applies.
+_SCALED_ROW = st.tuples(
+    st.floats(-4.0, 4.0),
+    _zero_or_at_least(1e-3, 1.5),
+    st.floats(0.5, 2.0),
+    _zero_or_at_least(1e-3, 3.0),
+    st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+    st.integers(1, 16),
+)
+
+
+@given(
+    n=st.sampled_from([2**j for j in range(3, 11)]),
+    rows=st.lists(_SCALED_ROW, min_size=1, max_size=4),
+    s=st.floats(-250.0, 0.0),
+)
+def test_the_folded_inverse_normalization_keeps_every_bit(n, rows, s):
+    # Grid forces n to a power of two, so 1/n is exact and moving it from the
+    # inverse FFT into the kinetic phase moves no bit of a normal value.  Each
+    # start's largest amplitude is 10^s, and its real and imaginary parts
+    # below n 2^-970 are zeroed.  Near the subnormal range bits do move (the
+    # splitstep module docstring): with those parts kept from s = -249, and
+    # with them zeroed at s = -285.
+    grid = Grid(-20.0, 20.0, n)
+    psis = []
+    for x0, p0, sigma0, *_ in rows:
+        amp = np.exp(-(((grid.x - x0) / (2.0 * sigma0)) ** 2) + 1j * p0 * grid.x)
+        amp *= 10.0**s / np.abs(amp).max()
+        parts = amp.view(np.float64)
+        parts[np.abs(parts) < n * 2.0**-970] = 0.0
+        psis.append(WavePacket(grid, amp))
+    pars = [PhysicalParams(g=g) for *_, g, _, _ in rows]
+    times = [t for *_, t, _ in rows]
+    counts = [count for *_, count in rows]
+    single = _outcome(
+        lambda: [evolve_split_step(psis[0], pars[0], times[0], SolverConfig(counts[0])).amp]
+    )
+    assert single == _outcome(
+        lambda: _reference_strang_rows(psis[:1], pars[:1], times[:1], counts[:1], False)
+    )
+    mixed = _outcome(
+        lambda: [row.amp for row in splitstep._strang_rows(psis, pars, times, counts)]
+    )
+    assert mixed == _outcome(
+        lambda: _reference_strang_rows(psis, pars, times, counts, True)
+    )

@@ -41,7 +41,15 @@ import numpy as np
 from .action import classical_action, delta_action, ehrenfest_mean, shifted_free_action
 from .analytic import AccelSchedule, evolve_exact, evolve_piecewise, apply_global_phase
 from .config import RunConfig, _oracle_grid, _start_packet, _verify_setting
-from .core import Trajectory, _extremes, l2_distance, make_gaussian, moments, overlap
+from .core import (
+    PhysicalParams,
+    Trajectory,
+    _extremes,
+    l2_distance,
+    make_gaussian,
+    moments,
+    overlap,
+)
 from .errors import WavefallError
 from .interferometry import branch_states, run_protocol
 from .oracle import commutator_element, dense_hamiltonian, evolve_dense
@@ -185,7 +193,8 @@ def _delta_action_identity(cfg: RunConfig, rng, hamiltonian) -> dict:
     for start in range(0, n_random, _DRAW_BLOCK):
         rows = min(_DRAW_BLOCK, n_random - start)
         m, g, t, x0, xt = rng.uniform(_DRAW_LOW, _DRAW_HIGH, (rows, 5)).T.tolist()
-        pars = [replace(cfg.params, m=mi, g=gi) for mi, gi in zip(m, g)]
+        p = cfg.params
+        pars = [PhysicalParams(p.hbar, mi, gi, p.c) for mi, gi in zip(m, g)]
         expected = np.array(delta_action(xt, t, pars))
         diff = np.subtract(
             classical_action(x0, xt, t, pars), shifted_free_action(x0, xt, t, pars)

@@ -39,15 +39,30 @@ default-normalized inverse.  Two edges move.
   state differs from the old normalization at the rounding level of its
   largest amplitude.
 
+Adjacent half-kicks are fused (Feit, Fleck and Steiger, J. Comput. Phys.
+47, 412, 1982): the opening half-kick is applied once, a step is then the
+FFT pair and the margin check, and every step but a row's last ends with
+the full kick v^2, the closing half-kick of this step and the opening one
+of the next.  A row's last step ends with its closing half-kick alone,
+built as the opening one was, so a row's bits do not depend on the rows
+stacked with it.  v^2 is rounded once where two half-kicks rounded twice,
+so results differ from the unfused loop at rounding level: within
+_strang_tolerance in L2 from a unit-norm start, and so by at most that
+over sqrt(dx) on a guarded node, where the unfused loop's guard could
+decide an amplitude that close to 1e-10 the other way.
+
 The boundary margin is checked after every step, not only at the end, so a
 packet that would wrap around the periodic grid mid-run raises GridOverflow
-even when the final state would look clean.  Each step makes one call of
-core._check_margin, the margin refusal every route shares: one gather of
-the guarded nodes of every row at once, then one abs and one max, failing
-closed on NaN and inf.  Only a step that fails it reduces the gathered
-nodes per row, to name the row (for a batched call), step and time.  A
-start state holding NaN or inf is refused with NonFiniteState before the
-first step.
+even when the final state would look clean.  The check reads the state
+before the step's closing half-kick.  That kick has modulus 1 within an
+ulp, so it moves no guarded amplitude by more than a few ulps, and only
+one within a few ulps of 1e-10 could be decided differently after it.
+Each step makes one call of core._check_margin, the margin refusal every
+route shares: one gather of the guarded nodes of every row at once and one
+dot product, its sum of squared moduli, failing closed on NaN and inf.
+Only a step that fails it reduces the gathered nodes per row, to name the
+row (for a batched call), step and time.  A start state holding NaN or inf
+is refused with NonFiniteState before the first step.
 """
 
 from __future__ import annotations
@@ -126,6 +141,10 @@ def _strang_rows(psi, params, t, n_steps):
     loop then runs over one view of the whole stack.  Each kinetic phase
     row carries the inverse FFT's exact 1/n, and the inverse runs unscaled
     (module docstring, with the overflow and subnormal edges this moves).
+    The adjacent half-kicks are fused (module docstring); a finishing row's
+    closing half-kick is built in its kinetic phase row, dead by then, so
+    the loop holds no (rows, n) array beyond the stack, the kick and the
+    kinetic phase.
     """
     batched, (psis, pars, times, counts) = _as_rows(
         "evolve_split_step", psi, params, t, n_steps
@@ -153,7 +172,7 @@ def _strang_rows(psi, params, t, n_steps):
     amp = _stack([psis[i] for i in order])
     dt = np.array([dts[i] for i in order])[:, None]
     kick = np.array([-0.5j * pars[i].m * pars[i].g for i in order])[:, None]
-    half_v = np.exp(kick * grid.x * dt / hbar)
+    half_v = _half_kick(kick, grid.x, dt, hbar)
     # The inverse FFT runs unscaled (norm="forward"); its 1/n rides here.
     kinetic = np.exp(-0.5j * hbar * grid.k**2 * dt / m) * (1.0 / grid.n)
 
@@ -163,21 +182,45 @@ def _strang_rows(psi, params, t, n_steps):
     def at(row):  # reads step when a check fires, so it names that step
         return step, counts[row], step * dts[row]
 
+    # Each step's closing half-kick fuses with the next step's opening one
+    # into the full kick v^2, squared in place over half_v; a row's last
+    # step takes its closing half-kick alone, rebuilt below.
+    amp *= half_v
+    full_v = np.multiply(half_v, half_v, out=half_v)
     while running:
         last = counts[order[running - 1]]
-        a, v, kin = amp[:running], half_v[:running], kinetic[:running]
+        a, v, kin = amp[:running], full_v[:running], kinetic[:running]
         for step in range(step + 1, last + 1):
-            a *= v
             np.fft.fft(a, out=a)
             a *= kin
             np.fft.ifft(a, norm="forward", out=a)
-            a *= v
             _check_margin(a, "evolve_split_step", batched, order, at)
+            if step < last:
+                a *= v
+        done = running
         while running and counts[order[running - 1]] == last:
             running -= 1
+        # The finishing rows' kinetic rows are dead: build their closing
+        # half-kick there, as the opening one was built.
+        closing = kinetic[running:done]
+        _half_kick(kick[running:done], grid.x, dt[running:done], hbar, out=closing)
+        amp[running:done] *= closing
+        amp[:running] *= full_v[:running]
 
     out = _packets(grid, amp, batched)
     return [out[j] for j in np.argsort(order)] if batched else out
+
+
+def _half_kick(kick, x, dt, hbar, out=None):
+    """e^{kick x dt/hbar} for (rows, 1) kick and dt, built in place in out.
+
+    One fixed order of rounded operations, so a row's half-kick has the
+    same bits wherever it is built; out=None builds it in a fresh array.
+    """
+    out = np.multiply(kick, x, out=out)
+    out *= dt
+    out /= hbar
+    return np.exp(out, out=out)
 
 
 def _strang_phase(params: PhysicalParams, t: float, n_steps: int) -> float:
@@ -198,8 +241,9 @@ def _strang_tolerance(params: PhysicalParams, t: float, n_steps: int, n: int) ->
     """Rounding bound on the L2 distance of e^{-i phi_N} U_split psi from U psi.
 
     eps ((N + 1) log2 n + m g^2 t^3/hbar), for a unit-norm psi on n nodes.
-    A step makes three multiplies by computed unit phases, O(eps) each, and
-    one FFT pair, O(eps log2 n) (Higham, Accuracy and Stability of Numerical
+    A step makes two multiplies by computed unit phases, the kinetic phase
+    and the fused kick (module docstring), O(eps) each, and one FFT pair,
+    O(eps log2 n) (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, section 24.1); the same arrays act at every step, so
     the errors add: N eps log2 n, and one step more for evolve_exact, whose
     one FFT pair per row is that step's.  A computed angle theta is off by

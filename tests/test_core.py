@@ -5,7 +5,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wavefall import (
@@ -276,13 +276,20 @@ _EDGE_VALUES = [
     complex(_MARGIN_AMPLITUDE, 0.0),
     complex(0.0, -_MARGIN_AMPLITUDE),
     complex(np.nextafter(_MARGIN_AMPLITUDE, 0.0), 0.0),
+    complex(1e200, 0.0),  # finite, but its square overflows the sum to inf
 ]
 
 
+# The clean case is one sum of squares; each example reaches its fallback:
+# every guarded node just below the margin (the sum passes the squared
+# margin, no node does), a finite 1e200 (the sum overflows), and a real
+# stack as analytic._reference_margin passes.
 @given(
     rows=st.integers(1, 24),
     n=st.sampled_from([8, 64, 256, 4096]),
     seed=st.integers(0, 2**32 - 1),
+    filled=st.booleans(),
+    real=st.booleans(),
     injections=st.lists(
         st.tuples(
             st.integers(0, 23),
@@ -293,8 +300,17 @@ _EDGE_VALUES = [
         max_size=4,
     ),
 )
+@example(rows=3, n=64, seed=1, filled=True, real=False, injections=[])
+@example(
+    rows=3, n=64, seed=1, filled=False, real=False,
+    injections=[(1, True, 2, complex(1e200, 0.0))],
+)
+@example(
+    rows=2, n=256, seed=1, filled=True, real=True,
+    injections=[(1, True, 5, complex(0.0, -_MARGIN_AMPLITUDE))],
+)
 def test_check_margin_refuses_exactly_the_rows_the_reference_finds(
-    rows, n, seed, injections
+    rows, n, seed, filled, real, injections
 ):
     rng = np.random.default_rng(seed)
     m = max(1, int(0.05 * n))
@@ -302,12 +318,16 @@ def test_check_margin_refuses_exactly_the_rows_the_reference_finds(
     stack = np.exp(2j * math.pi * rng.random((rows, n))) * rng.random((rows, n))
     stack[:, :m] *= 0.9 * _MARGIN_AMPLITUDE
     stack[:, n - m :] *= 0.9 * _MARGIN_AMPLITUDE
+    if filled:
+        stack[:, :m] = stack[:, n - m :] = np.nextafter(_MARGIN_AMPLITUDE, 0.0)
+    if real:
+        stack = np.abs(stack)
     for row, guarded, pick, value in injections:
         if guarded:
             node = [*range(m), *range(n - m, n)][pick % (2 * m)]
         else:
             node = m + pick % (n - 2 * m)
-        stack[row % rows, node] = value
+        stack[row % rows, node] = abs(value) if real else value
     # per-row maxima over the two end slices; a NaN propagates into its row
     worst = np.maximum(
         np.abs(stack[:, :m]).max(axis=-1), np.abs(stack[:, n - m :]).max(axis=-1)

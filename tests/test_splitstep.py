@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -12,6 +13,7 @@ from hypothesis import assume, given, reject
 from hypothesis import strategies as st
 
 from wavefall import splitstep
+from wavefall.core import _guard_index
 from wavefall import (
     Grid,
     GridMismatch,
@@ -340,14 +342,8 @@ def test_mixed_count_non_finite_start_names_the_callers_row(psi0, params):
         splitstep._strang_rows([psi0, psi0, bad], params, 1.0, [8, 16, 32])
 
 
-def _reference_strang_rows(psis, pars, times, counts, batched):
-    """The Strang loop with numpy's own inverse normalization, rows in caller order.
-
-    This is _strang_rows' loop with an unscaled kinetic phase and the
-    default-normalized np.fft.ifft, which applies 1/n itself.  It stacks the
-    rows longest-first and checks the margin after every step as the kernel
-    does, so a refusal carries the kernel's message.
-    """
+def _reference_stack(psis, pars, times, counts):
+    """The kernel's longest-first stack and phases, the kinetic phase unscaled."""
     grid, hbar, m = psis[0].grid, pars[0].hbar, pars[0].m
     dts = [ti / ni for ti, ni in zip(times, counts)]
     order = sorted(range(len(counts)), key=lambda i: -counts[i])
@@ -356,6 +352,57 @@ def _reference_strang_rows(psis, pars, times, counts, batched):
     kick = np.array([-0.5j * pars[i].m * pars[i].g for i in order])[:, None]
     half_v = np.exp(kick * grid.x * dt / hbar)
     kinetic = np.exp(-0.5j * hbar * grid.k**2 * dt / m)
+    return dts, order, amp, half_v, kinetic
+
+
+def _reference_strang_rows(
+    psis, pars, times, counts, batched, guard=splitstep._check_margin
+):
+    """The fused Strang loop with numpy's own inverse normalization, rows in caller order.
+
+    This is _strang_rows' loop with an unscaled kinetic phase and the
+    default-normalized np.fft.ifft, which applies 1/n itself: one opening
+    half-kick, then per step the FFT pair, the margin check and the full
+    kick v^2, a row's last step taking its closing half-kick from half_v
+    itself.  It stacks the rows longest-first and checks the margin after
+    every step as the kernel does, so a refusal carries the kernel's message.
+    """
+    dts, order, amp, half_v, kinetic = _reference_stack(psis, pars, times, counts)
+    full_v = half_v * half_v
+    step, running = 0, len(order)
+
+    def at(row):
+        return step, counts[row], step * dts[row]
+
+    amp *= half_v
+    while running:
+        last = counts[order[running - 1]]
+        a = amp[:running]
+        for step in range(step + 1, last + 1):
+            np.fft.fft(a, out=a)
+            a *= kinetic[:running]
+            np.fft.ifft(a, out=a)
+            guard(a, "evolve_split_step", batched, order, at)
+            if step < last:
+                a *= full_v[:running]
+        done = running
+        while running and counts[order[running - 1]] == last:
+            running -= 1
+        amp[running:done] *= half_v[running:done]
+        amp[:running] *= full_v[:running]
+    return [amp[j] for j in np.argsort(order)]
+
+
+def _unfused_strang_rows(
+    psis, pars, times, counts, batched, guard=splitstep._check_margin
+):
+    """The unfused Strang loop: half-kick, FFT pair, half-kick, margin check.
+
+    Three phase multiplies a step, as the kernel made them before its
+    adjacent half-kicks were fused, with the inverse and its 1/n as in
+    _reference_strang_rows.
+    """
+    dts, order, amp, half_v, kinetic = _reference_stack(psis, pars, times, counts)
     step, running = 0, len(order)
 
     def at(row):
@@ -370,7 +417,7 @@ def _reference_strang_rows(psis, pars, times, counts, batched):
             a *= kin
             np.fft.ifft(a, out=a)
             a *= v
-            splitstep._check_margin(a, "evolve_split_step", batched, order, at)
+            guard(a, "evolve_split_step", batched, order, at)
         while running and counts[order[running - 1]] == last:
             running -= 1
     return [amp[j] for j in np.argsort(order)]
@@ -439,3 +486,78 @@ def test_the_folded_inverse_normalization_keeps_every_bit(n, rows, s):
     assert mixed == _outcome(
         lambda: _reference_strang_rows(psis, pars, times, counts, True)
     )
+
+
+def _recorded(loop, psis, pars, times, counts):
+    """A reference loop's batched rows, or None and its refusal.
+
+    The refusal is (message, row, step, A), A the refused row's largest
+    guarded |z| read from the stack itself, not from the message's four
+    digits.
+    """
+    worst = []
+
+    def guard(a, *args):
+        worst.append(np.abs(a.take(_guard_index(a.shape[-1]), axis=-1)).max(axis=-1))
+        splitstep._check_margin(a, *args)
+
+    try:
+        return loop(psis, pars, times, counts, True, guard), None
+    except GridOverflow as err:
+        step = int(re.search(r"step (\d+)/", str(err)).group(1))
+        return None, (str(err), err.row, step, worst[-1][~(worst[-1] < 1e-10)][0])
+
+
+@given(
+    n=st.sampled_from([2**j for j in range(3, 11)]),
+    rows=st.lists(_SCALED_ROW, min_size=1, max_size=4),
+)
+def test_the_fused_kicks_move_each_row_only_by_rounding(n, rows):
+    # Fusing a step's closing half-kick with the next one's opening one
+    # changes rounding only: from unit-norm starts each row lands within its
+    # _strang_tolerance, in L2, of the unfused loop's.  Both loops refuse with
+    # the same row and step, except where a node is decided differently; a
+    # node moves by at most the L2 distance over sqrt(dx), so the refused
+    # amplitude must then be that close to 1e-10.
+    grid = Grid(-20.0, 20.0, n)
+    psis = []
+    for x0, p0, sigma0, *_ in rows:
+        amp = np.exp(-(((grid.x - x0) / (2.0 * sigma0)) ** 2) + 1j * p0 * grid.x)
+        amp /= math.sqrt(np.sum(np.abs(amp) ** 2) * grid.dx)
+        psis.append(WavePacket(grid, amp))
+    pars = [PhysicalParams(g=g) for *_, g, _, _ in rows]
+    times = [t for *_, t, _ in rows]
+    counts = [count for *_, count in rows]
+    tols = [
+        splitstep._strang_tolerance(p, t, c, n) for p, t, c in zip(pars, times, counts)
+    ]
+    fused, fused_refusal = _recorded(_reference_strang_rows, psis, pars, times, counts)
+    unfused, unfused_refusal = _recorded(_unfused_strang_rows, psis, pars, times, counts)
+    kernel = _outcome(
+        lambda: [row.amp for row in splitstep._strang_rows(psis, pars, times, counts)]
+    )
+    assert kernel == (fused_refusal[0] if fused is None else _outcome(lambda: fused))
+    refusals = [r for r in (fused_refusal, unfused_refusal) if r is not None]
+    if not refusals:
+        for a, b, tol in zip(fused, unfused, tols):
+            assert l2_distance(WavePacket(grid, a), WavePacket(grid, b)) <= tol
+    elif len(refusals) < 2 or refusals[0][1:3] != refusals[1][1:3]:
+        assert any(
+            abs(amp - 1e-10) <= tols[row] / math.sqrt(grid.dx)
+            for _, row, _, amp in refusals
+        )
+
+
+def test_the_kernels_peak_allocation_is_four_stacks(params):
+    # The stack, the half-kick, the kinetic phase and one temporary while a
+    # phase is built: the full kick is squared in place over the half-kick,
+    # and each closing half-kick is built in its row's dead kinetic phase.
+    grid = Grid(-20.0, 20.0, 4096)
+    starts = [make_gaussian(grid, x0, 0.0, 1.0, params) for x0 in range(-4, 4)]
+    tracemalloc.start()
+    try:
+        evolve_split_step(starts, params, 1.0, SolverConfig(4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.05 * 8 * grid.n * 16
